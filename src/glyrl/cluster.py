@@ -25,11 +25,31 @@ DEFAULT_MAX_ITERS = 300
 CLUSTER_FORMAT = "glyrl-clusters"
 CLUSTER_FORMAT_VERSION = 1
 
-# Distances are computed by explicit (x - c)^2 broadcasting, chunked so
-# peak memory stays near this many float64 scratch elements.  The expanded
-# ||x||^2 - 2xc + ||c||^2 form would be faster but its rounding can break
-# exact-tie reproducibility.
-_CHUNK_ELEMENTS = 1 << 24
+# Nearest-centroid search.  Candidates come from the expanded form
+# ||x||^2 - 2 x.c + ||c||^2, one matmul per row block (the row constant
+# ||x||^2 is left out: it does not change which centroid is nearest).  Labels
+# and distances are still exactly those of the explicit sum((x - c)^2) form,
+# bit for bit and whatever the BLAS summation order or thread count: ties go
+# to the lowest index, and each returned distance is the explicit sum itself.
+#
+# Why the recheck bound holds: with u = eps / 2 and gamma_m = m u / (1 - m u),
+# the explicit sum and the expanded value plus the exact ||x||^2 both lie
+# within gamma_{dim+2} (||x|| + ||c||)^2 of the true squared distance
+# (Higham's summation and inner-product bounds, which hold in any summation
+# order).  The expanded form rounds dim times in the dot product, dim times
+# in ||c||^2 and once adding them; the explicit sum picks up three
+# factors (1 + delta) per term (the difference, counted twice once squared,
+# and the square) and dim - 1 across terms.  Since gamma_{dim+2} <= (dim + 3) u,
+# the forms differ by at most B = (dim + 3) eps (||x|| + max ||c||)^2, so the
+# explicit minimizer lies within 2B of the expanded minimum.  A row whose
+# runner-up is that close (or whose values are not finite) is recomputed in
+# the explicit form.  The code uses dim + 4 to absorb the rounding of the
+# bound and the comparison, plus (4 dim + 8) smallest normals for underflow.
+#
+# Row blocks hold about _BLOCK_ELEMENTS float64 distances; the explicit
+# recheck broadcasts (rows, k, dim) differences in chunks of _CHUNK_ELEMENTS.
+_BLOCK_ELEMENTS = 1 << 20
+_CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass
@@ -61,18 +81,51 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
+def _nearest_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Argmin over explicit sum((x - c)^2) distances, ties -> lowest index."""
+    n, dim = points.shape
+    k = centroids.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    step = max(1, _CHUNK_ELEMENTS // (k * dim))
+    for start in range(0, n, step):
+        block = points[start:start + step]
+        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[start:start + step] = np.argmin(d2, axis=1)
+    return labels
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray):
-    """Labels and squared distances to each point's nearest centroid."""
+    """Labels and squared distances to each point's nearest centroid.
+
+    Equal to _nearest_exact's labels and the explicit distances, bit for
+    bit; see the module comment for the recheck bound.
+    """
     n, dim = points.shape
     k = centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // max(1, k * dim))
+    c_sq = (centroids ** 2).sum(axis=1)
+    c_norm = np.sqrt(c_sq.max())
+    scaled = -2.0 * centroids.T  # exact: a power-of-two scaling
+    finfo = np.finfo(float)
+    rel = 2 * (dim + 4) * finfo.eps
+    floor = 2 * (4 * dim + 8) * finfo.tiny
+    step = max(1, _BLOCK_ELEMENTS // k)
     for start in range(0, n, step):
         block = points[start:start + step]
-        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[start:start + step] = np.argmin(d2, axis=1)  # ties -> lowest
-        best[start:start + step] = d2[np.arange(len(block)), labels[start:start + step]]
+        rows = np.arange(len(block))
+        d2 = block @ scaled
+        d2 += c_sq
+        lab = np.argmin(d2, axis=1)
+        reach = d2[rows, lab] + floor \
+            + rel * (np.sqrt((block ** 2).sum(axis=1)) + c_norm) ** 2
+        d2[rows, lab] = np.inf
+        # "not greater" also catches nan runner-ups and bounds
+        ambiguous = np.flatnonzero(~(d2.min(axis=1) > reach))
+        if ambiguous.size:
+            lab[ambiguous] = _nearest_exact(block[ambiguous], centroids)
+        labels[start:start + step] = lab
+        best[start:start + step] = ((block - centroids[lab]) ** 2).sum(axis=1)
     return labels, best
 
 
@@ -119,11 +172,15 @@ def kmeans_fit(points, k: int, seed: int = 0,
         labels, d2 = _nearest(pts, centroids)
         history.append(float(d2.sum()))
 
-        new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                new_centroids[j] = pts[labels == j].mean(axis=0)
+        # one scatter-add: per cluster and coordinate, the same row-order sum
+        # from +0.0 that mean(axis=0) over the cluster's rows takes when
+        # dim >= 2 (a single column mean sums pairwise)
+        sums = np.bincount((labels[:, None] * dim + np.arange(dim)).ravel(),
+                           weights=pts.ravel(), minlength=k * dim).reshape(k, dim)
+        filled = counts > 0
+        new_centroids = centroids.copy()
+        new_centroids[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             steal = d2.copy()
@@ -143,16 +200,6 @@ def kmeans_fit(points, k: int, seed: int = 0,
                          inertia_history=history, labels=labels)
     model.validate()
     return model
-
-
-def assign(point, model: ClusterModel) -> int:
-    """Index of the nearest centroid (squared Euclidean, ties -> lowest)."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (model.dim,):
-        raise ValueError("expected a vector of length %d, got shape %r"
-                         % (model.dim, p.shape))
-    labels, _ = _nearest(p[None, :], model.centroids)
-    return int(labels[0])
 
 
 def assign_many(points, model: ClusterModel) -> np.ndarray:

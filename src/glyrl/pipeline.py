@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import calib
-from .cluster import ClusterModel, assign_many, kmeans_fit, load_clusters, save_clusters
+from .cluster import ClusterModel, assign_many, kmeans_fit, save_clusters
 from .cohort import (
     NormalizationSpec,
     NormalizedSeries,
@@ -326,12 +326,11 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     save_clusters(os.path.join(art_dir, "clusters.model"), model)
 
     points_test = _representation_matrix(config, art_dir, norm_test)
-    labels_train = assign_many(points_train, model)
     labels_test = assign_many(points_test, model) if len(points_test) else \
         np.zeros(0, dtype=int)
     _write_assignments(os.path.join(art_dir, "assignments.csv"),
                        list(norm_train) + list(norm_test),
-                       np.concatenate([labels_train, labels_test]))
+                       np.concatenate([model.labels, labels_test]))
     _manifest_record(art_dir, config, "cluster",
                      ["clusters.model", "assignments.csv"],
                      extra={"representation": config.representation})
@@ -416,13 +415,22 @@ def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
     _manifest_record(art_dir, config, "calibrate", ["curve.csv"])
 
 
+def _read_curve(path: str) -> calib.CalibrationCurve:
+    try:
+        with open(path) as fh:
+            return calib.parse_curve_csv(fh.read())
+    except OSError as exc:
+        raise ArtifactError("cannot read calibration curve %s: %s" % (path, exc))
+    except (ValueError, IndexError) as exc:
+        raise ArtifactError("malformed calibration curve %s: %s" % (path, exc))
+
+
 def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
     """Score both policies on the test split; anchor against training data."""
     model = load_mdp(os.path.join(art_dir, "mdp", "mdp.txt"))
     pi_opt, _, _ = read_solution(os.path.join(art_dir, "solution", "optimal.csv"))
     pi_real, _, _ = read_solution(os.path.join(art_dir, "solution", "real.csv"))
-    curve = calib.parse_curve_csv(
-        open(os.path.join(art_dir, "curve.csv")).read())
+    curve = _read_curve(os.path.join(art_dir, "curve.csv"))
     trajs_train = read_trajectories(
         os.path.join(art_dir, "mdp", "trajectories_train.csv"))
     trajs_test = read_trajectories(

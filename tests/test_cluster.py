@@ -1,13 +1,18 @@
-"""k-means fitting, assignment tie-breaks, and the brute-force optimum check."""
+"""k-means fitting, assignment tie-breaks, and the brute-force optimum check.
+
+The nearest-centroid kernel and the centroid update are also checked bit for
+bit against reference implementations kept here: the explicit broadcast
+sum((x - c)^2) kernel and the per-cluster mean loop.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from glyrl import cluster
 from glyrl.cluster import (
     ClusterModel,
-    assign,
     assign_many,
     kmeans_fit,
     load_clusters,
@@ -30,6 +35,64 @@ def brute_force_inertia(points, k):
                 total += ((members - c) ** 2).sum()
         best = min(best, total)
     return best
+
+
+def reference_nearest(points, centroids):
+    """Broadcast (n, k, dim) kernel: the exact oracle for labels and best."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)  # ties -> lowest
+    return labels, d2[np.arange(len(points)), labels]
+
+
+def reference_fit(points, k, seed, max_iters):
+    """kmeans_fit with the reference kernel and a per-cluster mean loop."""
+    pts = np.asarray(points, dtype=float)
+    centroids = cluster._seed_plus_plus(pts, k, np.random.default_rng(seed))
+    history = []
+    for _ in range(max_iters):
+        labels, d2 = reference_nearest(pts, centroids)
+        history.append(float(d2.sum()))
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                new_centroids[j] = pts[labels == j].mean(axis=0)
+        steal = d2.copy()
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.argmax(steal))
+            new_centroids[j] = pts[far]
+            steal[far] = -np.inf
+        centroids = new_centroids
+    labels, d2 = reference_nearest(pts, centroids)
+    history.append(float(d2.sum()))
+    return centroids, labels, history
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def expanded_labels(points, centroids):
+    d2 = ((points ** 2).sum(axis=1)[:, None] - 2.0 * points @ centroids.T
+          + (centroids ** 2).sum(axis=1))
+    return np.argmin(d2, axis=1)
+
+
+def offset_ties(rng, offset, n, k, dim):
+    """Points and centroids near a large offset with exact and near ties.
+
+    Centroids sit on a unit grid around the offset, some duplicated and some
+    nudged by a few ulps; points sit halfway between grid nodes, so many lie
+    exactly equidistant from two centroids or within rounding of it.
+    """
+    ulp = np.spacing(offset)
+    grid = rng.integers(-3, 4, size=(k, dim)).astype(float)
+    grid[k // 2:] = grid[:k - k // 2]  # exact duplicates, lower index wins
+    nudge = rng.integers(-2, 3, size=(k, dim)) * ulp * (rng.random((k, 1)) < 0.5)
+    centroids = offset + grid + nudge
+    points = offset + rng.integers(-3, 4, size=(n, dim)) + 0.5 * \
+        rng.integers(0, 2, size=(n, dim)) + rng.integers(-2, 3, size=(n, dim)) * ulp
+    return points, centroids
 
 
 def test_three_points_three_clusters_exact_cover():
@@ -96,26 +159,28 @@ def test_tiny_instances_reach_global_optimum():
 def test_assign_centroid_to_itself():
     rng = np.random.default_rng(77)
     model = kmeans_fit(rng.uniform(size=(50, 3)), k=8, seed=1)
-    for j in range(model.k):
-        assert assign(model.centroids[j], model) == j
+    assert assign_many(model.centroids, model).tolist() == list(range(model.k))
 
 
 def test_assign_tie_breaks_to_lowest_index():
     centroids = np.array([[10.0], [20.0], [1.0], [30.0], [40.0], [3.0]])
     model = ClusterModel(centroids, 6, 1, 0.0, 0)
     # 2.0 is exactly 1 away from centroids 2 and 5
-    assert assign(np.array([2.0]), model) == 2
+    assert assign_many(np.array([[2.0]]), model).tolist() == [2]
 
 
 def test_assign_hand_checked_distance():
     model = ClusterModel(np.array([[0.5], [10.5]]), 2, 1, 0.0, 0)
-    assert assign(np.array([3.0]), model) == 0
+    # 3.0 is 2.5 from 0.5 and 7.5 from 10.5
+    assert assign_many(np.array([[3.0], [6.0], [5.5]]), model).tolist() == [0, 1, 0]
+    labels, best = cluster._nearest(np.array([[3.0]]), model.centroids)
+    assert labels.tolist() == [0] and best.tolist() == [6.25]
 
 
 def test_assign_rejects_wrong_dim():
     model = ClusterModel(np.zeros((2, 3)), 2, 3, 0.0, 0)
     with pytest.raises(ValueError):
-        assign(np.zeros(2), model)
+        assign_many(np.zeros(3), model)
     with pytest.raises(ValueError):
         assign_many(np.zeros((4, 2)), model)
 
@@ -175,3 +240,80 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ArtifactError):
         load_clusters(str(path))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 15, 16, 32, 33])
+def test_nearest_matches_reference_bitwise(dim):
+    rng = np.random.default_rng(100 + dim)
+    points = rng.normal(size=(700, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    centroids = points[rng.choice(700, size=40, replace=False)] \
+        + rng.normal(scale=0.1, size=(40, dim))
+    centroids[30:] = centroids[:10]  # exact duplicate centroids
+    labels, best = cluster._nearest(points, centroids)
+    ref_labels, ref_best = reference_nearest(points, centroids)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(bits(best), bits(ref_best))
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_nearest_exact_on_offset_ties(offset, dim):
+    rng = np.random.default_rng(int(offset) % 97 + dim)
+    points, centroids = offset_ties(rng, offset, 400, 24, dim)
+    ref_labels, ref_best = reference_nearest(points, centroids)
+    # the data is adversarial: the expanded form alone gets labels wrong
+    assert not np.array_equal(expanded_labels(points, centroids), ref_labels)
+    labels, best = cluster._nearest(points, centroids)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(bits(best), bits(ref_best))
+
+
+def test_nearest_exact_when_squares_overflow():
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(50, 3)) * 1e160
+    centroids = rng.normal(size=(6, 3)) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels, best = cluster._nearest(points, centroids)
+        ref_labels, ref_best = reference_nearest(points, centroids)
+    assert np.all(np.isinf(ref_best))
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(bits(best), bits(ref_best))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_nearest_labels_independent_of_block_size(monkeypatch, rows):
+    rng = np.random.default_rng(21)
+    smooth = rng.normal(size=(300, 5))
+    tied, tied_centroids = offset_ties(rng, 1e7, 300, 12, 5)
+    for points, centroids in ((smooth, smooth[:12] + 0.01), (tied, tied_centroids)):
+        ref_labels, ref_best = reference_nearest(points, centroids)
+        k, n = len(centroids), len(points)
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", k * (rows or n))
+        monkeypatch.setattr(cluster, "_CHUNK_ELEMENTS", 1)  # one-row rechecks
+        labels, best = cluster._nearest(points, centroids)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(bits(best), bits(ref_best))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 15, 32])
+def test_fit_matches_reference_lloyd_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    points = np.vstack([rng.normal(c, 0.3, size=(80, dim)) for c in range(6)])
+    points[:, 0] = -0.0  # an all -0.0 column still averages to +0.0
+    points[5:15] = points[0]  # duplicates make empty clusters likely
+    for seed in range(3):
+        model = kmeans_fit(points, k=25, seed=seed, max_iters=6, tol=0.0)
+        centroids, labels, history = reference_fit(points, 25, seed, 6)
+        assert np.array_equal(bits(model.centroids), bits(centroids))
+        assert np.array_equal(model.labels, labels)
+        assert model.inertia_history == history
+
+
+def test_fit_in_one_dimension_matches_reference_to_rounding():
+    # numpy sums a single column pairwise, the update sums it in row order
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(500, 1))
+    model = kmeans_fit(points, k=12, seed=1, max_iters=4, tol=0.0)
+    centroids, labels, _ = reference_fit(points, 12, 1, 4)
+    np.testing.assert_allclose(model.centroids, centroids, rtol=1e-12, atol=0)
+    assert np.array_equal(model.labels, labels)

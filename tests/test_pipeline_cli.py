@@ -212,6 +212,20 @@ def test_corrupted_artifact_exits_2(workspace, golden):
     assert rc == cli.DATA_EXIT
 
 
+@pytest.mark.parametrize("damage", ["missing", "garbage"])
+def test_bad_curve_exits_2_and_names_it(workspace, golden, caplog, damage):
+    damaged = workspace["root"] / ("curve_" + damage)
+    shutil.copytree(golden["art"], damaged)
+    if damage == "missing":
+        (damaged / "curve.csv").unlink()
+    else:
+        (damaged / "curve.csv").write_text("not a curve\n")
+    rc, _ = run_cli(["evaluate", "--config", workspace["config"],
+                     "--out", str(damaged)])
+    assert rc == cli.DATA_EXIT
+    assert "curve.csv" in caplog.text
+
+
 def test_numerical_failure_exits_3(workspace, golden, monkeypatch):
     def explode(config, art_dir):
         raise ConvergenceError("policy evaluation exceeded iteration cap")
