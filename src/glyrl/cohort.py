@@ -515,9 +515,17 @@ def fit_normalization(
         gender_codes=gender_codes,
         icu_unit_codes=icu_codes,
     )
-    stacked = np.vstack([_raw_state_matrix(s, spec) for s in training_series])
-    if stacked.shape[1] != len(spec.feature_names):
-        raise ValueError("covariate schema does not match the series")
+    # one preallocated matrix: each series' raw rows are freed before the
+    # next series is built, which keeps ingest's peak memory down
+    stacked = np.empty((sum(len(s.hours) for s in training_series),
+                        len(spec.feature_names)))
+    pos = 0
+    for series in training_series:
+        raw = _raw_state_matrix(series, spec)
+        if raw.shape[1] != stacked.shape[1]:
+            raise ValueError("covariate schema does not match the series")
+        stacked[pos:pos + len(raw)] = raw
+        pos += len(raw)
     return replace(spec, mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
 
 
@@ -542,6 +550,36 @@ def apply_normalization(
         survived=series.survived,
         diabetic=bool(series.diabetic),
     )
+
+
+def hours_dtype(n_features: int, id_width: int) -> np.dtype:
+    """Row type of the model-ready hours table; split 0 is train, 1 test.
+    No field holds objects, so the table saves and loads without pickle."""
+    return np.dtype([("split", np.uint8), ("patient_id", "<U%d" % max(id_width, 1)),
+                     ("hour", np.int64), ("glucose", np.float64),
+                     ("survived", np.bool_), ("state", np.float64, (n_features,))])
+
+
+def hours_table(
+    splits: Sequence[Sequence[PatientSeries]], spec: NormalizationSpec
+) -> np.ndarray:
+    """One normalized row per patient-hour, split by split, series by series,
+    hour by hour; glucose is NaN where missing."""
+    tagged = [(j, series) for j, split in enumerate(splits) for series in split]
+    width = max((len(series.patient_id) for _, series in tagged), default=1)
+    table = np.empty(sum(len(series.hours) for _, series in tagged),
+                     dtype=hours_dtype(len(spec.feature_names), width))
+    pos = 0
+    for j, series in tagged:
+        normalized = apply_normalization(series, spec)
+        rows = table[pos:pos + len(series.hours)]
+        rows["split"], rows["patient_id"], rows["survived"] = \
+            j, series.patient_id, series.survived
+        rows["hour"] = [h.hour_index for h in series.hours]
+        rows["glucose"] = [np.nan if g is None else g for g in normalized.glucose]
+        rows["state"] = normalized.states
+        pos += len(rows)
+    return table
 
 
 def split_patients(

@@ -154,11 +154,6 @@ def encode(x, params: EncoderParams) -> np.ndarray:
     return forward(x, params)[0]
 
 
-def raw_passthrough(x) -> np.ndarray:
-    """Identity feature pathway; interchangeable with encode for clustering."""
-    return np.asarray(x, dtype=float)
-
-
 def kl_bernoulli(target: float, mean_activations: np.ndarray) -> np.ndarray:
     """Elementwise KL(target || mean_activation) between Bernoulli rates."""
     rho_hat = np.clip(mean_activations, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)

@@ -59,12 +59,15 @@ class ActionSpace:
         return len(self.bin_edges) + 1
 
 
-def discretize_glucose(glucose_mgdl: float, action_space: ActionSpace) -> int:
-    """Bin index for a glucose value; values on an edge go to the higher bin."""
-    g = float(glucose_mgdl)
-    if not np.isfinite(g) or g <= 0.0:
-        raise ValueError("glucose must be positive and finite, got %r" % (glucose_mgdl,))
-    return int(np.searchsorted(action_space.bin_edges, g, side="right"))
+def discretize_glucose(glucose_mgdl, action_space: ActionSpace):
+    """Bin index of each glucose value, in the input's shape; values on an
+    edge go to the higher bin."""
+    g = np.asarray(glucose_mgdl, dtype=float)
+    ok = np.isfinite(g) & (g > 0.0)
+    if not ok.all():
+        raise ValueError("glucose must be positive and finite, got %r"
+                         % (float(g.flat[np.argmin(ok)]),))
+    return np.searchsorted(action_space.bin_edges, g, side="right")
 
 
 @dataclass
@@ -100,28 +103,24 @@ def build_trajectories(assigned: Sequence[AssignedSeries],
         if n == 0 or n != len(series.glucose):
             raise IntegrityError(series.patient_id,
                                  "state and glucose series lengths disagree")
-        actions: List[Optional[int]] = [None] * n
-        last = None
-        for t, g in enumerate(series.glucose):
-            if g is not None:
-                try:
-                    last = discretize_glucose(g, action_space)
-                except ValueError as exc:
-                    raise IntegrityError(series.patient_id, str(exc))
-            actions[t] = last
-        if last is None:
+        observed = [t for t, g in enumerate(series.glucose) if g is not None]
+        if not observed:
             log.warning("patient %s has no glucose observations, excluded from MDP",
                         series.patient_id)
             continue
-        first_observed = next(a for a in actions if a is not None)
-        actions = [first_observed if a is None else a for a in actions]
+        try:
+            bins = discretize_glucose([series.glucose[t] for t in observed],
+                                      action_space)
+        except ValueError as exc:
+            raise IntegrityError(series.patient_id, str(exc))
+        # each hour takes the last observation at or before it, or the first
+        latest = np.searchsorted(observed, np.arange(n), side="right") - 1
+        actions = bins[np.maximum(latest, 0)].tolist()
 
         terminal = survive if series.survived else death
-        steps = []
-        for t in range(n):
-            nxt = series.state_ids[t + 1] if t + 1 < n else terminal
-            steps.append((int(series.state_ids[t]), int(actions[t]), int(nxt)))
-        out.append(Trajectory(series.patient_id, steps))
+        states = [int(s) for s in series.state_ids] + [terminal]
+        out.append(Trajectory(series.patient_id,
+                              list(zip(states[:-1], actions, states[1:]))))
     return out
 
 
@@ -174,14 +173,21 @@ class MDPModel:
             raise ValueError("transition source outside cluster states")
         if np.any(self.trans_sp >= self.n_states) or np.any(self.trans_sp < 0):
             raise ValueError("transition target outside state space")
+        if np.any(self.trans_a >= self.n_actions) or np.any(self.trans_a < 0):
+            raise ValueError("transition action outside action space")
         # row-stochasticity over available pairs
-        for s, a in zip(*np.nonzero(self.available)):
-            if int(s) in self.fallback_states:
-                continue
-            mask = (self.trans_s == s) & (self.trans_a == a)
-            total = float(self.trans_p[mask].sum())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError("P(%d, %d, .) sums to %r" % (s, a, total))
+        totals = np.bincount(self.trans_s * self.n_actions + self.trans_a,
+                             weights=self.trans_p,
+                             minlength=self.k * self.n_actions)
+        checked = self.available.copy()
+        checked[sorted(self.fallback_states)] = False
+        failing = np.argwhere(checked & (np.abs(totals.reshape(checked.shape) - 1.0)
+                                         > 1e-9))
+        if failing.size:
+            s, a = failing[0]
+            # report the same masked sum the per-pair check always reported
+            total = float(self.trans_p[(self.trans_s == s) & (self.trans_a == a)].sum())
+            raise ValueError("P(%d, %d, .) sums to %r" % (s, a, total))
 
 
 def estimate_mdp(trajectories: Sequence[Trajectory], k: int,
@@ -362,7 +368,6 @@ def load_mdp(path: str) -> MDPModel:
         raise ArtifactError("triplet indices out of range in %s" % path)
     try:
         model = _model_from_counts(counts, k, min_count, gamma, action_space)
-        model.validate()
     except ValueError as exc:
         raise ArtifactError("inconsistent MDP in %s: %s" % (path, exc))
     for s, a, sp, c, p in zip(model.trans_s, model.trans_a, model.trans_sp,

@@ -23,15 +23,16 @@ from . import calib
 from .cluster import ClusterModel, assign_many, kmeans_fit, save_clusters
 from .cohort import (
     NormalizationSpec,
-    NormalizedSeries,
     PatientSeries,
     annotate_diabetes,
-    apply_normalization,
     filter_cohort,
     fit_normalization,
+    hours_dtype,
+    hours_table,
     impute_cohort,
     parse_cohort,
     split_patients,
+    state_feature_names,
     write_cohort,
     FilterCriteria,
 )
@@ -93,14 +94,6 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _read_json(path: str, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError("cannot read %s %s: %s" % (what, path, exc))
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -124,7 +117,11 @@ def _manifest_read(art_dir: str) -> dict:
             "version": MANIFEST_FORMAT_VERSION,
             "stages": {},
         }
-    doc = _read_json(path, "manifest")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArtifactError("cannot read manifest %s: %s" % (path, exc))
     if doc.get("format") != MANIFEST_FORMAT:
         raise ArtifactError("%s is not a pipeline manifest" % path)
     return doc
@@ -160,22 +157,6 @@ def _save_norm_spec(path: str, spec: NormalizationSpec) -> None:
     })
 
 
-def _load_norm_spec(path: str) -> NormalizationSpec:
-    doc = _read_json(path, "normalization spec")
-    if doc.get("format") != NORM_SPEC_FORMAT:
-        raise ArtifactError("%s is not a normalization spec" % path)
-    try:
-        return NormalizationSpec(
-            feature_names=tuple(doc["feature_names"]),
-            mins=np.array([float(v) for v in doc["mins"]]),
-            maxs=np.array([float(v) for v in doc["maxs"]]),
-            gender_codes=tuple(doc["gender_codes"]),
-            icu_unit_codes=tuple(doc["icu_unit_codes"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError("malformed normalization spec %s: %s" % (path, exc))
-
-
 # --- shared artifact access ---------------------------------------------------
 
 
@@ -187,60 +168,86 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> List[PatientSerie
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
 
 
-def _load_split(config: PipelineConfig, art_dir: str
-                ) -> Tuple[List[PatientSeries], List[PatientSeries]]:
-    train = _read_cohort_file(os.path.join(art_dir, "train.csv"), config.covariates)
-    test = _read_cohort_file(os.path.join(art_dir, "test.csv"), config.covariates)
-    return annotate_diabetes(train), annotate_diabetes(test)
+HOURS_FILE = "hours.npy"
 
 
-def _normalized(config: PipelineConfig, art_dir: str,
-                series_list: Sequence[PatientSeries]) -> List[NormalizedSeries]:
-    spec = _load_norm_spec(os.path.join(art_dir, "norm_spec.json"))
-    return [apply_normalization(s, spec) for s in series_list]
+def _save_hours(path: str, table: np.ndarray) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
+    os.replace(tmp, path)
 
 
-def _representation_matrix(config: PipelineConfig, art_dir: str,
-                           normalized: Sequence[NormalizedSeries]) -> np.ndarray:
-    """Stack per-hour feature vectors, encoded when configured."""
-    points = np.vstack([ns.states for ns in normalized])
-    if config.representation == "sparse_ae":
-        params = load_encoder(os.path.join(art_dir, "encoder.model"))
-        points = encode(points, params)
-    return np.asarray(points, dtype=float)
+def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
+    """Why ``rows`` is not a model-ready hours table, or None if it is."""
+    id_type = (rows.dtype.fields or {}).get("patient_id", (None,))[0]
+    if id_type is None or id_type.kind != "U" or \
+            rows.dtype != hours_dtype(n_features, id_type.itemsize // 4):
+        return "row type %s, expected %d state features" % (rows.dtype, n_features)
+    if rows.ndim != 1 or len(rows) == 0:
+        return "shape %r, expected one row per hour" % (rows.shape,)
+    split, hour = rows["split"], rows["hour"]
+    if split[0] != 0 or np.any(split > 1) or np.any(split[1:] < split[:-1]):
+        return "split column is not training rows, then test rows"
+    starts = np.flatnonzero(hour == 0)
+    if hour[0] != 0 or np.any(
+            hour != np.arange(len(rows)) - starts[np.cumsum(hour == 0) - 1]):
+        return "hour indices do not run 0, 1, ... within each patient"
+    if not np.all((rows["state"] >= 0.0) & (rows["state"] <= 1.0)):
+        return "state values outside [0, 1] or not finite"
+    glucose = rows["glucose"]
+    if not np.all(np.isnan(glucose) | ((glucose > 0.0) & (glucose < np.inf))):
+        return "glucose values neither positive and finite nor missing"
+    return None
 
 
-def _write_assignments(path: str, normalized: Sequence[NormalizedSeries],
-                       labels: np.ndarray) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "hour_index", "state_id"])
-    pos = 0
-    for ns in normalized:
-        for hour in range(ns.states.shape[0]):
-            writer.writerow([ns.patient_id, hour, int(labels[pos])])
-            pos += 1
-    if pos != len(labels):
-        raise ValueError("assignment count mismatch")
-    _write_text(path, buf.getvalue())
-
-
-def _read_assignments(path: str) -> Dict[str, Dict[int, int]]:
-    out: Dict[str, Dict[int, int]] = {}
+def _load_hours(config: PipelineConfig, art_dir: str) -> Tuple[np.ndarray, int]:
+    """hours.npy, checked against the SHA-256 its ingest manifest entry
+    records; returns the table and its number of (leading) training rows."""
+    path = os.path.join(art_dir, HOURS_FILE)
+    stages = _manifest_read(art_dir).get("stages")
+    entry = stages.get("ingest") if isinstance(stages, dict) else None
+    recorded = entry.get(HOURS_FILE) if isinstance(entry, dict) else None
+    if recorded is None:
+        raise ArtifactError("the manifest records no ingest checksum for %s; "
+                            "rerun ingest" % path)
     try:
-        with open(path) as fh:
+        if _sha256(path) != recorded:
+            raise ArtifactError("%s does not match the SHA-256 the ingest "
+                                "manifest entry records" % path)
+        rows = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ArtifactError("cannot read model-ready hours %s: %s" % (path, exc))
+    problem = _hours_problem(rows, len(state_feature_names(config.covariates)))
+    if problem is not None:
+        raise ArtifactError("malformed model-ready hours %s: %s" % (path, problem))
+    return rows, int(np.count_nonzero(rows["split"] == 0))
+
+
+def _read_assignment_columns(path: str) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """Patient ids, hour indices and state ids, in file order."""
+    try:
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["patient_id", "hour_index", "state_id"]:
+            if next(reader, None) != ["patient_id", "hour_index", "state_id"]:
                 raise ArtifactError("%s is not an assignments file" % path)
-            for row in reader:
-                if len(row) != 3:
-                    raise ArtifactError("malformed assignments row %r" % (row,))
-                out.setdefault(row[0], {})[int(row[1])] = int(row[2])
+            body = list(reader)
+        if any(len(row) != 3 for row in body):
+            raise ValueError("a row does not have 3 fields")
+        ints = np.array([(int(row[1]), int(row[2])) for row in body],
+                        dtype=np.int64).reshape(-1, 2)
     except OSError as exc:
         raise ArtifactError("cannot read assignments %s: %s" % (path, exc))
     except ValueError as exc:
         raise ArtifactError("malformed assignments %s: %s" % (path, exc))
+    return [row[0] for row in body], ints[:, 0], ints[:, 1]
+
+
+def _read_assignments(path: str) -> Dict[str, Dict[int, int]]:
+    out: Dict[str, Dict[int, int]] = {}
+    ids, hours, states = _read_assignment_columns(path)
+    for pid, hour, state in zip(ids, hours.tolist(), states.tolist()):
+        out.setdefault(pid, {})[hour] = state
     return out
 
 
@@ -248,9 +255,11 @@ def _read_assignments(path: str) -> Dict[str, Dict[int, int]]:
 
 
 def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
-    """Parse, filter, impute, split, and fit normalization (train only)."""
+    """Parse, filter, impute, split, fit normalization (train only), and
+    write the model-ready hours every later stage reads."""
     os.makedirs(art_dir, exist_ok=True)
     patients = _read_cohort_file(input_csv, config.covariates)
+    n_parsed = len(patients)
     criteria = FilterCriteria(
         min_age=config.preprocessing.min_age,
         min_sofa=config.preprocessing.min_sofa,
@@ -259,29 +268,33 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     kept, exclusions = filter_cohort(patients, criteria)
     kept = annotate_diabetes(kept)
     imputed, dropped = impute_cohort(kept, config.covariates)
+    # free the parsed and filtered copies before the hours table is built
+    del patients, kept
     if not imputed:
         raise DataError("no patients left after filtering and imputation")
     train, test = split_patients(imputed, config.split.test_fraction,
                                  derive_seed(config.seed, "split"))
+    del imputed
 
+    spec = fit_normalization(train, config.covariates)
+    _save_norm_spec(os.path.join(art_dir, "norm_spec.json"), spec)
+    _save_hours(os.path.join(art_dir, HOURS_FILE), hours_table((train, test), spec))
     for name, subset in (("train.csv", train), ("test.csv", test)):
         buf = io.StringIO()
         write_cohort(subset, buf, config.covariates)
         _write_text(os.path.join(art_dir, name), buf.getvalue())
-
-    spec = fit_normalization(train, config.covariates)
-    _save_norm_spec(os.path.join(art_dir, "norm_spec.json"), spec)
     _write_json(os.path.join(art_dir, "exclusions.json"), {
-        "parsed_patients": len(patients),
+        "parsed_patients": n_parsed,
         "filtered": {k: int(v) for k, v in sorted(exclusions.items())},
         "imputation_dropped": sorted([pid, reason] for pid, reason in dropped),
         "train_patients": len(train),
         "test_patients": len(test),
     })
     _manifest_record(art_dir, config, "ingest",
-                     ["train.csv", "test.csv", "norm_spec.json", "exclusions.json"])
+                     ["train.csv", "test.csv", "norm_spec.json", "exclusions.json",
+                      HOURS_FILE])
     log.info("ingest: %d parsed, %d train / %d test",
-             len(patients), len(train), len(test))
+             n_parsed, len(train), len(test))
 
 
 def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
@@ -291,9 +304,9 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
                  config.representation)
         _manifest_record(art_dir, config, "train-encoder", [])
         return
-    train_series, _ = _load_split(config, art_dir)
-    normalized = _normalized(config, art_dir, train_series)
-    dataset = np.vstack([ns.states for ns in normalized])
+    rows, n_train = _load_hours(config, art_dir)
+    dataset = np.ascontiguousarray(rows["state"][:n_train])
+    del rows  # training needs the room
     enc = config.encoder
     params = train(
         dataset,
@@ -315,56 +328,78 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
 
 def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     """Fit k-means on training hours; assign every hour of both splits."""
-    train_series, test_series = _load_split(config, art_dir)
-    norm_train = _normalized(config, art_dir, train_series)
-    norm_test = _normalized(config, art_dir, test_series)
-    points_train = _representation_matrix(config, art_dir, norm_train)
+    rows, n_train = _load_hours(config, art_dir)
+    # contiguous copies: on a strided view of the table numpy would skip BLAS,
+    # which changes the bits of every matrix product
+    points_train = np.ascontiguousarray(rows["state"][:n_train])
+    points_test = np.ascontiguousarray(rows["state"][n_train:])
+    # free the table before k-means needs its scratch space
+    ids, hours = rows["patient_id"].tolist(), rows["hour"].tolist()
+    del rows
+    if config.representation == "sparse_ae":
+        params = load_encoder(os.path.join(art_dir, "encoder.model"))
+        points_train = encode(points_train, params)
+        if len(points_test):
+            points_test = encode(points_test, params)
     model = kmeans_fit(points_train, config.clustering.k,
                        seed=derive_seed(config.seed, "kmeans"),
                        max_iters=config.clustering.max_iters,
                        tol=config.clustering.tol)
     save_clusters(os.path.join(art_dir, "clusters.model"), model)
 
-    points_test = _representation_matrix(config, art_dir, norm_test)
-    labels_test = assign_many(points_test, model) if len(points_test) else \
-        np.zeros(0, dtype=int)
-    _write_assignments(os.path.join(art_dir, "assignments.csv"),
-                       list(norm_train) + list(norm_test),
-                       np.concatenate([model.labels, labels_test]))
+    labels_test = assign_many(points_test, model).tolist() if len(points_test) \
+        else []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["patient_id", "hour_index", "state_id"])
+    writer.writerows(zip(ids, hours, model.labels.tolist() + labels_test))
+    _write_text(os.path.join(art_dir, "assignments.csv"), buf.getvalue())
     _manifest_record(art_dir, config, "cluster",
                      ["clusters.model", "assignments.csv"],
                      extra={"representation": config.representation})
 
 
-def _assigned_from(series_list: Sequence[PatientSeries],
-                   assignments: Dict[str, Dict[int, int]]) -> List[AssignedSeries]:
-    out = []
-    for series in series_list:
-        by_hour = assignments.get(series.patient_id)
-        if by_hour is None:
-            raise ArtifactError("patient %s missing from assignments"
-                                % series.patient_id)
-        try:
-            states = [by_hour[h.hour_index] for h in series.hours]
-        except KeyError as exc:
-            raise ArtifactError("patient %s has no state for hour %s"
-                                % (series.patient_id, exc))
-        out.append(AssignedSeries(series.patient_id, states,
-                                  [h.glucose_mgdl for h in series.hours],
-                                  series.survived))
-    return out
+def _aligned_labels(path: str, rows: np.ndarray, k: int) -> np.ndarray:
+    """The state of each row of ``rows``; assignments.csv must list the same
+    patient-hours in the same order."""
+    ids, hours, labels = _read_assignment_columns(path)
+    if len(ids) != len(rows):
+        raise ArtifactError("%s has %d rows but %s has %d"
+                            % (path, len(ids), HOURS_FILE, len(rows)))
+    off = np.flatnonzero((np.array(ids, dtype=str) != rows["patient_id"])
+                         | (hours != rows["hour"]))
+    if off.size:
+        raise ArtifactError("%s line %d does not line up with %s"
+                            % (path, off[0] + 2, HOURS_FILE))
+    off = np.flatnonzero((labels < 0) | (labels >= k))
+    if off.size:
+        raise ArtifactError("%s line %d: state %d outside [0, %d)"
+                            % (path, off[0] + 2, labels[off[0]], k))
+    return labels
+
+
+def _assigned(rows: np.ndarray, labels: np.ndarray) -> List[AssignedSeries]:
+    """Cut aligned rows and labels into one series per patient."""
+    first = np.flatnonzero(rows["hour"] == 0)
+    bounds = first.tolist() + [len(rows)]
+    states = labels.tolist()
+    glucose = [None if g != g else g for g in rows["glucose"].tolist()]
+    return [AssignedSeries(pid, states[a:b], glucose[a:b], alive)
+            for pid, alive, a, b in zip(rows["patient_id"][first].tolist(),
+                                        rows["survived"][first].tolist(),
+                                        bounds, bounds[1:])]
 
 
 def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
-    train_series, test_series = _load_split(config, art_dir)
-    assignments = _read_assignments(os.path.join(art_dir, "assignments.csv"))
-    space = ActionSpace(config.mdp.bin_edges)
+    rows, n_train = _load_hours(config, art_dir)
     k = config.clustering.k
-    trajs_train = build_trajectories(_assigned_from(train_series, assignments),
-                                     space, k)
-    trajs_test = build_trajectories(_assigned_from(test_series, assignments),
-                                    space, k)
+    labels = _aligned_labels(os.path.join(art_dir, "assignments.csv"), rows, k)
+    space = ActionSpace(config.mdp.bin_edges)
+    trajs_train = build_trajectories(
+        _assigned(rows[:n_train], labels[:n_train]), space, k)
+    trajs_test = build_trajectories(
+        _assigned(rows[n_train:], labels[n_train:]), space, k)
     if not trajs_train:
         raise DataError("no usable training trajectories")
     model = estimate_mdp(trajs_train, k, min_count=config.mdp.min_count,

@@ -209,20 +209,6 @@ def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
         "policy iteration did not stabilize within %d improvements" % max_improvements)
 
 
-def evaluate_policy_return(mdp: MDPModel, policy, initial_state_weights,
-                           epsilon: float = DEFAULT_EPSILON) -> float:
-    """Weighted mean of V^policy over non-terminal states."""
-    w = np.asarray(initial_state_weights, dtype=float)
-    if w.shape != (mdp.k,):
-        raise ValueError("weights must cover exactly the %d non-terminal states" % mdp.k)
-    if np.any(w < 0) or not np.isfinite(w).all():
-        raise ValueError("weights must be finite and non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1, got %r" % float(w.sum()))
-    v = policy_evaluation(mdp, policy, epsilon)
-    return float(w @ v[:mdp.k])
-
-
 def write_solution(path: str, solution: PolicySolution, label: str) -> None:
     """Header JSON line, then `state_id,policy_action,V` per non-terminal state."""
     header = {

@@ -13,7 +13,6 @@ from glyrl.encoder import (
     kl_bernoulli,
     load_encoder,
     loss_gradient,
-    raw_passthrough,
     save_encoder,
     sparse_loss,
     train,
@@ -88,10 +87,6 @@ def test_encode_is_forward_first_output():
     x = rng.uniform(size=7)
     assert np.array_equal(encode(x, params), forward(x, params)[0])
     assert encode(x, params).shape == (32,)
-
-
-def test_raw_passthrough_identity():
-    assert np.array_equal(raw_passthrough([0.1, 0.9]), np.array([0.1, 0.9]))
 
 
 def test_kl_at_target_is_exactly_zero():

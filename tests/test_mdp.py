@@ -122,6 +122,49 @@ def test_trajectory_bad_glucose_names_patient():
     assert "p8" in str(err.value)
 
 
+def reference_actions(glucose):
+    """The per-hour scalar loop that build_trajectories replaced."""
+    actions, last = [], None
+    for g in glucose:
+        if g is not None:
+            last = discretize_glucose(g, SPACE)
+        actions.append(last)
+    first = next(a for a in actions if a is not None)
+    return [first if a is None else a for a in actions]
+
+
+def test_trajectory_actions_match_per_hour_reference():
+    rng = np.random.default_rng(21)
+    edges = list(SPACE.bin_edges)
+    assigned, expected = [], []
+    for p in range(300):
+        n = int(rng.integers(1, 12))
+        glucose = []
+        for _ in range(n):
+            u = rng.random()
+            glucose.append(None if u < 0.4 else
+                           float(rng.choice(edges)) if u < 0.6 else
+                           float(rng.uniform(1.0, 450.0)))
+        states = rng.integers(0, 7, size=n).tolist()
+        alive = bool(rng.random() < 0.5)
+        assigned.append(series("p%d" % p, states, glucose, alive))
+        if any(g is not None for g in glucose):
+            actions = reference_actions(glucose)
+            nxt = states[1:] + [7 if alive else 8]
+            expected.append(("p%d" % p, list(zip(states, actions, nxt))))
+    trajs = build_trajectories(assigned, SPACE, 7)
+    assert [(t.patient_id, t.steps) for t in trajs] == expected
+
+
+def test_trajectory_first_bad_glucose_in_time_order_is_reported():
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(IntegrityError) as err:
+            build_trajectories(
+                [series("p9", [0, 1, 2], [None, bad, -3.0], True)], SPACE, 3)
+        assert "p9" in str(err.value)
+        assert repr(bad) in str(err.value)
+
+
 def single_step_mdp(min_count=1):
     trajs = [Trajectory("p", [(0, 3, 1)])]  # SURVIVE for k=1
     return estimate_mdp(trajs, k=1, min_count=min_count, gamma=0.9)
@@ -170,6 +213,53 @@ def test_estimate_row_stochastic():
             if mdp.available[s, a] and s not in mdp.fallback_states:
                 mask = (mdp.trans_s == s) & (mdp.trans_a == a)
                 assert abs(mdp.trans_p[mask].sum() - 1.0) <= 1e-9
+
+
+def reference_validate_error(mdp):
+    """The message of the per-pair loop that MDPModel.validate replaced."""
+    for s, a in zip(*np.nonzero(mdp.available)):
+        if int(s) in mdp.fallback_states:
+            continue
+        total = float(mdp.trans_p[(mdp.trans_s == s) & (mdp.trans_a == a)].sum())
+        if abs(total - 1.0) > 1e-9:
+            return "P(%d, %d, .) sums to %r" % (s, a, total)
+    return None
+
+
+def test_validate_reports_the_first_failing_pair_like_the_per_pair_loop():
+    rng = np.random.default_rng(15)
+    failures = 0
+    for trial in range(40):
+        trajs = []
+        for p in range(40):
+            steps, s = [], int(rng.integers(5))
+            for _ in range(int(rng.integers(1, 10))):
+                sp = int(rng.integers(5))
+                steps.append((s, int(rng.integers(4)), sp))
+                s = sp
+            steps.append((s, int(rng.integers(4)), 5 + int(rng.random() < 0.4)))
+            trajs.append(Trajectory("p%d" % p, steps))
+        mdp = estimate_mdp(trajs, k=5, min_count=int(rng.integers(1, 6)))
+        assert reference_validate_error(mdp) is None
+        picks = rng.choice(len(mdp.trans_p), size=int(rng.integers(1, 4)),
+                           replace=False)
+        mdp.trans_p[picks] *= 1.0 + rng.choice([1e-11, -1e-11, 1e-8, -0.5])
+        expected = reference_validate_error(mdp)
+        if expected is None:
+            mdp.validate()
+        else:
+            failures += 1
+            with pytest.raises(ValueError) as err:
+                mdp.validate()
+            assert str(err.value) == expected
+    assert failures >= 10
+
+
+def test_validate_rejects_actions_outside_the_action_space():
+    mdp = single_step_mdp()
+    mdp.trans_a[0] = SPACE.n_actions
+    with pytest.raises(ValueError, match="action"):
+        mdp.validate()
 
 
 def test_estimate_count_conservation_min_count_one():

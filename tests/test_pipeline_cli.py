@@ -12,10 +12,13 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from conftest import cohort_row, make_csv
 from glyrl import cli, pipeline, synthgen
-from glyrl.cohort import parse_cohort
+from glyrl.cohort import (annotate_diabetes, apply_normalization,
+                          fit_normalization, parse_cohort)
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError
 
@@ -77,6 +80,7 @@ def test_expected_artifact_files(golden):
         "clusters.model",
         "curve.csv",
         "exclusions.json",
+        "hours.npy",
         "manifest.json",
         "mdp/mdp.txt",
         "mdp/trajectories_test.csv",
@@ -224,6 +228,163 @@ def test_bad_curve_exits_2_and_names_it(workspace, golden, caplog, damage):
                      "--out", str(damaged)])
     assert rc == cli.DATA_EXIT
     assert "curve.csv" in caplog.text
+
+
+def copy_with_hours(workspace, golden, name):
+    art = workspace["root"] / name
+    shutil.copytree(golden["art"], art)
+    return art, art / "hours.npy"
+
+
+@pytest.mark.parametrize("damage", ["flipped", "truncated", "missing",
+                                    "unrecorded"])
+def test_damaged_hours_exit_2_and_name_it(workspace, golden, caplog, capsys,
+                                          damage):
+    art, path = copy_with_hours(workspace, golden, "hours_" + damage)
+    data = path.read_bytes()
+    if damage == "flipped":
+        mid = len(data) // 2
+        path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    elif damage == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif damage == "missing":
+        path.unlink()
+    else:
+        manifest = json.loads((art / "manifest.json").read_text())
+        del manifest["stages"]["ingest"]["hours.npy"]
+        (art / "manifest.json").write_text(json.dumps(manifest))
+    rc, _ = run_cli(["cluster", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "hours.npy" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def tamper_hours(rows, how):
+    rows = rows.copy()
+    if how == "state_above_one":
+        rows["state"][3, 0] = 1.5
+    elif how == "state_nan":
+        rows["state"][7, 2] = np.nan
+    elif how == "glucose_negative":
+        rows["glucose"][5] = -1.0
+    elif how == "hour_gap":
+        rows["hour"][2] += 1
+    elif how == "test_rows_first":
+        rows = np.concatenate([rows[rows["split"] == 1], rows[rows["split"] == 0]])
+    elif how == "plain_matrix":
+        rows = np.ascontiguousarray(rows["state"])
+    return rows
+
+
+@pytest.mark.parametrize("how", ["state_above_one", "state_nan",
+                                 "glucose_negative", "hour_gap",
+                                 "test_rows_first", "plain_matrix"])
+def test_inconsistent_hours_exit_2_even_when_the_checksum_matches(
+        workspace, golden, caplog, how):
+    art, path = copy_with_hours(workspace, golden, "hours_tampered_" + how)
+    rows = np.load(str(path), allow_pickle=False)
+    with open(path, "wb") as fh:
+        np.save(fh, tamper_hours(rows, how), allow_pickle=False)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["stages"]["ingest"]["hours.npy"] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    rc, _ = run_cli(["build-mdp", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "malformed model-ready hours" in caplog.text
+    assert "hours.npy" in caplog.text
+
+
+@pytest.mark.parametrize("damage", ["dropped_row", "swapped_hours",
+                                    "state_out_of_range"])
+def test_misaligned_assignments_exit_2_and_name_it(workspace, golden, caplog,
+                                                   damage):
+    art = workspace["root"] / ("assignments_" + damage)
+    shutil.copytree(golden["art"], art)
+    path = art / "assignments.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "dropped_row":
+        del lines[5]
+    elif damage == "swapped_hours":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",5\n"  # k is 5
+    path.write_text("".join(lines))
+    rc, _ = run_cli(["build-mdp", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "assignments.csv" in caplog.text
+
+
+def test_hours_equal_a_reparse_of_the_split_csvs(golden):
+    rows = np.load(os.path.join(golden["art"], "hours.npy"), allow_pickle=False)
+    covariates = PipelineConfig().covariates
+    splits = []
+    for name in ("train.csv", "test.csv"):
+        with open(os.path.join(golden["art"], name)) as fh:
+            splits.append(annotate_diabetes(parse_cohort(fh, covariates)))
+    spec = fit_normalization(splits[0], covariates)
+    with open(os.path.join(golden["art"], "norm_spec.json")) as fh:
+        stored = json.load(fh)
+    assert stored["mins"] == [repr(float(v)) for v in spec.mins]
+    assert stored["maxs"] == [repr(float(v)) for v in spec.maxs]
+
+    split, ids, hours, glucose, survived, states = [], [], [], [], [], []
+    for index, series_list in enumerate(splits):
+        for series in series_list:
+            normalized = apply_normalization(series, spec)
+            n = len(series.hours)
+            split += [index] * n
+            ids += [series.patient_id] * n
+            hours += [h.hour_index for h in series.hours]
+            glucose += [np.nan if g is None else g for g in normalized.glucose]
+            survived += [series.survived] * n
+            states.append(normalized.states)
+    assert rows["split"].tolist() == split
+    assert rows["patient_id"].tolist() == ids
+    assert rows["hour"].tolist() == hours
+    assert rows["survived"].tolist() == survived
+    assert rows["glucose"].tobytes() == np.array(glucose).tobytes()
+    assert rows["state"].tobytes() == np.vstack(states).tobytes()
+
+
+def test_reordered_input_gives_byte_identical_hours(workspace, golden):
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    reordered = workspace["root"] / "reordered.csv"
+    reordered.write_text(lines[0] + "".join(reversed(lines[1:])))
+    outputs = []
+    for name, cohort in (("ingest_a", workspace["cohort"]),
+                         ("ingest_b", str(reordered))):
+        art = workspace["root"] / name
+        rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                         "--input", cohort, "--out", str(art)])
+        assert rc == 0
+        outputs.append((art / "hours.npy").read_bytes())
+    golden_hours = open(os.path.join(golden["art"], "hours.npy"), "rb").read()
+    assert outputs[0] == outputs[1] == golden_hours
+
+
+def test_single_patient_cohort_runs_with_an_empty_test_split(tmp_path):
+    cohort = tmp_path / "one.csv"
+    cohort.write_text(make_csv([
+        cohort_row("p1", h, glucose=str(90.0 + 15 * h),
+                   covs=(str(80.0 + h), str(110.0 - 2 * h), "1.5"))
+        for h in range(8)]).getvalue())
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 3\ncovariates: [heart_rate, sbp, lactate]\n"
+                      "clustering:\n  k: 2\nmdp:\n  min_count: 1\n")
+    art = tmp_path / "art"
+    common = ["--config", str(config), "--out", str(art)]
+    assert run_cli(["ingest", "--input", str(cohort)] + common)[0] == 0
+    for command in ["cluster", "build-mdp"]:
+        assert run_cli([command] + common)[0] == 0, command
+    rows = np.load(str(art / "hours.npy"), allow_pickle=False)
+    assert rows["split"].tolist() == [0] * 8
+    assert rows["hour"].tolist() == list(range(8))
+    assert (art / "mdp" / "trajectories_test.csv").read_text() == \
+        "patient_id,step_index,state,action,next_state\n"
 
 
 def test_numerical_failure_exits_3(workspace, golden, monkeypatch):

@@ -13,7 +13,6 @@ import pytest
 from glyrl.errors import ArtifactError
 from glyrl.mdp import ActionSpace, MDPModel, Trajectory, estimate_mdp
 from glyrl.solver import (
-    evaluate_policy_return,
     greedy_improve,
     policy_evaluation,
     policy_iteration,
@@ -22,6 +21,19 @@ from glyrl.solver import (
     write_q_table,
     write_solution,
 )
+
+
+def evaluate_policy_return(mdp, policy, initial_state_weights, epsilon=1e-4):
+    """Oracle: weighted mean of V^policy over the non-terminal states."""
+    w = np.asarray(initial_state_weights, dtype=float)
+    if w.shape != (mdp.k,):
+        raise ValueError("weights must cover exactly the %d non-terminal states" % mdp.k)
+    if np.any(w < 0) or not np.isfinite(w).all():
+        raise ValueError("weights must be finite and non-negative")
+    if abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1, got %r" % float(w.sum()))
+    v = policy_evaluation(mdp, policy, epsilon)
+    return float(w @ v[:mdp.k])
 
 
 def mdp_from_steps(steps_by_patient, k, min_count=1, gamma=0.9, action_space=None):
