@@ -4,21 +4,20 @@ Every state visit in the training trajectories contributes one sample
 (V_real(state), died).  Samples are grouped into equal-width bins over the
 observed return range, low-support bins merge into their nearest neighbor,
 and a visit-weighted isotonic (non-increasing) regression produces the
-calibration curve.  Scoring a policy maps its per-state values through the
-curve and averages under a state-visit distribution, yielding the real
-versus optimal mortality comparison.
+calibration curve.  Scoring a policy maps its per-state values (as the
+solver wrote them) through the curve and averages under a state-visit
+distribution, yielding the real versus optimal mortality comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError
-from .mdp import MDPModel, Trajectory
-from .solver import DEFAULT_EPSILON, policy_evaluation
+from .mdp import Trajectory
 
 DEFAULT_N_BINS = 20
 DEFAULT_MIN_BIN_SUPPORT = 50
@@ -33,7 +32,6 @@ class CalibrationCurve:
     bin_centers: np.ndarray
     mortality: np.ndarray
     support: np.ndarray
-    domain: Tuple[float, float]
 
     def validate(self) -> None:
         if len(self.bin_centers) < 2:
@@ -163,8 +161,7 @@ def fit_curve(V_real, trajectories: Sequence[Trajectory],
     centers = np.array([b[1] / b[0] for b in bins])
     raw = np.array([b[2] / b[0] for b in bins])
     mortality = _pav_non_increasing(raw, support.astype(float))
-    curve = CalibrationCurve(centers, np.clip(mortality, 0.0, 1.0),
-                             support, (lo, hi))
+    curve = CalibrationCurve(centers, np.clip(mortality, 0.0, 1.0), support)
     curve.validate()
     return curve
 
@@ -200,24 +197,10 @@ def empirical_mortality(trajectories: Sequence[Trajectory], k: int) -> float:
     return deaths / len(trajectories)
 
 
-def _score_policy(mdp: MDPModel, policy, curve: CalibrationCurve,
-                  weights: np.ndarray, epsilon: float,
-                  mortality_mapping: str) -> PolicyScore:
-    v = policy_evaluation(mdp, policy, epsilon)[:mdp.k]
-    mean_return = float(weights @ v)
-    if mortality_mapping == "per_state":
-        mortality = float(weights @ estimate_mortality(curve, v))
-    else:
-        mortality = estimate_mortality(curve, mean_return)
-    return PolicyScore(mean_return, mortality)
-
-
-def evaluate(mdp: MDPModel, pi_real, pi_opt, curve: CalibrationCurve,
-             test_visitation, cohort_mortality: float,
-             representation: str = "raw", config_digest: str = "",
-             seed: int = 0, epsilon: float = DEFAULT_EPSILON,
-             mortality_mapping: str = "per_state") -> EvaluationReport:
-    """Score both policies under the test visitation and assemble the report.
+def score(values, curve: CalibrationCurve, visitation,
+          mortality_mapping: str = "per_state") -> PolicyScore:
+    """Mean value and estimated mortality of one policy's per-state values
+    under a visitation distribution over the same states.
 
     Estimated mortality maps each state's value through the curve and then
     averages (per_state); mortality_mapping="mean_return" instead maps the
@@ -225,25 +208,39 @@ def evaluate(mdp: MDPModel, pi_real, pi_opt, curve: CalibrationCurve,
     """
     if mortality_mapping not in MORTALITY_MAPPINGS:
         raise ValueError("mortality_mapping must be one of %r" % (MORTALITY_MAPPINGS,))
-    w = np.asarray(test_visitation, dtype=float)
-    if w.shape != (mdp.k,):
-        raise ValueError("test visitation must cover the %d non-terminal states" % mdp.k)
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(visitation, dtype=float)
+    if v.ndim != 1 or w.shape != v.shape:
+        raise ValueError("visitation must cover the %d valued states" % len(v))
     if np.any(w < 0) or not np.isfinite(w).all():
-        raise ValueError("test visitation must be finite and non-negative")
+        raise ValueError("visitation must be finite and non-negative")
     total = float(w.sum())
     if total <= 0:
-        raise ValueError("test visitation is empty")
+        raise ValueError("visitation is empty")
     if abs(total - 1.0) > 1e-9:
-        raise ValueError("test visitation must sum to 1, got %r" % total)
+        raise ValueError("visitation must sum to 1, got %r" % total)
+    mean_return = float(w @ v)
+    if mortality_mapping == "per_state":
+        mortality = float(w @ estimate_mortality(curve, v))
+    else:
+        mortality = estimate_mortality(curve, mean_return)
+    return PolicyScore(mean_return, mortality)
+
+
+def evaluate(v_real, v_opt, curve: CalibrationCurve, test_visitation,
+             cohort_mortality: float, representation: str = "raw",
+             config_digest: str = "", seed: int = 0,
+             mortality_mapping: str = "per_state") -> EvaluationReport:
+    """Score the logged and the optimal policy's values (k entries each)
+    under the test visitation and assemble the report."""
+    if np.shape(v_real) != np.shape(v_opt):
+        raise ValueError("real and optimal values must cover the same states")
     if not 0.0 <= cohort_mortality <= 1.0:
         raise ValueError("cohort mortality must lie in [0, 1]")
-
-    real = _score_policy(mdp, pi_real, curve, w, epsilon, mortality_mapping)
-    optimal = _score_policy(mdp, pi_opt, curve, w, epsilon, mortality_mapping)
     return EvaluationReport(
         representation=representation,
-        real=real,
-        optimal=optimal,
+        real=score(v_real, curve, test_visitation, mortality_mapping),
+        optimal=score(v_opt, curve, test_visitation, mortality_mapping),
         cohort_mortality=float(cohort_mortality),
         config_digest=config_digest,
         seed=int(seed),
@@ -285,7 +282,6 @@ def parse_curve_csv(text: str) -> CalibrationCurve:
         mortality.append(float(m))
         support.append(int(s))
     curve = CalibrationCurve(np.array(centers), np.array(mortality),
-                             np.array(support, dtype=np.int64),
-                             (centers[0], centers[-1]))
+                             np.array(support, dtype=np.int64))
     curve.validate()
     return curve

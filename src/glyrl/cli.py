@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML pipeline config (defaults apply "
                                         "when omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are identical at any value")
         if needs_input:
             p.add_argument("--input", required=True, help="cohort CSV path")
         p.add_argument("--out", required=True, help="artifacts directory")
@@ -82,8 +80,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
         cfg.validate()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "threads", 1) is not None and args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     return cfg
 
 

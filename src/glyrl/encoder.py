@@ -87,7 +87,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     seed: int = 0
     optimizer: str = "adam"  # "adam" or "sgd"
-    patience: int = 0  # 0 disables early stopping
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -96,8 +95,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("unknown optimizer %r" % (self.optimizer,))
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -272,7 +269,6 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
     history = [initial]
     best_loss = initial
     best = params.copy()
-    since_best = 0
 
     n = X.shape[0]
     for epoch in range(1, config.epochs + 1):
@@ -288,11 +284,6 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best = params.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if config.patience and since_best >= config.patience:
-                break
 
     best.loss_history = history
     return best

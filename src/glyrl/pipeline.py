@@ -49,7 +49,7 @@ from .errors import ArtifactError, ConfigError, DataError, GlyrlError, Numerical
 from .mdp import (
     ActionSpace,
     AssignedSeries,
-    MDPModel,
+    Trajectory,
     build_trajectories,
     estimate_mdp,
     extract_real_policy,
@@ -62,7 +62,6 @@ from .solver import (
     PolicySolution,
     policy_evaluation,
     policy_iteration,
-    q_from_v,
     read_solution,
     write_q_table,
     write_solution,
@@ -422,7 +421,7 @@ def stage_solve(config: PipelineConfig, art_dir: str) -> None:
     optimal = policy_iteration(model, epsilon=config.solver.epsilon)
     pi_real = extract_real_policy(model)
     v_real = policy_evaluation(model, pi_real, epsilon=config.solver.epsilon)
-    real = PolicySolution(policy=pi_real, V=v_real, Q=q_from_v(model, v_real),
+    real = PolicySolution(policy=pi_real, V=v_real, Q=None,
                           eval_sweeps=0, improvements=0, converged=True)
     sol_dir = os.path.join(art_dir, "solution")
     os.makedirs(sol_dir, exist_ok=True)
@@ -435,15 +434,39 @@ def stage_solve(config: PipelineConfig, art_dir: str) -> None:
                       os.path.join("solution", "q_optimal.csv")])
 
 
+def _read_values(art_dir: str, label: str) -> np.ndarray:
+    """V over the k non-terminal states from solution/<label>.csv."""
+    path = os.path.join(art_dir, "solution", label + ".csv")
+    _, values, found = read_solution(path)
+    if found != label:
+        raise ArtifactError("%s holds the %r solution, expected %r"
+                            % (path, found, label))
+    if not np.all(np.isfinite(values)):
+        raise ArtifactError("%s holds a value that is not finite" % path)
+    return values
+
+
+def _read_trajectories(art_dir: str, split: str, k: int) -> List[Trajectory]:
+    """mdp/trajectories_<split>.csv, every step inside the k-state MDP."""
+    path = os.path.join(art_dir, "mdp", "trajectories_%s.csv" % split)
+    trajs = read_trajectories(path)
+    if split == "train" and not trajs:
+        raise ArtifactError("%s lists no trajectories" % path)
+    for traj in trajs:
+        for s, _, sp in traj.steps:
+            if not (0 <= s < k and 0 <= sp < k + 2):
+                raise ArtifactError(
+                    "%s: patient %s steps from state %d to %d; states must lie "
+                    "in [0, %d) and next states in [0, %d)"
+                    % (path, traj.patient_id, s, sp, k, k + 2))
+    return trajs
+
+
 def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
     """Fit the mortality-versus-return curve on the training split."""
-    model = load_mdp(os.path.join(art_dir, "mdp", "mdp.txt"))
-    _, v_real, label = read_solution(os.path.join(art_dir, "solution", "real.csv"))
-    if label != "real":
-        raise ArtifactError("expected the real-policy solution, found %r" % label)
-    trajs_train = read_trajectories(
-        os.path.join(art_dir, "mdp", "trajectories_train.csv"))
-    curve = calib.fit_curve(v_real[:model.k], trajs_train,
+    v_real = _read_values(art_dir, "real")
+    trajs_train = _read_trajectories(art_dir, "train", len(v_real))
+    curve = calib.fit_curve(v_real, trajs_train,
                             n_bins=config.calibration.n_bins,
                             min_bin_support=config.calibration.min_bin_support)
     _write_text(os.path.join(art_dir, "curve.csv"), calib.emit_curve_csv(curve))
@@ -461,15 +484,18 @@ def _read_curve(path: str) -> calib.CalibrationCurve:
 
 
 def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
-    """Score both policies on the test split; anchor against training data."""
-    model = load_mdp(os.path.join(art_dir, "mdp", "mdp.txt"))
-    pi_opt, _, _ = read_solution(os.path.join(art_dir, "solution", "optimal.csv"))
-    pi_real, _, _ = read_solution(os.path.join(art_dir, "solution", "real.csv"))
+    """Score both policies' solved values on the test split; anchor the
+    logged policy's estimate against training data."""
+    v_real = _read_values(art_dir, "real")
+    v_opt = _read_values(art_dir, "optimal")
+    k = len(v_real)
+    if len(v_opt) != k:
+        raise ArtifactError("%s covers %d states but real.csv covers %d"
+                            % (os.path.join(art_dir, "solution", "optimal.csv"),
+                               len(v_opt), k))
     curve = _read_curve(os.path.join(art_dir, "curve.csv"))
-    trajs_train = read_trajectories(
-        os.path.join(art_dir, "mdp", "trajectories_train.csv"))
-    trajs_test = read_trajectories(
-        os.path.join(art_dir, "mdp", "trajectories_test.csv"))
+    trajs_train = _read_trajectories(art_dir, "train", k)
+    trajs_test = _read_trajectories(art_dir, "test", k)
 
     representation = config.representation
     manifest = _manifest_read(art_dir)
@@ -480,36 +506,28 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
                     representation, recorded)
         representation = recorded
 
+    mapping = config.calibration.mortality_mapping
     scoring = trajs_test if trajs_test else trajs_train
     if not trajs_test:
         log.warning("empty test split, scoring on the training split")
-    visits = calib.visitation_from_trajectories(scoring, model.k)
+    visits = calib.visitation_from_trajectories(scoring, k)
     report = calib.evaluate(
-        model, pi_real, pi_opt, curve,
+        v_real, v_opt, curve,
         visits / visits.sum(),
-        calib.empirical_mortality(scoring, model.k),
+        calib.empirical_mortality(scoring, k),
         representation=representation,
         config_digest=config.digest(),
         seed=config.seed,
-        epsilon=config.solver.epsilon,
-        mortality_mapping=config.calibration.mortality_mapping,
+        mortality_mapping=mapping,
     )
     doc = calib.report_to_dict(report)
 
-    visits_train = calib.visitation_from_trajectories(trajs_train, model.k)
-    anchor = calib.evaluate(
-        model, pi_real, pi_opt, curve,
-        visits_train / visits_train.sum(),
-        calib.empirical_mortality(trajs_train, model.k),
-        representation=representation,
-        config_digest=config.digest(),
-        seed=config.seed,
-        epsilon=config.solver.epsilon,
-        mortality_mapping=config.calibration.mortality_mapping,
-    )
+    visits_train = calib.visitation_from_trajectories(trajs_train, k)
     doc["train_anchor"] = {
-        "estimated_mortality_real": anchor.real.estimated_mortality,
-        "empirical_mortality": anchor.cohort_mortality,
+        "estimated_mortality_real": calib.score(
+            v_real, curve, visits_train / visits_train.sum(),
+            mapping).estimated_mortality,
+        "empirical_mortality": calib.empirical_mortality(trajs_train, k),
     }
     _write_json(os.path.join(art_dir, "report.json"), doc)
     _manifest_record(art_dir, config, "evaluate", ["report.json"])

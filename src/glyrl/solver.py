@@ -33,7 +33,7 @@ SOLUTION_FORMAT_VERSION = 1
 class PolicySolution:
     policy: np.ndarray  # (k,) action per non-terminal state
     V: np.ndarray  # (n_states,), terminals exactly 0
-    Q: np.ndarray  # (k, n_actions), NaN where the action is unavailable
+    Q: Optional[np.ndarray]  # (k, n_actions), NaN where unavailable, or None
     eval_sweeps: int
     improvements: int
     converged: bool
@@ -149,16 +149,8 @@ def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -
     return v
 
 
-def q_from_v(mdp: MDPModel, V) -> np.ndarray:
-    """Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s') on available pairs."""
-    v = np.asarray(V, dtype=float)
-    if v.shape != (mdp.n_states,):
-        raise ValueError("V must cover all %d states" % mdp.n_states)
-    compiled = _compile(mdp)
-    return _q_table(compiled, v)
-
-
 def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
+    """Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s') on available pairs."""
     q_pairs = compiled.pair_reward + compiled.gamma * compiled.expected_next(v)
     Q = np.full(compiled.pair_index.shape, np.nan)
     Q[compiled.pair_state, compiled.pair_action] = q_pairs
@@ -240,8 +232,8 @@ def read_solution(path: str) -> Tuple[np.ndarray, np.ndarray, str]:
             if not isinstance(header, dict) or header.get("format") != SOLUTION_FORMAT:
                 raise ArtifactError("%s is not a solution file" % path)
             if header.get("version") != SOLUTION_FORMAT_VERSION:
-                raise ArtifactError("unsupported solution version %r"
-                                    % (header.get("version"),))
+                raise ArtifactError("unsupported solution version %r in %s"
+                                    % (header.get("version"), path))
             if fh.readline().strip() != "state_id,policy_action,V":
                 raise ArtifactError("unexpected solution column header in %s" % path)
             states, actions, values = [], [], []
@@ -250,11 +242,11 @@ def read_solution(path: str) -> Tuple[np.ndarray, np.ndarray, str]:
                 states.append(int(s))
                 actions.append(int(a))
                 values.append(float(v))
+            k = int(header.get("k", len(states)))
     except OSError as exc:
         raise ArtifactError("cannot read solution %s: %s" % (path, exc))
     except ValueError as exc:
         raise ArtifactError("malformed solution file %s: %s" % (path, exc))
-    k = int(header.get("k", len(states)))
     if states != list(range(k)):
         raise ArtifactError("solution rows in %s are not the contiguous states" % path)
     return (np.array(actions, dtype=np.int64), np.array(values, dtype=float),

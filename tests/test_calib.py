@@ -13,10 +13,12 @@ from glyrl.calib import (
     fit_curve,
     parse_curve_csv,
     report_to_dict,
+    score,
     visitation_from_trajectories,
 )
 from glyrl.errors import CalibrationError
 from glyrl.mdp import Trajectory, estimate_mdp
+from glyrl.solver import policy_evaluation
 
 
 def visits(state, n, died, k):
@@ -72,7 +74,7 @@ def test_all_died_curve_is_constant_one():
 
 def test_estimate_mortality_clamps_and_interpolates():
     curve = CalibrationCurve(np.array([-50.0, 50.0]), np.array([0.9, 0.1]),
-                             np.array([10, 10]), (-50.0, 50.0))
+                             np.array([10, 10]))
     assert estimate_mortality(curve, -50.0) == 0.9
     assert estimate_mortality(curve, 50.0) == 0.1
     assert estimate_mortality(curve, -500.0) == 0.9  # clamp low
@@ -158,10 +160,15 @@ def curve_and_mdp():
     return mdp, curve
 
 
+def values(mdp, policy):
+    """V of a policy over the non-terminal states, as solve writes it."""
+    return policy_evaluation(mdp, np.array(policy))[:mdp.k]
+
+
 def test_evaluate_same_policy_identical_rows():
     mdp, curve = curve_and_mdp()
-    policy = np.array([0, 0])
-    report = evaluate(mdp, policy, policy, curve, np.array([0.5, 0.5]),
+    v = values(mdp, [0, 0])
+    report = evaluate(v, v, curve, np.array([0.5, 0.5]),
                       cohort_mortality=0.3, representation="raw",
                       config_digest="abc", seed=7)
     assert report.real == report.optimal
@@ -173,8 +180,8 @@ def test_evaluate_same_policy_identical_rows():
 def test_evaluate_constant_curve_gives_constant_mortality():
     mdp, _ = curve_and_mdp()
     flat = CalibrationCurve(np.array([-60.0, 60.0]), np.array([0.25, 0.25]),
-                            np.array([5, 5]), (-60.0, 60.0))
-    report = evaluate(mdp, np.array([0, 0]), np.array([5, 5]), flat,
+                            np.array([5, 5]))
+    report = evaluate(values(mdp, [0, 0]), values(mdp, [5, 5]), flat,
                       np.array([0.5, 0.5]), cohort_mortality=0.25)
     assert report.real.estimated_mortality == pytest.approx(0.25, abs=1e-12)
     assert report.optimal.estimated_mortality == pytest.approx(0.25, abs=1e-12)
@@ -182,7 +189,8 @@ def test_evaluate_constant_curve_gives_constant_mortality():
 
 def test_evaluate_mapping_switch_changes_only_mortality():
     mdp, curve = curve_and_mdp()
-    args = (mdp, np.array([0, 0]), np.array([5, 5]), curve, np.array([0.5, 0.5]))
+    args = (values(mdp, [0, 0]), values(mdp, [5, 5]), curve,
+            np.array([0.5, 0.5]))
     per_state = evaluate(*args, cohort_mortality=0.3, mortality_mapping="per_state")
     mean_ret = evaluate(*args, cohort_mortality=0.3, mortality_mapping="mean_return")
     assert per_state.real.mean_return == mean_ret.real.mean_return
@@ -193,28 +201,38 @@ def test_evaluate_mapping_switch_changes_only_mortality():
 
 def test_evaluate_rejects_bad_visitation():
     mdp, curve = curve_and_mdp()
-    policy = np.array([0, 0])
+    v = values(mdp, [0, 0])
     with pytest.raises(ValueError):
-        evaluate(mdp, policy, policy, curve, np.array([0.0, 0.0]),
-                 cohort_mortality=0.3)
+        evaluate(v, v, curve, np.array([0.0, 0.0]), cohort_mortality=0.3)
     with pytest.raises(ValueError):
-        evaluate(mdp, policy, policy, curve, np.array([0.7, 0.7]),
-                 cohort_mortality=0.3)
+        evaluate(v, v, curve, np.array([0.7, 0.7]), cohort_mortality=0.3)
     with pytest.raises(ValueError):
-        evaluate(mdp, policy, policy, curve, np.array([1.0]),
-                 cohort_mortality=0.3)
+        evaluate(v, v, curve, np.array([1.0]), cohort_mortality=0.3)
 
 
 def test_evaluate_deterministic_report():
     mdp, curve = curve_and_mdp()
-    args = dict(pi_real=np.array([0, 0]), pi_opt=np.array([5, 5]), curve=curve,
-                test_visitation=np.array([0.4, 0.6]), cohort_mortality=0.3,
-                representation="sparse-autoencoder", config_digest="d1", seed=11)
-    a = report_to_dict(evaluate(mdp, **args))
-    b = report_to_dict(evaluate(mdp, **args))
+    args = dict(v_real=values(mdp, [0, 0]), v_opt=values(mdp, [5, 5]),
+                curve=curve, test_visitation=np.array([0.4, 0.6]),
+                cohort_mortality=0.3, representation="sparse-autoencoder",
+                config_digest="d1", seed=11)
+    a = report_to_dict(evaluate(**args))
+    b = report_to_dict(evaluate(**args))
     assert a == b
     import json
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_evaluate_rows_are_the_scores_of_each_value_vector():
+    mdp, curve = curve_and_mdp()
+    v_real, v_opt = values(mdp, [0, 0]), values(mdp, [5, 5])
+    w = np.array([0.4, 0.6])
+    report = evaluate(v_real, v_opt, curve, w, cohort_mortality=0.3)
+    assert report.real == score(v_real, curve, w)
+    assert report.optimal == score(v_opt, curve, w)
+    assert report.optimal.mean_return == float(w @ v_opt)
+    with pytest.raises(ValueError):
+        evaluate(v_real, v_opt[:1], curve, w, cohort_mortality=0.3)
 
 
 def test_training_anchor_on_synthetic_two_state_cohort():

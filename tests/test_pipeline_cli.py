@@ -21,6 +21,7 @@ from glyrl.cohort import (annotate_diabetes, apply_normalization,
                           fit_normalization, parse_cohort)
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError
+from glyrl.solver import read_solution
 
 N_PATIENTS = 200
 COHORT_SEED = 5
@@ -105,8 +106,8 @@ def test_report_matches_pinned_values(golden):
     assert report["cohort_mortality"] == pin(0.358974358974359)
     assert report["real"]["mean_expected_return"] == pin(15.810059711224822)
     assert report["real"]["estimated_mortality"] == pin(0.3410648213230155)
-    assert report["optimal"]["mean_expected_return"] == pin(35.99532856102389)
-    assert report["optimal"]["estimated_mortality"] == pin(0.30242346934168696)
+    assert report["optimal"]["mean_expected_return"] == pin(35.99529092408237)
+    assert report["optimal"]["estimated_mortality"] == pin(0.30242350956683056)
     anchor = report["train_anchor"]
     assert anchor["empirical_mortality"] == pin(0.3717948717948718)
     assert anchor["estimated_mortality_real"] == pin(0.3511852502194908)
@@ -133,14 +134,6 @@ def test_staged_chain_matches_run(workspace, golden):
         rc, _ = run_cli([command] + common)
         assert rc == 0, command
     assert tree_hashes(str(staged)) == tree_hashes(golden["art"])
-
-
-def test_threads_flag_is_inert(workspace, golden):
-    threaded = workspace["root"] / "threaded"
-    rc, _ = run_cli(["run", "--config", workspace["config"], "--threads", "4",
-                     "--input", workspace["cohort"], "--out", str(threaded)])
-    assert rc == 0
-    assert tree_hashes(str(threaded)) == tree_hashes(golden["art"])
 
 
 def test_seed_flag_overrides_config(workspace):
@@ -200,13 +193,6 @@ def test_missing_cohort_file_exits_2(workspace):
     assert rc == cli.DATA_EXIT
 
 
-def test_threads_below_one_exits_1(workspace):
-    rc, _ = run_cli(["run", "--config", workspace["config"], "--threads", "0",
-                     "--input", workspace["cohort"],
-                     "--out", str(workspace["root"] / "never3")])
-    assert rc == cli.USAGE_EXIT
-
-
 def test_corrupted_artifact_exits_2(workspace, golden):
     damaged = workspace["root"] / "damaged"
     shutil.copytree(golden["art"], damaged)
@@ -228,6 +214,101 @@ def test_bad_curve_exits_2_and_names_it(workspace, golden, caplog, damage):
                      "--out", str(damaged)])
     assert rc == cli.DATA_EXIT
     assert "curve.csv" in caplog.text
+
+
+def test_report_scores_the_solved_values_without_the_mdp(workspace, golden):
+    # each mean_expected_return is the test-visitation mean of the V that
+    # solve wrote, bit for bit
+    art = golden["art"]
+    with open(os.path.join(art, "mdp", "trajectories_test.csv")) as fh:
+        states = [int(line.split(",")[2]) for line in list(fh)[1:]]
+    for label in ("real", "optimal"):
+        _, v, _ = read_solution(os.path.join(art, "solution", label + ".csv"))
+        # normalized twice, as visitation_from_trajectories and then
+        # stage_evaluate do
+        w = np.bincount(states, minlength=len(v)).astype(float)
+        w = w / w.sum()
+        w = w / w.sum()
+        assert golden["report"][label]["mean_expected_return"] == float(w @ v)
+
+    # calibrate and evaluate read only what solve and build-mdp wrote
+    no_mdp = workspace["root"] / "no_mdp"
+    shutil.copytree(art, no_mdp)
+    (no_mdp / "mdp" / "mdp.txt").unlink()
+    for command in ["calibrate", "evaluate"]:
+        rc, _ = run_cli([command, "--config", workspace["config"],
+                         "--out", str(no_mdp)])
+        assert rc == 0, command
+    for name in ("curve.csv", "report.json"):
+        assert (no_mdp / name).read_bytes() == \
+            open(os.path.join(art, name), "rb").read()
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def state_99(lines):
+    pid, step, _, action, next_state = lines[3].split(",")
+    lines[3] = ",".join([pid, step, "99", action, next_state])
+    return lines
+
+
+def cut_to_four_states(lines):
+    header = json.loads(lines[0])
+    header["k"] = 4
+    return [json.dumps(header, sort_keys=True) + "\n"] + lines[1:-1]
+
+
+def nan_value(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+    return lines
+
+
+def k_not_a_number(lines):
+    header = json.loads(lines[0])
+    header["k"] = "five"
+    return [json.dumps(header) + "\n"] + lines[1:]
+
+
+def header_only(lines):
+    return lines[:1]
+
+
+def swap_solutions(art):
+    real, opt = art / "solution" / "real.csv", art / "solution" / "optimal.csv"
+    text = real.read_text()
+    real.write_text(opt.read_text())
+    opt.write_text(text)
+
+
+@pytest.mark.parametrize("command,path,edit,named", [
+    ("evaluate", "mdp/trajectories_test.csv", state_99, "trajectories_test.csv"),
+    ("evaluate", "solution/optimal.csv", cut_to_four_states, "optimal.csv"),
+    ("calibrate", "mdp/trajectories_train.csv", state_99,
+     "trajectories_train.csv"),
+    ("evaluate", None, None, "real.csv"),
+    ("evaluate", "solution/optimal.csv", nan_value, "optimal.csv"),
+    ("evaluate", "mdp/trajectories_train.csv", header_only,
+     "trajectories_train.csv"),
+    ("calibrate", "solution/real.csv", k_not_a_number, "real.csv"),
+], ids=["test_state_99", "optimal_cut_to_k4", "train_state_99",
+        "swapped_labels", "optimal_value_nan", "train_emptied",
+        "real_k_not_a_number"])
+def test_bad_late_artifacts_exit_2_and_name_them(
+        workspace, golden, caplog, capsys, request, command, path, edit, named):
+    art = workspace["root"] / ("late_" + request.node.callspec.id)
+    shutil.copytree(golden["art"], art)
+    if edit is None:
+        swap_solutions(art)
+    else:
+        edit_lines(art / path, edit)
+    rc, _ = run_cli([command, "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert named in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 def copy_with_hours(workspace, golden, name):

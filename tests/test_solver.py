@@ -13,10 +13,11 @@ import pytest
 from glyrl.errors import ArtifactError
 from glyrl.mdp import ActionSpace, MDPModel, Trajectory, estimate_mdp
 from glyrl.solver import (
+    _compile,
+    _q_table,
     greedy_improve,
     policy_evaluation,
     policy_iteration,
-    q_from_v,
     read_solution,
     write_q_table,
     write_solution,
@@ -34,6 +35,15 @@ def evaluate_policy_return(mdp, policy, initial_state_weights, epsilon=1e-4):
         raise ValueError("weights must sum to 1, got %r" % float(w.sum()))
     v = policy_evaluation(mdp, policy, epsilon)
     return float(w @ v[:mdp.k])
+
+
+def q_from_v(mdp, V):
+    """Oracle: the Bellman backup Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s')
+    on available pairs, NaN elsewhere."""
+    v = np.asarray(V, dtype=float)
+    if v.shape != (mdp.n_states,):
+        raise ValueError("V must cover all %d states" % mdp.n_states)
+    return _q_table(_compile(mdp), v)
 
 
 def mdp_from_steps(steps_by_patient, k, min_count=1, gamma=0.9, action_space=None):
