@@ -6,8 +6,13 @@ reconstruction error plus a KL-divergence penalty that pushes the batch-mean
 activation of every latent unit toward a small sparsity target.  Everything
 runs in numpy with an exact analytic gradient; there is no autodiff.
 
-A raw passthrough (identity) is provided so downstream clustering can consume
-either encoded latents or the original features interchangeably.
+Training runs in one preallocated workspace: the four parameter arrays and
+their gradient are views of two flat vectors, minibatch steps and optimizer
+updates write in place, and each epoch's loss computes the hidden layer once.
+Memory is bounded: beyond the two layer outputs of a loss pass, elementwise
+scratch spans at most BLOCK_ROWS rows.  The weights and loss history are
+bitwise those of the plain per-operation form, which the tests keep as their
+oracle.
 """
 
 from __future__ import annotations
@@ -97,14 +102,33 @@ class TrainConfig:
             raise ValueError("unknown optimizer %r" % (self.optimizer,))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# Rows per block of the elementwise passes over a whole dataset: the
+# sigmoid's scratch, and so the memory a loss pass or an encode adds beyond
+# the layer outputs themselves.
+BLOCK_ROWS = 4096
+
+
+def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite z with its logistic sigmoid, len(tmp) rows at a time.
+
+    tmp is float scratch with z's row width.  The result is bitwise that of
+    splitting by sign, 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z))
+    elsewhere, without masks: the numerator exp(min(z, 0)) is exactly 1
+    where z >= 0, and the denominator's exp(min(z, -z)) = exp(-|z|) never
+    overflows.  Both keep a NaN's sign, as exp(z) did.
+    """
+    step = len(tmp)
+    for start in range(0, len(z), step):
+        zb = z[start:start + step]
+        den = tmp[:len(zb)]
+        np.negative(zb, out=den)
+        np.minimum(zb, den, out=den)
+        np.exp(den, out=den)
+        den += 1.0
+        np.minimum(zb, 0.0, out=zb)
+        np.exp(zb, out=zb)
+        zb /= den
+    return z
 
 
 def init_params(input_dim: int, latent_dim: int = DEFAULT_LATENT_DIM,
@@ -132,6 +156,13 @@ def _as_batch(x, input_dim: int):
     return arr, was_vector
 
 
+def _layer(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sigmoid(X @ W.T + b) in a fresh array."""
+    Z = X @ W.T
+    Z += b
+    return _sigmoid(Z, np.empty((max(1, min(BLOCK_ROWS, len(Z))), Z.shape[1])))
+
+
 def forward(x, params: EncoderParams):
     """Run the autoencoder; returns (latent, reconstruction).
 
@@ -139,16 +170,18 @@ def forward(x, params: EncoderParams):
     outputs of matching rank.
     """
     X, was_vector = _as_batch(x, params.input_dim)
-    H = _sigmoid(X @ params.W_enc.T + params.b_enc)
-    X_hat = _sigmoid(H @ params.W_dec.T + params.b_dec)
+    H = _layer(X, params.W_enc, params.b_enc)
+    X_hat = _layer(H, params.W_dec, params.b_dec)
     if was_vector:
         return H[0], X_hat[0]
     return H, X_hat
 
 
 def encode(x, params: EncoderParams) -> np.ndarray:
-    """Latent representation only (forward's first output)."""
-    return forward(x, params)[0]
+    """Latent representation only: forward's first output, decoder skipped."""
+    X, was_vector = _as_batch(x, params.input_dim)
+    H = _layer(X, params.W_enc, params.b_enc)
+    return H[0] if was_vector else H
 
 
 def kl_bernoulli(target: float, mean_activations: np.ndarray) -> np.ndarray:
@@ -158,16 +191,112 @@ def kl_bernoulli(target: float, mean_activations: np.ndarray) -> np.ndarray:
             + (1.0 - target) * np.log((1.0 - target) / (1.0 - rho_hat)))
 
 
+def _views(flat: np.ndarray, latent_dim: int, input_dim: int) -> EncoderParams:
+    """W_enc, b_enc, W_dec and b_dec as views of one flat vector."""
+    w = latent_dim * input_dim
+    return EncoderParams(flat[:w].reshape(latent_dim, input_dim),
+                         flat[w:w + latent_dim],
+                         flat[w + latent_dim:2 * w + latent_dim]
+                         .reshape(input_dim, latent_dim),
+                         flat[2 * w + latent_dim:])
+
+
+class _Workspace:
+    """One autoencoder's parameters and gradient as views of two flat
+    vectors, with the scratch that gradients on up to ``batch_rows`` rows and
+    the loss over ``n_rows`` rows write into.
+
+    Every operation keeps the order of the textbook expressions it replaces
+    (noted beside each block), so the results are bitwise theirs.
+    """
+
+    def __init__(self, params: EncoderParams, sparsity: SparsityConfig,
+                 batch_rows: int, n_rows: int):
+        lat, inp = params.latent_dim, params.input_dim
+        self.sparsity = sparsity
+        self.flat = np.concatenate([params.W_enc.ravel(), params.b_enc,
+                                    params.W_dec.ravel(), params.b_dec])
+        self.grad = np.empty_like(self.flat)
+        self.params = _views(self.flat, lat, inp)
+        self.grads = _views(self.grad, lat, inp)
+        self.block = max(1, min(BLOCK_ROWS, n_rows))
+        rows = max(batch_rows, self.block)
+        self.hidden, self.hidden_tmp = np.empty((2, rows, lat))
+        self.out, self.out_tmp = np.empty((2, rows, inp))
+        self.all_hidden = np.empty((n_rows, lat))
+        self.all_out = np.empty((n_rows, inp))
+        self.row_sums = np.empty(n_rows)
+
+    def loss(self, X: np.ndarray) -> float:
+        """sparse_loss over all n_rows rows of X.
+
+        Each layer's product is one matmul over every row, as in the
+        textbook form: a product cut into row blocks can change its last
+        bits (a one-row block runs as a matrix-vector product).
+        """
+        p, sp = self.params, self.sparsity
+        H, X_hat = self.all_hidden, self.all_out
+        # H = sigmoid(X @ W_enc.T + b_enc); X_hat = sigmoid(H @ W_dec.T + b_dec)
+        np.matmul(X, p.W_enc.T, out=H)
+        H += p.b_enc
+        _sigmoid(H, self.hidden_tmp[:self.block])
+        np.matmul(H, p.W_dec.T, out=X_hat)
+        X_hat += p.b_dec
+        _sigmoid(X_hat, self.out_tmp[:self.block])
+        # mean(sum((X - X_hat) ** 2, axis=1))
+        np.subtract(X, X_hat, out=X_hat)
+        np.square(X_hat, out=X_hat)
+        recon = float(np.mean(np.sum(X_hat, axis=1, out=self.row_sums)))
+        penalty = float(np.sum(kl_bernoulli(sp.target, H.mean(axis=0))))
+        return recon + sp.beta * penalty
+
+    def gradient(self, X: np.ndarray) -> None:
+        """Write the exact gradient of sparse_loss on the rows of X into
+        self.grad (seen through self.grads)."""
+        m = len(X)
+        p, g, sp = self.params, self.grads, self.sparsity
+        H, dH = self.hidden[:m], self.hidden_tmp[:m]
+        X_hat, D = self.out[:m], self.out_tmp[:m]
+        np.matmul(X, p.W_enc.T, out=H)
+        H += p.b_enc
+        _sigmoid(H, dH)
+        np.matmul(H, p.W_dec.T, out=X_hat)
+        X_hat += p.b_dec
+        _sigmoid(X_hat, D)
+
+        # Reconstruction path: D = (2/m) * (X_hat - X) * X_hat * (1 - X_hat).
+        np.subtract(X_hat, X, out=D)
+        D *= 2.0 / m
+        D *= X_hat
+        np.subtract(1.0, X_hat, out=X_hat)
+        D *= X_hat
+        np.matmul(D.T, H, out=g.W_dec)
+        np.sum(D, axis=0, out=g.b_dec)
+        np.matmul(D, p.W_dec, out=dH)
+
+        # Sparsity path through the batch-mean activation of each unit.  Where
+        # the clamp binds the penalty is locally constant, so that unit gets
+        # no sparsity gradient.
+        rho_raw = H.mean(axis=0)
+        unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
+        rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
+        d_kl = -sp.target / rho_hat + (1.0 - sp.target) / (1.0 - rho_hat)
+        dH += (sp.beta / m) * (d_kl * unclamped)
+
+        # Encoder path: dH * H * (1 - H).
+        dH *= H
+        np.subtract(1.0, H, out=H)
+        dH *= H
+        np.matmul(dH.T, X, out=g.W_enc)
+        np.sum(dH, axis=0, out=g.b_enc)
+
+
 def sparse_loss(batch, params: EncoderParams, sparsity: SparsityConfig) -> float:
     """Mean squared reconstruction error plus the weighted sparsity penalty."""
     X, _ = _as_batch(batch, params.input_dim)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    _, X_hat = forward(X, params)
-    recon = float(np.mean(np.sum((X - X_hat) ** 2, axis=1)))
-    H = _sigmoid(X @ params.W_enc.T + params.b_enc)
-    penalty = float(np.sum(kl_bernoulli(sparsity.target, H.mean(axis=0))))
-    return recon + sparsity.beta * penalty
+    return _Workspace(params, sparsity, 0, len(X)).loss(X)
 
 
 def loss_gradient(batch, params: EncoderParams,
@@ -179,69 +308,58 @@ def loss_gradient(batch, params: EncoderParams,
     alongside the reconstruction path.
     """
     X, _ = _as_batch(batch, params.input_dim)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty batch")
-
-    H = _sigmoid(X @ params.W_enc.T + params.b_enc)
-    X_hat = _sigmoid(H @ params.W_dec.T + params.b_dec)
-
-    # Reconstruction path.
-    delta_dec = (2.0 / n) * (X_hat - X) * X_hat * (1.0 - X_hat)
-    g_W_dec = delta_dec.T @ H
-    g_b_dec = delta_dec.sum(axis=0)
-
-    dL_dH = delta_dec @ params.W_dec
-
-    # Sparsity path through the batch-mean activation of each unit.  Where
-    # the clamp binds the penalty is locally constant, so that unit gets no
-    # sparsity gradient.
-    rho_raw = H.mean(axis=0)
-    unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
-    rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
-    d_kl = -sparsity.target / rho_hat + (1.0 - sparsity.target) / (1.0 - rho_hat)
-    dL_dH = dL_dH + (sparsity.beta / n) * (d_kl * unclamped)
-
-    delta_enc = dL_dH * H * (1.0 - H)
-    g_W_enc = delta_enc.T @ X
-    g_b_enc = delta_enc.sum(axis=0)
-    return EncoderParams(g_W_enc, g_b_enc, g_W_dec, g_b_dec)
+    ws = _Workspace(params, sparsity, len(X), 0)
+    ws.gradient(X)
+    return ws.grads
 
 
 class _SGD:
-    def __init__(self, lr):
-        self.lr = lr
+    """flat -= lr * grad, in place."""
 
-    def step(self, params, grad):
-        params.W_enc -= self.lr * grad.W_enc
-        params.b_enc -= self.lr * grad.b_enc
-        params.W_dec -= self.lr * grad.W_dec
-        params.b_dec -= self.lr * grad.b_dec
+    def __init__(self, lr: float, size: int):
+        self.lr = lr
+        self.tmp = np.empty(size)
+
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        np.multiply(grad, self.lr, out=self.tmp)
+        flat -= self.tmp
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on one flat vector, in place, in the operation order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    flat -= lr*m_hat / (sqrt(v_hat) + eps)."""
+
+    def __init__(self, lr: float, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.tmp = np.empty(size)
+        self.den = np.empty(size)
 
-    def step(self, params, grad):
-        fields = ("W_enc", "b_enc", "W_dec", "b_dec")
-        if self.m is None:
-            self.m = {f: np.zeros_like(getattr(params, f)) for f in fields}
-            self.v = {f: np.zeros_like(getattr(params, f)) for f in fields}
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        tmp, den = self.tmp, self.den
         self.t += 1
-        for f in fields:
-            g = getattr(grad, f)
-            self.m[f] = self.beta1 * self.m[f] + (1.0 - self.beta1) * g
-            self.v[f] = self.beta2 * self.v[f] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[f] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[f] / (1.0 - self.beta2 ** self.t)
-            getattr(params, f)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        self.m += tmp
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        tmp *= grad
+        self.v += tmp
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=tmp)
+        tmp *= self.lr
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        tmp /= den
+        flat -= tmp
 
 
 def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
@@ -257,36 +375,39 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
     X = np.asarray(dataset, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (samples, features) matrix")
+    n, input_dim = X.shape
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(X.shape[1], latent_dim, rng)
-    optimizer = _SGD(config.learning_rate) if config.optimizer == "sgd" \
-        else _Adam(config.learning_rate)
+    ws = _Workspace(init_params(input_dim, latent_dim, rng), sparsity,
+                    min(config.batch_size, n), n)
+    optimizer = (_SGD if config.optimizer == "sgd" else _Adam)(
+        config.learning_rate, ws.flat.size)
 
-    initial = sparse_loss(X, params, sparsity)
+    initial = ws.loss(X)
     if not np.isfinite(initial):
         raise TrainingDivergedError(0, config.learning_rate)
     history = [initial]
     best_loss = initial
-    best = params.copy()
+    best = ws.flat.copy()
 
-    n = X.shape[0]
+    shuffled = np.empty((n, input_dim))
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        # one gather per epoch; every batch is then a contiguous slice
+        np.take(X, rng.permutation(n), axis=0, out=shuffled)
         for start in range(0, n, config.batch_size):
-            batch = X[order[start:start + config.batch_size]]
-            grad = loss_gradient(batch, params, sparsity)
-            optimizer.step(params, grad)
-        epoch_loss = sparse_loss(X, params, sparsity)
+            ws.gradient(shuffled[start:start + config.batch_size])
+            optimizer.step(ws.flat, ws.grad)
+        epoch_loss = ws.loss(X)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, config.learning_rate)
         history.append(epoch_loss)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best = params.copy()
+            np.copyto(best, ws.flat)
 
-    best.loss_history = history
-    return best
+    params = _views(best, latent_dim, input_dim)
+    params.loss_history = history
+    return params
 
 
 def save_encoder(path: str, params: EncoderParams,

@@ -45,7 +45,7 @@ from .encoder import (
     save_encoder,
     train,
 )
-from .errors import ArtifactError, ConfigError, DataError, GlyrlError, NumericalError
+from .errors import ArtifactError, DataError, GlyrlError
 from .mdp import (
     ActionSpace,
     AssignedSeries,
@@ -168,6 +168,7 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> List[PatientSerie
 
 
 HOURS_FILE = "hours.npy"
+ENCODER_FILE = "encoder.model"
 
 
 def _save_hours(path: str, table: np.ndarray) -> None:
@@ -200,20 +201,31 @@ def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
     return None
 
 
+def _recorded_path(art_dir: str, stage: str, rel: str) -> str:
+    """The path of ``rel``, once its SHA-256 matches the one that ``stage``'s
+    manifest entry records."""
+    path = os.path.join(art_dir, rel)
+    stages = _manifest_read(art_dir).get("stages")
+    entry = stages.get(stage) if isinstance(stages, dict) else None
+    recorded = entry.get(rel) if isinstance(entry, dict) else None
+    if recorded is None:
+        raise ArtifactError("the manifest records no %s checksum for %s; "
+                            "rerun %s" % (stage, path, stage))
+    try:
+        digest = _sha256(path)
+    except OSError as exc:
+        raise ArtifactError("cannot read %s: %s" % (path, exc))
+    if digest != recorded:
+        raise ArtifactError("%s does not match the SHA-256 the %s manifest "
+                            "entry records" % (path, stage))
+    return path
+
+
 def _load_hours(config: PipelineConfig, art_dir: str) -> Tuple[np.ndarray, int]:
     """hours.npy, checked against the SHA-256 its ingest manifest entry
     records; returns the table and its number of (leading) training rows."""
-    path = os.path.join(art_dir, HOURS_FILE)
-    stages = _manifest_read(art_dir).get("stages")
-    entry = stages.get("ingest") if isinstance(stages, dict) else None
-    recorded = entry.get(HOURS_FILE) if isinstance(entry, dict) else None
-    if recorded is None:
-        raise ArtifactError("the manifest records no ingest checksum for %s; "
-                            "rerun ingest" % path)
+    path = _recorded_path(art_dir, "ingest", HOURS_FILE)
     try:
-        if _sha256(path) != recorded:
-            raise ArtifactError("%s does not match the SHA-256 the ingest "
-                                "manifest entry records" % path)
         rows = np.load(path, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise ArtifactError("cannot read model-ready hours %s: %s" % (path, exc))
@@ -316,13 +328,13 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
         SparsityConfig(target=enc.sparsity_target, beta=enc.beta),
         latent_dim=enc.latent_dim,
     )
-    save_encoder(os.path.join(art_dir, "encoder.model"), params,
+    save_encoder(os.path.join(art_dir, ENCODER_FILE), params,
                  hyperparameters={"sparsity_target": enc.sparsity_target,
                                   "beta": enc.beta, "epochs": enc.epochs,
                                   "batch_size": enc.batch_size,
                                   "learning_rate": enc.learning_rate,
                                   "optimizer": enc.optimizer})
-    _manifest_record(art_dir, config, "train-encoder", ["encoder.model"])
+    _manifest_record(art_dir, config, "train-encoder", [ENCODER_FILE])
 
 
 def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
@@ -336,7 +348,8 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     ids, hours = rows["patient_id"].tolist(), rows["hour"].tolist()
     del rows
     if config.representation == "sparse_ae":
-        params = load_encoder(os.path.join(art_dir, "encoder.model"))
+        params = load_encoder(
+            _recorded_path(art_dir, "train-encoder", ENCODER_FILE))
         points_train = encode(points_train, params)
         if len(points_test):
             points_test = encode(points_test, params)
@@ -538,9 +551,9 @@ def _run_stage(name: str, fn, *args):
     try:
         return fn(*args)
     except GlyrlError as exc:
-        for base in (ConfigError, NumericalError, DataError):
-            if isinstance(exc, base):
-                raise base("stage %r: %s" % (name, exc)) from exc
+        # name the stage, but keep the class and its fields (a
+        # TrainingDivergedError's epoch, a ParseError's line_number)
+        exc.args = ("stage %r: %s" % (name, exc),)
         raise
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from glyrl import encoder
 from glyrl.encoder import (
+    ACTIVATION_FLOOR,
     EncoderParams,
     SparsityConfig,
     TrainConfig,
@@ -322,3 +324,251 @@ def test_load_rejects_foreign_and_corrupt_files(tmp_path):
     missing.write_text('{"format": "glyrl-encoder", "version": 1, "input_dim": 2}\n')
     with pytest.raises(ArtifactError):
         load_encoder(str(missing))
+
+
+# --- the per-operation oracle ------------------------------------------------
+#
+# The textbook form of the forward pass, loss, gradient, optimizers and
+# training loop, one fresh array per operation.  The workspace in
+# glyrl.encoder must reproduce it bit for bit.
+
+def reference_sigmoid(z):
+    # Split by sign so exp never overflows.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(X, params):
+    H = reference_sigmoid(X @ params.W_enc.T + params.b_enc)
+    X_hat = reference_sigmoid(H @ params.W_dec.T + params.b_dec)
+    return H, X_hat
+
+
+def reference_sparse_loss(X, params, sparsity):
+    _, X_hat = reference_forward(X, params)
+    recon = float(np.mean(np.sum((X - X_hat) ** 2, axis=1)))
+    H = reference_sigmoid(X @ params.W_enc.T + params.b_enc)
+    penalty = float(np.sum(kl_bernoulli(sparsity.target, H.mean(axis=0))))
+    return recon + sparsity.beta * penalty
+
+
+def reference_loss_gradient(X, params, sparsity):
+    n = X.shape[0]
+    H, X_hat = reference_forward(X, params)
+    delta_dec = (2.0 / n) * (X_hat - X) * X_hat * (1.0 - X_hat)
+    g_W_dec = delta_dec.T @ H
+    g_b_dec = delta_dec.sum(axis=0)
+    dL_dH = delta_dec @ params.W_dec
+    rho_raw = H.mean(axis=0)
+    unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
+    rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
+    d_kl = -sparsity.target / rho_hat + (1.0 - sparsity.target) / (1.0 - rho_hat)
+    dL_dH = dL_dH + (sparsity.beta / n) * (d_kl * unclamped)
+    delta_enc = dL_dH * H * (1.0 - H)
+    g_W_enc = delta_enc.T @ X
+    g_b_enc = delta_enc.sum(axis=0)
+    return EncoderParams(g_W_enc, g_b_enc, g_W_dec, g_b_dec)
+
+
+FIELDS = ("W_enc", "b_enc", "W_dec", "b_dec")
+
+
+class ReferenceSGD:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grad):
+        for f in FIELDS:
+            getattr(params, f)[...] -= self.lr * getattr(grad, f)
+
+
+class ReferenceAdam:
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, params, grad):
+        if self.m is None:
+            self.m = {f: np.zeros_like(getattr(params, f)) for f in FIELDS}
+            self.v = {f: np.zeros_like(getattr(params, f)) for f in FIELDS}
+        self.t += 1
+        for f in FIELDS:
+            g = getattr(grad, f)
+            self.m[f] = self.beta1 * self.m[f] + (1.0 - self.beta1) * g
+            self.v[f] = self.beta2 * self.v[f] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[f] / (1.0 - self.beta1 ** self.t)
+            v_hat = self.v[f] / (1.0 - self.beta2 ** self.t)
+            getattr(params, f)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train(X, config, sparsity, latent_dim):
+    rng = np.random.default_rng(config.seed)
+    params = init_params(X.shape[1], latent_dim, rng)
+    optimizer = ReferenceSGD(config.learning_rate) if config.optimizer == "sgd" \
+        else ReferenceAdam(config.learning_rate)
+    initial = reference_sparse_loss(X, params, sparsity)
+    if not np.isfinite(initial):
+        raise TrainingDivergedError(0, config.learning_rate)
+    history = [initial]
+    best_loss, best = initial, params.copy()
+    n = X.shape[0]
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = X[order[start:start + config.batch_size]]
+            optimizer.step(params,
+                           reference_loss_gradient(batch, params, sparsity))
+        epoch_loss = reference_sparse_loss(X, params, sparsity)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(epoch, config.learning_rate)
+        history.append(epoch_loss)
+        if epoch_loss < best_loss:
+            best_loss, best = epoch_loss, params.copy()
+    best.loss_history = history
+    return best
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def assert_same_params(got, want):
+    for name in FIELDS:
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+def saturating_dataset():
+    # large positive inputs drive each unit's pre-activation to the same
+    # side for every row, so its batch-mean activation is 0 or 1, outside
+    # the KL clamp
+    return np.random.default_rng(13).uniform(200.0, 400.0, size=(45, 5))
+
+
+# name: (dataset, config, sparsity, latent_dim, loss block rows or None)
+ORACLE_CASES = {
+    "adam": (rank_one_dataset(n=96, dim=6, seed=2),
+             TrainConfig(epochs=6, batch_size=16, learning_rate=0.02, seed=3),
+             SparsityConfig(0.05, 3.0), 5, None),
+    "sgd": (rank_one_dataset(n=96, dim=6, seed=2),
+            TrainConfig(epochs=6, batch_size=16, learning_rate=0.5, seed=3,
+                        optimizer="sgd"),
+            SparsityConfig(0.05, 3.0), 5, None),
+    "ragged_last_batch": (rank_one_dataset(n=101, dim=7, seed=4),
+                          TrainConfig(epochs=4, batch_size=20, seed=8),
+                          SparsityConfig(0.1, 2.0), 4, None),
+    "one_row_last_batch": (rank_one_dataset(n=61, dim=7, seed=4),
+                           TrainConfig(epochs=4, batch_size=12, seed=8),
+                           SparsityConfig(0.1, 2.0), 4, None),
+    "n_below_one_batch": (rank_one_dataset(n=9, dim=5, seed=6),
+                          TrainConfig(epochs=5, batch_size=32, seed=1),
+                          SparsityConfig(0.05, 3.0), 3, None),
+    "block_1": (rank_one_dataset(n=50, dim=6, seed=7),
+                TrainConfig(epochs=3, batch_size=8, seed=2),
+                SparsityConfig(0.05, 3.0), 32, 1),
+    "block_7": (rank_one_dataset(n=50, dim=6, seed=7),
+                TrainConfig(epochs=3, batch_size=8, seed=2),
+                SparsityConfig(0.05, 3.0), 32, 7),
+    "block_n": (rank_one_dataset(n=50, dim=6, seed=7),
+                TrainConfig(epochs=3, batch_size=8, seed=2),
+                SparsityConfig(0.05, 3.0), 32, 50),
+    "beta_0": (rank_one_dataset(n=64, dim=6, seed=9),
+               TrainConfig(epochs=4, batch_size=16, seed=4),
+               SparsityConfig(0.05, 0.0), 4, None),
+    "learning_rate_0": (rank_one_dataset(n=64, dim=6, seed=9),
+                        TrainConfig(epochs=3, batch_size=16,
+                                    learning_rate=0.0, seed=4),
+                        SparsityConfig(0.05, 3.0), 4, None),
+    "clamp_binds": (saturating_dataset(),
+                    TrainConfig(epochs=4, batch_size=10, seed=12),
+                    SparsityConfig(0.05, 3.0), 6, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_train_is_bitwise_the_per_operation_reference(monkeypatch, case):
+    X, config, sparsity, latent_dim, block = ORACLE_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(encoder, "BLOCK_ROWS", block)
+    got = train(X, config, sparsity, latent_dim=latent_dim)
+    want = reference_train(X, config, sparsity, latent_dim)
+    assert_same_params(got, want)
+    assert bits(got.loss_history) == bits(want.loss_history)
+    assert len(got.loss_history) == config.epochs + 1
+
+
+def test_clamp_case_really_binds():
+    X, config, sparsity, latent_dim, _ = ORACLE_CASES["clamp_binds"]
+    params = init_params(X.shape[1], latent_dim,
+                         np.random.default_rng(config.seed))
+    rho = reference_forward(X, params)[0].mean(axis=0)
+    assert np.any((rho <= ACTIVATION_FLOOR) | (rho >= 1.0 - ACTIVATION_FLOOR))
+
+
+@pytest.mark.parametrize("poison", ["nan_input", "overflowing_steps"])
+def test_divergence_is_raised_at_the_reference_epoch(poison):
+    X = rank_one_dataset(n=40, dim=4, seed=6)
+    config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.01, seed=0)
+    if poison == "nan_input":
+        X[5, 1] = np.nan
+    else:
+        # Adam steps of about lr overflow the weights to +-inf, and the
+        # products of mixed-sign infinities are NaN
+        config = TrainConfig(epochs=4, batch_size=8, learning_rate=1e308,
+                             seed=0)
+    with pytest.raises(TrainingDivergedError) as want:
+        with np.errstate(all="ignore"):
+            reference_train(X, config, SparsityConfig(), 3)
+    with pytest.raises(TrainingDivergedError) as got:
+        with np.errstate(all="ignore"):
+            train(X, config, SparsityConfig(), latent_dim=3)
+    assert got.value.epoch == want.value.epoch
+    assert got.value.learning_rate == config.learning_rate
+    if poison == "overflowing_steps":
+        assert got.value.epoch > 0
+
+
+def test_loss_and_gradient_are_bitwise_the_reference(monkeypatch):
+    monkeypatch.setattr(encoder, "BLOCK_ROWS", 3)
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 3, 8, 33):
+        params = init_params(6, 5, rng)
+        X = rng.uniform(size=(n, 6))
+        sparsity = SparsityConfig(float(rng.uniform(0.02, 0.3)),
+                                  float(rng.uniform(0.0, 5.0)))
+        assert bits(sparse_loss(X, params, sparsity)) == \
+            bits(reference_sparse_loss(X, params, sparsity))
+        assert_same_params(loss_gradient(X, params, sparsity),
+                           reference_loss_gradient(X, params, sparsity))
+
+
+def test_forward_and_encode_are_bitwise_the_reference(monkeypatch):
+    monkeypatch.setattr(encoder, "BLOCK_ROWS", 4)
+    rng = np.random.default_rng(5)
+    params = init_params(7, 9, rng)
+    params.W_enc *= 40.0  # reach both tails of the sigmoid
+    X = rng.uniform(-1.0, 1.0, size=(23, 7))
+    H_want, X_hat_want = reference_forward(X, params)
+    H, X_hat = forward(X, params)
+    assert bits(H) == bits(H_want) and bits(X_hat) == bits(X_hat_want)
+    assert bits(encode(X, params)) == bits(H_want)
+    assert bits(encode(X[3], params)) == bits(reference_forward(X[3:4], params)[0])
+
+
+def test_sigmoid_edges_are_bitwise_the_sign_split_form():
+    tiny = np.finfo(float).tiny
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, tiny / 3,
+                      -tiny / 3, tiny, -tiny, 36.0, -36.0, 710.0, -710.0,
+                      745.2, -745.2, 1e308, -1e308, np.inf, -np.inf,
+                      np.nan, -np.nan, 1e-300, -1e-300])
+    z = np.concatenate([edges, np.random.default_rng(3).normal(0, 20, 40)])
+    z = z.reshape(-1, 4)
+    want = reference_sigmoid(z)
+    for rows in (1, 5, len(z)):
+        got = encoder._sigmoid(z.copy(), np.empty((rows, 4)))
+        assert bits(got) == bits(want), rows
+    assert np.signbit(want[5, 0]) != np.signbit(want[5, 1])  # NaN signs kept

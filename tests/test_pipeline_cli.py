@@ -20,7 +20,7 @@ from glyrl import cli, pipeline, synthgen
 from glyrl.cohort import (annotate_diabetes, apply_normalization,
                           fit_normalization, parse_cohort)
 from glyrl.config import PipelineConfig, load_config
-from glyrl.errors import ConvergenceError
+from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
 from glyrl.solver import read_solution
 
 N_PATIENTS = 200
@@ -476,6 +476,89 @@ def test_numerical_failure_exits_3(workspace, golden, monkeypatch):
     rc, _ = run_cli(["solve", "--config", workspace["config"],
                      "--out", golden["art"]])
     assert rc == cli.NUMERICAL_EXIT
+
+
+SPARSE_CONFIG_YAML = CONFIG_YAML + """
+representation: sparse_ae
+encoder:
+  epochs: 2
+  latent_dim: 4
+"""
+
+
+def test_stage_errors_keep_their_class_and_fields(workspace, monkeypatch,
+                                                   tmp_path):
+    def diverge(*args, **kwargs):
+        raise TrainingDivergedError(7, 0.05)
+
+    monkeypatch.setattr(pipeline, "train", diverge)
+    config = load_config(workspace["config"])
+    config.representation = "sparse_ae"
+    with pytest.raises(TrainingDivergedError) as err:
+        pipeline.run_pipeline(config, workspace["cohort"], str(tmp_path / "a"))
+    assert (err.value.epoch, err.value.learning_rate) == (7, 0.05)
+    assert str(err.value).startswith(
+        "stage 'train-encoder': non-finite loss at epoch 7")
+
+    sparse = tmp_path / "sparse.yaml"
+    sparse.write_text(SPARSE_CONFIG_YAML)
+    rc, _ = run_cli(["run", "--config", str(sparse), "--input",
+                     workspace["cohort"], "--out", str(tmp_path / "b")])
+    assert rc == cli.NUMERICAL_EXIT
+
+
+def test_parse_error_keeps_its_line_number(workspace, tmp_path):
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[1] = "four"  # hour_index of the fifth line
+    lines[4] = ",".join(fields)
+    cohort = tmp_path / "bad.csv"
+    cohort.write_text("".join(lines))
+    with pytest.raises(ParseError) as err:
+        pipeline.run_pipeline(load_config(workspace["config"]), str(cohort),
+                              str(tmp_path / "art"))
+    assert err.value.line_number == 5
+    assert str(err.value).startswith("stage 'ingest': line 5: ")
+
+
+@pytest.fixture(scope="module")
+def sparse_art(workspace, golden):
+    """The golden artifacts plus a recorded encoder.model, and a config
+    whose cluster stage reads it."""
+    config = workspace["root"] / "sparse.yaml"
+    config.write_text(SPARSE_CONFIG_YAML)
+    art = workspace["root"] / "sparse_golden"
+    shutil.copytree(golden["art"], art)
+    assert run_cli(["train-encoder", "--config", str(config),
+                    "--out", str(art)])[0] == 0
+    intact = workspace["root"] / "sparse_intact"
+    shutil.copytree(art, intact)
+    assert run_cli(["cluster", "--config", str(config),
+                    "--out", str(intact)])[0] == 0
+    return {"art": art, "config": str(config)}
+
+
+@pytest.mark.parametrize("damage", ["tampered", "missing", "unrecorded"])
+def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
+                                              capsys, damage):
+    art = workspace["root"] / ("encoder_" + damage)
+    shutil.copytree(sparse_art["art"], art)
+    model = art / "encoder.model"
+    if damage == "tampered":
+        doc = json.loads(model.read_text())
+        doc["W_enc"][0][0] += 0.5
+        model.write_text(json.dumps(doc, indent=1) + "\n")
+    elif damage == "missing":
+        model.unlink()
+    else:
+        manifest = json.loads((art / "manifest.json").read_text())
+        del manifest["stages"]["train-encoder"]["encoder.model"]
+        (art / "manifest.json").write_text(json.dumps(manifest))
+    rc, _ = run_cli(["cluster", "--config", sparse_art["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "encoder.model" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 def test_evaluate_reports_manifest_representation_on_mismatch(
