@@ -13,7 +13,6 @@ import numpy as np
 from glyrl import synthgen
 from glyrl.cohort import (
     FilterCriteria,
-    annotate_diabetes,
     apply_normalization,
     filter_cohort,
     fit_normalization,
@@ -28,44 +27,42 @@ COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 def main():
     csv_text, _ = synthgen.generate(
         synthgen.ladder_config(80, seed=1, missing_prob=0.08))
-    series = parse_cohort(io.StringIO(csv_text), COVARIATES)
+    cohort = parse_cohort(io.StringIO(csv_text), COVARIATES)
     print("parsed %d patients, %d hourly rows"
-          % (len(series), sum(s.n_hours for s in series)))
+          % (len(cohort.ids), len(cohort.values)))
 
-    kept, exclusions = filter_cohort(series, FilterCriteria())
+    kept, exclusions = filter_cohort(cohort, FilterCriteria())
     print("\nfilter (age >= 18, SOFA >= 2, <= 10%% missing): kept %d"
-          % len(kept))
+          % len(kept.ids))
     for reason, count in sorted(exclusions.items()):
         print("  excluded %-38s %d" % (reason, count))
 
-    before = kept[0]
-    missing = sum(v is None for h in before.hours for v in h.covariates)
-    imputed, dropped = impute_cohort(kept, COVARIATES)
-    after = imputed[0]
+    imputed, dropped = impute_cohort(kept)
+    # the first imputed patient's rows, before and after imputation
+    pid = imputed.ids[0]
+    p = int(np.searchsorted(kept.ids, pid))
+    before = kept.values[kept.bounds[p]:kept.bounds[p + 1]]
+    after = imputed.values[:imputed.bounds[1]]
     print("\nimputation: patient %s had %d missing cells, now %d"
-          % (before.patient_id, missing,
-             sum(v is None for h in after.hours for v in h.covariates)))
+          % (pid, np.isnan(before).sum(), np.isnan(after).sum()))
     print("  hour 0 covariates before:",
-          ["%.1f" % v if v is not None else "None"
-           for v in before.hours[0].covariates])
-    print("  hour 0 covariates after: ",
-          ["%.1f" % v for v in after.hours[0].covariates])
+          ["None" if np.isnan(v) else "%.1f" % v for v in before[0]])
+    print("  hour 0 covariates after: ", ["%.1f" % v for v in after[0]])
     if dropped:
         print("  dropped %d patients with an all-missing covariate"
               % len(dropped))
 
-    # the diabetic flag feeds the state vector, so set it before splitting
-    imputed = annotate_diabetes(imputed)
-    train, test = split_patients(imputed, test_fraction=0.2, seed=0)
+    survived = ~imputed.patients["died_within_90d"]
+    train_at, test_at = split_patients(imputed.ids, survived,
+                                       test_fraction=0.2, seed=0)
     print("\nsplit: %d train / %d test, stratified on outcome" %
-          (len(train), len(test)))
+          (len(train_at), len(test_at)))
     print("  train mortality %.3f, test mortality %.3f"
-          % (np.mean([not s.survived for s in train]),
-             np.mean([not s.survived for s in test])))
+          % (np.mean(~survived[train_at]), np.mean(~survived[test_at])))
 
-    spec = fit_normalization(train, COVARIATES)
-    normalized = [apply_normalization(s, spec) for s in train]
-    stacked = np.vstack([n.states for n in normalized])
+    train = imputed.take(train_at)
+    spec = fit_normalization(train)
+    stacked = apply_normalization(train, spec)
     print("\nnormalization fit on the training split only:")
     print("  state matrix %d hours x %d features, range [%.3f, %.3f]"
           % (stacked.shape[0], stacked.shape[1],

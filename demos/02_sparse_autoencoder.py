@@ -14,7 +14,6 @@ import numpy as np
 from glyrl import synthgen
 from glyrl.cohort import (
     FilterCriteria,
-    annotate_diabetes,
     apply_normalization,
     filter_cohort,
     fit_normalization,
@@ -28,12 +27,11 @@ COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 
 def training_matrix(n_patients=150, seed=4):
     csv_text, _ = synthgen.generate(synthgen.ladder_config(n_patients, seed=seed))
-    series = parse_cohort(io.StringIO(csv_text), COVARIATES)
-    kept, _ = filter_cohort(series, FilterCriteria())
-    imputed, _ = impute_cohort(kept, COVARIATES)
-    imputed = annotate_diabetes(imputed)
-    spec = fit_normalization(imputed, COVARIATES)
-    return np.vstack([apply_normalization(s, spec).states for s in imputed])
+    cohort = parse_cohort(io.StringIO(csv_text), COVARIATES)
+    kept, _ = filter_cohort(cohort, FilterCriteria())
+    imputed, _ = impute_cohort(kept)
+    spec = fit_normalization(imputed)
+    return apply_normalization(imputed, spec)
 
 
 def main():

@@ -9,7 +9,6 @@ severity rung.
 """
 
 import io
-from collections import Counter
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from glyrl import synthgen
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.cohort import (
     FilterCriteria,
-    annotate_diabetes,
     apply_normalization,
     filter_cohort,
     fit_normalization,
@@ -30,14 +28,11 @@ COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 
 def main():
     csv_text, truth = synthgen.generate(synthgen.ladder_config(400, seed=12))
-    series = parse_cohort(io.StringIO(csv_text), COVARIATES)
-    kept, _ = filter_cohort(series, FilterCriteria())
-    imputed, _ = impute_cohort(kept, COVARIATES)
-    imputed = annotate_diabetes(imputed)
-    spec = fit_normalization(imputed, COVARIATES)
-    normalized = [apply_normalization(s, spec) for s in imputed]
-
-    points = np.vstack([n.states for n in normalized])
+    cohort = parse_cohort(io.StringIO(csv_text), COVARIATES)
+    kept, _ = filter_cohort(cohort, FilterCriteria())
+    imputed, _ = impute_cohort(kept)
+    spec = fit_normalization(imputed)
+    points = apply_normalization(imputed, spec)
     k = truth.n_latent_states
     model = kmeans_fit(points, k, seed=0)
     print("k-means over %d hours, k=%d: inertia %.2f after %d passes"
@@ -47,12 +42,9 @@ def main():
 
     labels = assign_many(points, model)
     table = np.zeros((k, k), dtype=int)
-    cursor = 0
-    for n in normalized:
-        latents = truth.latent_states[n.patient_id]
-        for hour in range(len(n.glucose)):
-            table[labels[cursor], latents[hour]] += 1
-            cursor += 1
+    owners = np.repeat(imputed.ids, imputed.lengths).tolist()
+    for label, pid, hour in zip(labels, owners, imputed.hours.tolist()):
+        table[label, truth.latent_states[pid][hour]] += 1
 
     print("\ncluster x latent-severity contingency (rows = clusters):")
     print("         " + "".join("sev%-5d" % z for z in range(k)))

@@ -1,18 +1,24 @@
 """Patient time-series ingestion: parse, filter, impute, normalize, split.
 
-Input is a long-format CSV (one row per patient-hour, empty string = missing)
-that turns into per-patient hourly series, then into the model-ready matrix
-of per-hour state vectors on a 0..1 scale with attached glucose readings and
-the 90-day outcome.
+Input is a long-format CSV (one row per patient-hour, empty string = missing).
+``parse_cohort`` reads it CHUNK_ROWS rows at a time, converts each chunk to
+numpy columns with ``float()``/``int()`` and keeps only the columns, so ingest
+holds at most one chunk of cell strings.  The result is a ``Cohort``: one entry
+per patient (statics and outcome, patients sorted by id) and one row per
+patient-hour on a gap-free hourly grid.  Filtering, diabetic classification,
+imputation, min-max normalization and the train/test split are array
+expressions over those columns; the end product is the model-ready table of
+per-hour state vectors on a 0..1 scale with glucose readings and the 90-day
+outcome attached.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +28,10 @@ from .errors import ImputationError, IntegrityError, ParseError
 log = logging.getLogger(__name__)
 
 GLUCOSE_SOURCES = ("arterial", "venous", "other", "none")
+NO_SOURCE = GLUCOSE_SOURCES.index("none")
+# glucose_source cell -> index into GLUCOSE_SOURCES; an empty cell means none
+_SOURCE_CODES = {**{name: j for j, name in enumerate(GLUCOSE_SOURCES)},
+                 "": NO_SOURCE}
 
 # Fixed leading columns of the cohort CSV; covariate columns follow.
 STATIC_COLUMNS = (
@@ -44,63 +54,55 @@ FIXED_COLUMNS = (
     + STATIC_COLUMNS
     + ("died_within_90d", "glucose_mgdl", "glucose_source")
 )
+# Columns that hold one value per patient; every row of a patient must agree.
+PATIENT_COLUMNS = ("patient_id",) + STATIC_COLUMNS + ("died_within_90d",)
+_FLAG_COLUMNS = frozenset((
+    "mech_vent", "intubation", "vasopressor", "hba1c_ge_7",
+    "admission_meds_diabetic", "history_mentions_diabetes", "died_within_90d",
+))
 
-
-@dataclass(frozen=True)
-class StaticCovariates:
-    age_years: float
-    gender: str
-    icu_unit: str
-    sofa_admission: int
-    elixhauser: int
-    mech_vent: bool
-    intubation: bool
-    vasopressor: bool
-    hba1c_ge_7: bool
-    first_glucose_mgdl: float
-    icd9_codes: tuple[str, ...]
-    admission_meds_diabetic: bool
-    history_mentions_diabetes: bool
+# CSV rows converted to columns at a time: bounds the cell strings held at once.
+CHUNK_ROWS = 4096
 
 
 @dataclass
-class HourRecord:
-    hour_index: int
-    covariates: list[Optional[float]]
-    glucose_mgdl: Optional[float] = None
-    glucose_source: str = "none"
+class Cohort:
+    """A cohort as columns.  ``patients`` maps each of PATIENT_COLUMNS to one
+    entry per patient, in patient-id order (ICD-9 codes ';'-joined, empty
+    codes dropped).  Patient p's hours 0, 1, ... are rows
+    ``bounds[p]:bounds[p + 1]`` of the per-hour columns."""
 
-
-@dataclass
-class PatientSeries:
-    patient_id: str
-    hours: list[HourRecord]
-    statics: StaticCovariates
-    survived: bool  # alive at 90 days post-admission
-    diabetic: Optional[bool] = None
+    covariates: tuple[str, ...]
+    patients: dict[str, np.ndarray]
+    bounds: np.ndarray  # (P + 1,) row offsets
+    values: np.ndarray  # (N, n_covariates), NaN where missing
+    glucose: np.ndarray  # (N,) mg/dl, NaN where missing
+    source: np.ndarray  # (N,) index into GLUCOSE_SOURCES
 
     @property
-    def n_hours(self) -> int:
-        return len(self.hours)
+    def ids(self) -> np.ndarray:
+        return self.patients["patient_id"]
 
-    def missing_fraction(self) -> float:
-        """Fraction of missing covariate cells over the whole series."""
-        total = sum(len(h.covariates) for h in self.hours)
-        if total == 0:
-            return 0.0
-        missing = sum(1 for h in self.hours for v in h.covariates if v is None)
-        return missing / total
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.bounds)
 
+    @property
+    def hours(self) -> np.ndarray:
+        """Hour index of every row."""
+        return np.arange(self.bounds[-1]) - np.repeat(self.bounds[:-1], self.lengths)
 
-@dataclass
-class NormalizedSeries:
-    """A patient's model-ready form: per-hour state vectors in [0, 1]."""
-
-    patient_id: str
-    states: np.ndarray  # (n_hours, n_features)
-    glucose: list[Optional[float]]  # post source-filter, mg/dl
-    survived: bool
-    diabetic: bool
+    def take(self, index: np.ndarray) -> "Cohort":
+        """The cohort of patients ``index``, in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        lengths = self.lengths[index]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        rows = np.arange(bounds[-1]) + np.repeat(self.bounds[index] - bounds[:-1],
+                                                 lengths)
+        return Cohort(self.covariates,
+                      {name: col[index] for name, col in self.patients.items()},
+                      bounds, self.values[rows], self.glucose[rows],
+                      self.source[rows])
 
 
 @dataclass(frozen=True)
@@ -111,78 +113,179 @@ class FilterCriteria:
     valid_glucose_sources: tuple[str, ...] = ("arterial", "venous")
 
 
-def _parse_float(text: str, line_no: int, column: str) -> float:
+# --- parsing ------------------------------------------------------------------
+
+
+def _float(text: str) -> Optional[float]:
     try:
-        value = float(text)
+        return float(text) if text else math.nan
     except ValueError:
-        raise ParseError(line_no, f"cannot parse {column}={text!r} as a number")
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"non-finite {column}={text!r}")
-    return value
+        return None
 
 
-def _parse_int(text: str, line_no: int, column: str) -> int:
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """float() of every non-empty cell (NaN for empty and unparsable ones),
+    the cells float() rejects, and the non-empty cells."""
+    present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(line_no, f"cannot parse {column}={text!r} as an integer")
+        # "nan" stands in for an empty cell; ``present`` tells the two apart
+        return (np.array(list(map(float, cells if present.all() else
+                                  [c or "nan" for c in cells])), dtype=np.float64),
+                np.zeros(len(cells), dtype=bool), present)
+    except ValueError:  # an unparsable cell
+        values = [_float(c) for c in cells]
+    bad = np.fromiter((v is None for v in values), dtype=bool, count=len(cells))
+    return (np.array([math.nan if v is None else v for v in values],
+                     dtype=np.float64), bad, present)
 
 
-def _parse_flag(text: str, line_no: int, column: str) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise ParseError(line_no, f"{column} must be 0 or 1, got {text!r}")
+def _ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """int() of every cell (0 where it fails), and the cells int() rejects or
+    that do not fit in 64 bits."""
+    values = np.zeros(len(cells), dtype=np.int64)
+    bad = np.zeros(len(cells), dtype=bool)
+    try:
+        values[:] = [int(c) for c in cells]
+    except (ValueError, OverflowError):
+        for i, c in enumerate(cells):
+            try:
+                values[i] = int(c)
+            except (ValueError, OverflowError):
+                bad[i] = True
+    return values, bad
 
 
-def _parse_statics(row: dict[str, str], line_no: int) -> StaticCovariates:
-    age = _parse_float(row["age_years"], line_no, "age_years")
-    if age < 0:
-        raise ParseError(line_no, f"age_years must be >= 0, got {age}")
-    sofa = _parse_int(row["sofa_admission"], line_no, "sofa_admission")
-    if sofa < 0:
-        raise ParseError(line_no, f"sofa_admission must be >= 0, got {sofa}")
-    codes = tuple(c for c in row["icd9_codes"].split(";") if c)
-    return StaticCovariates(
-        age_years=age,
-        gender=row["gender"],
-        icu_unit=row["icu_unit"],
-        sofa_admission=sofa,
-        elixhauser=_parse_int(row["elixhauser"], line_no, "elixhauser"),
-        mech_vent=_parse_flag(row["mech_vent"], line_no, "mech_vent"),
-        intubation=_parse_flag(row["intubation"], line_no, "intubation"),
-        vasopressor=_parse_flag(row["vasopressor"], line_no, "vasopressor"),
-        hba1c_ge_7=_parse_flag(row["hba1c_ge_7"], line_no, "hba1c_ge_7"),
-        first_glucose_mgdl=_parse_float(
-            row["first_glucose_mgdl"], line_no, "first_glucose_mgdl"
-        ),
-        icd9_codes=codes,
-        admission_meds_diabetic=_parse_flag(
-            row["admission_meds_diabetic"], line_no, "admission_meds_diabetic"
-        ),
-        history_mentions_diabetes=_parse_flag(
-            row["history_mentions_diabetes"], line_no, "history_mentions_diabetes"
-        ),
-    )
+def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
+        dict[str, np.ndarray], int, Optional[str]]:
+    """Columns of ``rows`` before their first malformed row; returns the
+    columns, that row's position (len(rows) if none) and its message.
+
+    Each check runs on the whole chunk as one mask.  A row's message is that
+    of the first check it fails, in the order the checks are made."""
+    failures: list[tuple[int, str]] = []
+
+    def check(mask, message):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            failures.append((int(bad[0]), message(int(bad[0]))))
+
+    width = len(names)
+    short = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if short is not None:
+        failures.append((short, f"expected {width} columns, got {len(rows[short])}"))
+        rows = rows[:short]
+    n = len(rows)
+    cells = dict(zip(names, zip(*rows))) if n else {name: () for name in names}
+    for name in names:
+        if "\0" in "".join(cells[name]):
+            failures.append((next(i for i, c in enumerate(cells[name]) if "\0" in c),
+                             f"NUL character in {name}"))
+
+    def unparsable(name, kind):
+        return lambda i: f"cannot parse {name}={cells[name][i]!r} as {kind}"
+
+    def non_finite(name):
+        return lambda i: f"non-finite {name}={cells[name][i]!r}"
+
+    ids = np.array(cells["patient_id"], dtype=str)
+    check(ids == "", lambda i: "empty patient_id")
+    hour, bad = _ints(cells["hour_index"])
+    check(bad, unparsable("hour_index", "an integer"))
+    check(hour < 0, lambda i: f"hour_index must be >= 0, got {int(hour[i])}")
+    source = np.array([_SOURCE_CODES.get(c, -1) for c in cells["glucose_source"]],
+                      dtype=np.int8)
+    check(source < 0,
+          lambda i: f"unknown glucose_source {cells['glucose_source'][i]!r}")
+    glucose, bad, present = _floats(cells["glucose_mgdl"])
+    check(bad, unparsable("glucose_mgdl", "a number"))
+    check(present & ~np.isfinite(glucose), non_finite("glucose_mgdl"))
+    check(glucose <= 0,
+          lambda i: f"glucose_mgdl must be > 0, got {float(glucose[i])}")
+    check(present & (source == NO_SOURCE),
+          lambda i: "glucose_mgdl present but glucose_source missing")
+    covariates = names[len(FIXED_COLUMNS):]
+    values = np.empty((n, len(covariates)))
+    for j, name in enumerate(covariates):
+        values[:, j], bad, present = _floats(cells[name])
+        check(bad, unparsable(name, "a number"))
+        check(present & ~np.isfinite(values[:, j]), non_finite(name))
+
+    columns = {"patient_id": ids, "hour_index": hour, "glucose_mgdl": glucose,
+               "glucose_source": source, "values": values}
+    for name in PATIENT_COLUMNS[1:]:
+        text = cells[name]
+        if name in ("age_years", "first_glucose_mgdl"):
+            col, bad, present = _floats(text)
+            check(bad | ~present, unparsable(name, "a number"))
+            check(present & ~np.isfinite(col), non_finite(name))
+            if name == "age_years":
+                check(col < 0, lambda i: f"age_years must be >= 0, got {float(col[i])}")
+        elif name in ("sofa_admission", "elixhauser"):
+            col, bad = _ints(text)
+            check(bad, unparsable(name, "an integer"))
+            if name == "sofa_admission":
+                check(col < 0,
+                      lambda i: f"sofa_admission must be >= 0, got {int(col[i])}")
+        elif name in _FLAG_COLUMNS:
+            flag = np.array(text, dtype=str)
+            col = flag == "1"
+            check(~col & (flag != "0"),
+                  lambda i: f"{name} must be 0 or 1, got {text[i]!r}")
+        elif name == "icd9_codes":
+            joined = {c: ";".join(filter(None, c.split(";"))) for c in set(text)}
+            col = np.array([joined[c] for c in text], dtype=str)
+        else:
+            col = np.array(text, dtype=str)
+        columns[name] = col
+
+    first_bad, message = min(failures, default=(n, None), key=lambda f: f[0])
+    return {k: v[:first_bad] for k, v in columns.items()}, first_bad, message
+
+
+def _first_integrity_failure(rows: dict[str, np.ndarray], lines: np.ndarray,
+                             inverse: np.ndarray, first: np.ndarray
+                             ) -> Optional[IntegrityError]:
+    """The error of the first row that disagrees with its patient's first row
+    on a per-patient column, or repeats an earlier row's (patient, hour)."""
+    seen = first[inverse]
+    inconsistent = np.zeros(len(inverse), dtype=bool)
+    for name in PATIENT_COLUMNS[1:]:
+        inconsistent |= rows[name] != rows[name][seen]
+    hour = rows["hour_index"]
+    order = np.lexsort((hour, inverse))  # stable: repeats follow in file order
+    repeat = np.zeros(len(inverse), dtype=bool)
+    repeat[order[1:]] = (inverse[order[1:]] == inverse[order[:-1]]) & \
+        (hour[order[1:]] == hour[order[:-1]])
+    bad = np.flatnonzero(inconsistent | repeat)
+    if not bad.size:
+        return None
+    r = bad[0]
+    pid = str(rows["patient_id"][r])
+    if inconsistent[r]:
+        return IntegrityError(pid, f"inconsistent static fields at line {lines[r]}")
+    return IntegrityError(pid, f"duplicate hour_index {hour[r]} at line {lines[r]}")
 
 
 def parse_cohort(
     stream: IO[str] | Iterable[str],
     covariates: Optional[Sequence[str]] = None,
-) -> list[PatientSeries]:
-    """Parse the long-format cohort CSV into per-patient hourly series.
+) -> Cohort:
+    """Parse the long-format cohort CSV into a ``Cohort``.
 
     Rows may arrive unsorted; they are grouped by patient, sorted by hour,
-    and missing hour indices inside [0, max_hour] are materialized as
-    all-missing records. Statics come from the first row seen for a patient
-    and must be consistent across all of that patient's rows.
+    and missing hour indices inside [0, max_hour] become all-missing rows.
+    Statics come from the first row seen for a patient and must be
+    consistent across all of that patient's rows.  The first malformed or
+    inconsistent row in file order raises; a patient with a single hour
+    raises only once every row has been read.
     """
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty file, expected a header row")
+    if any("\0" in h for h in header):
+        raise ParseError(1, "NUL character in the header")
     header = [h.strip() for h in header]
     n_fixed = len(FIXED_COLUMNS)
     if tuple(header[:n_fixed]) != FIXED_COLUMNS:
@@ -194,234 +297,178 @@ def parse_cohort(
             f"covariate columns {file_covariates} do not match the configured "
             f"schema {list(covariates)}",
         )
-    n_cov = len(file_covariates)
+    names = FIXED_COLUMNS + tuple(file_covariates)
 
-    # patient_id -> hour_index -> HourRecord; plus the first-row statics.
-    hours_by_patient: dict[str, dict[int, HourRecord]] = {}
-    statics_by_patient: dict[str, StaticCovariates] = {}
-    died_by_patient: dict[str, bool] = {}
+    chunks, chunk_lines, error = [], [], None
+    next_line = 2
+    while error is None:
+        block = list(itertools.islice(reader, CHUNK_ROWS))
+        if not block:
+            break
+        lines = np.flatnonzero([bool(row) for row in block]) + next_line
+        next_line += len(block)
+        columns, first_bad, message = _parse_chunk([row for row in block if row],
+                                                   names)
+        chunks.append(columns)
+        chunk_lines.append(lines[:first_bad])
+        if message is not None:
+            error = ParseError(int(lines[first_bad]), message)
+    if not chunks:
+        chunks.append(_parse_chunk([], names)[0])
+    rows = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    lines = np.concatenate(chunk_lines) if chunk_lines else np.zeros(0, np.int64)
+    del chunks
 
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n_fixed + n_cov:
-            raise ParseError(
-                line_no, f"expected {n_fixed + n_cov} columns, got {len(row)}"
-            )
-        named = dict(zip(FIXED_COLUMNS, row[:n_fixed]))
-        pid = named["patient_id"]
-        if not pid:
-            raise ParseError(line_no, "empty patient_id")
-        hour = _parse_int(named["hour_index"], line_no, "hour_index")
-        if hour < 0:
-            raise ParseError(line_no, f"hour_index must be >= 0, got {hour}")
+    ids, first, inverse = np.unique(rows["patient_id"], return_index=True,
+                                    return_inverse=True)
+    inverse = inverse.reshape(-1)
+    failure = _first_integrity_failure(rows, lines, inverse, first)
+    if failure is not None:
+        raise failure
+    if error is not None:
+        raise error
 
-        glucose_text = named["glucose_mgdl"]
-        source = named["glucose_source"] or "none"
-        if source not in GLUCOSE_SOURCES:
-            raise ParseError(line_no, f"unknown glucose_source {source!r}")
-        glucose = None
-        if glucose_text:
-            glucose = _parse_float(glucose_text, line_no, "glucose_mgdl")
-            if glucose <= 0:
-                raise ParseError(line_no, f"glucose_mgdl must be > 0, got {glucose}")
-            if source == "none":
-                raise ParseError(
-                    line_no, "glucose_mgdl present but glucose_source missing"
-                )
-
-        cov_values: list[Optional[float]] = []
-        for name, text in zip(file_covariates, row[n_fixed:]):
-            cov_values.append(None if text == "" else _parse_float(text, line_no, name))
-
-        statics = _parse_statics(named, line_no)
-        died = _parse_flag(named["died_within_90d"], line_no, "died_within_90d")
-
-        if pid not in hours_by_patient:
-            hours_by_patient[pid] = {}
-            statics_by_patient[pid] = statics
-            died_by_patient[pid] = died
-        else:
-            if statics != statics_by_patient[pid] or died != died_by_patient[pid]:
-                raise IntegrityError(pid, f"inconsistent static fields at line {line_no}")
-        if hour in hours_by_patient[pid]:
-            raise IntegrityError(pid, f"duplicate hour_index {hour} at line {line_no}")
-        hours_by_patient[pid][hour] = HourRecord(hour, cov_values, glucose, source)
-
-    series_list = []
-    for pid in sorted(hours_by_patient):
-        by_hour = hours_by_patient[pid]
-        max_hour = max(by_hour)
-        if max_hour == 0:
-            raise IntegrityError(pid, "needs at least 2 hourly records")
-        hours = [
-            by_hour.get(h, HourRecord(h, [None] * n_cov, None, "none"))
-            for h in range(max_hour + 1)
-        ]
-        series_list.append(
-            PatientSeries(
-                patient_id=pid,
-                hours=hours,
-                statics=statics_by_patient[pid],
-                survived=not died_by_patient[pid],
-            )
-        )
-    return series_list
+    max_hour = np.zeros(len(ids), dtype=np.int64)
+    np.maximum.at(max_hour, inverse, rows["hour_index"])
+    single = np.flatnonzero(max_hour == 0)
+    if single.size:
+        raise IntegrityError(str(ids[single[0]]), "needs at least 2 hourly records")
+    bounds = np.concatenate(([0], np.cumsum(max_hour + 1)))
+    at = bounds[:-1][inverse] + rows["hour_index"]
+    values = np.full((bounds[-1], len(file_covariates)), np.nan)
+    values[at] = rows["values"]
+    glucose = np.full(bounds[-1], np.nan)
+    glucose[at] = rows["glucose_mgdl"]
+    source = np.full(bounds[-1], NO_SOURCE, dtype=np.int8)
+    source[at] = rows["glucose_source"]
+    return Cohort(tuple(file_covariates),
+                  {name: rows[name][first] for name in PATIENT_COLUMNS},
+                  bounds, values, glucose, source)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_cohort(
-    series_list: Sequence[PatientSeries],
-    stream: IO[str],
-    covariates: Sequence[str],
-) -> None:
-    """Serialize series back to the long-format CSV (round-trips with parse)."""
+def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
+    """Serialize a cohort back to the long-format CSV (round-trips with
+    parse_cohort); floats are written as their repr."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(FIXED_COLUMNS) + list(covariates))
-    for series in series_list:
-        s = series.statics
-        static_cells = [
-            _format_cell(s.age_years),
-            s.gender,
-            s.icu_unit,
-            str(s.sofa_admission),
-            str(s.elixhauser),
-            _format_cell(s.mech_vent),
-            _format_cell(s.intubation),
-            _format_cell(s.vasopressor),
-            _format_cell(s.hba1c_ge_7),
-            _format_cell(s.first_glucose_mgdl),
-            ";".join(s.icd9_codes),
-            _format_cell(s.admission_meds_diabetic),
-            _format_cell(s.history_mentions_diabetes),
-        ]
-        died = "0" if series.survived else "1"
-        for hour in series.hours:
-            glucose = "" if hour.glucose_mgdl is None else repr(hour.glucose_mgdl)
-            source = hour.glucose_source if hour.glucose_mgdl is not None else "none"
-            writer.writerow(
-                [series.patient_id, str(hour.hour_index)]
-                + static_cells
-                + [died, glucose, source]
-                + [_format_cell(v) for v in hour.covariates]
-            )
+    writer.writerow(list(FIXED_COLUMNS) + list(cohort.covariates))
+    per_patient = []
+    for name in PATIENT_COLUMNS:
+        col = cohort.patients[name]
+        if name in _FLAG_COLUMNS:
+            per_patient.append(np.where(col, "1", "0").tolist())
+        elif col.dtype.kind == "f":
+            per_patient.append(list(map(repr, col.tolist())))
+        else:
+            per_patient.append(list(map(str, col.tolist())))
+    owner = np.repeat(np.arange(len(cohort.ids)), cohort.lengths)
+    hours = cohort.hours
+    sources = np.array(GLUCOSE_SOURCES)
+
+    def floats(col):
+        if not np.isnan(col).any():
+            return list(map(repr, col.tolist()))
+        return ["" if v != v else repr(v) for v in col.tolist()]
+
+    for a in range(0, len(owner), CHUNK_ROWS):
+        rows = slice(a, a + CHUNK_ROWS)
+        who = owner[rows].tolist()
+        glucose = cohort.glucose[rows]
+        source = np.where(np.isnan(glucose), "none", sources[cohort.source[rows]])
+        patient = [[cells[p] for p in who] for cells in per_patient]
+        writer.writerows(zip(
+            patient[0], map(str, hours[rows].tolist()), *patient[1:],
+            floats(glucose), source.tolist(),
+            *(floats(col) for col in cohort.values[rows].T)))
 
 
 def filter_cohort(
-    series_list: Sequence[PatientSeries],
-    criteria: FilterCriteria = FilterCriteria(),
-) -> tuple[list[PatientSeries], Counter]:
+    cohort: Cohort, criteria: FilterCriteria = FilterCriteria()
+) -> tuple[Cohort, dict[str, int]]:
     """Apply cohort exclusions and the glucose-source validity rule.
 
     Patients are excluded for age below the minimum, admission SOFA below
     the minimum, or too many missing covariate cells. Glucose readings from
     sources outside ``criteria.valid_glucose_sources`` are set to missing
-    (the hourly grid is preserved). Returns the kept series plus exclusion
+    (the hourly grid is preserved). Returns the kept patients plus exclusion
     counts keyed by the first criterion each excluded patient failed.
     """
-    kept: list[PatientSeries] = []
-    exclusions: Counter = Counter()
-    for series in series_list:
-        if series.statics.age_years < criteria.min_age:
-            exclusions["age_below_minimum"] += 1
-            continue
-        if series.statics.sofa_admission < criteria.min_sofa:
-            exclusions["sofa_below_minimum"] += 1
-            continue
-        if series.missing_fraction() > criteria.max_missing_fraction:
-            exclusions["missing_covariates_above_maximum"] += 1
-            continue
-        hours = []
-        for hour in series.hours:
-            if (
-                hour.glucose_mgdl is not None
-                and hour.glucose_source not in criteria.valid_glucose_sources
-            ):
-                hours.append(replace(hour, glucose_mgdl=None, glucose_source="none"))
-            else:
-                hours.append(hour)
-        kept.append(replace(series, hours=hours))
+    p = cohort.patients
+    cells = cohort.lengths * len(cohort.covariates)
+    missing = np.add.reduceat(np.isnan(cohort.values).sum(axis=1),
+                              cohort.bounds[:-1]) if len(cells) else cells
+    fraction = missing / np.maximum(cells, 1)
+    reasons = (("age_below_minimum", p["age_years"] < criteria.min_age),
+               ("sofa_below_minimum", p["sofa_admission"] < criteria.min_sofa),
+               ("missing_covariates_above_maximum",
+                fraction > criteria.max_missing_fraction))
+    excluded = np.zeros(len(cells), dtype=bool)
+    exclusions = {}
+    for reason, fails in reasons:
+        count = int(np.count_nonzero(fails & ~excluded))
+        if count:
+            exclusions[reason] = count
+        excluded |= fails
+    kept = cohort.take(np.flatnonzero(~excluded))
+    valid = [GLUCOSE_SOURCES.index(s) for s in criteria.valid_glucose_sources]
+    invalid = ~np.isin(kept.source, valid) & ~np.isnan(kept.glucose)
+    kept.glucose[invalid] = np.nan
+    kept.source[invalid] = NO_SOURCE
     if exclusions:
-        log.info(
-            "filter_cohort: kept %d of %d patients, exclusions: %s",
-            len(kept),
-            len(series_list),
-            dict(exclusions),
-        )
+        log.info("filter_cohort: kept %d of %d patients, exclusions: %s",
+                 len(kept.ids), len(cohort.ids), exclusions)
     return kept, exclusions
 
 
-def classify_diabetes(statics: StaticCovariates) -> bool:
+def classify_diabetes(patients: dict[str, np.ndarray]) -> np.ndarray:
     """Diabetic if any source fires: ICD-9 249.*/250.*, HbA1c >= 7.0,
     admission medications, or a history mention."""
-    if any(code.startswith(("249", "250")) for code in statics.icd9_codes):
-        return True
-    return (
-        statics.hba1c_ge_7
-        or statics.admission_meds_diabetic
-        or statics.history_mentions_diabetes
-    )
+    codes = np.char.add(";", patients["icd9_codes"])
+    coded = (np.char.find(codes, ";249") >= 0) | (np.char.find(codes, ";250") >= 0)
+    return (coded | patients["hba1c_ge_7"] | patients["admission_meds_diabetic"]
+            | patients["history_mentions_diabetes"])
 
 
-def annotate_diabetes(series_list: Sequence[PatientSeries]) -> list[PatientSeries]:
-    return [replace(s, diabetic=classify_diabetes(s.statics)) for s in series_list]
-
-
-def impute_series(
-    series: PatientSeries, covariate_names: Optional[Sequence[str]] = None
-) -> PatientSeries:
-    """Fill missing covariate cells on the hourly grid.
+def impute_cohort(cohort: Cohort) -> tuple[Cohort, list[tuple[str, str]]]:
+    """Fill missing covariate cells on the hourly grid, dropping patients
+    with a covariate that is never observed.
 
     Interior gaps are linearly interpolated between the nearest observed
     neighbors; leading/trailing gaps take the first/last observation
-    (piecewise-constant extension). Glucose is left untouched.
+    (piecewise-constant extension). Glucose is left untouched.  Returns the
+    imputed cohort and (patient_id, reason) for each dropped patient.
     """
-    if not series.hours:
-        return series
-    n_cov = len(series.hours[0].covariates)
-    grid = np.arange(len(series.hours), dtype=float)
-    columns = []
-    for j in range(n_cov):
-        values = [h.covariates[j] for h in series.hours]
-        obs_idx = [i for i, v in enumerate(values) if v is not None]
-        if not obs_idx:
-            name = covariate_names[j] if covariate_names else f"covariate_{j}"
-            raise ImputationError(series.patient_id, name)
-        obs_hours = grid[obs_idx]
-        obs_values = np.array([values[i] for i in obs_idx], dtype=float)
-        columns.append(np.interp(grid, obs_hours, obs_values))
-    hours = [
-        replace(h, covariates=[float(columns[j][i]) for j in range(n_cov)])
-        for i, h in enumerate(series.hours)
-    ]
-    return replace(series, hours=hours)
-
-
-def impute_cohort(
-    series_list: Sequence[PatientSeries],
-    covariate_names: Optional[Sequence[str]] = None,
-) -> tuple[list[PatientSeries], list[tuple[str, str]]]:
-    """Impute every series, dropping patients where imputation is impossible.
-
-    Returns (imputed series, list of (patient_id, reason) for drops).
-    """
-    kept = []
+    observed = ~np.isnan(cohort.values)
+    counts = np.add.reduceat(observed, cohort.bounds[:-1], axis=0) \
+        if len(cohort.ids) else np.zeros((0, len(cohort.covariates)), dtype=int)
+    empty = counts == 0
     dropped = []
-    for series in series_list:
-        try:
-            kept.append(impute_series(series, covariate_names))
-        except ImputationError as err:
-            dropped.append((series.patient_id, str(err)))
-            log.warning("dropping patient: %s", err)
+    for p in np.flatnonzero(empty.any(axis=1)):
+        err = ImputationError(str(cohort.ids[p]),
+                              cohort.covariates[int(np.argmax(empty[p]))])
+        log.warning("dropping patient: %s", err)
+        dropped.append((err.patient_id, str(err)))
+    kept = cohort.take(np.flatnonzero(~empty.any(axis=1)))
+    starts = kept.bounds[:-1]
+    owner = np.repeat(np.arange(len(starts)), kept.lengths)
+    rows = np.arange(len(owner))
+    for j in range(len(kept.covariates)):
+        col = kept.values[:, j]
+        gaps = np.flatnonzero(np.isnan(col))
+        if not gaps.size:
+            continue
+        seen = np.flatnonzero(~np.isnan(col))
+        # One np.interp over the whole column: a gap between two observations
+        # of its patient gets the same bits as an interp over that patient's
+        # hours alone, because np.interp uses only the bracketing pair and
+        # the row offsets cancel exactly in the differences.  Gaps before a
+        # patient's first or after its last observation take that value.
+        filled = np.interp(gaps, seen, col[seen])
+        first = np.minimum.reduceat(np.where(np.isnan(col), len(col), rows), starts)
+        last = np.maximum.reduceat(np.where(np.isnan(col), -1, rows), starts)
+        edge_first, edge_last = first[owner[gaps]], last[owner[gaps]]
+        filled = np.where(gaps < edge_first, col[edge_first], filled)
+        filled = np.where(gaps > edge_last, col[edge_last], filled)
+        col[gaps] = filled
     return kept, dropped
 
 
@@ -459,97 +506,61 @@ def state_feature_names(covariates: Sequence[str]) -> tuple[str, ...]:
     return STATIC_FEATURES + tuple(covariates)
 
 
-def _enum_code(value: str, codebook: tuple[str, ...]) -> float:
-    # Unseen categories map just past the known range and clamp to 1 later.
-    try:
-        return float(codebook.index(value))
-    except ValueError:
-        return float(len(codebook))
+def _raw_state_matrix(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
+    """One state vector per row, before scaling; enum fields become their
+    index in the codebook (unseen values map just past it and clamp later)."""
+    if len(spec.feature_names) != len(STATIC_FEATURES) + len(cohort.covariates):
+        raise ValueError("covariate schema does not match the cohort")
+    if np.isnan(cohort.values).any():
+        raise ValueError("missing covariates, impute before normalizing")
+    p = cohort.patients
+    statics = np.empty((len(cohort.ids), len(STATIC_FEATURES)))
+    for j, name in enumerate(STATIC_FEATURES):
+        if name in ("gender", "icu_unit"):
+            codebook = spec.gender_codes if name == "gender" else spec.icu_unit_codes
+            index = {value: float(i) for i, value in enumerate(codebook)}
+            statics[:, j] = [index.get(v, float(len(codebook)))
+                             for v in p[name].tolist()]
+        elif name == "diabetic":
+            statics[:, j] = classify_diabetes(p)
+        else:
+            statics[:, j] = p[name]
+    raw = np.empty((len(cohort.values), len(spec.feature_names)))
+    raw[:, :len(STATIC_FEATURES)] = np.repeat(statics, cohort.lengths, axis=0)
+    raw[:, len(STATIC_FEATURES):] = cohort.values
+    return raw
 
 
-def _raw_state_matrix(series: PatientSeries, spec: NormalizationSpec) -> np.ndarray:
-    if series.diabetic is None:
-        raise ValueError(
-            f"patient {series.patient_id}: diabetic flag unset, run annotate_diabetes first"
-        )
-    s = series.statics
-    static_row = np.array(
-        [
-            s.age_years,
-            _enum_code(s.gender, spec.gender_codes),
-            _enum_code(s.icu_unit, spec.icu_unit_codes),
-            float(s.sofa_admission),
-            float(s.elixhauser),
-            float(s.mech_vent),
-            float(s.intubation),
-            float(s.vasopressor),
-            float(s.hba1c_ge_7),
-            s.first_glucose_mgdl,
-            float(series.diabetic),
-        ]
-    )
-    rows = np.empty((len(series.hours), len(static_row) + len(series.hours[0].covariates)))
-    rows[:, : len(static_row)] = static_row
-    for i, hour in enumerate(series.hours):
-        if any(v is None for v in hour.covariates):
-            raise ValueError(
-                f"patient {series.patient_id}: hour {hour.hour_index} has missing "
-                "covariates, impute before normalizing"
-            )
-        rows[i, len(static_row):] = hour.covariates
-    return rows
-
-
-def fit_normalization(
-    training_series: Sequence[PatientSeries], covariates: Sequence[str]
-) -> NormalizationSpec:
-    """Compute per-feature (min, max) over all training hours (train split only)."""
-    if not training_series:
+def fit_normalization(training: Cohort) -> NormalizationSpec:
+    """Compute per-feature (min, max) over all training hours (train split
+    only), reduced over the rows in cohort order."""
+    if not len(training.ids):
         raise ValueError("cannot fit normalization on an empty training split")
-    gender_codes = tuple(sorted({s.statics.gender for s in training_series}))
-    icu_codes = tuple(sorted({s.statics.icu_unit for s in training_series}))
     spec = NormalizationSpec(
-        feature_names=state_feature_names(covariates),
+        feature_names=state_feature_names(training.covariates),
         mins=np.zeros(0),
         maxs=np.zeros(0),
-        gender_codes=gender_codes,
-        icu_unit_codes=icu_codes,
+        gender_codes=tuple(sorted(set(training.patients["gender"].tolist()))),
+        icu_unit_codes=tuple(sorted(set(training.patients["icu_unit"].tolist()))),
     )
-    # one preallocated matrix: each series' raw rows are freed before the
-    # next series is built, which keeps ingest's peak memory down
-    stacked = np.empty((sum(len(s.hours) for s in training_series),
-                        len(spec.feature_names)))
-    pos = 0
-    for series in training_series:
-        raw = _raw_state_matrix(series, spec)
-        if raw.shape[1] != stacked.shape[1]:
-            raise ValueError("covariate schema does not match the series")
-        stacked[pos:pos + len(raw)] = raw
-        pos += len(raw)
-    return replace(spec, mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
+    raw = _raw_state_matrix(training, spec)
+    return NormalizationSpec(spec.feature_names, raw.min(axis=0), raw.max(axis=0),
+                             spec.gender_codes, spec.icu_unit_codes)
 
 
-def apply_normalization(
-    series: PatientSeries, spec: NormalizationSpec
-) -> NormalizedSeries:
-    """Map each state-vector cell to [0, 1] via the training (min, max).
+def apply_normalization(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
+    """Map each row's state vector to [0, 1] via the training (min, max).
 
     Features that were constant on the training split map to 0; values
     outside the training range clamp to the unit interval.
     """
-    raw = _raw_state_matrix(series, spec)
+    raw = _raw_state_matrix(cohort, spec)
     span = spec.maxs - spec.mins
     scaled = np.zeros_like(raw)
     nonconst = span > 0
     scaled[:, nonconst] = (raw[:, nonconst] - spec.mins[nonconst]) / span[nonconst]
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return NormalizedSeries(
-        patient_id=series.patient_id,
-        states=scaled,
-        glucose=[h.glucose_mgdl for h in series.hours],
-        survived=series.survived,
-        diabetic=bool(series.diabetic),
-    )
+    return scaled
 
 
 def hours_dtype(n_features: int, id_width: int) -> np.dtype:
@@ -560,73 +571,62 @@ def hours_dtype(n_features: int, id_width: int) -> np.dtype:
                      ("survived", np.bool_), ("state", np.float64, (n_features,))])
 
 
-def hours_table(
-    splits: Sequence[Sequence[PatientSeries]], spec: NormalizationSpec
-) -> np.ndarray:
-    """One normalized row per patient-hour, split by split, series by series,
-    hour by hour; glucose is NaN where missing."""
-    tagged = [(j, series) for j, split in enumerate(splits) for series in split]
-    width = max((len(series.patient_id) for _, series in tagged), default=1)
-    table = np.empty(sum(len(series.hours) for _, series in tagged),
+def hours_table(splits: Sequence[Cohort], spec: NormalizationSpec) -> np.ndarray:
+    """One normalized row per patient-hour, split by split, patient by
+    patient, hour by hour; glucose is NaN where missing."""
+    width = max((len(pid) for split in splits for pid in split.ids.tolist()),
+                default=1)
+    table = np.empty(sum(len(split.values) for split in splits),
                      dtype=hours_dtype(len(spec.feature_names), width))
     pos = 0
-    for j, series in tagged:
-        normalized = apply_normalization(series, spec)
-        rows = table[pos:pos + len(series.hours)]
-        rows["split"], rows["patient_id"], rows["survived"] = \
-            j, series.patient_id, series.survived
-        rows["hour"] = [h.hour_index for h in series.hours]
-        rows["glucose"] = [np.nan if g is None else g for g in normalized.glucose]
-        rows["state"] = normalized.states
+    for j, split in enumerate(splits):
+        rows = table[pos:pos + len(split.values)]
+        rows["split"] = j
+        rows["patient_id"] = np.repeat(split.ids, split.lengths)
+        rows["hour"] = split.hours
+        rows["glucose"] = split.glucose
+        rows["survived"] = np.repeat(~split.patients["died_within_90d"],
+                                     split.lengths)
+        rows["state"] = apply_normalization(split, spec)
         pos += len(rows)
     return table
 
 
 def split_patients(
-    series_list: Sequence[PatientSeries], test_fraction: float, seed: int
-) -> tuple[list[PatientSeries], list[PatientSeries]]:
-    """Patient-level random split, outcome-stratified when possible.
+    ids: np.ndarray, survived: np.ndarray, test_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Patient-level random split, outcome-stratified when possible; returns
+    the train and test positions in ``ids``, each in patient-id order.
 
     Deterministic under the seed regardless of input order. Falls back to a
     plain random split (with a warning) when one outcome group is empty.
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    ordered = sorted(series_list, key=lambda s: s.patient_id)
+    ordered = np.argsort(ids, kind="stable")
     rng = np.random.default_rng(seed)
     n_test_total = int(round(len(ordered) * test_fraction))
     n_test_total = min(max(n_test_total, 1), len(ordered) - 1)
 
-    died = [s for s in ordered if not s.survived]
-    alive = [s for s in ordered if s.survived]
-    if not died or not alive:
+    alive = np.asarray(survived, dtype=bool)[ordered]
+    groups = [ordered[~alive], ordered[alive]]
+    if not groups[0].size or not groups[1].size:
         log.warning("cohort has a single outcome class, using a plain random split")
-        perm = rng.permutation(len(ordered))
-        test_idx = set(perm[:n_test_total].tolist())
-        test = [s for i, s in enumerate(ordered) if i in test_idx]
-        train = [s for i, s in enumerate(ordered) if i not in test_idx]
-        return train, test
-
-    # Largest-remainder allocation of the test quota across outcome groups.
-    groups = [died, alive]
-    exact = [len(g) * test_fraction for g in groups]
-    counts = [int(math.floor(e)) for e in exact]
-    remainders = [e - c for e, c in zip(exact, counts)]
-    while sum(counts) < n_test_total:
-        i = int(np.argmax(remainders))
-        counts[i] += 1
-        remainders[i] = -1.0
-    while sum(counts) > n_test_total:
-        i = int(np.argmin(remainders))
-        counts[i] -= 1
-        remainders[i] = 2.0
-    train: list[PatientSeries] = []
-    test: list[PatientSeries] = []
+        groups, counts = [ordered], [n_test_total]
+    else:
+        # Largest-remainder allocation of the test quota across outcome groups.
+        exact = [len(g) * test_fraction for g in groups]
+        counts = [int(math.floor(e)) for e in exact]
+        remainders = [e - c for e, c in zip(exact, counts)]
+        while sum(counts) < n_test_total:
+            i = int(np.argmax(remainders))
+            counts[i] += 1
+            remainders[i] = -1.0
+        while sum(counts) > n_test_total:
+            i = int(np.argmin(remainders))
+            counts[i] -= 1
+            remainders[i] = 2.0
+    test = np.zeros(len(ids), dtype=bool)
     for group, n_test in zip(groups, counts):
-        perm = rng.permutation(len(group))
-        chosen = set(perm[:n_test].tolist())
-        test.extend(s for i, s in enumerate(group) if i in chosen)
-        train.extend(s for i, s in enumerate(group) if i not in chosen)
-    train.sort(key=lambda s: s.patient_id)
-    test.sort(key=lambda s: s.patient_id)
-    return train, test
+        test[group[rng.permutation(len(group))[:n_test]]] = True
+    return ordered[~test[ordered]], ordered[test[ordered]]

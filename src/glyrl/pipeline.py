@@ -22,9 +22,8 @@ import numpy as np
 from . import calib
 from .cluster import ClusterModel, assign_many, kmeans_fit, save_clusters
 from .cohort import (
+    Cohort,
     NormalizationSpec,
-    PatientSeries,
-    annotate_diabetes,
     filter_cohort,
     fit_normalization,
     hours_dtype,
@@ -159,12 +158,26 @@ def _save_norm_spec(path: str, spec: NormalizationSpec) -> None:
 # --- shared artifact access ---------------------------------------------------
 
 
-def _read_cohort_file(path: str, covariates: Sequence[str]) -> List[PatientSeries]:
+def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_cohort(fh, covariates)
     except OSError as exc:
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead of the CSV reader: find the line itself
+        with open(path, "rb") as fh:
+            line = next((n for n, raw in enumerate(fh, 1) if not _decodes(raw)), 0)
+        raise DataError("cohort %s line %d is not UTF-8 text (%s)"
+                        % (path, line, exc.reason))
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 HOURS_FILE = "hours.npy"
@@ -269,43 +282,44 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     """Parse, filter, impute, split, fit normalization (train only), and
     write the model-ready hours every later stage reads."""
     os.makedirs(art_dir, exist_ok=True)
-    patients = _read_cohort_file(input_csv, config.covariates)
-    n_parsed = len(patients)
+    parsed = _read_cohort_file(input_csv, config.covariates)
     criteria = FilterCriteria(
         min_age=config.preprocessing.min_age,
         min_sofa=config.preprocessing.min_sofa,
         max_missing_fraction=config.preprocessing.max_missing_fraction,
     )
-    kept, exclusions = filter_cohort(patients, criteria)
-    kept = annotate_diabetes(kept)
-    imputed, dropped = impute_cohort(kept, config.covariates)
-    # free the parsed and filtered copies before the hours table is built
-    del patients, kept
-    if not imputed:
+    kept, exclusions = filter_cohort(parsed, criteria)
+    n_parsed = len(parsed.ids)
+    del parsed
+    imputed, dropped = impute_cohort(kept)
+    del kept
+    if not len(imputed.ids):
         raise DataError("no patients left after filtering and imputation")
-    train, test = split_patients(imputed, config.split.test_fraction,
-                                 derive_seed(config.seed, "split"))
+    train_at, test_at = split_patients(
+        imputed.ids, ~imputed.patients["died_within_90d"],
+        config.split.test_fraction, derive_seed(config.seed, "split"))
+    train, test = imputed.take(train_at), imputed.take(test_at)
     del imputed
 
-    spec = fit_normalization(train, config.covariates)
+    spec = fit_normalization(train)
     _save_norm_spec(os.path.join(art_dir, "norm_spec.json"), spec)
     _save_hours(os.path.join(art_dir, HOURS_FILE), hours_table((train, test), spec))
     for name, subset in (("train.csv", train), ("test.csv", test)):
         buf = io.StringIO()
-        write_cohort(subset, buf, config.covariates)
+        write_cohort(subset, buf)
         _write_text(os.path.join(art_dir, name), buf.getvalue())
     _write_json(os.path.join(art_dir, "exclusions.json"), {
         "parsed_patients": n_parsed,
-        "filtered": {k: int(v) for k, v in sorted(exclusions.items())},
+        "filtered": dict(sorted(exclusions.items())),
         "imputation_dropped": sorted([pid, reason] for pid, reason in dropped),
-        "train_patients": len(train),
-        "test_patients": len(test),
+        "train_patients": len(train.ids),
+        "test_patients": len(test.ids),
     })
     _manifest_record(art_dir, config, "ingest",
                      ["train.csv", "test.csv", "norm_spec.json", "exclusions.json",
                       HOURS_FILE])
     log.info("ingest: %d parsed, %d train / %d test",
-             n_parsed, len(train), len(test))
+             n_parsed, len(train.ids), len(test.ids))
 
 
 def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:

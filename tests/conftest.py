@@ -2,8 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from glyrl import cohort
+
+# Property tests draw the same examples on every run and write no example
+# database, so tier-1 stays deterministic; no per-example deadline, because
+# timing on a shared machine varies.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None, max_examples=60)
+settings.load_profile("deterministic")
 
 COVARIATES = ["heart_rate", "sbp", "lactate"]
 

@@ -9,6 +9,7 @@ cohort whose optimal policy is known by construction.
 """
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -21,12 +22,11 @@ import pytest
 from glyrl import pipeline, synthgen
 from glyrl.cluster import kmeans_fit
 from glyrl.cohort import (
-    HourRecord,
-    PatientSeries,
-    StaticCovariates,
+    FIXED_COLUMNS,
     apply_normalization,
     fit_normalization,
-    impute_series,
+    impute_cohort,
+    parse_cohort,
 )
 from glyrl.config import PipelineConfig
 from glyrl.encoder import (
@@ -405,57 +405,44 @@ def test_criterion_10_rerun_is_byte_identical(tmp_path):
 
 def test_criterion_11_imputation_and_normalization_are_exact():
     started = time.monotonic()
-    statics = StaticCovariates(
-        age_years=60.0, gender="F", icu_unit="MICU", sofa_admission=5,
-        elixhauser=2, mech_vent=False, intubation=False, vasopressor=False,
-        hba1c_ge_7=False, first_glucose_mgdl=130.0, icd9_codes=(),
-        admission_meds_diabetic=False, history_mentions_diabetes=False,
-    )
 
-    def hour(i, covs, glucose=120.0):
-        return HourRecord(hour_index=i, covariates=list(covs),
-                          glucose_mgdl=glucose, glucose_source="arterial")
+    def cohort(*patients):
+        """Parse (patient id, died, per-hour [a, b]) into a two-covariate
+        cohort; None is a missing cell."""
+        lines = [",".join(FIXED_COLUMNS + ("a", "b"))]
+        for pid, died, hours in patients:
+            for i, covs in enumerate(hours):
+                lines.append(",".join(
+                    [pid, str(i), "60.0", "F", "MICU", "5", "2", "0", "0", "0",
+                     "0", "130.0", "", "0", "0", str(died), "120.0", "arterial"]
+                    + ["" if v is None else repr(v) for v in covs]))
+        return parse_cohort(io.StringIO("\n".join(lines) + "\n"), ["a", "b"])
 
-    series = PatientSeries(
-        patient_id="p0", statics=statics, diabetic=False, survived=True,
-        hours=[
-            hour(0, [None, 10.0]),
-            hour(1, [2.0, None]),
-            hour(2, [None, None]),
-            hour(3, [8.0, 40.0]),
-            hour(4, [None, None]),
-        ],
-    )
-    filled = impute_series(series, ["a", "b"])
-    col_a = [h.covariates[0] for h in filled.hours]
-    col_b = [h.covariates[1] for h in filled.hours]
+    filled, dropped = impute_cohort(cohort(
+        ("p0", 0, [[None, 10.0], [2.0, None], [None, None], [8.0, 40.0],
+                   [None, None]]),
+        ("p1", 1, [[0.0, 0.0], [4.0, 80.0]])))
+    assert not dropped
     # leading gap copies the first observation, interior gaps interpolate,
     # trailing gap carries the last observation forward
-    assert col_a == [2.0, 2.0, 5.0, 8.0, 8.0]
-    assert col_b == [10.0, 20.0, 30.0, 40.0, 40.0]
+    assert filled.values[:5, 0].tolist() == [2.0, 2.0, 5.0, 8.0, 8.0]
+    assert filled.values[:5, 1].tolist() == [10.0, 20.0, 30.0, 40.0, 40.0]
 
-    other = PatientSeries(
-        patient_id="p1", statics=statics, diabetic=False, survived=False,
-        hours=[hour(0, [0.0, 0.0]), hour(1, [4.0, 80.0])],
-    )
-    spec = fit_normalization([filled, other], ["a", "b"])
-    normalized = apply_normalization(filled, spec)
+    spec = fit_normalization(filled)
+    normalized = apply_normalization(filled, spec)[:5]
     names = list(spec.feature_names)
     ia, ib = names.index("a"), names.index("b")
     # min-max over the training hours: a spans [0, 8], b spans [0, 80]
-    assert normalized.states[:, ia] == pytest.approx(
+    assert normalized[:, ia] == pytest.approx(
         [0.25, 0.25, 0.625, 1.0, 1.0], abs=0.0)
-    assert normalized.states[:, ib] == pytest.approx(
+    assert normalized[:, ib] == pytest.approx(
         [0.125, 0.25, 0.375, 0.5, 0.5], abs=0.0)
 
     # out-of-range values clamp instead of leaving the unit interval
-    outside = PatientSeries(
-        patient_id="p2", statics=statics, diabetic=False, survived=True,
-        hours=[hour(0, [-5.0, 200.0]), hour(1, [3.0, 90.0])],
-    )
-    clamped = apply_normalization(outside, spec)
-    assert clamped.states[0, ia] == 0.0
-    assert clamped.states[0, ib] == 1.0
-    for states in (normalized.states, clamped.states):
+    clamped = apply_normalization(
+        cohort(("p2", 0, [[-5.0, 200.0], [3.0, 90.0]])), spec)
+    assert clamped[0, ia] == 0.0
+    assert clamped[0, ib] == 1.0
+    for states in (normalized, clamped):
         assert np.all(states >= 0.0) and np.all(states <= 1.0)
     assert time.monotonic() - started < 1.0

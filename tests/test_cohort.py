@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,26 +9,33 @@ from glyrl.errors import ImputationError, IntegrityError, ParseError
 from conftest import COVARIATES, cohort_row, make_csv
 
 
+def assert_same_cohort(a, b):
+    assert a.covariates == b.covariates
+    assert a.patients.keys() == b.patients.keys()
+    for name in a.patients:
+        assert a.patients[name].tolist() == b.patients[name].tolist(), name
+    for name in ("bounds", "values", "glucose", "source"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 # --- parsing ---------------------------------------------------------------
 
 def test_parse_three_rows_one_patient(three_hour_patient):
-    assert len(three_hour_patient) == 1
-    series = three_hour_patient[0]
-    assert series.patient_id == "p1"
-    assert [h.hour_index for h in series.hours] == [0, 1, 2]
-    assert series.survived
-    assert series.statics.age_years == 50.0
-    assert series.hours[0].glucose_mgdl == 120.0
+    parsed = three_hour_patient
+    assert parsed.ids.tolist() == ["p1"]
+    assert parsed.hours.tolist() == [0, 1, 2]
+    assert not parsed.patients["died_within_90d"][0]
+    assert parsed.patients["age_years"][0] == 50.0
+    assert parsed.glucose[0] == 120.0
 
 
 def test_parse_materializes_hour_gaps():
     rows = [cohort_row("p1", 0), cohort_row("p1", 2)]
-    series = cohort.parse_cohort(make_csv(rows), COVARIATES)[0]
-    assert [h.hour_index for h in series.hours] == [0, 1, 2]
-    gap = series.hours[1]
-    assert gap.covariates == [None, None, None]
-    assert gap.glucose_mgdl is None
-    assert gap.glucose_source == "none"
+    parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
+    assert parsed.hours.tolist() == [0, 1, 2]
+    assert np.isnan(parsed.values[1]).all()
+    assert np.isnan(parsed.glucose[1])
+    assert cohort.GLUCOSE_SOURCES[parsed.source[1]] == "none"
 
 
 def test_parse_duplicate_hour_is_integrity_error():
@@ -80,8 +86,8 @@ def test_parse_unsorted_rows_and_multiple_patients():
         cohort_row("p1", 0),
     ]
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
-    assert [s.patient_id for s in parsed] == ["p1", "p2"]
-    assert all([h.hour_index for h in s.hours] == [0, 1] for s in parsed)
+    assert parsed.ids.tolist() == ["p1", "p2"]
+    assert parsed.hours.tolist() == [0, 1, 0, 1]
 
 
 def test_parse_schema_mismatch_rejected():
@@ -99,10 +105,10 @@ def test_parse_write_parse_round_trip():
     ]
     first = cohort.parse_cohort(make_csv(rows), COVARIATES)
     buffer = io.StringIO()
-    cohort.write_cohort(first, buffer, COVARIATES)
+    cohort.write_cohort(first, buffer)
     buffer.seek(0)
     second = cohort.parse_cohort(buffer, COVARIATES)
-    assert first == second
+    assert_same_cohort(first, second)
 
 
 # --- filtering ---------------------------------------------------------------
@@ -116,7 +122,7 @@ def test_filter_age_below_18_excluded():
     rows = _patient("p1", age=17.0) + _patient("p2", age=40.0)
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
     kept, excl = cohort.filter_cohort(parsed)
-    assert [s.patient_id for s in kept] == ["p2"]
+    assert kept.ids.tolist() == ["p2"]
     assert excl["age_below_minimum"] == 1
 
 
@@ -124,7 +130,7 @@ def test_filter_low_sofa_excluded():
     rows = _patient("p1", sofa=1) + _patient("p2", sofa=2)
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
     kept, excl = cohort.filter_cohort(parsed)
-    assert [s.patient_id for s in kept] == ["p2"]
+    assert kept.ids.tolist() == ["p2"]
     assert excl["sofa_below_minimum"] == 1
 
 
@@ -134,14 +140,14 @@ def test_filter_missing_fraction_above_10_percent_excluded():
     rows += [cohort_row("p2", h, covs=("1.0" if h > 0 else "", "2.0", "3.0")) for h in range(10)]
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
     kept, excl = cohort.filter_cohort(parsed)
-    assert [s.patient_id for s in kept] == ["p2"]  # p2: 1/30 missing
+    assert kept.ids.tolist() == ["p2"]  # p2: 1/30 missing
     assert excl["missing_covariates_above_maximum"] == 1
 
 
 def test_filter_keeps_compliant_patient():
     parsed = cohort.parse_cohort(make_csv(_patient("p1", age=40.0, sofa=5)), COVARIATES)
     kept, excl = cohort.filter_cohort(parsed)
-    assert len(kept) == 1 and not excl
+    assert len(kept.ids) == 1 and not excl
 
 
 def test_filter_nulls_other_source_glucose():
@@ -151,9 +157,9 @@ def test_filter_nulls_other_source_glucose():
     ]
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
     kept, _ = cohort.filter_cohort(parsed)
-    assert kept[0].hours[0].glucose_mgdl is None
-    assert kept[0].hours[0].glucose_source == "none"
-    assert kept[0].hours[1].glucose_mgdl == 140.0
+    assert np.isnan(kept.glucose[0])
+    assert cohort.GLUCOSE_SOURCES[kept.source[0]] == "none"
+    assert kept.glucose[1] == 140.0
 
 
 def test_filter_is_idempotent():
@@ -165,14 +171,16 @@ def test_filter_is_idempotent():
     parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
     once, _ = cohort.filter_cohort(parsed)
     twice, excl = cohort.filter_cohort(once)
-    assert once == twice
+    assert_same_cohort(once, twice)
     assert not excl
 
 
 # --- diabetic classification -------------------------------------------------
 
 def _statics(**overrides):
+    """One patient's per-patient columns, as ``Cohort.patients`` holds them."""
     base = dict(
+        patient_id="px",
         age_years=50.0,
         gender="F",
         icu_unit="MICU",
@@ -183,64 +191,78 @@ def _statics(**overrides):
         vasopressor=False,
         hba1c_ge_7=False,
         first_glucose_mgdl=130.0,
-        icd9_codes=(),
+        icd9_codes="",
         admission_meds_diabetic=False,
         history_mentions_diabetes=False,
+        died_within_90d=False,
     )
     base.update(overrides)
-    return cohort.StaticCovariates(**base)
+    return {name: np.array([base[name]]) for name in cohort.PATIENT_COLUMNS}
 
 
 def test_icd9_250_prefix_is_diabetic():
-    assert cohort.classify_diabetes(_statics(icd9_codes=("250.00",)))
-    assert cohort.classify_diabetes(_statics(icd9_codes=("401.9", "249.1")))
+    assert cohort.classify_diabetes(_statics(icd9_codes="250.00"))[0]
+    assert cohort.classify_diabetes(_statics(icd9_codes="401.9;249.1"))[0]
 
 
 def test_all_negative_is_non_diabetic():
-    assert not cohort.classify_diabetes(_statics(icd9_codes=("401.9",)))
+    assert not cohort.classify_diabetes(_statics(icd9_codes="401.9"))[0]
+    # a code merely containing 250 is not a 250.* code
+    assert not cohort.classify_diabetes(_statics(icd9_codes="1250.1"))[0]
 
 
 def test_hba1c_alone_is_diabetic():
-    assert cohort.classify_diabetes(_statics(hba1c_ge_7=True))
+    assert cohort.classify_diabetes(_statics(hba1c_ge_7=True))[0]
 
 
 @pytest.mark.parametrize("field", ["admission_meds_diabetic", "history_mentions_diabetes"])
 def test_other_sources_are_diabetic(field):
-    assert cohort.classify_diabetes(_statics(**{field: True}))
+    assert cohort.classify_diabetes(_statics(**{field: True}))[0]
 
 
 # --- imputation ----------------------------------------------------------------
 
-def _series_with_column(values):
-    """Single-covariate patient with the given per-hour values (None = missing)."""
-    hours = [
-        cohort.HourRecord(i, [v], 100.0, "arterial") for i, v in enumerate(values)
-    ]
-    return cohort.PatientSeries("px", hours, _statics(), True)
+def _series_with_column(*columns, ids=None):
+    """Single-covariate cohort, one patient per column of per-hour values
+    (None = missing)."""
+    ids = ids or ["px%d" % i if i else "px" for i in range(len(columns))]
+    patients = [_statics(patient_id=pid) for pid in ids]
+    lengths = [len(col) for col in columns]
+    n = sum(lengths)
+    return cohort.Cohort(
+        ("only_cov",),
+        {name: np.concatenate([p[name] for p in patients])
+         for name in cohort.PATIENT_COLUMNS},
+        np.concatenate(([0], np.cumsum(lengths))),
+        np.array([np.nan if v is None else v for col in columns for v in col],
+                 dtype=float).reshape(n, 1),
+        np.full(n, 100.0),
+        np.zeros(n, dtype=np.int8),
+    )
+
+
+def _imputed(values):
+    kept, dropped = cohort.impute_cohort(_series_with_column(values))
+    assert not dropped
+    return kept.values[:, 0].tolist()
 
 
 def test_impute_interior_midpoint():
-    series = _series_with_column([1.0, None, 3.0])
-    imputed = cohort.impute_series(series)
-    assert imputed.hours[1].covariates[0] == 2.0
+    assert _imputed([1.0, None, 3.0])[1] == 2.0
 
 
 def test_impute_leading_gap_constant():
-    series = _series_with_column([None, 2.0, 3.0])
-    imputed = cohort.impute_series(series)
-    assert imputed.hours[0].covariates[0] == 2.0
+    assert _imputed([None, 2.0, 3.0])[0] == 2.0
 
 
 def test_impute_trailing_gap_constant():
-    series = _series_with_column([1.0, 2.0, None])
-    imputed = cohort.impute_series(series)
-    assert imputed.hours[2].covariates[0] == 2.0
+    assert _imputed([1.0, 2.0, None])[2] == 2.0
 
 
 def test_impute_all_missing_raises():
-    series = _series_with_column([None, None, None])
-    with pytest.raises(ImputationError, match="px"):
-        cohort.impute_series(series)
+    kept, dropped = cohort.impute_cohort(_series_with_column([None, None, None]))
+    assert not len(kept.ids)
+    assert dropped == [("px", str(ImputationError("px", "only_cov")))]
 
 
 def test_impute_recovers_linear_signals():
@@ -253,85 +275,73 @@ def test_impute_recovers_linear_signals():
         # delete interior cells, keep endpoints observed
         for h in rng.choice(np.arange(1, 11), size=5, replace=False):
             values[h] = None
-        imputed = cohort.impute_series(_series_with_column(values))
-        got = [h.covariates[0] for h in imputed.hours]
-        np.testing.assert_allclose(got, full, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_imputed(values), full, rtol=0, atol=1e-9)
 
 
 def test_impute_edge_deletions_equal_nearest_observation():
-    values = [None, None, 4.0, 6.0, None]
-    imputed = cohort.impute_series(_series_with_column(values))
-    got = [h.covariates[0] for h in imputed.hours]
-    assert got == [4.0, 4.0, 4.0, 6.0, 6.0]
+    assert _imputed([None, None, 4.0, 6.0, None]) == [4.0, 4.0, 4.0, 6.0, 6.0]
 
 
 def test_impute_cohort_drops_unimputable():
-    good = _series_with_column([1.0, None, 3.0])
-    bad = replace(_series_with_column([None, None, None]), patient_id="bad")
-    kept, dropped = cohort.impute_cohort([good, bad], ["only_cov"])
-    assert [s.patient_id for s in kept] == ["px"]
-    assert dropped[0][0] == "bad"
+    both = _series_with_column([1.0, None, 3.0], [None, None, None],
+                               ids=["px", "py"])
+    kept, dropped = cohort.impute_cohort(both)
+    assert kept.ids.tolist() == ["px"]
+    assert kept.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert dropped[0][0] == "py"
     assert "only_cov" in dropped[0][1]
+
+
+def test_impute_reason_names_the_first_empty_covariate():
+    rows = [cohort_row("p1", h, covs=("1.0", "", "")) for h in range(2)]
+    _, dropped = cohort.impute_cohort(cohort.parse_cohort(make_csv(rows), COVARIATES))
+    assert dropped == [("p1", str(ImputationError("p1", "sbp")))]
+
+
+def test_impute_never_bridges_patients():
+    # each patient's edge gaps take its own observations, not a neighbor's
+    both = _series_with_column([None, 1.0, None], [None, 5.0, None, 9.0, None],
+                               ids=["pa", "pb"])
+    kept, _ = cohort.impute_cohort(both)
+    assert kept.values[:, 0].tolist() == [1.0, 1.0, 1.0, 5.0, 5.0, 7.0, 9.0, 9.0]
 
 
 # --- normalization ---------------------------------------------------------------
 
-def _normalized_cohort(train_values, apply_values):
-    def build(pid, vals):
-        series = replace(_series_with_column(list(vals)), patient_id=pid, diabetic=False)
-        return series
-
-    train = [build(f"t{i}", vals) for i, vals in enumerate(train_values)]
-    other = [build(f"a{i}", vals) for i, vals in enumerate(apply_values)]
-    spec = cohort.fit_normalization(train, ["only_cov"])
-    return spec, train, other
-
-
 def test_normalization_affine_map():
-    spec, train, _ = _normalized_cohort([(50.0, 150.0)], [])
-    normalized = cohort.apply_normalization(
-        replace(_series_with_column([100.0, 100.0]), diabetic=False), spec
-    )
-    col = normalized.states[:, -1]
-    np.testing.assert_array_equal(col, [0.5, 0.5])
+    spec = cohort.fit_normalization(_series_with_column([50.0, 150.0]))
+    states = cohort.apply_normalization(_series_with_column([100.0, 100.0]), spec)
+    np.testing.assert_array_equal(states[:, -1], [0.5, 0.5])
 
 
 def test_normalization_constant_feature_maps_to_zero():
-    spec, train, _ = _normalized_cohort([(7.0, 7.0)], [])
-    normalized = cohort.apply_normalization(train[0], spec)
-    np.testing.assert_array_equal(normalized.states[:, -1], [0.0, 0.0])
+    train = _series_with_column([7.0, 7.0])
+    spec = cohort.fit_normalization(train)
+    np.testing.assert_array_equal(
+        cohort.apply_normalization(train, spec)[:, -1], [0.0, 0.0])
 
 
 def test_normalization_clamps_out_of_range_test_values():
-    spec, _, _ = _normalized_cohort([(50.0, 150.0)], [])
-    normalized = cohort.apply_normalization(
-        replace(_series_with_column([200.0, 10.0]), diabetic=False), spec
-    )
-    np.testing.assert_array_equal(normalized.states[:, -1], [1.0, 0.0])
+    spec = cohort.fit_normalization(_series_with_column([50.0, 150.0]))
+    states = cohort.apply_normalization(_series_with_column([200.0, 10.0]), spec)
+    np.testing.assert_array_equal(states[:, -1], [1.0, 0.0])
 
 
 def test_normalization_output_always_unit_interval():
     rng = np.random.default_rng(11)
-    train = [
-        replace(_series_with_column(list(rng.normal(0, 50, size=4))), patient_id=f"t{i}", diabetic=bool(i % 2))
-        for i in range(5)
-    ]
-    test = [
-        replace(_series_with_column(list(rng.normal(0, 120, size=4))), patient_id=f"e{i}", diabetic=False)
-        for i in range(5)
-    ]
-    spec = cohort.fit_normalization(train, ["only_cov"])
-    for series in train + test:
-        states = cohort.apply_normalization(series, spec).states
+    train = _series_with_column(*[list(rng.normal(0, 50, size=4)) for _ in range(5)])
+    train.patients["hba1c_ge_7"][::2] = True  # diabetic flag varies
+    test = _series_with_column(*[list(rng.normal(0, 120, size=4)) for _ in range(5)])
+    spec = cohort.fit_normalization(train)
+    for part in (train, test):
+        states = cohort.apply_normalization(part, spec)
         assert np.all(states >= 0.0) and np.all(states <= 1.0)
 
 
 def test_normalization_requires_imputed_series():
-    spec, _, _ = _normalized_cohort([(50.0, 150.0)], [])
+    spec = cohort.fit_normalization(_series_with_column([50.0, 150.0]))
     with pytest.raises(ValueError, match="impute"):
-        cohort.apply_normalization(
-            replace(_series_with_column([None, 1.0]), diabetic=False), spec
-        )
+        cohort.apply_normalization(_series_with_column([None, 1.0]), spec)
 
 
 # --- split ---------------------------------------------------------------------
@@ -341,54 +351,63 @@ def _split_cohort(n=10, died_every=3):
     for i in range(n):
         died = 1 if (i + 1) % died_every == 0 else 0
         rows += _patient(f"p{i:02d}", died=died)
-    return cohort.parse_cohort(make_csv(rows), COVARIATES)
+    parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
+    return parsed.ids, ~parsed.patients["died_within_90d"]
 
 
 def test_split_exact_size_and_determinism():
-    parsed = _split_cohort(10)
-    train1, test1 = cohort.split_patients(parsed, 0.2, seed=42)
-    train2, test2 = cohort.split_patients(parsed, 0.2, seed=42)
+    ids, survived = _split_cohort(10)
+    train1, test1 = cohort.split_patients(ids, survived, 0.2, seed=42)
+    train2, test2 = cohort.split_patients(ids, survived, 0.2, seed=42)
     assert len(test1) == 2 and len(train1) == 8
-    assert [s.patient_id for s in test1] == [s.patient_id for s in test2]
-    assert [s.patient_id for s in train1] == [s.patient_id for s in train2]
+    assert test1.tolist() == test2.tolist()
+    assert train1.tolist() == train2.tolist()
 
 
 def test_split_seed_changes_selection():
-    parsed = _split_cohort(30)
+    ids, survived = _split_cohort(30)
     picks = {
-        tuple(s.patient_id for s in cohort.split_patients(parsed, 0.2, seed)[1])
+        tuple(cohort.split_patients(ids, survived, 0.2, seed)[1].tolist())
         for seed in range(5)
     }
     assert len(picks) > 1
 
 
 def test_split_rejects_bad_fraction():
-    parsed = _split_cohort(10)
+    ids, survived = _split_cohort(10)
     with pytest.raises(ValueError):
-        cohort.split_patients(parsed, 0.0, seed=1)
+        cohort.split_patients(ids, survived, 0.0, seed=1)
     with pytest.raises(ValueError):
-        cohort.split_patients(parsed, 1.0, seed=1)
+        cohort.split_patients(ids, survived, 1.0, seed=1)
 
 
 def test_split_is_outcome_stratified():
-    parsed = _split_cohort(100, died_every=4)  # 25% mortality
-    train, test = cohort.split_patients(parsed, 0.2, seed=3)
+    ids, survived = _split_cohort(100, died_every=4)  # 25% mortality
+    train, test = cohort.split_patients(ids, survived, 0.2, seed=3)
     cohort_rate = 0.25
     for part in (train, test):
-        rate = sum(not s.survived for s in part) / len(part)
+        rate = np.mean(~survived[part])
         assert abs(rate - cohort_rate) <= 0.02
 
 
 def test_split_single_class_falls_back_to_plain(caplog):
-    parsed = _split_cohort(10, died_every=999)
+    ids, survived = _split_cohort(10, died_every=999)
     with caplog.at_level("WARNING"):
-        train, test = cohort.split_patients(parsed, 0.2, seed=1)
+        train, test = cohort.split_patients(ids, survived, 0.2, seed=1)
     assert len(test) == 2
     assert "single outcome" in caplog.text
 
 
 def test_split_partition_is_exact():
-    parsed = _split_cohort(23)
-    train, test = cohort.split_patients(parsed, 0.3, seed=9)
-    ids = sorted(s.patient_id for s in train + test)
-    assert ids == sorted(s.patient_id for s in parsed)
+    ids, survived = _split_cohort(23)
+    train, test = cohort.split_patients(ids, survived, 0.3, seed=9)
+    assert sorted(ids[np.concatenate([train, test])].tolist()) == sorted(ids.tolist())
+
+
+def test_split_ignores_input_order():
+    ids, survived = _split_cohort(23)
+    shuffled = np.random.default_rng(0).permutation(len(ids))
+    train, test = cohort.split_patients(ids, survived, 0.3, seed=9)
+    train_s, test_s = cohort.split_patients(ids[shuffled], survived[shuffled], 0.3, seed=9)
+    assert ids[shuffled][test_s].tolist() == ids[test].tolist()
+    assert ids[shuffled][train_s].tolist() == ids[train].tolist()

@@ -17,8 +17,7 @@ import pytest
 
 from conftest import cohort_row, make_csv
 from glyrl import cli, pipeline, synthgen
-from glyrl.cohort import (annotate_diabetes, apply_normalization,
-                          fit_normalization, parse_cohort)
+from glyrl.cohort import apply_normalization, fit_normalization, parse_cohort
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
 from glyrl.solver import read_solution
@@ -405,29 +404,27 @@ def test_hours_equal_a_reparse_of_the_split_csvs(golden):
     splits = []
     for name in ("train.csv", "test.csv"):
         with open(os.path.join(golden["art"], name)) as fh:
-            splits.append(annotate_diabetes(parse_cohort(fh, covariates)))
-    spec = fit_normalization(splits[0], covariates)
+            splits.append(parse_cohort(fh, covariates))
+    spec = fit_normalization(splits[0])
     with open(os.path.join(golden["art"], "norm_spec.json")) as fh:
         stored = json.load(fh)
     assert stored["mins"] == [repr(float(v)) for v in spec.mins]
     assert stored["maxs"] == [repr(float(v)) for v in spec.maxs]
 
     split, ids, hours, glucose, survived, states = [], [], [], [], [], []
-    for index, series_list in enumerate(splits):
-        for series in series_list:
-            normalized = apply_normalization(series, spec)
-            n = len(series.hours)
-            split += [index] * n
-            ids += [series.patient_id] * n
-            hours += [h.hour_index for h in series.hours]
-            glucose += [np.nan if g is None else g for g in normalized.glucose]
-            survived += [series.survived] * n
-            states.append(normalized.states)
+    for index, part in enumerate(splits):
+        n = part.lengths
+        split += [index] * len(part.values)
+        ids += np.repeat(part.ids, n).tolist()
+        hours += part.hours.tolist()
+        glucose.append(part.glucose)
+        survived += np.repeat(~part.patients["died_within_90d"], n).tolist()
+        states.append(apply_normalization(part, spec))
     assert rows["split"].tolist() == split
     assert rows["patient_id"].tolist() == ids
     assert rows["hour"].tolist() == hours
     assert rows["survived"].tolist() == survived
-    assert rows["glucose"].tobytes() == np.array(glucose).tobytes()
+    assert rows["glucose"].tobytes() == np.concatenate(glucose).tobytes()
     assert rows["state"].tobytes() == np.vstack(states).tobytes()
 
 
@@ -521,6 +518,35 @@ def test_parse_error_keeps_its_line_number(workspace, tmp_path):
     assert str(err.value).startswith("stage 'ingest': line 5: ")
 
 
+def test_non_utf8_cohort_exits_2_and_names_file_and_line(workspace, tmp_path,
+                                                        caplog, capsys):
+    lines = open(workspace["cohort"], "rb").read().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"MICU", b"\xff\xfeMICU", 1)
+    cohort = tmp_path / "latin.csv"
+    cohort.write_bytes(b"".join(lines))
+    rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                     "--input", str(cohort), "--out", str(tmp_path / "art")])
+    assert rc == cli.DATA_EXIT
+    assert "%s line 3 is not UTF-8" % cohort in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_nul_in_a_cell_exits_2_naming_line_and_column(workspace, tmp_path,
+                                                      caplog):
+    # numpy strings drop trailing NULs, so "p\0" would merge with "p"
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    pid = lines[1].split(",", 1)[0]
+    copies = [pid + "\0" + line[len(pid):] for line in lines[1:]
+              if line.startswith(pid + ",")]
+    cohort = tmp_path / "nul.csv"
+    cohort.write_text("".join(lines + copies))
+    rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                     "--input", str(cohort), "--out", str(tmp_path / "art")])
+    assert rc == cli.DATA_EXIT
+    assert "line %d: NUL character in patient_id" % (len(lines) + 1) \
+        in caplog.text
+
+
 @pytest.fixture(scope="module")
 def sparse_art(workspace, golden):
     """The golden artifacts plus a recorded encoder.model, and a config
@@ -579,8 +605,8 @@ def test_synth_writes_parseable_cohort(workspace):
                      "--out", str(out), "--truth-out", str(truth_out)])
     assert rc == 0
     with open(out) as fh:
-        series = parse_cohort(fh)
-    assert len(series) == 30
+        parsed = parse_cohort(fh)
+    assert len(parsed.ids) == 30
     truth = synthgen.load_ground_truth(str(truth_out))
     assert truth.pi_star.shape == (truth.n_latent_states,)
     # values cover the two absorbing outcomes as well
@@ -605,10 +631,9 @@ def test_synth_yaml_knobs_with_flag_override(workspace):
                      "--patients", "12", "--out", str(out)])
     assert rc == 0
     with open(out) as fh:
-        series = parse_cohort(fh)
-    assert len(series) == 12
-    assert all(h.glucose_mgdl is not None
-               for s in series for h in s.hours)
+        parsed = parse_cohort(fh)
+    assert len(parsed.ids) == 12
+    assert not np.isnan(parsed.glucose).any()
 
 
 def test_synth_rejects_unknown_knob(workspace):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import cohort_oracle
 from glyrl import cohort
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.errors import ArtifactError
@@ -48,7 +49,8 @@ def tiny_config(**overrides):
 
 
 def parse(csv_text):
-    return cohort.parse_cohort(io.StringIO(csv_text))
+    """Per-patient series objects, from the object-path reference parser."""
+    return cohort_oracle.parse_cohort(io.StringIO(csv_text))
 
 
 def test_zero_death_hazard_everyone_survives():
@@ -339,15 +341,16 @@ def test_validate_rejects_bad_shapes_and_ranges():
 def test_generated_csv_survives_cohort_filters_mostly_intact():
     cfg = ladder_config(120, seed=8)
     csv_text, _ = generate(cfg)
-    patients = parse(csv_text)
+    patients = cohort.parse_cohort(io.StringIO(csv_text))
     kept, exclusions = cohort.filter_cohort(patients)
     # statics are constructed to pass; only sparse short stays can trip
     # the missing-fraction cap
     assert set(exclusions) <= {"missing_covariates_above_maximum"}
-    assert len(kept) >= 0.95 * len(patients)
+    assert len(kept.ids) >= 0.95 * len(patients.ids)
 
     cfg_dense = ladder_config(120, seed=8, missing_prob=0.0)
     csv_dense, _ = generate(cfg_dense)
-    kept_dense, exclusions_dense = cohort.filter_cohort(parse(csv_dense))
-    assert len(kept_dense) == 120
+    kept_dense, exclusions_dense = cohort.filter_cohort(
+        cohort.parse_cohort(io.StringIO(csv_dense)))
+    assert len(kept_dense.ids) == 120
     assert not exclusions_dense
