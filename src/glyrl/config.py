@@ -122,7 +122,6 @@ class CalibrationConfig:
 @dataclass
 class SplitConfig:
     test_fraction: float = 0.2
-    stratify: bool = True
 
     def validate(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
