@@ -175,40 +175,45 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
         failures.append((short, f"expected {width} columns, got {len(rows[short])}"))
         rows = rows[:short]
     n = len(rows)
-    cells = dict(zip(names, zip(*rows))) if n else {name: () for name in names}
-    for name in names:
-        if "\0" in "".join(cells[name]):
-            failures.append((next(i for i, c in enumerate(cells[name]) if "\0" in c),
+    by_position = list(zip(*rows)) if n else [()] * width
+    for name, col in zip(names, by_position):
+        if "\0" in "".join(col):
+            failures.append((next(i for i, c in enumerate(col) if "\0" in c),
                              f"NUL character in {name}"))
+    # covariate names may repeat each other or a fixed name: look columns up
+    # by position
+    cells = dict(zip(FIXED_COLUMNS, by_position))
 
-    def unparsable(name, kind):
-        return lambda i: f"cannot parse {name}={cells[name][i]!r} as {kind}"
+    def unparsable(name, col, kind):
+        return lambda i: f"cannot parse {name}={col[i]!r} as {kind}"
 
-    def non_finite(name):
-        return lambda i: f"non-finite {name}={cells[name][i]!r}"
+    def non_finite(name, col):
+        return lambda i: f"non-finite {name}={col[i]!r}"
 
     ids = np.array(cells["patient_id"], dtype=str)
     check(ids == "", lambda i: "empty patient_id")
     hour, bad = _ints(cells["hour_index"])
-    check(bad, unparsable("hour_index", "an integer"))
+    check(bad, unparsable("hour_index", cells["hour_index"], "an integer"))
     check(hour < 0, lambda i: f"hour_index must be >= 0, got {int(hour[i])}")
     source = np.array([_SOURCE_CODES.get(c, -1) for c in cells["glucose_source"]],
                       dtype=np.int8)
     check(source < 0,
           lambda i: f"unknown glucose_source {cells['glucose_source'][i]!r}")
     glucose, bad, present = _floats(cells["glucose_mgdl"])
-    check(bad, unparsable("glucose_mgdl", "a number"))
-    check(present & ~np.isfinite(glucose), non_finite("glucose_mgdl"))
+    check(bad, unparsable("glucose_mgdl", cells["glucose_mgdl"], "a number"))
+    check(present & ~np.isfinite(glucose),
+          non_finite("glucose_mgdl", cells["glucose_mgdl"]))
     check(glucose <= 0,
           lambda i: f"glucose_mgdl must be > 0, got {float(glucose[i])}")
     check(present & (source == NO_SOURCE),
           lambda i: "glucose_mgdl present but glucose_source missing")
     covariates = names[len(FIXED_COLUMNS):]
     values = np.empty((n, len(covariates)))
-    for j, name in enumerate(covariates):
-        values[:, j], bad, present = _floats(cells[name])
-        check(bad, unparsable(name, "a number"))
-        check(present & ~np.isfinite(values[:, j]), non_finite(name))
+    for j, (name, text) in enumerate(zip(covariates,
+                                         by_position[len(FIXED_COLUMNS):])):
+        values[:, j], bad, present = _floats(text)
+        check(bad, unparsable(name, text, "a number"))
+        check(present & ~np.isfinite(values[:, j]), non_finite(name, text))
 
     columns = {"patient_id": ids, "hour_index": hour, "glucose_mgdl": glucose,
                "glucose_source": source, "values": values}
@@ -216,13 +221,13 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
         text = cells[name]
         if name in ("age_years", "first_glucose_mgdl"):
             col, bad, present = _floats(text)
-            check(bad | ~present, unparsable(name, "a number"))
-            check(present & ~np.isfinite(col), non_finite(name))
+            check(bad | ~present, unparsable(name, text, "a number"))
+            check(present & ~np.isfinite(col), non_finite(name, text))
             if name == "age_years":
                 check(col < 0, lambda i: f"age_years must be >= 0, got {float(col[i])}")
         elif name in ("sofa_admission", "elixhauser"):
             col, bad = _ints(text)
-            check(bad, unparsable(name, "an integer"))
+            check(bad, unparsable(name, text, "an integer"))
             if name == "sofa_admission":
                 check(col < 0,
                       lambda i: f"sofa_admission must be >= 0, got {int(col[i])}")
@@ -299,8 +304,9 @@ def parse_cohort(
         )
     names = FIXED_COLUMNS + tuple(file_covariates)
 
-    chunks, chunk_lines, error = [], [], None
-    next_line = 2
+    # the empty first chunk gives every column its type when no rows follow
+    chunks = [_parse_chunk([], names)[0]]
+    chunk_lines, error, next_line = [np.zeros(0, dtype=np.int64)], None, 2
     while error is None:
         block = list(itertools.islice(reader, CHUNK_ROWS))
         if not block:
@@ -313,10 +319,8 @@ def parse_cohort(
         chunk_lines.append(lines[:first_bad])
         if message is not None:
             error = ParseError(int(lines[first_bad]), message)
-    if not chunks:
-        chunks.append(_parse_chunk([], names)[0])
     rows = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-    lines = np.concatenate(chunk_lines) if chunk_lines else np.zeros(0, np.int64)
+    lines = np.concatenate(chunk_lines)
     del chunks
 
     ids, first, inverse = np.unique(rows["patient_id"], return_index=True,
@@ -395,7 +399,7 @@ def filter_cohort(
     p = cohort.patients
     cells = cohort.lengths * len(cohort.covariates)
     missing = np.add.reduceat(np.isnan(cohort.values).sum(axis=1),
-                              cohort.bounds[:-1]) if len(cells) else cells
+                              cohort.bounds[:-1])
     fraction = missing / np.maximum(cells, 1)
     reasons = (("age_below_minimum", p["age_years"] < criteria.min_age),
                ("sofa_below_minimum", p["sofa_admission"] < criteria.min_sofa),
@@ -438,9 +442,7 @@ def impute_cohort(cohort: Cohort) -> tuple[Cohort, list[tuple[str, str]]]:
     imputed cohort and (patient_id, reason) for each dropped patient.
     """
     observed = ~np.isnan(cohort.values)
-    counts = np.add.reduceat(observed, cohort.bounds[:-1], axis=0) \
-        if len(cohort.ids) else np.zeros((0, len(cohort.covariates)), dtype=int)
-    empty = counts == 0
+    empty = np.add.reduceat(observed, cohort.bounds[:-1], axis=0) == 0
     dropped = []
     for p in np.flatnonzero(empty.any(axis=1)):
         err = ImputationError(str(cohort.ids[p]),
@@ -453,18 +455,19 @@ def impute_cohort(cohort: Cohort) -> tuple[Cohort, list[tuple[str, str]]]:
     rows = np.arange(len(owner))
     for j in range(len(kept.covariates)):
         col = kept.values[:, j]
-        gaps = np.flatnonzero(np.isnan(col))
+        missing = np.isnan(col)
+        gaps = np.flatnonzero(missing)
         if not gaps.size:
             continue
-        seen = np.flatnonzero(~np.isnan(col))
+        seen = np.flatnonzero(~missing)
         # One np.interp over the whole column: a gap between two observations
         # of its patient gets the same bits as an interp over that patient's
         # hours alone, because np.interp uses only the bracketing pair and
         # the row offsets cancel exactly in the differences.  Gaps before a
         # patient's first or after its last observation take that value.
         filled = np.interp(gaps, seen, col[seen])
-        first = np.minimum.reduceat(np.where(np.isnan(col), len(col), rows), starts)
-        last = np.maximum.reduceat(np.where(np.isnan(col), -1, rows), starts)
+        first = np.minimum.reduceat(np.where(missing, len(col), rows), starts)
+        last = np.maximum.reduceat(np.where(missing, -1, rows), starts)
         edge_first, edge_last = first[owner[gaps]], last[owner[gaps]]
         filled = np.where(gaps < edge_first, col[edge_first], filled)
         filled = np.where(gaps > edge_last, col[edge_last], filled)

@@ -260,9 +260,9 @@ HEADER_DEFECTS = {
 }
 
 
-def _error(parse, text):
+def _error(parse, text, covariates=COVARIATES):
     try:
-        parse(io.StringIO(text), COVARIATES)
+        parse(io.StringIO(text), covariates)
     except DataError as err:
         return type(err), str(err), getattr(err, "line_number", None)
     return None
@@ -325,3 +325,19 @@ def test_nul_rows_do_not_merge_with_their_patient():
     text = "\n".join([HEADER] + _base() + [_row("p0\0", h) for h in range(3)])
     with pytest.raises(DataError, match="line 11: NUL character in patient_id"):
         cohort.parse_cohort(io.StringIO(text + "\n"), COVARIATES)
+
+
+def test_covariates_may_share_names_with_other_columns():
+    # columns are read by position, as the reference reads them
+    covariates = ("age_years", "x", "x")
+    header = ",".join(cohort.FIXED_COLUMNS + covariates)
+    good = [_row("p0", h) for h in range(2)]
+    bad = good + [_row("p1", 0, lactate="oops"), _row("p1", 1)]
+    for rows in (good, bad):
+        text = "\n".join([header] + rows) + "\n"
+        expected = _error(cohort_oracle.parse_cohort, text, covariates)
+        assert _error(cohort.parse_cohort, text, covariates) == expected
+    parsed = cohort.parse_cohort(io.StringIO("\n".join([header] + good) + "\n"),
+                                 covariates)
+    assert parsed.values[0].tolist() == [80.0, 70.0, 1.5]
+    assert parsed.patients["age_years"].tolist() == [50.0]
