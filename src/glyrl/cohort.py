@@ -116,27 +116,21 @@ class FilterCriteria:
 # --- parsing ------------------------------------------------------------------
 
 
-def _float(text: str) -> Optional[float]:
-    try:
-        return float(text) if text else math.nan
-    except ValueError:
-        return None
-
-
 def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """float() of every non-empty cell (NaN for empty and unparsable ones),
     the cells float() rejects, and the non-empty cells."""
     present = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    values = np.full(len(cells), np.nan)
+    bad = np.zeros(len(cells), dtype=bool)
     try:
-        # "nan" stands in for an empty cell; ``present`` tells the two apart
-        return (np.array(list(map(float, cells if present.all() else
-                                  [c or "nan" for c in cells])), dtype=np.float64),
-                np.zeros(len(cells), dtype=bool), present)
-    except ValueError:  # an unparsable cell
-        values = [_float(c) for c in cells]
-    bad = np.fromiter((v is None for v in values), dtype=bool, count=len(cells))
-    return (np.array([math.nan if v is None else v for v in values],
-                     dtype=np.float64), bad, present)
+        values[present] = list(map(float, itertools.compress(cells, present)))
+    except ValueError:
+        for i in np.flatnonzero(present):
+            try:
+                values[i] = float(cells[i])
+            except ValueError:
+                bad[i] = True
+    return values, bad, present
 
 
 def _ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -478,20 +472,9 @@ def impute_cohort(cohort: Cohort) -> tuple[Cohort, list[tuple[str, str]]]:
 # --- state-vector assembly and normalization -------------------------------
 
 # Static fields entering the per-hour state vector, in order, ahead of the
-# time-varying covariates. Enum fields are mapped to integer codes first.
-STATIC_FEATURES = (
-    "age_years",
-    "gender",
-    "icu_unit",
-    "sofa_admission",
-    "elixhauser",
-    "mech_vent",
-    "intubation",
-    "vasopressor",
-    "hba1c_ge_7",
-    "first_glucose_mgdl",
-    "diabetic",
-)
+# time-varying covariates: the numeric and enum statics (enum fields are
+# mapped to integer codes first), then the derived diabetic flag.
+STATIC_FEATURES = STATIC_COLUMNS[:STATIC_COLUMNS.index("icd9_codes")] + ("diabetic",)
 
 
 @dataclass(frozen=True)

@@ -164,20 +164,16 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
             return parse_cohort(fh, covariates)
     except OSError as exc:
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
-    except UnicodeDecodeError as exc:
-        # the decoder reads ahead of the CSV reader: find the line itself
-        with open(path, "rb") as fh:
-            line = next((n for n, raw in enumerate(fh, 1) if not _decodes(raw)), 0)
-        raise DataError("cohort %s line %d is not UTF-8 text (%s)"
-                        % (path, line, exc.reason))
-
-
-def _decodes(raw: bytes) -> bool:
-    try:
-        raw.decode("utf-8")
     except UnicodeDecodeError:
-        return False
-    return True
+        # the decoder reads ahead of the CSV reader: locate the bad byte itself
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("cohort %s line %d is not UTF-8 text (%s)" % (
+                path, data.count(b"\n", 0, exc.start) + 1, exc.reason))
+        raise
 
 
 HOURS_FILE = "hours.npy"
