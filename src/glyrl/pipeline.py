@@ -285,10 +285,12 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
         max_missing_fraction=config.preprocessing.max_missing_fraction,
     )
     kept, exclusions = filter_cohort(parsed, criteria)
-    imputed, dropped = impute_cohort(kept)
     n_parsed = len(parsed.ids)
-    # free the parsed and filtered copies before the hours table is built
-    del parsed, kept
+    # free each copy of the cohort once the next one exists: ingest's peak
+    # memory is the largest two copies, not all of them
+    del parsed
+    imputed, dropped = impute_cohort(kept)
+    del kept
     if not len(imputed.ids):
         raise DataError("no patients left after filtering and imputation")
     train_at, test_at = split_patients(
