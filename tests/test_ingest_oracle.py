@@ -252,11 +252,12 @@ INTEGRITY_DEFECTS = {
                                             (8, {"map": "?"})),
 }
 
+BODY = "\n".join(_base()) + "\n"
 HEADER_DEFECTS = {
     "empty_file": "",
-    "wrong_header": "patient,hour\n",
-    "schema_mismatch": ",".join(cohort.FIXED_COLUMNS + ("hr", "map")) + "\n",
-    "nul_in_header": HEADER.replace("map", "m\0ap") + "\n",
+    "wrong_header": "patient,hour\n" + BODY,
+    "schema_mismatch": ",".join(cohort.FIXED_COLUMNS + ("hr", "map")) + "\n" + BODY,
+    "nul_in_header": HEADER.replace("map", "m\0ap") + "\n" + BODY,
 }
 
 
@@ -272,7 +273,7 @@ CASES = [(name, make) for name, make in
          sorted({**PARSE_DEFECTS, **INTEGRITY_DEFECTS}.items())]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "n"])
 @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
 def test_errors_match_the_object_reference(name, make, chunk):
     rows = make()
@@ -286,9 +287,7 @@ def test_errors_match_the_object_reference(name, make, chunk):
 
 @pytest.mark.parametrize("name", sorted(HEADER_DEFECTS))
 def test_header_errors_match_the_object_reference(name):
-    text = HEADER_DEFECTS[name] + "\n".join(_base()) + "\n"
-    if not HEADER_DEFECTS[name]:
-        text = ""
+    text = HEADER_DEFECTS[name]
     expected = _error(cohort_oracle.parse_cohort, text)
     assert expected is not None and expected[2] == 1
     assert _error(cohort.parse_cohort, text) == expected
