@@ -9,6 +9,7 @@ mortality anchor (the estimator applied to the logged policy should land
 on the training split's observed mortality).
 """
 
+import csv
 import json
 import os
 import tempfile
@@ -54,17 +55,16 @@ def main():
                  - anchor["empirical_mortality"])))
 
     # grade the recovered policy: map clusters to their majority severity
-    assigned = pipeline._read_assignments(os.path.join(art, "assignments.csv"))
     votes = defaultdict(Counter)
-    for pid, hours in assigned.items():
-        latents = truth.latent_states[pid]
-        for hour, state in hours.items():
-            votes[state][latents[hour]] += 1
+    with open(os.path.join(art, "assignments.csv"), newline="") as fh:
+        for pid, hour, state in list(csv.reader(fh))[1:]:
+            votes[int(state)][truth.latent_states[pid][int(hour)]] += 1
     majority = {s: c.most_common(1)[0][0] for s, c in votes.items()}
 
-    policy, _, _ = read_solution(os.path.join(art, "solution", "optimal.csv"))
-    trajs = read_trajectories(os.path.join(art, "mdp",
-                                           "trajectories_train.csv"))
+    with open(os.path.join(art, "solution", "optimal.csv")) as fh:
+        policy, _, _ = read_solution(fh.read())
+    with open(os.path.join(art, "mdp", "trajectories_train.csv")) as fh:
+        trajs = read_trajectories(fh.read())
     visited = sorted({s for t in trajs for s, _, _ in t.steps})
     hits = sum(int(policy[s]) == int(truth.pi_star[majority[s]])
                for s in visited)

@@ -10,13 +10,11 @@ farthest from its current centroid, and the whole fit is a pure function of
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import ArtifactError
 
 DEFAULT_K = 500
 DEFAULT_TOL = 1e-6
@@ -211,7 +209,8 @@ def assign_many(points, model: ClusterModel) -> np.ndarray:
     return labels
 
 
-def save_clusters(path: str, model: ClusterModel) -> None:
+def save_clusters(model: ClusterModel) -> str:
+    """The model as JSON text."""
     model.validate()
     doc = {
         "format": CLUSTER_FORMAT,
@@ -222,32 +221,4 @@ def save_clusters(path: str, model: ClusterModel) -> None:
         "inertia": model.inertia,
         "centroids": model.centroids.tolist(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def load_clusters(path: str) -> ClusterModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError("cannot read cluster model %s: %s" % (path, exc))
-    if doc.get("format") != CLUSTER_FORMAT:
-        raise ArtifactError("%s is not a cluster model file" % path)
-    if doc.get("version") != CLUSTER_FORMAT_VERSION:
-        raise ArtifactError("unsupported cluster model version %r" % (doc.get("version"),))
-    try:
-        model = ClusterModel(
-            np.array(doc["centroids"], dtype=float),
-            int(doc["k"]),
-            int(doc["dim"]),
-            float(doc["inertia"]),
-            int(doc["seed"]),
-        )
-        model.validate()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError("malformed cluster model %s: %s" % (path, exc))
-    return model
+    return json.dumps(doc, indent=1) + "\n"

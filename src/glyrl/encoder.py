@@ -18,13 +18,12 @@ oracle.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArtifactError, TrainingDivergedError
+from .errors import TrainingDivergedError
 
 DEFAULT_LATENT_DIM = 32
 
@@ -410,9 +409,9 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
     return params
 
 
-def save_encoder(path: str, params: EncoderParams,
-                 hyperparameters: Optional[dict] = None) -> None:
-    """Write params as self-describing JSON (row-major weight lists)."""
+def save_encoder(params: EncoderParams,
+                 hyperparameters: Optional[dict] = None) -> str:
+    """Params as self-describing JSON text (row-major weight lists)."""
     params.validate()
     doc = {
         "format": ENCODER_FORMAT,
@@ -425,33 +424,23 @@ def save_encoder(path: str, params: EncoderParams,
         "W_dec": params.W_dec.tolist(),
         "b_dec": params.b_dec.tolist(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    return json.dumps(doc, indent=1) + "\n"
 
 
-def load_encoder(path: str) -> EncoderParams:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError("cannot read encoder model %s: %s" % (path, exc))
-    if doc.get("format") != ENCODER_FORMAT:
-        raise ArtifactError("%s is not an encoder model file" % path)
+def load_encoder(text: str) -> EncoderParams:
+    """The params of ``save_encoder``'s text."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("format") != ENCODER_FORMAT:
+        raise ValueError("not an encoder model file")
     if doc.get("version") != ENCODER_FORMAT_VERSION:
-        raise ArtifactError("unsupported encoder model version %r" % (doc.get("version"),))
-    try:
-        params = EncoderParams(
-            np.array(doc["W_enc"], dtype=float),
-            np.array(doc["b_enc"], dtype=float),
-            np.array(doc["W_dec"], dtype=float),
-            np.array(doc["b_dec"], dtype=float),
-        )
-        params.validate()
-        if (params.input_dim, params.latent_dim) != (doc["input_dim"], doc["latent_dim"]):
-            raise ValueError("declared dims do not match stored arrays")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError("malformed encoder model %s: %s" % (path, exc))
+        raise ValueError("unsupported encoder model version %r" % (doc.get("version"),))
+    params = EncoderParams(
+        np.array(doc["W_enc"], dtype=float),
+        np.array(doc["b_enc"], dtype=float),
+        np.array(doc["W_dec"], dtype=float),
+        np.array(doc["b_dec"], dtype=float),
+    )
+    params.validate()
+    if (params.input_dim, params.latent_dim) != (doc["input_dim"], doc["latent_dim"]):
+        raise ValueError("declared dims do not match stored arrays")
     return params

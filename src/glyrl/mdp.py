@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArtifactError, IntegrityError
+from .errors import IntegrityError
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +35,8 @@ FALLBACK_ACTION = 0
 
 MDP_FORMAT = "glyrl-mdp"
 MDP_FORMAT_VERSION = 1
+MDP_COLUMNS = "s,a,s_next,count,p"
+TRAJECTORY_COLUMNS = "patient_id,step_index,state,action,next_state"
 
 
 @dataclass(frozen=True)
@@ -261,41 +262,59 @@ def extract_real_policy(mdp: MDPModel) -> np.ndarray:
     return policy
 
 
-def write_trajectories(path: str, trajectories: Sequence[Trajectory]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("patient_id,step_index,state,action,next_state\n")
-        for traj in trajectories:
-            for i, (s, a, sp) in enumerate(traj.steps):
-                fh.write("%s,%d,%d,%d,%d\n" % (traj.patient_id, i, s, a, sp))
-    os.replace(tmp, path)
+def _text_lines(text: str) -> List[str]:
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
-def read_trajectories(path: str) -> List[Trajectory]:
+def split_headed_csv(text: str, fmt: str, version: int,
+                     columns: str) -> Tuple[dict, Iterator[List[str]]]:
+    """The header and the comma-split rows of a ``fmt`` file: a JSON header
+    line, the ``columns`` line, then one row per line."""
+    lines = _text_lines(text)
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValueError("not a %s file" % fmt)
+    if header.get("version") != version:
+        raise ValueError("unsupported %s version %r" % (fmt, header.get("version")))
+    if lines[1:2] != [columns]:
+        raise ValueError("the column header is not %r" % columns)
+    return header, (line.split(",") for line in lines[2:])
+
+
+def write_trajectories(trajectories: Sequence[Trajectory]) -> str:
+    """One `patient_id,step_index,state,action,next_state` row per step."""
+    # joined per patient first: a list of every row would outweigh the text
+    return TRAJECTORY_COLUMNS + "\n" + "".join(
+        "".join("%s,%d,%d,%d,%d\n" % (traj.patient_id, i, s, a, sp)
+                for i, (s, a, sp) in enumerate(traj.steps))
+        for traj in trajectories)
+
+
+def read_trajectories(text: str) -> List[Trajectory]:
+    """The trajectories of ``write_trajectories``' text."""
+    lines = _text_lines(text)
+    if lines[:1] != [TRAJECTORY_COLUMNS]:
+        raise ValueError("not a trajectory file")
     out: List[Trajectory] = []
     current: Optional[Trajectory] = None
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "patient_id,step_index,state,action,next_state":
-                raise ArtifactError("%s is not a trajectory file" % path)
-            for line in fh:
-                pid, idx, s, a, sp = line.rstrip("\n").split(",")
-                if current is None or current.patient_id != pid:
-                    current = Trajectory(pid, [])
-                    out.append(current)
-                if int(idx) != len(current.steps):
-                    raise ArtifactError("non-contiguous steps for patient %s" % pid)
-                current.steps.append((int(s), int(a), int(sp)))
-    except OSError as exc:
-        raise ArtifactError("cannot read trajectories %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise ArtifactError("malformed trajectory file %s: %s" % (path, exc))
+    for line in lines[1:]:
+        pid, idx, s, a, sp = line.split(",")
+        if current is None or current.patient_id != pid:
+            current = Trajectory(pid, [])
+            out.append(current)
+        if int(idx) != len(current.steps):
+            raise ValueError("non-contiguous steps for patient %s" % pid)
+        current.steps.append((int(s), int(a), int(sp)))
     return out
 
 
-def save_mdp(path: str, mdp: MDPModel) -> None:
-    """Header line of JSON, then one `s,a,s',count,p` row per counted triplet."""
+def save_mdp(mdp: MDPModel) -> str:
+    """The model as text: a JSON header line, then one `s,a,s',count,p` row
+    per counted triplet."""
     mdp.validate()
     header = {
         "format": MDP_FORMAT,
@@ -307,72 +326,44 @@ def save_mdp(path: str, mdp: MDPModel) -> None:
         "bin_edges": list(mdp.action_space.bin_edges),
         "n_rows": int(len(mdp.trans_s)),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write("s,a,s_next,count,p\n")
-        for s, a, sp, c, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp,
-                                  mdp.trans_count, mdp.trans_p):
-            fh.write("%d,%d,%d,%d,%s\n" % (s, a, sp, c, repr(float(p))))
-    os.replace(tmp, path)
+    return json.dumps(header, sort_keys=True) + "\n" + MDP_COLUMNS + "\n" + \
+        "".join("%d,%d,%d,%d,%s\n" % (s, a, sp, c, repr(float(p)))
+                for s, a, sp, c, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp,
+                                          mdp.trans_count, mdp.trans_p))
 
 
-def load_mdp(path: str) -> MDPModel:
-    """Rebuild the model from stored counts; stored p must agree."""
-    try:
-        with open(path) as fh:
-            first = fh.readline()
-            try:
-                header = json.loads(first)
-            except json.JSONDecodeError:
-                raise ArtifactError("%s does not start with an MDP header" % path)
-            if not isinstance(header, dict) or header.get("format") != MDP_FORMAT:
-                raise ArtifactError("%s is not an MDP file" % path)
-            if header.get("version") != MDP_FORMAT_VERSION:
-                raise ArtifactError("unsupported MDP version %r" % (header.get("version"),))
-            columns = fh.readline().strip()
-            if columns != "s,a,s_next,count,p":
-                raise ArtifactError("unexpected MDP column header %r" % columns)
-            rows = []
-            for line in fh:
-                s, a, sp, c, p = line.rstrip("\n").split(",")
-                rows.append((int(s), int(a), int(sp), int(c), float(p)))
-    except OSError as exc:
-        raise ArtifactError("cannot read MDP %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise ArtifactError("malformed MDP file %s: %s" % (path, exc))
-
-    try:
-        k = int(header["k"])
-        gamma = float(header["gamma"])
-        min_count = int(header["min_count"])
-        action_space = ActionSpace(tuple(header["bin_edges"]))
-        declared = int(header["n_rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError("incomplete MDP header in %s: %s" % (path, exc))
+def load_mdp(text: str) -> MDPModel:
+    """Rebuild the model from the counts in ``save_mdp``'s text; the stored
+    p must agree."""
+    header, body = split_headed_csv(text, MDP_FORMAT, MDP_FORMAT_VERSION,
+                                    MDP_COLUMNS)
+    rows = [(int(s), int(a), int(sp), int(c), float(p))
+            for s, a, sp, c, p in body]
+    k = int(header["k"])
+    gamma = float(header["gamma"])
+    min_count = int(header["min_count"])
+    action_space = ActionSpace(tuple(header["bin_edges"]))
+    declared = int(header["n_rows"])
     if declared != len(rows):
-        raise ArtifactError("%s declares %d rows but has %d" % (path, declared, len(rows)))
+        raise ValueError("declares %d rows but has %d" % (declared, len(rows)))
     if int(header.get("n_states", k + 2)) != k + 2:
-        raise ArtifactError("inconsistent n_states in %s" % path)
+        raise ValueError("inconsistent n_states")
 
     stored = {(s, a, sp): (c, p) for s, a, sp, c, p in rows}
     if len(stored) != len(rows):
-        raise ArtifactError("duplicate triplet rows in %s" % path)
+        raise ValueError("duplicate triplet rows")
     if not stored:
-        raise ArtifactError("%s contains no transitions" % path)
+        raise ValueError("no transitions")
     counts = {key: c for key, (c, _) in stored.items()}
     if any(c <= 0 for c in counts.values()):
-        raise ArtifactError("non-positive count in %s" % path)
+        raise ValueError("non-positive count")
     if any(not (0 <= s < k and 0 <= a < action_space.n_actions and 0 <= sp < k + 2)
            for s, a, sp in counts):
-        raise ArtifactError("triplet indices out of range in %s" % path)
-    try:
-        model = _model_from_counts(counts, k, min_count, gamma, action_space)
-    except ValueError as exc:
-        raise ArtifactError("inconsistent MDP in %s: %s" % (path, exc))
+        raise ValueError("triplet indices out of range")
+    model = _model_from_counts(counts, k, min_count, gamma, action_space)
     for s, a, sp, c, p in zip(model.trans_s, model.trans_a, model.trans_sp,
                               model.trans_count, model.trans_p):
         c_stored, p_stored = stored[(int(s), int(a), int(sp))]
         if c_stored != int(c) or abs(p_stored - float(p)) > 1e-12:
-            raise ArtifactError("stored probabilities in %s disagree with counts" % path)
+            raise ValueError("stored probabilities disagree with counts")
     return model

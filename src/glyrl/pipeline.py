@@ -15,7 +15,7 @@ import io
 import json
 import logging
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def derive_seed(master: int, stream: str) -> int:
 
 def _write_text(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
@@ -116,11 +116,11 @@ def _manifest_read(art_dir: str) -> dict:
             "stages": {},
         }
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+    except (OSError, ValueError) as exc:
         raise ArtifactError("cannot read manifest %s: %s" % (path, exc))
-    if doc.get("format") != MANIFEST_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ArtifactError("%s is not a pipeline manifest" % path)
     return doc
 
@@ -164,6 +164,17 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
             return parse_cohort(fh, covariates)
     except OSError as exc:
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
+    except csv.Error:
+        # csv.reader counts the lines it has read: read again to the bad row
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                for _ in reader:
+                    pass
+            except csv.Error as exc:
+                raise DataError("cohort %s line %d: %s"
+                                % (path, reader.line_num, exc))
+        raise
     except UnicodeDecodeError:
         # the decoder reads ahead of the CSV reader: locate the bad byte itself
         with open(path, "rb") as fh:
@@ -178,6 +189,9 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
 
 HOURS_FILE = "hours.npy"
 ENCODER_FILE = "encoder.model"
+MDP_FILE = os.path.join("mdp", "mdp.txt")
+TRAJECTORY_FILE = os.path.join("mdp", "trajectories_%s.csv")
+SOLUTION_FILE = os.path.join("solution", "%s.csv")
 
 
 def _save_hours(path: str, table: np.ndarray) -> None:
@@ -210,9 +224,10 @@ def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
     return None
 
 
-def _recorded_path(art_dir: str, stage: str, rel: str) -> str:
-    """The path of ``rel``, once its SHA-256 matches the one that ``stage``'s
-    manifest entry records."""
+def _read_artifact(art_dir: str, stage: str, rel: str, what: str, parse):
+    """``parse`` of the bytes of ``rel``, read once and checked against the
+    SHA-256 that ``stage``'s manifest entry records.  A file that cannot be
+    read, does not match or does not parse raises an ArtifactError naming it."""
     path = os.path.join(art_dir, rel)
     stages = _manifest_read(art_dir).get("stages")
     entry = stages.get(stage) if isinstance(stages, dict) else None
@@ -221,54 +236,33 @@ def _recorded_path(art_dir: str, stage: str, rel: str) -> str:
         raise ArtifactError("the manifest records no %s checksum for %s; "
                             "rerun %s" % (stage, path, stage))
     try:
-        digest = _sha256(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        raise ArtifactError("cannot read %s: %s" % (path, exc))
-    if digest != recorded:
+        raise ArtifactError("cannot read %s %s: %s" % (what, path, exc))
+    if hashlib.sha256(data).hexdigest() != recorded:
         raise ArtifactError("%s does not match the SHA-256 the %s manifest "
-                            "entry records" % (path, stage))
-    return path
+                            "entry records; rerun %s" % (path, stage, stage))
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ArtifactError("malformed %s %s: no %s field" % (what, path, exc))
+    except (ValueError, TypeError, IndexError, OverflowError, RecursionError,
+            EOFError, csv.Error) as exc:
+        raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
 
 
 def _load_hours(config: PipelineConfig, art_dir: str) -> Tuple[np.ndarray, int]:
-    """hours.npy, checked against the SHA-256 its ingest manifest entry
-    records; returns the table and its number of (leading) training rows."""
-    path = _recorded_path(art_dir, "ingest", HOURS_FILE)
-    try:
-        rows = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ArtifactError("cannot read model-ready hours %s: %s" % (path, exc))
+    """hours.npy and its number of (leading) training rows."""
+    rows = _read_artifact(art_dir, "ingest", HOURS_FILE, "model-ready hours",
+                          lambda data: np.load(io.BytesIO(data),
+                                               allow_pickle=False))
+    # checked once the file's bytes are freed
     problem = _hours_problem(rows, len(state_feature_names(config.covariates)))
     if problem is not None:
-        raise ArtifactError("malformed model-ready hours %s: %s" % (path, problem))
+        raise ArtifactError("malformed model-ready hours %s: %s"
+                            % (os.path.join(art_dir, HOURS_FILE), problem))
     return rows, int(np.count_nonzero(rows["split"] == 0))
-
-
-def _read_assignment_columns(path: str) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """Patient ids, hour indices and state ids, in file order."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["patient_id", "hour_index", "state_id"]:
-                raise ArtifactError("%s is not an assignments file" % path)
-            body = list(reader)
-        if any(len(row) != 3 for row in body):
-            raise ValueError("a row does not have 3 fields")
-        ints = np.array([(int(row[1]), int(row[2])) for row in body],
-                        dtype=np.int64).reshape(-1, 2)
-    except OSError as exc:
-        raise ArtifactError("cannot read assignments %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise ArtifactError("malformed assignments %s: %s" % (path, exc))
-    return [row[0] for row in body], ints[:, 0], ints[:, 1]
-
-
-def _read_assignments(path: str) -> Dict[str, Dict[int, int]]:
-    out: Dict[str, Dict[int, int]] = {}
-    ids, hours, states = _read_assignment_columns(path)
-    for pid, hour, state in zip(ids, hours.tolist(), states.tolist()):
-        out.setdefault(pid, {})[hour] = state
-    return out
 
 
 # --- stages -------------------------------------------------------------------
@@ -340,12 +334,12 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
         SparsityConfig(target=enc.sparsity_target, beta=enc.beta),
         latent_dim=enc.latent_dim,
     )
-    save_encoder(os.path.join(art_dir, ENCODER_FILE), params,
-                 hyperparameters={"sparsity_target": enc.sparsity_target,
-                                  "beta": enc.beta, "epochs": enc.epochs,
-                                  "batch_size": enc.batch_size,
-                                  "learning_rate": enc.learning_rate,
-                                  "optimizer": enc.optimizer})
+    _write_text(os.path.join(art_dir, ENCODER_FILE), save_encoder(
+        params, hyperparameters={"sparsity_target": enc.sparsity_target,
+                                 "beta": enc.beta, "epochs": enc.epochs,
+                                 "batch_size": enc.batch_size,
+                                 "learning_rate": enc.learning_rate,
+                                 "optimizer": enc.optimizer}))
     _manifest_record(art_dir, config, "train-encoder", [ENCODER_FILE])
 
 
@@ -360,8 +354,9 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     ids, hours = rows["patient_id"].tolist(), rows["hour"].tolist()
     del rows
     if config.representation == "sparse_ae":
-        params = load_encoder(
-            _recorded_path(art_dir, "train-encoder", ENCODER_FILE))
+        params = _read_artifact(art_dir, "train-encoder", ENCODER_FILE,
+                                "encoder model",
+                                lambda data: load_encoder(data.decode()))
         points_train = encode(points_train, params)
         if len(points_test):
             points_test = encode(points_test, params)
@@ -369,7 +364,7 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
                        seed=derive_seed(config.seed, "kmeans"),
                        max_iters=config.clustering.max_iters,
                        tol=config.clustering.tol)
-    save_clusters(os.path.join(art_dir, "clusters.model"), model)
+    _write_text(os.path.join(art_dir, "clusters.model"), save_clusters(model))
 
     labels_test = assign_many(points_test, model).tolist() if len(points_test) \
         else []
@@ -383,23 +378,39 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
                      extra={"representation": config.representation})
 
 
-def _aligned_labels(path: str, rows: np.ndarray, k: int) -> np.ndarray:
+def _aligned_labels(art_dir: str, rows: np.ndarray, k: int) -> np.ndarray:
     """The state of each row of ``rows``; assignments.csv must list the same
     patient-hours in the same order."""
-    ids, hours, labels = _read_assignment_columns(path)
-    if len(ids) != len(rows):
-        raise ArtifactError("%s has %d rows but %s has %d"
-                            % (path, len(ids), HOURS_FILE, len(rows)))
-    off = np.flatnonzero((np.array(ids, dtype=str) != rows["patient_id"])
-                         | (hours != rows["hour"]))
-    if off.size:
-        raise ArtifactError("%s line %d does not line up with %s"
-                            % (path, off[0] + 2, HOURS_FILE))
-    off = np.flatnonzero((labels < 0) | (labels >= k))
-    if off.size:
-        raise ArtifactError("%s line %d: state %d outside [0, %d)"
-                            % (path, off[0] + 2, labels[off[0]], k))
-    return labels
+    def parse(data: bytes) -> np.ndarray:
+        # decoded as it is read, like a file: no second copy of the text
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                             newline=""))
+        if next(reader, None) != ["patient_id", "hour_index", "state_id"]:
+            raise ValueError("not an assignments file")
+        ids, ints = [], []
+        for row in reader:
+            if len(row) != 3:
+                raise ValueError("line %d does not have 3 fields"
+                                 % reader.line_num)
+            ids.append(row[0])
+            ints.append((int(row[1]), int(row[2])))
+        if len(ids) != len(rows):
+            raise ValueError("%d rows but %s has %d"
+                             % (len(ids), HOURS_FILE, len(rows)))
+        hours, labels = np.array(ints, dtype=np.int64).reshape(-1, 2).T
+        off = np.flatnonzero((np.array(ids, dtype=str) != rows["patient_id"])
+                             | (hours != rows["hour"]))
+        if off.size:
+            raise ValueError("line %d does not line up with %s"
+                             % (off[0] + 2, HOURS_FILE))
+        off = np.flatnonzero((labels < 0) | (labels >= k))
+        if off.size:
+            raise ValueError("line %d: state %d outside [0, %d)"
+                             % (off[0] + 2, labels[off[0]], k))
+        return labels
+
+    return _read_artifact(art_dir, "cluster", "assignments.csv", "assignments",
+                          parse)
 
 
 def _assigned(rows: np.ndarray, labels: np.ndarray) -> List[AssignedSeries]:
@@ -418,7 +429,7 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
     rows, n_train = _load_hours(config, art_dir)
     k = config.clustering.k
-    labels = _aligned_labels(os.path.join(art_dir, "assignments.csv"), rows, k)
+    labels = _aligned_labels(art_dir, rows, k)
     space = ActionSpace(config.mdp.bin_edges)
     trajs_train = build_trajectories(
         _assigned(rows[:n_train], labels[:n_train]), space, k)
@@ -429,62 +440,67 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     model = estimate_mdp(trajs_train, k, min_count=config.mdp.min_count,
                          gamma=config.mdp.gamma, action_space=space)
     os.makedirs(os.path.join(art_dir, "mdp"), exist_ok=True)
-    save_mdp(os.path.join(art_dir, "mdp", "mdp.txt"), model)
-    write_trajectories(os.path.join(art_dir, "mdp", "trajectories_train.csv"),
-                       trajs_train)
-    write_trajectories(os.path.join(art_dir, "mdp", "trajectories_test.csv"),
-                       trajs_test)
+    _write_text(os.path.join(art_dir, MDP_FILE), save_mdp(model))
+    for split, trajs in (("train", trajs_train), ("test", trajs_test)):
+        _write_text(os.path.join(art_dir, TRAJECTORY_FILE % split),
+                    write_trajectories(trajs))
     _manifest_record(art_dir, config, "build-mdp",
-                     [os.path.join("mdp", "mdp.txt"),
-                      os.path.join("mdp", "trajectories_train.csv"),
-                      os.path.join("mdp", "trajectories_test.csv")])
+                     [MDP_FILE, TRAJECTORY_FILE % "train",
+                      TRAJECTORY_FILE % "test"])
 
 
 def stage_solve(config: PipelineConfig, art_dir: str) -> None:
     """Policy-iterate the optimal policy; evaluate the behavioral one."""
-    model = load_mdp(os.path.join(art_dir, "mdp", "mdp.txt"))
+    model = _read_artifact(art_dir, "build-mdp", MDP_FILE, "MDP",
+                           lambda data: load_mdp(data.decode()))
     optimal = policy_iteration(model, epsilon=config.solver.epsilon)
     pi_real = extract_real_policy(model)
     v_real = policy_evaluation(model, pi_real, epsilon=config.solver.epsilon)
     real = PolicySolution(policy=pi_real, V=v_real, Q=None,
                           eval_sweeps=0, improvements=0, converged=True)
-    sol_dir = os.path.join(art_dir, "solution")
-    os.makedirs(sol_dir, exist_ok=True)
-    write_solution(os.path.join(sol_dir, "optimal.csv"), optimal, "optimal")
-    write_solution(os.path.join(sol_dir, "real.csv"), real, "real")
-    write_q_table(os.path.join(sol_dir, "q_optimal.csv"), optimal)
+    os.makedirs(os.path.join(art_dir, "solution"), exist_ok=True)
+    for label, solution in (("optimal", optimal), ("real", real)):
+        _write_text(os.path.join(art_dir, SOLUTION_FILE % label),
+                    write_solution(solution, label))
+    q_table = os.path.join("solution", "q_optimal.csv")
+    _write_text(os.path.join(art_dir, q_table), write_q_table(optimal))
     _manifest_record(art_dir, config, "solve",
-                     [os.path.join("solution", "optimal.csv"),
-                      os.path.join("solution", "real.csv"),
-                      os.path.join("solution", "q_optimal.csv")])
+                     [SOLUTION_FILE % "optimal", SOLUTION_FILE % "real",
+                      q_table])
 
 
 def _read_values(art_dir: str, label: str) -> np.ndarray:
     """V over the k non-terminal states from solution/<label>.csv."""
-    path = os.path.join(art_dir, "solution", label + ".csv")
-    _, values, found = read_solution(path)
-    if found != label:
-        raise ArtifactError("%s holds the %r solution, expected %r"
-                            % (path, found, label))
-    if not np.all(np.isfinite(values)):
-        raise ArtifactError("%s holds a value that is not finite" % path)
-    return values
+    def parse(data: bytes) -> np.ndarray:
+        _, values, found = read_solution(data.decode())
+        if found != label:
+            raise ValueError("holds the %r solution, expected %r"
+                             % (found, label))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("holds a value that is not finite")
+        return values
+
+    return _read_artifact(art_dir, "solve", SOLUTION_FILE % label, "solution",
+                          parse)
 
 
 def _read_trajectories(art_dir: str, split: str, k: int) -> List[Trajectory]:
     """mdp/trajectories_<split>.csv, every step inside the k-state MDP."""
-    path = os.path.join(art_dir, "mdp", "trajectories_%s.csv" % split)
-    trajs = read_trajectories(path)
-    if split == "train" and not trajs:
-        raise ArtifactError("%s lists no trajectories" % path)
-    for traj in trajs:
-        for s, _, sp in traj.steps:
-            if not (0 <= s < k and 0 <= sp < k + 2):
-                raise ArtifactError(
-                    "%s: patient %s steps from state %d to %d; states must lie "
-                    "in [0, %d) and next states in [0, %d)"
-                    % (path, traj.patient_id, s, sp, k, k + 2))
-    return trajs
+    def parse(data: bytes) -> List[Trajectory]:
+        trajs = read_trajectories(data.decode())
+        if split == "train" and not trajs:
+            raise ValueError("lists no trajectories")
+        for traj in trajs:
+            for s, _, sp in traj.steps:
+                if not (0 <= s < k and 0 <= sp < k + 2):
+                    raise ValueError(
+                        "patient %s steps from state %d to %d; states must "
+                        "lie in [0, %d) and next states in [0, %d)"
+                        % (traj.patient_id, s, sp, k, k + 2))
+        return trajs
+
+    return _read_artifact(art_dir, "build-mdp", TRAJECTORY_FILE % split,
+                          "trajectory file", parse)
 
 
 def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
@@ -498,16 +514,6 @@ def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
     _manifest_record(art_dir, config, "calibrate", ["curve.csv"])
 
 
-def _read_curve(path: str) -> calib.CalibrationCurve:
-    try:
-        with open(path) as fh:
-            return calib.parse_curve_csv(fh.read())
-    except OSError as exc:
-        raise ArtifactError("cannot read calibration curve %s: %s" % (path, exc))
-    except (ValueError, IndexError) as exc:
-        raise ArtifactError("malformed calibration curve %s: %s" % (path, exc))
-
-
 def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
     """Score both policies' solved values on the test split; anchor the
     logged policy's estimate against training data."""
@@ -516,9 +522,11 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
     k = len(v_real)
     if len(v_opt) != k:
         raise ArtifactError("%s covers %d states but real.csv covers %d"
-                            % (os.path.join(art_dir, "solution", "optimal.csv"),
+                            % (os.path.join(art_dir, SOLUTION_FILE % "optimal"),
                                len(v_opt), k))
-    curve = _read_curve(os.path.join(art_dir, "curve.csv"))
+    curve = _read_artifact(art_dir, "calibrate", "curve.csv",
+                           "calibration curve",
+                           lambda data: calib.parse_curve_csv(data.decode()))
     trajs_train = _read_trajectories(art_dir, "train", k)
     trajs_test = _read_trajectories(art_dir, "test", k)
 

@@ -12,14 +12,13 @@ bounded by 100 in magnitude and evaluation contracts at rate gamma.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ArtifactError, ConvergenceError
-from .mdp import FALLBACK_ACTION, MDPModel
+from .errors import ConvergenceError
+from .mdp import FALLBACK_ACTION, MDPModel, split_headed_csv
 
 DEFAULT_EPSILON = 1e-4
 MAX_EVAL_SWEEPS = 1_000_000
@@ -27,6 +26,7 @@ MAX_IMPROVEMENTS = 1000
 
 SOLUTION_FORMAT = "glyrl-solution"
 SOLUTION_FORMAT_VERSION = 1
+SOLUTION_COLUMNS = "state_id,policy_action,V"
 
 
 @dataclass
@@ -201,8 +201,9 @@ def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
         "policy iteration did not stabilize within %d improvements" % max_improvements)
 
 
-def write_solution(path: str, solution: PolicySolution, label: str) -> None:
-    """Header JSON line, then `state_id,policy_action,V` per non-terminal state."""
+def write_solution(solution: PolicySolution, label: str) -> str:
+    """The solution as text: a JSON header line, then
+    `state_id,policy_action,V` per non-terminal state."""
     header = {
         "format": SOLUTION_FORMAT,
         "version": SOLUTION_FORMAT_VERSION,
@@ -212,56 +213,30 @@ def write_solution(path: str, solution: PolicySolution, label: str) -> None:
         "improvements": int(solution.improvements),
         "converged": bool(solution.converged),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write("state_id,policy_action,V\n")
-        for s, (a, v) in enumerate(zip(solution.policy, solution.V)):
-            fh.write("%d,%d,%s\n" % (s, int(a), repr(float(v))))
-    os.replace(tmp, path)
+    return json.dumps(header, sort_keys=True) + "\n" + SOLUTION_COLUMNS + "\n" + \
+        "".join("%d,%d,%s\n" % (s, int(a), repr(float(v)))
+                for s, (a, v) in enumerate(zip(solution.policy, solution.V)))
 
 
-def read_solution(path: str) -> Tuple[np.ndarray, np.ndarray, str]:
-    """Returns (policy, V over non-terminal states, label)."""
-    try:
-        with open(path) as fh:
-            try:
-                header = json.loads(fh.readline())
-            except json.JSONDecodeError:
-                raise ArtifactError("%s does not start with a solution header" % path)
-            if not isinstance(header, dict) or header.get("format") != SOLUTION_FORMAT:
-                raise ArtifactError("%s is not a solution file" % path)
-            if header.get("version") != SOLUTION_FORMAT_VERSION:
-                raise ArtifactError("unsupported solution version %r in %s"
-                                    % (header.get("version"), path))
-            if fh.readline().strip() != "state_id,policy_action,V":
-                raise ArtifactError("unexpected solution column header in %s" % path)
-            states, actions, values = [], [], []
-            for line in fh:
-                s, a, v = line.rstrip("\n").split(",")
-                states.append(int(s))
-                actions.append(int(a))
-                values.append(float(v))
-            k = int(header.get("k", len(states)))
-    except OSError as exc:
-        raise ArtifactError("cannot read solution %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise ArtifactError("malformed solution file %s: %s" % (path, exc))
-    if states != list(range(k)):
-        raise ArtifactError("solution rows in %s are not the contiguous states" % path)
+def read_solution(text: str) -> Tuple[np.ndarray, np.ndarray, str]:
+    """Returns (policy, V over non-terminal states, label) of
+    ``write_solution``'s text."""
+    header, body = split_headed_csv(text, SOLUTION_FORMAT,
+                                    SOLUTION_FORMAT_VERSION, SOLUTION_COLUMNS)
+    states, actions, values = [], [], []
+    for s, a, v in body:
+        states.append(int(s))
+        actions.append(int(a))
+        values.append(float(v))
+    if states != list(range(int(header.get("k", len(states))))):
+        raise ValueError("rows are not the contiguous states")
     return (np.array(actions, dtype=np.int64), np.array(values, dtype=float),
             str(header.get("label", "")))
 
 
-def write_q_table(path: str, solution: PolicySolution) -> None:
+def write_q_table(solution: PolicySolution) -> str:
     """`state_id,action,Q` triplets for every available pair."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("state_id,action,Q\n")
-        k, n_actions = solution.Q.shape
-        for s in range(k):
-            for a in range(n_actions):
-                q = solution.Q[s, a]
-                if np.isfinite(q):
-                    fh.write("%d,%d,%s\n" % (s, a, repr(float(q))))
-    os.replace(tmp, path)
+    Q = solution.Q
+    return "state_id,action,Q\n" + "".join(
+        "%d,%d,%s\n" % (s, a, repr(float(Q[s, a])))
+        for s, a in zip(*np.nonzero(np.isfinite(Q))))

@@ -8,6 +8,7 @@ central finite differences for the autoencoder gradient, and a synthetic
 cohort whose optimal policy is known by construction.
 """
 
+import csv
 import hashlib
 import io
 import itertools
@@ -207,7 +208,8 @@ def test_criterion_02_policy_iteration_matches_vi_oracle():
 def test_criterion_03_optimal_policy_dominates_logged_policy(ladder_run):
     started = time.monotonic()
     rng = np.random.default_rng(715)
-    cohort_mdp = load_mdp(os.path.join(ladder_run["art"], "mdp", "mdp.txt"))
+    with open(os.path.join(ladder_run["art"], "mdp", "mdp.txt")) as fh:
+        cohort_mdp = load_mdp(fh.read())
     mdps = [random_logged_mdp(rng) for _ in range(40)] + [cohort_mdp]
     for mdp in mdps:
         solution = policy_iteration(mdp, epsilon=1e-9)
@@ -352,19 +354,17 @@ def test_criterion_08_recovers_planted_policy_and_lowers_mortality(ladder_run):
 
     # map each cluster to its majority latent severity, then compare the
     # solved policy to the generator's optimum on every visited state
-    assigned = pipeline._read_assignments(os.path.join(art, "assignments.csv"))
     votes = defaultdict(Counter)
-    for pid, hours in assigned.items():
-        latents = truth.latent_states[pid]
-        for hour, state in hours.items():
-            votes[state][latents[hour]] += 1
+    with open(os.path.join(art, "assignments.csv"), newline="") as fh:
+        for pid, hour, state in list(csv.reader(fh))[1:]:
+            votes[int(state)][truth.latent_states[pid][int(hour)]] += 1
     majority = {s: c.most_common(1)[0][0] for s, c in votes.items()}
 
-    trajs = read_trajectories(os.path.join(art, "mdp",
-                                           "trajectories_train.csv"))
+    with open(os.path.join(art, "mdp", "trajectories_train.csv")) as fh:
+        trajs = read_trajectories(fh.read())
     visited = sorted({s for t in trajs for s, _, _ in t.steps})
-    policy, _, label = read_solution(os.path.join(art, "solution",
-                                                  "optimal.csv"))
+    with open(os.path.join(art, "solution", "optimal.csv")) as fh:
+        policy, _, label = read_solution(fh.read())
     assert label == "optimal"
     agree = [int(policy[s]) == int(truth.pi_star[majority[s]])
              for s in visited]

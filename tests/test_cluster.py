@@ -2,23 +2,26 @@
 
 The nearest-centroid kernel and the centroid update are also checked bit for
 bit against reference implementations kept here: the explicit broadcast
-sum((x - c)^2) kernel and the per-cluster mean loop.
+sum((x - c)^2) kernel and the per-cluster mean loop.  ``load_clusters`` is
+the round-trip oracle of ``save_clusters``; no pipeline stage reads the
+cluster model back.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from glyrl import cluster
 from glyrl.cluster import (
+    CLUSTER_FORMAT,
+    CLUSTER_FORMAT_VERSION,
     ClusterModel,
     assign_many,
     kmeans_fit,
-    load_clusters,
     save_clusters,
 )
-from glyrl.errors import ArtifactError
 
 
 def brute_force_inertia(points, k):
@@ -35,6 +38,20 @@ def brute_force_inertia(points, k):
                 total += ((members - c) ** 2).sum()
         best = min(best, total)
     return best
+
+
+def load_clusters(text):
+    """The model of ``save_clusters``' text."""
+    doc = json.loads(text)
+    if doc.get("format") != CLUSTER_FORMAT:
+        raise ValueError("not a cluster model file")
+    if doc.get("version") != CLUSTER_FORMAT_VERSION:
+        raise ValueError("unsupported cluster model version %r"
+                         % (doc.get("version"),))
+    model = ClusterModel(np.array(doc["centroids"], dtype=float), int(doc["k"]),
+                         int(doc["dim"]), float(doc["inertia"]), int(doc["seed"]))
+    model.validate()
+    return model
 
 
 def reference_nearest(points, centroids):
@@ -219,12 +236,10 @@ def test_empty_cluster_repair_keeps_k_centroids():
         assert np.all(np.isfinite(model.centroids))
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip():
     rng = np.random.default_rng(6)
     model = kmeans_fit(rng.uniform(size=(30, 4)), k=5, seed=11)
-    path = str(tmp_path / "clusters.model")
-    save_clusters(path, model)
-    loaded = load_clusters(path)
+    loaded = load_clusters(save_clusters(model))
     assert np.array_equal(model.centroids, loaded.centroids)
     assert (loaded.k, loaded.dim, loaded.seed) == (5, 4, 11)
     assert loaded.inertia == model.inertia
@@ -232,14 +247,11 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(assign_many(pts, model), assign_many(pts, loaded))
 
 
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "glyrl-encoder", "version": 1}\n')
-    with pytest.raises(ArtifactError):
-        load_clusters(str(path))
-    path.write_text("not json at all")
-    with pytest.raises(ArtifactError):
-        load_clusters(str(path))
+def test_load_rejects_foreign_file():
+    with pytest.raises(ValueError, match="not a cluster model file"):
+        load_clusters('{"format": "glyrl-encoder", "version": 1}\n')
+    with pytest.raises(ValueError):
+        load_clusters("not json at all")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 15, 16, 32, 33])

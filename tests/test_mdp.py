@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from glyrl.errors import ArtifactError, IntegrityError
+from glyrl.errors import IntegrityError
 from glyrl.mdp import (
     ActionSpace,
     AssignedSeries,
@@ -382,20 +382,18 @@ def test_real_policy_lands_in_available_set():
         assert mdp.available[s, policy[s]]
 
 
-def test_trajectory_round_trip(tmp_path):
+def test_trajectory_round_trip():
     trajs = build_trajectories(
         [series("p1", [0, 1], [70.0, 80.0], True),
          series("p2", [1, 1, 2], [None, 90.0, 301.0], False)], SPACE, 4)
-    path = str(tmp_path / "trajs.csv")
-    write_trajectories(path, trajs)
-    back = read_trajectories(path)
+    back = read_trajectories(write_trajectories(trajs))
     assert len(back) == len(trajs)
     for orig, got in zip(trajs, back):
         assert orig.patient_id == got.patient_id
         assert orig.steps == got.steps
 
 
-def test_mdp_save_load_round_trip(tmp_path):
+def test_mdp_save_load_round_trip():
     rng = np.random.default_rng(9)
     trajs = []
     for p in range(25):
@@ -408,9 +406,8 @@ def test_mdp_save_load_round_trip(tmp_path):
         steps.append((s, int(rng.integers(11)), 4 if rng.random() < 0.7 else 5))
         trajs.append(Trajectory("p%d" % p, steps))
     mdp = estimate_mdp(trajs, k=4, min_count=2)
-    path = str(tmp_path / "mdp.txt")
-    save_mdp(path, mdp)
-    loaded = load_mdp(path)
+    text = save_mdp(mdp)
+    loaded = load_mdp(text)
     assert loaded.k == 4
     assert loaded.gamma == mdp.gamma
     assert loaded.min_count == 2
@@ -422,28 +419,19 @@ def test_mdp_save_load_round_trip(tmp_path):
     assert np.array_equal(mdp.trans_p, loaded.trans_p)
     assert mdp.fallback_states == loaded.fallback_states
     # saving again is byte-identical
-    path2 = str(tmp_path / "mdp2.txt")
-    save_mdp(path2, loaded)
-    assert open(path).read() == open(path2).read()
+    assert save_mdp(loaded) == text
 
 
-def test_mdp_load_rejects_corruption(tmp_path):
-    mdp = single_step_mdp()
-    path = tmp_path / "mdp.txt"
-    save_mdp(str(path), mdp)
-    lines = path.read_text().splitlines()
+def test_mdp_load_rejects_corruption():
+    lines = save_mdp(single_step_mdp()).splitlines()
 
-    tampered = tmp_path / "bad1.txt"
-    tampered.write_text("\n".join(lines).replace(",1.0", ",0.25") + "\n")
-    with pytest.raises(ArtifactError):
-        load_mdp(str(tampered))
+    tampered = "\n".join(lines).replace(",1.0", ",0.25") + "\n"
+    with pytest.raises(ValueError, match="disagree with counts"):
+        load_mdp(tampered)
 
-    not_mdp = tmp_path / "bad2.txt"
-    not_mdp.write_text("patient_id,hour\n")
-    with pytest.raises(ArtifactError):
-        load_mdp(str(not_mdp))
+    with pytest.raises(ValueError, match="not a glyrl-mdp file"):
+        load_mdp("patient_id,hour\n")
 
-    truncated = tmp_path / "bad3.txt"
-    truncated.write_text(lines[0] + "\n" + lines[1] + "\n")
-    with pytest.raises(ArtifactError):
-        load_mdp(str(truncated))
+    truncated = lines[0] + "\n" + lines[1] + "\n"
+    with pytest.raises(ValueError, match="declares 1 rows but has 0"):
+        load_mdp(truncated)

@@ -209,10 +209,13 @@ def test_bad_curve_exits_2_and_names_it(workspace, golden, caplog, damage):
         (damaged / "curve.csv").unlink()
     else:
         (damaged / "curve.csv").write_text("not a curve\n")
+        rerecord(damaged, "curve.csv")
     rc, _ = run_cli(["evaluate", "--config", workspace["config"],
                      "--out", str(damaged)])
     assert rc == cli.DATA_EXIT
     assert "curve.csv" in caplog.text
+    if damage == "garbage":
+        assert "malformed calibration curve" in caplog.text
 
 
 def test_report_scores_the_solved_values_without_the_mdp(workspace, golden):
@@ -222,7 +225,8 @@ def test_report_scores_the_solved_values_without_the_mdp(workspace, golden):
     with open(os.path.join(art, "mdp", "trajectories_test.csv")) as fh:
         states = [int(line.split(",")[2]) for line in list(fh)[1:]]
     for label in ("real", "optimal"):
-        _, v, _ = read_solution(os.path.join(art, "solution", label + ".csv"))
+        with open(os.path.join(art, "solution", label + ".csv")) as fh:
+            _, v, _ = read_solution(fh.read())
         # normalized twice, as visitation_from_trajectories and then
         # stage_evaluate do
         w = np.bincount(states, minlength=len(v)).astype(float)
@@ -248,16 +252,39 @@ def edit_lines(path, edit):
     path.write_text("".join(edit(lines)))
 
 
+def rerecord(art, rel):
+    """Record the SHA-256 of the edited file ``rel`` in the manifest entry that
+    lists it, so the stage reading it gets past the checksum to its own
+    checks."""
+    manifest = json.loads((art / "manifest.json").read_text())
+    for entry in manifest["stages"].values():
+        if rel in entry:
+            entry[rel] = hashlib.sha256((art / rel).read_bytes()).hexdigest()
+    (art / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_header(**fields):
+    def edit(lines):
+        header = json.loads(lines[0])
+        header.update(fields)
+        return [json.dumps(header, sort_keys=True) + "\n"] + lines[1:]
+    return edit
+
+
 def state_99(lines):
     pid, step, _, action, next_state = lines[3].split(",")
     lines[3] = ",".join([pid, step, "99", action, next_state])
     return lines
 
 
+def step_skipped(lines):
+    pid, _, rest = lines[2].split(",", 2)  # the first patient's second step
+    lines[2] = ",".join([pid, "2", rest])
+    return lines
+
+
 def cut_to_four_states(lines):
-    header = json.loads(lines[0])
-    header["k"] = 4
-    return [json.dumps(header, sort_keys=True) + "\n"] + lines[1:-1]
+    return edit_header(k=4)(lines)[:-1]
 
 
 def nan_value(lines):
@@ -265,14 +292,37 @@ def nan_value(lines):
     return lines
 
 
-def k_not_a_number(lines):
+def value_raised_by_5(lines):
+    head, value = lines[2].rsplit(",", 1)
+    lines[2] = "%s,%r\n" % (head, float(value) + 5.0)
+    return lines
+
+
+def state_moved(lines):
+    head, state = lines[3].rsplit(",", 1)
+    lines[3] = "%s,%d\n" % (head, (int(state) + 1) % 5)  # k is 5
+    return lines
+
+
+def support_raised(lines):
+    head, support = lines[1].rsplit(",", 1)
+    lines[1] = "%s,%d\n" % (head, int(support) + 1)
+    return lines
+
+
+def nested_too_deep(lines):
     header = json.loads(lines[0])
-    header["k"] = "five"
-    return [json.dumps(header) + "\n"] + lines[1:]
+    return [json.dumps(header)[:-1] + ', "x": ' + "[" * 100_000
+            + "]" * 100_000 + "}\n"] + lines[1:]
 
 
 def header_only(lines):
     return lines[:1]
+
+
+def mdp_columns_renamed(lines):
+    lines[1] = "s,a,next_state,count,p\n"
+    return lines
 
 
 def swap_solutions(art):
@@ -282,31 +332,67 @@ def swap_solutions(art):
     opt.write_text(text)
 
 
-@pytest.mark.parametrize("command,path,edit,named", [
-    ("evaluate", "mdp/trajectories_test.csv", state_99, "trajectories_test.csv"),
-    ("evaluate", "solution/optimal.csv", cut_to_four_states, "optimal.csv"),
+# a file edited after its stage ran, its checksum left as recorded
+TAMPERED = "does not match the SHA-256"
+
+
+@pytest.mark.parametrize("command,path,edit,named,message", [
+    ("evaluate", "mdp/trajectories_test.csv", state_99, "trajectories_test.csv",
+     "steps from state 99"),
+    ("evaluate", "solution/optimal.csv", cut_to_four_states, "optimal.csv",
+     "covers 4 states but real.csv covers 5"),
     ("calibrate", "mdp/trajectories_train.csv", state_99,
-     "trajectories_train.csv"),
-    ("evaluate", None, None, "real.csv"),
-    ("evaluate", "solution/optimal.csv", nan_value, "optimal.csv"),
+     "trajectories_train.csv", "steps from state 99"),
+    ("evaluate", None, None, "real.csv",
+     "holds the 'optimal' solution, expected 'real'"),
+    ("evaluate", "solution/optimal.csv", nan_value, "optimal.csv",
+     "holds a value that is not finite"),
     ("evaluate", "mdp/trajectories_train.csv", header_only,
-     "trajectories_train.csv"),
-    ("calibrate", "solution/real.csv", k_not_a_number, "real.csv"),
+     "trajectories_train.csv", "lists no trajectories"),
+    ("calibrate", "solution/real.csv", edit_header(k="five"), "real.csv",
+     "invalid literal for int()"),
+    ("solve", "mdp/mdp.txt", edit_header(version=2), "mdp.txt",
+     "unsupported glyrl-mdp version 2"),
+    ("solve", "mdp/mdp.txt", mdp_columns_renamed, "mdp.txt",
+     "column header is not 's,a,s_next,count,p'"),
+    ("solve", "mdp/mdp.txt", edit_header(n_states=None), "mdp.txt",
+     "NoneType"),
+    ("solve", "mdp/mdp.txt", edit_header(k=float("inf")), "mdp.txt",
+     "cannot convert float infinity to integer"),
+    ("calibrate", "mdp/trajectories_train.csv", step_skipped,
+     "trajectories_train.csv", "non-contiguous steps"),
+    ("calibrate", "solution/real.csv", edit_header(k=None), "real.csv",
+     "NoneType"),
+    ("calibrate", "solution/real.csv", nested_too_deep, "real.csv",
+     "maximum recursion depth exceeded"),
+    ("evaluate", "solution/real.csv", value_raised_by_5, "real.csv", TAMPERED),
+    ("build-mdp", "assignments.csv", state_moved, "assignments.csv", TAMPERED),
+    ("evaluate", "curve.csv", support_raised, "curve.csv", TAMPERED),
 ], ids=["test_state_99", "optimal_cut_to_k4", "train_state_99",
         "swapped_labels", "optimal_value_nan", "train_emptied",
-        "real_k_not_a_number"])
+        "real_k_not_a_number", "mdp_version_2", "mdp_columns_renamed",
+        "mdp_n_states_null", "mdp_k_infinite", "train_step_skipped",
+        "real_k_null", "real_header_too_deep", "tampered_real_value",
+        "tampered_assignment", "tampered_curve"])
 def test_bad_late_artifacts_exit_2_and_name_them(
-        workspace, golden, caplog, capsys, request, command, path, edit, named):
+        workspace, golden, caplog, capsys, request, command, path, edit, named,
+        message):
     art = workspace["root"] / ("late_" + request.node.callspec.id)
     shutil.copytree(golden["art"], art)
     if edit is None:
         swap_solutions(art)
+        edited = ["solution/real.csv", "solution/optimal.csv"]
     else:
         edit_lines(art / path, edit)
+        edited = [path]
+    if message != TAMPERED:
+        for rel in edited:
+            rerecord(art, rel)
     rc, _ = run_cli([command, "--config", workspace["config"],
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
     assert named in caplog.text
+    assert message in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
@@ -366,10 +452,7 @@ def test_inconsistent_hours_exit_2_even_when_the_checksum_matches(
     rows = np.load(str(path), allow_pickle=False)
     with open(path, "wb") as fh:
         np.save(fh, tamper_hours(rows, how), allow_pickle=False)
-    manifest = json.loads((art / "manifest.json").read_text())
-    manifest["stages"]["ingest"]["hours.npy"] = hashlib.sha256(
-        path.read_bytes()).hexdigest()
-    (art / "manifest.json").write_text(json.dumps(manifest))
+    rerecord(art, "hours.npy")
     rc, _ = run_cli(["build-mdp", "--config", workspace["config"],
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
@@ -377,10 +460,13 @@ def test_inconsistent_hours_exit_2_even_when_the_checksum_matches(
     assert "hours.npy" in caplog.text
 
 
-@pytest.mark.parametrize("damage", ["dropped_row", "swapped_hours",
-                                    "state_out_of_range"])
+@pytest.mark.parametrize("damage,message", [
+    ("dropped_row", "rows but hours.npy has"),
+    ("swapped_hours", "line 4 does not line up with hours.npy"),
+    ("state_out_of_range", "line 4: state 5 outside [0, 5)"),
+], ids=["dropped_row", "swapped_hours", "state_out_of_range"])
 def test_misaligned_assignments_exit_2_and_name_it(workspace, golden, caplog,
-                                                   damage):
+                                                   damage, message):
     art = workspace["root"] / ("assignments_" + damage)
     shutil.copytree(golden["art"], art)
     path = art / "assignments.csv"
@@ -392,10 +478,12 @@ def test_misaligned_assignments_exit_2_and_name_it(workspace, golden, caplog,
     else:
         lines[3] = lines[3].rsplit(",", 1)[0] + ",5\n"  # k is 5
     path.write_text("".join(lines))
+    rerecord(art, "assignments.csv")
     rc, _ = run_cli(["build-mdp", "--config", workspace["config"],
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
     assert "assignments.csv" in caplog.text
+    assert message in caplog.text
 
 
 def test_hours_equal_a_reparse_of_the_split_csvs(golden):
@@ -528,6 +616,23 @@ def test_non_utf8_cohort_exits_2_and_names_file_and_line(workspace, tmp_path,
                      "--input", str(cohort), "--out", str(tmp_path / "art")])
     assert rc == cli.DATA_EXIT
     assert "%s line 3 is not UTF-8" % cohort in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_oversized_cell_exits_2_and_names_file_and_line(workspace, tmp_path,
+                                                       caplog, capsys):
+    # longer than csv.field_size_limit(), so the CSV reader itself fails
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    column = lines[0].split(",").index("icd9_codes")
+    fields = lines[2].split(",")
+    fields[column] = "4" * 200_000
+    lines[2] = ",".join(fields)
+    cohort = tmp_path / "oversized.csv"
+    cohort.write_text("".join(lines))
+    rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                     "--input", str(cohort), "--out", str(tmp_path / "art")])
+    assert rc == cli.DATA_EXIT
+    assert "%s line 3: field larger than field limit" % cohort in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 

@@ -10,7 +10,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from glyrl.errors import ArtifactError
 from glyrl.mdp import ActionSpace, MDPModel, Trajectory, estimate_mdp
 from glyrl.solver import (
     _compile,
@@ -313,29 +312,22 @@ def test_best_state_weighting_bounds_other_weightings():
         assert top + 1e-6 >= evaluate_policy_return(mdp, sol.policy, w, epsilon=1e-8)
 
 
-def test_solution_round_trip(tmp_path):
+def test_solution_round_trip():
     rng = np.random.default_rng(55)
     mdp = random_mdp(rng)
     sol = policy_iteration(mdp, epsilon=1e-8)
-    path = str(tmp_path / "optimal.csv")
-    write_solution(path, sol, label="optimal")
-    policy, v, label = read_solution(path)
+    policy, v, label = read_solution(write_solution(sol, label="optimal"))
     assert label == "optimal"
     assert np.array_equal(policy, sol.policy)
     assert np.array_equal(v, sol.V[:mdp.k])
-    qpath = str(tmp_path / "q.csv")
-    write_q_table(qpath, sol)
-    rows = open(qpath).read().splitlines()
+    rows = write_q_table(sol).splitlines()
     assert rows[0] == "state_id,action,Q"
     assert len(rows) - 1 == int(np.isfinite(sol.Q).sum())
 
 
-def test_read_solution_rejects_garbage(tmp_path):
-    bad = tmp_path / "sol.csv"
-    bad.write_text("state_id,policy_action,V\n0,1,2.0\n")
-    with pytest.raises(ArtifactError):
-        read_solution(str(bad))
-    bad.write_text('{"format": "glyrl-solution", "version": 1, "k": 2}\n'
-                   "state_id,policy_action,V\n0,1,2.0\n")
-    with pytest.raises(ArtifactError):
-        read_solution(str(bad))
+def test_read_solution_rejects_garbage():
+    with pytest.raises(ValueError, match="not a glyrl-solution file"):
+        read_solution("state_id,policy_action,V\n0,1,2.0\n")
+    with pytest.raises(ValueError, match="not the contiguous states"):
+        read_solution('{"format": "glyrl-solution", "version": 1, "k": 2}\n'
+                      "state_id,policy_action,V\n0,1,2.0\n")
