@@ -5,6 +5,13 @@ the tie-breaking and determinism contracts stay inspectable: nearest-centroid
 ties resolve to the lowest index, empty clusters are re-seeded to the point
 farthest from its current centroid, and the whole fit is a pure function of
 (points, k, seed).
+
+Seeding tracks each point's nearest seed so far and recomputes a point's
+distance to a new seed only where the triangle inequality allows the new
+seed to be nearer: where ||c - a||^2 <= 4 ||x - a||^2 for the point x, its
+seed a and the new seed c, widened by a rounding allowance.  The seeds,
+nearest seeds and distances stay bitwise those of a full pass per seed, and
+Lloyd's first round takes its assignment from them.
 """
 
 from __future__ import annotations
@@ -43,6 +50,30 @@ CLUSTER_FORMAT_VERSION = 1
 # runner-up is that close (or whose values are not finite) is recomputed in
 # the explicit form.  The code uses dim + 4 to absorb the rounding of the
 # bound and the comparison, plus (4 dim + 8) smallest normals for underflow.
+#
+# Seeding.  A point x whose nearest seed so far is a can move to a new seed c
+# only if ||x - c|| < ||x - a||, which the triangle inequality rules out
+# once ||c - a|| >= 2 ||x - a|| (Elkan, ICML 2003, Lemma 1).  So a point's
+# explicit distance to c is computed only where gap = sum((c - a)^2) is not
+# greater than reach = 4 (1 + r) d2 + F, d2 being its explicit distance to a.
+# The explicit sum of a row does not depend on the other rows, so the
+# distances and nearest seeds of the points recomputed are those of a full
+# pass, and the distances that feed rng.choice keep their bits.
+#
+# Why the allowance holds: each explicit sum has non-negative terms, so in
+# any summation order it lies within gamma S + mu of its true value S, with
+# gamma = gamma_{dim+2} as above and mu <= dim 2^-1075 for squares that
+# underflow (differences and sums of subnormals are exact).  Let
+# rho = (1 + gamma) / (1 - gamma) and B = (d2 + mu) / (1 - gamma), which is
+# at least the true ||x - a||^2.  If gap >= 4 rho (d2 + mu) + mu, the true
+# ||c - a||^2 is at least 4 B, so the true ||x - c|| >= ||c - a|| - ||x - a||
+# >= sqrt(B), and the explicit distance to c reads at least
+# (1 - gamma) B - mu = d2: x stays with a (a tie keeps the lower index).
+# rho - 1 < (2 dim + 5) u; the code uses r = 2 (dim + 4) eps, which also
+# absorbs the two roundings of reach, and F = 4 (dim + 2) smallest normals,
+# far above (1 + 4 rho) mu and the rounding of reach in the subnormal range.
+# A reach that overflows is inf and keeps the point; a gap that overflows
+# exceeds any finite reach, as its true value does.
 #
 # Row blocks hold about _BLOCK_ELEMENTS float64 distances; the explicit
 # recheck broadcasts (rows, k, dim) differences in chunks of _CHUNK_ELEMENTS.
@@ -127,20 +158,46 @@ def _nearest(points: np.ndarray, centroids: np.ndarray):
     return labels, best
 
 
-def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+def _squared_distances(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Explicit sum((x - c)^2) of each row, computed in place in ``rows``
+    (a copy the caller gives up), so a pass holds one (rows, dim) array."""
+    rows -= c
+    rows **= 2
+    return rows.sum(axis=1)
+
+
+def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
+    """k-means++ seeds, each point's nearest seed and its squared distance.
+
+    The owners and distances equal _nearest(points, seeds), bit for bit; see
+    the module comment for the pruning bound.
+    """
+    n, dim = points.shape
+    seeds = np.empty((k, dim))
+    seeds[0] = points[rng.integers(n)]
+    d2 = ((points - seeds[0]) ** 2).sum(axis=1)
+    owner = np.zeros(n, dtype=np.int64)
+    finfo = np.finfo(float)
+    scale = 4.0 * (1.0 + 2 * (dim + 4) * finfo.eps)  # exact
+    floor = 4 * (dim + 2) * finfo.tiny
+    reach = d2 * scale + floor
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass on already-covered points (duplicates)
-            chosen[j] = rng.integers(n)
+            seeds[j] = points[rng.integers(n)]
         else:
-            chosen[j] = rng.choice(n, p=d2 / total)
-        d2 = np.minimum(d2, ((points - points[chosen[j]]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+            seeds[j] = points[rng.choice(n, p=d2 / total)]
+        gap = ((seeds[:j] - seeds[j]) ** 2).sum(axis=1)
+        # "not greater" keeps every point the bound cannot rule out
+        near = np.flatnonzero(~(gap[owner] > reach))
+        dist = _squared_distances(points[near], seeds[j])
+        closer = dist < d2[near]  # ties stay with the lower index
+        moved = near[closer]
+        d2[moved] = dist[closer]
+        owner[moved] = j
+        reach[moved] = d2[moved] * scale + floor
+    return seeds, owner, d2
 
 
 def kmeans_fit(points, k: int, seed: int = 0,
@@ -148,9 +205,10 @@ def kmeans_fit(points, k: int, seed: int = 0,
                tol: float = DEFAULT_TOL) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Stops when the largest centroid movement falls below tol or after
-    max_iters update rounds; inertia is recorded after every assignment
-    pass and is non-increasing.  Empty clusters are re-seeded to the point
+    The seeding's nearest seeds and distances are the first round's
+    assignment.  Stops when the largest centroid movement falls below tol
+    or after max_iters update rounds; inertia is recorded after every
+    assignment and is non-increasing.  Empty clusters are re-seeded to the point
     currently farthest from its centroid.
     """
     pts = _check_points(points)
@@ -163,11 +221,10 @@ def kmeans_fit(points, k: int, seed: int = 0,
         raise ValueError("max_iters and tol must be non-negative")
 
     rng = np.random.default_rng(seed)
-    centroids = _seed_plus_plus(pts, k, rng)
+    centroids, labels, d2 = _seed_plus_plus(pts, k, rng)
     history: List[float] = []
 
     for _ in range(max_iters):
-        labels, d2 = _nearest(pts, centroids)
         history.append(float(d2.sum()))
 
         counts = np.bincount(labels, minlength=k)
@@ -188,10 +245,10 @@ def kmeans_fit(points, k: int, seed: int = 0,
                 steal[far] = -np.inf  # each empty cluster takes a distinct point
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
+        labels, d2 = _nearest(pts, centroids)
         if movement < tol:
             break
 
-    labels, d2 = _nearest(pts, centroids)
     inertia = float(d2.sum())
     history.append(inertia)
     model = ClusterModel(centroids, k, dim, inertia, seed,

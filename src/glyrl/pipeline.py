@@ -59,9 +59,8 @@ from .mdp import (
 )
 from .solver import (
     PolicySolution,
-    policy_evaluation,
-    policy_iteration,
     read_solution,
+    solve,
     write_q_table,
     write_solution,
 )
@@ -118,7 +117,7 @@ def _manifest_read(art_dir: str) -> dict:
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ArtifactError("cannot read manifest %s: %s" % (path, exc))
     if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ArtifactError("%s is not a pipeline manifest" % path)
@@ -453,9 +452,8 @@ def stage_solve(config: PipelineConfig, art_dir: str) -> None:
     """Policy-iterate the optimal policy; evaluate the behavioral one."""
     model = _read_artifact(art_dir, "build-mdp", MDP_FILE, "MDP",
                            lambda data: load_mdp(data.decode()))
-    optimal = policy_iteration(model, epsilon=config.solver.epsilon)
     pi_real = extract_real_policy(model)
-    v_real = policy_evaluation(model, pi_real, epsilon=config.solver.epsilon)
+    optimal, v_real = solve(model, pi_real, epsilon=config.solver.epsilon)
     real = PolicySolution(policy=pi_real, V=v_real, Q=None,
                           eval_sweeps=0, improvements=0, converged=True)
     os.makedirs(os.path.join(art_dir, "solution"), exist_ok=True)

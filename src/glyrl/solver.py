@@ -138,15 +138,19 @@ def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
                 "policy evaluation still moving %r after %d sweeps" % (delta, sweeps))
 
 
-def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Iterate the Bellman expectation update until the sup-norm step < epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    compiled = _compile(mdp)
+def _evaluate_policy(mdp: MDPModel, compiled: _Compiled, policy,
+                     epsilon: float) -> np.ndarray:
     pol = _check_policy(mdp, policy, compiled)
     rows = compiled.pair_index[np.arange(mdp.k), pol]
     v, _ = _evaluate(compiled, rows, epsilon)
     return v
+
+
+def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Iterate the Bellman expectation update until the sup-norm step < epsilon."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    return _evaluate_policy(mdp, _compile(mdp), policy, epsilon)
 
 
 def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
@@ -168,18 +172,8 @@ def greedy_improve(mdp: MDPModel, Q) -> np.ndarray:
     return np.argmax(masked, axis=1).astype(np.int64)
 
 
-def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
-                     initial_policy=None,
-                     max_improvements: int = MAX_IMPROVEMENTS) -> PolicySolution:
-    """Alternate full evaluation and greedy improvement until the policy is stable.
-
-    Evaluation warm-starts from the previous value function (same fixed point,
-    fewer sweeps).  Starts from the lowest-index available action in each
-    state unless an initial policy (e.g. the behavioral one) is supplied.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    compiled = _compile(mdp)
+def _iterate(mdp: MDPModel, compiled: _Compiled, epsilon: float,
+             initial_policy, max_improvements: int) -> PolicySolution:
     if initial_policy is None:
         policy = np.argmax(mdp.available, axis=1).astype(np.int64)
     else:
@@ -199,6 +193,32 @@ def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
         policy = improved
     raise ConvergenceError(
         "policy iteration did not stabilize within %d improvements" % max_improvements)
+
+
+def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
+                     initial_policy=None,
+                     max_improvements: int = MAX_IMPROVEMENTS) -> PolicySolution:
+    """Alternate full evaluation and greedy improvement until the policy is stable.
+
+    Evaluation warm-starts from the previous value function (same fixed point,
+    fewer sweeps).  Starts from the lowest-index available action in each
+    state unless an initial policy (e.g. the behavioral one) is supplied.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    return _iterate(mdp, _compile(mdp), epsilon, initial_policy,
+                    max_improvements)
+
+
+def solve(mdp: MDPModel, logged_policy,
+          epsilon: float = DEFAULT_EPSILON) -> Tuple[PolicySolution, np.ndarray]:
+    """policy_iteration(mdp, epsilon) and policy_evaluation(mdp,
+    logged_policy, epsilon), bit for bit, on one compiled MDP."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    compiled = _compile(mdp)
+    return (_iterate(mdp, compiled, epsilon, None, MAX_IMPROVEMENTS),
+            _evaluate_policy(mdp, compiled, logged_policy, epsilon))
 
 
 def write_solution(solution: PolicySolution, label: str) -> str:

@@ -1,8 +1,9 @@
 """k-means fitting, assignment tie-breaks, and the brute-force optimum check.
 
-The nearest-centroid kernel and the centroid update are also checked bit for
-bit against reference implementations kept here: the explicit broadcast
-sum((x - c)^2) kernel and the per-cluster mean loop.  ``load_clusters`` is
+The seeding, the nearest-centroid kernel and the centroid update are also
+checked bit for bit against reference implementations kept here: sequential
+k-means++ seeding, the explicit broadcast sum((x - c)^2) kernel and the
+per-cluster mean loop.  ``load_clusters`` is
 the round-trip oracle of ``save_clusters``; no pipeline stage reads the
 cluster model back.
 """
@@ -12,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glyrl import cluster
 from glyrl.cluster import (
@@ -61,10 +63,28 @@ def reference_nearest(points, centroids):
     return labels, d2[np.arange(len(points)), labels]
 
 
+def reference_seed(points, k, rng):
+    """Sequential k-means++: every point's distance to each new seed."""
+    n = points.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            # all remaining mass on already-covered points (duplicates)
+            chosen[j] = rng.integers(n)
+        else:
+            chosen[j] = rng.choice(n, p=d2 / total)
+        d2 = np.minimum(d2, ((points - points[chosen[j]]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
 def reference_fit(points, k, seed, max_iters):
-    """kmeans_fit with the reference kernel and a per-cluster mean loop."""
+    """kmeans_fit with the reference seeding and kernel and a per-cluster
+    mean loop."""
     pts = np.asarray(points, dtype=float)
-    centroids = cluster._seed_plus_plus(pts, k, np.random.default_rng(seed))
+    centroids = reference_seed(pts, k, np.random.default_rng(seed))
     history = []
     for _ in range(max_iters):
         labels, d2 = reference_nearest(pts, centroids)
@@ -329,3 +349,129 @@ def test_fit_in_one_dimension_matches_reference_to_rounding():
     centroids, labels, _ = reference_fit(points, 12, 1, 4)
     np.testing.assert_allclose(model.centroids, centroids, rtol=1e-12, atol=0)
     assert np.array_equal(model.labels, labels)
+
+
+def check_seeding(points, k, seed):
+    """The pruned seeding against reference_seed plus reference_nearest."""
+    seeds, owner, d2 = cluster._seed_plus_plus(points, k,
+                                               np.random.default_rng(seed))
+    ref = reference_seed(points, k, np.random.default_rng(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_owner, ref_d2 = reference_nearest(points, ref)
+    assert np.array_equal(bits(seeds), bits(ref))
+    assert np.array_equal(owner, ref_owner)
+    assert np.array_equal(bits(d2), bits(ref_d2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 15, 32])
+def test_seeding_matches_reference_bitwise(dim):
+    rng = np.random.default_rng(300 + dim)
+    points = np.vstack([rng.normal(c, 0.2, size=(60, dim)) for c in range(5)])
+    points[10:20] = points[3]  # duplicate rows
+    points = points * rng.uniform(0.1, 10.0, size=dim)
+    for seed in range(3):
+        check_seeding(points, 40, seed)
+    check_seeding(points[:50], 50, 7)  # k = n
+
+
+def test_seeding_on_duplicates_matches_reference():
+    # every seed after the first draws from zero mass: the total <= 0 branch
+    check_seeding(np.full((9, 3), 2.5), 6, 1)
+    # mass runs out once the three distinct rows are seeds
+    points = np.repeat(np.array([[0.0, 1.0], [4.0, -2.0], [1e-3, 7.0]]), 4,
+                       axis=0)
+    for seed in range(4):
+        check_seeding(points, 8, seed)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_seeding_exact_on_offset_ties(offset, dim):
+    rng = np.random.default_rng(int(offset) % 89 + dim)
+    points, centroids = offset_ties(rng, offset, 300, 24, dim)
+    for seed in range(2):
+        check_seeding(np.vstack([points, centroids]), 30, seed)
+
+
+def test_seeding_exact_when_squares_overflow():
+    # the two outer rows are an infinite squared distance apart, each a
+    # finite one from the middle rows; a first seed on an outer row makes
+    # the total infinite, and both forms must then fail alike
+    a = 5e153
+    points = np.array([[0.0, 0.0]] * 5 + [[a, a], [-a, -a], [0.0, 1e-160]])
+    finished = 0
+    for seed in range(12):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference_seed(points, 4, np.random.default_rng(seed))
+        except ValueError:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError):
+                cluster._seed_plus_plus(points, 4, np.random.default_rng(seed))
+            continue
+        with np.errstate(over="ignore"):
+            check_seeding(points, 4, seed)
+        finished += 1
+    assert 0 < finished < 12
+
+
+def tight_triples(rng, triples, dim, scale):
+    """Rows a, x and c = a + 2v with x past a + v toward c by about one
+    rounding step of the squared distances, picked so that c - a reads more
+    than twice x - a and yet x reads nearer to c than to a: the bare test
+    ||c - a||^2 > 4 ||x - a||^2 would wrongly keep x with a once c is a
+    seed."""
+    found = []
+    while len(found) < triples:
+        a, v = rng.normal(size=(2, dim)) * scale
+        step = np.spacing((v ** 2).sum()) / (v ** 2).sum()
+        rows = a + np.array([0.0, 1.0 + step * rng.uniform(0, 2), 2.0])[:, None] * v
+        a, x, c = rows
+        d2 = ((x - a) ** 2).sum()
+        if ((c - a) ** 2).sum() > 4 * d2 and ((x - c) ** 2).sum() < d2:
+            found.append(rows)
+    return found
+
+
+# at 2^-532 the squared distances are subnormal
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -532])
+@pytest.mark.parametrize("dim", [2, 3, 15])
+def test_seeding_exact_where_the_bound_is_tight(dim, scale):
+    # in every order of the rows, some draws seed a and then c
+    for rows in tight_triples(np.random.default_rng(dim), 6, dim, scale):
+        for order in itertools.permutations(range(3)):
+            for seed in range(3):
+                check_seeding(rows[list(order)], 2, seed)
+
+
+@st.composite
+def point_sets(draw):
+    """A few distinct rows, each at a drawn magnitude, repeated in any order."""
+    dim = draw(st.integers(1, 6))
+    scales = [10.0 ** e for e in draw(st.lists(st.integers(-150, 150),
+                                               min_size=1, max_size=3))]
+    coords = st.one_of(st.integers(-4, 4).map(float),
+                       st.floats(-4.0, 4.0, allow_nan=False))
+    rows = [[draw(st.sampled_from(scales)) * draw(coords) for _ in range(dim)]
+            for _ in range(draw(st.integers(1, 8)))]
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                          max_size=24))
+    return np.array([rows[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=300)
+@given(points=point_sets(), data=st.data())
+def test_pruned_seeding_equals_reference_on_any_scale(points, data):
+    k = data.draw(st.integers(1, len(points)))
+    check_seeding(points, k, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2])
+def test_fit_takes_round_one_from_the_seeding(max_iters):
+    rng = np.random.default_rng(61)
+    points = rng.normal(size=(300, 4))
+    model = kmeans_fit(points, k=20, seed=5, max_iters=max_iters, tol=0.0)
+    centroids, labels, history = reference_fit(points, 20, 5, max_iters)
+    assert np.array_equal(bits(model.centroids), bits(centroids))
+    assert np.array_equal(model.labels, labels)
+    assert model.inertia_history == history

@@ -396,6 +396,21 @@ def test_bad_late_artifacts_exit_2_and_name_them(
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cluster", "solve", "evaluate"])
+def test_manifest_nested_too_deep_exits_2_and_names_it(
+        workspace, golden, caplog, capsys, command):
+    art = workspace["root"] / ("deep_manifest_" + command)
+    shutil.copytree(golden["art"], art)
+    edit_lines(art / "manifest.json",
+               lambda lines: nested_too_deep(["".join(lines)]))
+    rc, _ = run_cli([command, "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "manifest.json" in caplog.text
+    assert "maximum recursion depth exceeded" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 def copy_with_hours(workspace, golden, name):
     art = workspace["root"] / name
     shutil.copytree(golden["art"], art)

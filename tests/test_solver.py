@@ -18,6 +18,7 @@ from glyrl.solver import (
     policy_evaluation,
     policy_iteration,
     read_solution,
+    solve,
     write_q_table,
     write_solution,
 )
@@ -241,6 +242,32 @@ def test_optimal_dominates_every_fixed_policy():
             for s in range(mdp.k)], dtype=np.int64)
         v_rand = policy_evaluation(mdp, rand_policy, epsilon=1e-8)
         assert np.all(sol.V[:mdp.k] >= v_rand[:mdp.k] - 1e-3)
+
+
+def test_solve_equals_iteration_and_evaluation_bitwise():
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        mdp = random_mdp(rng)
+        logged = np.array([
+            int(rng.choice(np.flatnonzero(mdp.available[s])))
+            for s in range(mdp.k)], dtype=np.int64)
+        optimal, v_logged = solve(mdp, logged, epsilon=1e-6)
+        alone = policy_iteration(mdp, epsilon=1e-6)
+        for field in dataclasses.fields(alone):
+            np.testing.assert_array_equal(getattr(optimal, field.name),
+                                          getattr(alone, field.name))
+        assert np.array_equal(
+            v_logged.view(np.int64),
+            policy_evaluation(mdp, logged, epsilon=1e-6).view(np.int64))
+
+
+def test_solve_rejects_what_its_parts_reject():
+    mdp = random_mdp(np.random.default_rng(5))
+    logged = np.argmax(mdp.available, axis=1)
+    with pytest.raises(ValueError):
+        solve(mdp, logged, epsilon=0.0)
+    with pytest.raises(ValueError):
+        solve(mdp, logged[:-1])
 
 
 def test_sweep_deltas_contract():
