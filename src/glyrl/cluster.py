@@ -208,8 +208,8 @@ def kmeans_fit(points, k: int, seed: int = 0,
     The seeding's nearest seeds and distances are the first round's
     assignment.  Stops when the largest centroid movement falls below tol
     or after max_iters update rounds; inertia is recorded after every
-    assignment and is non-increasing.  Empty clusters are re-seeded to the point
-    currently farthest from its centroid.
+    assignment and is non-increasing.  Empty clusters are re-seeded to the
+    point currently farthest from its centroid.
     """
     pts = _check_points(points)
     n, dim = pts.shape

@@ -425,7 +425,8 @@ def tight_triples(rng, triples, dim, scale):
     while len(found) < triples:
         a, v = rng.normal(size=(2, dim)) * scale
         step = np.spacing((v ** 2).sum()) / (v ** 2).sum()
-        rows = a + np.array([0.0, 1.0 + step * rng.uniform(0, 2), 2.0])[:, None] * v
+        t = np.array([0.0, 1.0 + step * rng.uniform(0, 2), 2.0])
+        rows = a + t[:, None] * v
         a, x, c = rows
         d2 = ((x - a) ** 2).sum()
         if ((c - a) ** 2).sum() > 4 * d2 and ((x - c) ** 2).sum() < d2:
