@@ -51,14 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="artifacts directory")
         return p
 
-    add("ingest", "parse, filter, impute, split, fit normalization",
-        needs_input=True)
-    add("train-encoder", "fit the sparse autoencoder on the training split")
-    add("cluster", "fit k-means and assign every hour to a state")
-    add("build-mdp", "count the training MDP from assigned trajectories")
-    add("solve", "policy-iterate the optimal policy, evaluate the real one")
-    add("calibrate", "fit the mortality-versus-return curve")
-    add("evaluate", "score both policies and write report.json")
+    for name, help_text, reads_cohort in pipeline.STAGES:
+        add(name, help_text, needs_input=reads_cohort)
     add("run", "run every stage in order", needs_input=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic cohort with "
@@ -123,7 +117,7 @@ def _run_command(args) -> int:
         config.validate()
         csv_text, truth = synthgen.generate(config)
         try:
-            pipeline._write_text(args.out, csv_text)
+            pipeline._write(args.out, csv_text)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (args.out, exc))
         log.info("wrote %d-patient cohort to %s", config.n_patients, args.out)
@@ -134,23 +128,11 @@ def _run_command(args) -> int:
 
     cfg = _load_pipeline_config(args)
     if args.command == "run":
-        report = pipeline.run_pipeline(cfg, args.input, args.out)
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    if args.command == "ingest":
-        pipeline.stage_ingest(cfg, args.input, args.out)
-        return 0
-    stage = {
-        "train-encoder": pipeline.stage_train_encoder,
-        "cluster": pipeline.stage_cluster,
-        "build-mdp": pipeline.stage_build_mdp,
-        "solve": pipeline.stage_solve,
-        "calibrate": pipeline.stage_calibrate,
-        "evaluate": pipeline.stage_evaluate,
-    }[args.command]
-    result = stage(cfg, args.out)
-    if args.command == "evaluate":
+        result = pipeline.run_pipeline(cfg, args.input, args.out)
+    else:
+        inputs = (args.input,) if "input" in args else ()
+        result = pipeline.stage_function(args.command)(cfg, *inputs, args.out)
+    if result is not None:  # the report, from run and evaluate
         json.dump(result, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
     return 0

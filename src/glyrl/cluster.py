@@ -183,6 +183,9 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     reach = d2 * scale + floor
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared distances between the points overflow "
+                             "float64")
         if total <= 0.0:
             # all remaining mass on already-covered points (duplicates)
             seeds[j] = points[rng.integers(n)]

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import calib
-from .cluster import ClusterModel, assign_many, kmeans_fit, save_clusters
+from .cluster import assign_many, kmeans_fit, save_clusters
 from .cohort import (
     Cohort,
     NormalizationSpec,
@@ -67,11 +67,21 @@ from .solver import (
 
 log = logging.getLogger(__name__)
 
+MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "glyrl-manifest"
 MANIFEST_FORMAT_VERSION = 1
 
-STAGE_ORDER = ("ingest", "train-encoder", "cluster", "build-mdp",
-               "solve", "calibrate", "evaluate")
+# Every stage in run order: its name, its CLI help, and whether it reads the
+# cohort CSV.  Stage "build-mdp" runs stage_build_mdp, looked up when it runs.
+STAGES = (
+    ("ingest", "parse, filter, impute, split, fit normalization", True),
+    ("train-encoder", "fit the sparse autoencoder on the training split", False),
+    ("cluster", "fit k-means and assign every hour to a state", False),
+    ("build-mdp", "count the training MDP from assigned trajectories", False),
+    ("solve", "policy-iterate the optimal policy, evaluate the real one", False),
+    ("calibrate", "fit the mortality-versus-return curve", False),
+    ("evaluate", "score both policies and write report.json", False),
+)
 
 
 def derive_seed(master: int, stream: str) -> int:
@@ -80,34 +90,42 @@ def derive_seed(master: int, stream: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, content) -> str:
+    """Write ``content`` to ``path`` through a temporary file, creating its
+    directory, and return the SHA-256 of the bytes written: text as UTF-8,
+    a dict as sorted JSON, an array without objects as np.save writes it.
+    The bytes are hashed and written a slice at a time, never copied whole."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=1, sort_keys=True) + "\n"
+    if isinstance(content, str):
+        parts = (content[at:at + (1 << 20)].encode("utf-8")
+                 for at in range(0, len(content), 1 << 20))
+    else:
+        # the header, then views of the array's memory: np.save would copy
+        # the array, 16 MiB at a time, into anything but a plain file
+        content = np.ascontiguousarray(content)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(content))
+        data = content.reshape(-1).view(np.uint8)
+        parts = [header.getvalue()] + [data[at:at + (1 << 20)]
+                                       for at in range(0, len(data), 1 << 20)]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    sha256 = hashlib.sha256()
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        for part in parts:
+            sha256.update(part)
+            fh.write(part)
     os.replace(tmp, path)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return sha256.hexdigest()
 
 
 # --- manifest ----------------------------------------------------------------
 
 
-def _manifest_path(art_dir: str) -> str:
-    return os.path.join(art_dir, "manifest.json")
-
-
 def _manifest_read(art_dir: str) -> dict:
-    path = _manifest_path(art_dir)
+    path = os.path.join(art_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         return {
             "format": MANIFEST_FORMAT,
@@ -119,22 +137,61 @@ def _manifest_read(art_dir: str) -> dict:
             doc = json.loads(fh.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise ArtifactError("cannot read manifest %s: %s" % (path, exc))
-    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT or \
+            not isinstance(doc.get("stages"), dict):
         raise ArtifactError("%s is not a pipeline manifest" % path)
     return doc
 
 
-def _manifest_record(art_dir: str, config: PipelineConfig, stage: str,
-                     files: Sequence[str], extra: Optional[dict] = None) -> None:
-    doc = _manifest_read(art_dir)
-    doc["config_digest"] = config.digest()
-    doc["seed"] = config.seed
-    if extra:
-        doc.update(extra)
-    doc["stages"][stage] = {
-        rel: _sha256(os.path.join(art_dir, rel)) for rel in sorted(files)
-    }
-    _write_json(_manifest_path(art_dir), doc)
+class _StageFiles:
+    """One stage's view of the artifacts directory: the manifest, read once
+    when the stage starts; checked reads of what earlier stages wrote; and
+    the SHA-256 of each file the stage writes, taken as it is written."""
+
+    def __init__(self, art_dir: str, stage: str):
+        self.dir, self.stage = art_dir, stage
+        self.manifest = _manifest_read(art_dir)
+        self.written = {}
+
+    def path(self, rel: str) -> str:
+        return os.path.join(self.dir, rel)
+
+    def write(self, rel: str, content) -> None:
+        self.written[rel] = _write(self.path(rel), content)
+
+    def read(self, writer: str, rel: str, what: str, parse):
+        """``parse`` of the bytes of ``rel``, read once and checked against
+        the SHA-256 that ``writer``'s manifest entry records.  A file that
+        cannot be read, does not match or does not parse raises an
+        ArtifactError naming it."""
+        path = self.path(rel)
+        entry = self.manifest["stages"].get(writer)
+        recorded = entry.get(rel) if isinstance(entry, dict) else None
+        if recorded is None:
+            raise ArtifactError("the manifest records no %s checksum for %s; "
+                                "rerun %s" % (writer, path, writer))
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ArtifactError("cannot read %s %s: %s" % (what, path, exc))
+        if hashlib.sha256(data).hexdigest() != recorded:
+            raise ArtifactError("%s does not match the SHA-256 the %s manifest "
+                                "entry records; rerun %s" % (path, writer, writer))
+        try:
+            return parse(data)
+        except KeyError as exc:
+            raise ArtifactError("malformed %s %s: no %s field" % (what, path, exc))
+        except (ValueError, TypeError, IndexError, OverflowError,
+                RecursionError, EOFError, csv.Error) as exc:
+            raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
+
+    def record(self, config: PipelineConfig, **extra) -> None:
+        """Write the manifest with this stage's entry: what it wrote."""
+        self.manifest.update(config_digest=config.digest(), seed=config.seed,
+                             **extra)
+        self.manifest["stages"][self.stage] = self.written
+        _write(self.path(MANIFEST_FILE), self.manifest)
 
 
 # --- normalization spec serialization ----------------------------------------
@@ -142,8 +199,8 @@ def _manifest_record(art_dir: str, config: PipelineConfig, stage: str,
 NORM_SPEC_FORMAT = "glyrl-norm-spec"
 
 
-def _save_norm_spec(path: str, spec: NormalizationSpec) -> None:
-    _write_json(path, {
+def _norm_spec_doc(spec: NormalizationSpec) -> dict:
+    return {
         "format": NORM_SPEC_FORMAT,
         "version": 1,
         "feature_names": list(spec.feature_names),
@@ -151,7 +208,7 @@ def _save_norm_spec(path: str, spec: NormalizationSpec) -> None:
         "maxs": [repr(float(v)) for v in spec.maxs],
         "gender_codes": list(spec.gender_codes),
         "icu_unit_codes": list(spec.icu_unit_codes),
-    })
+    }
 
 
 # --- shared artifact access ---------------------------------------------------
@@ -193,13 +250,6 @@ TRAJECTORY_FILE = os.path.join("mdp", "trajectories_%s.csv")
 SOLUTION_FILE = os.path.join("solution", "%s.csv")
 
 
-def _save_hours(path: str, table: np.ndarray) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.save(fh, table, allow_pickle=False)
-    os.replace(tmp, path)
-
-
 def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
     """Why ``rows`` is not a model-ready hours table, or None if it is."""
     id_type = (rows.dtype.fields or {}).get("patient_id", (None,))[0]
@@ -223,44 +273,16 @@ def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
     return None
 
 
-def _read_artifact(art_dir: str, stage: str, rel: str, what: str, parse):
-    """``parse`` of the bytes of ``rel``, read once and checked against the
-    SHA-256 that ``stage``'s manifest entry records.  A file that cannot be
-    read, does not match or does not parse raises an ArtifactError naming it."""
-    path = os.path.join(art_dir, rel)
-    stages = _manifest_read(art_dir).get("stages")
-    entry = stages.get(stage) if isinstance(stages, dict) else None
-    recorded = entry.get(rel) if isinstance(entry, dict) else None
-    if recorded is None:
-        raise ArtifactError("the manifest records no %s checksum for %s; "
-                            "rerun %s" % (stage, path, stage))
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ArtifactError("cannot read %s %s: %s" % (what, path, exc))
-    if hashlib.sha256(data).hexdigest() != recorded:
-        raise ArtifactError("%s does not match the SHA-256 the %s manifest "
-                            "entry records; rerun %s" % (path, stage, stage))
-    try:
-        return parse(data)
-    except KeyError as exc:
-        raise ArtifactError("malformed %s %s: no %s field" % (what, path, exc))
-    except (ValueError, TypeError, IndexError, OverflowError, RecursionError,
-            EOFError, csv.Error) as exc:
-        raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
-
-
-def _load_hours(config: PipelineConfig, art_dir: str) -> Tuple[np.ndarray, int]:
+def _load_hours(config: PipelineConfig,
+                files: _StageFiles) -> Tuple[np.ndarray, int]:
     """hours.npy and its number of (leading) training rows."""
-    rows = _read_artifact(art_dir, "ingest", HOURS_FILE, "model-ready hours",
-                          lambda data: np.load(io.BytesIO(data),
-                                               allow_pickle=False))
+    rows = files.read("ingest", HOURS_FILE, "model-ready hours",
+                      lambda data: np.load(io.BytesIO(data), allow_pickle=False))
     # checked once the file's bytes are freed
     problem = _hours_problem(rows, len(state_feature_names(config.covariates)))
     if problem is not None:
         raise ArtifactError("malformed model-ready hours %s: %s"
-                            % (os.path.join(art_dir, HOURS_FILE), problem))
+                            % (files.path(HOURS_FILE), problem))
     return rows, int(np.count_nonzero(rows["split"] == 0))
 
 
@@ -270,7 +292,7 @@ def _load_hours(config: PipelineConfig, art_dir: str) -> Tuple[np.ndarray, int]:
 def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     """Parse, filter, impute, split, fit normalization (train only), and
     write the model-ready hours every later stage reads."""
-    os.makedirs(art_dir, exist_ok=True)
+    files = _StageFiles(art_dir, "ingest")
     parsed = _read_cohort_file(input_csv, config.covariates)
     criteria = FilterCriteria(
         min_age=config.preprocessing.min_age,
@@ -293,34 +315,33 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     del imputed
 
     spec = fit_normalization(train)
-    _save_norm_spec(os.path.join(art_dir, "norm_spec.json"), spec)
-    _save_hours(os.path.join(art_dir, HOURS_FILE), hours_table((train, test), spec))
+    files.write("norm_spec.json", _norm_spec_doc(spec))
+    files.write(HOURS_FILE, hours_table((train, test), spec))
     for name, subset in (("train.csv", train), ("test.csv", test)):
         buf = io.StringIO()
         write_cohort(subset, buf)
-        _write_text(os.path.join(art_dir, name), buf.getvalue())
-    _write_json(os.path.join(art_dir, "exclusions.json"), {
+        files.write(name, buf.getvalue())
+    files.write("exclusions.json", {
         "parsed_patients": n_parsed,
         "filtered": dict(sorted(exclusions.items())),
         "imputation_dropped": sorted([pid, reason] for pid, reason in dropped),
         "train_patients": len(train.ids),
         "test_patients": len(test.ids),
     })
-    _manifest_record(art_dir, config, "ingest",
-                     ["train.csv", "test.csv", "norm_spec.json", "exclusions.json",
-                      HOURS_FILE])
+    files.record(config)
     log.info("ingest: %d parsed, %d train / %d test",
              n_parsed, len(train.ids), len(test.ids))
 
 
 def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
     """Fit the sparse autoencoder on training-hour state vectors."""
+    files = _StageFiles(art_dir, "train-encoder")
     if config.representation != "sparse_ae":
         log.info("representation %r needs no encoder, skipping",
                  config.representation)
-        _manifest_record(art_dir, config, "train-encoder", [])
+        files.record(config)
         return
-    rows, n_train = _load_hours(config, art_dir)
+    rows, n_train = _load_hours(config, files)
     dataset = np.ascontiguousarray(rows["state"][:n_train])
     del rows  # training needs the room
     enc = config.encoder
@@ -333,18 +354,19 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
         SparsityConfig(target=enc.sparsity_target, beta=enc.beta),
         latent_dim=enc.latent_dim,
     )
-    _write_text(os.path.join(art_dir, ENCODER_FILE), save_encoder(
+    files.write(ENCODER_FILE, save_encoder(
         params, hyperparameters={"sparsity_target": enc.sparsity_target,
                                  "beta": enc.beta, "epochs": enc.epochs,
                                  "batch_size": enc.batch_size,
                                  "learning_rate": enc.learning_rate,
                                  "optimizer": enc.optimizer}))
-    _manifest_record(art_dir, config, "train-encoder", [ENCODER_FILE])
+    files.record(config)
 
 
 def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     """Fit k-means on training hours; assign every hour of both splits."""
-    rows, n_train = _load_hours(config, art_dir)
+    files = _StageFiles(art_dir, "cluster")
+    rows, n_train = _load_hours(config, files)
     # contiguous copies: on a strided view of the table numpy would skip BLAS,
     # which changes the bits of every matrix product
     points_train = np.ascontiguousarray(rows["state"][:n_train])
@@ -353,9 +375,8 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     ids, hours = rows["patient_id"].tolist(), rows["hour"].tolist()
     del rows
     if config.representation == "sparse_ae":
-        params = _read_artifact(art_dir, "train-encoder", ENCODER_FILE,
-                                "encoder model",
-                                lambda data: load_encoder(data.decode()))
+        params = files.read("train-encoder", ENCODER_FILE, "encoder model",
+                            lambda data: load_encoder(data.decode()))
         points_train = encode(points_train, params)
         if len(points_test):
             points_test = encode(points_test, params)
@@ -363,7 +384,7 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
                        seed=derive_seed(config.seed, "kmeans"),
                        max_iters=config.clustering.max_iters,
                        tol=config.clustering.tol)
-    _write_text(os.path.join(art_dir, "clusters.model"), save_clusters(model))
+    files.write("clusters.model", save_clusters(model))
 
     labels_test = assign_many(points_test, model).tolist() if len(points_test) \
         else []
@@ -371,13 +392,11 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["patient_id", "hour_index", "state_id"])
     writer.writerows(zip(ids, hours, model.labels.tolist() + labels_test))
-    _write_text(os.path.join(art_dir, "assignments.csv"), buf.getvalue())
-    _manifest_record(art_dir, config, "cluster",
-                     ["clusters.model", "assignments.csv"],
-                     extra={"representation": config.representation})
+    files.write("assignments.csv", buf.getvalue())
+    files.record(config, representation=config.representation)
 
 
-def _aligned_labels(art_dir: str, rows: np.ndarray, k: int) -> np.ndarray:
+def _aligned_labels(files: _StageFiles, rows: np.ndarray, k: int) -> np.ndarray:
     """The state of each row of ``rows``; assignments.csv must list the same
     patient-hours in the same order."""
     def parse(data: bytes) -> np.ndarray:
@@ -408,8 +427,7 @@ def _aligned_labels(art_dir: str, rows: np.ndarray, k: int) -> np.ndarray:
                              % (off[0] + 2, labels[off[0]], k))
         return labels
 
-    return _read_artifact(art_dir, "cluster", "assignments.csv", "assignments",
-                          parse)
+    return files.read("cluster", "assignments.csv", "assignments", parse)
 
 
 def _assigned(rows: np.ndarray, labels: np.ndarray) -> List[AssignedSeries]:
@@ -426,9 +444,10 @@ def _assigned(rows: np.ndarray, labels: np.ndarray) -> List[AssignedSeries]:
 
 def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
-    rows, n_train = _load_hours(config, art_dir)
+    files = _StageFiles(art_dir, "build-mdp")
+    rows, n_train = _load_hours(config, files)
     k = config.clustering.k
-    labels = _aligned_labels(art_dir, rows, k)
+    labels = _aligned_labels(files, rows, k)
     space = ActionSpace(config.mdp.bin_edges)
     trajs_train = build_trajectories(
         _assigned(rows[:n_train], labels[:n_train]), space, k)
@@ -438,36 +457,28 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
         raise DataError("no usable training trajectories")
     model = estimate_mdp(trajs_train, k, min_count=config.mdp.min_count,
                          gamma=config.mdp.gamma, action_space=space)
-    os.makedirs(os.path.join(art_dir, "mdp"), exist_ok=True)
-    _write_text(os.path.join(art_dir, MDP_FILE), save_mdp(model))
+    files.write(MDP_FILE, save_mdp(model))
     for split, trajs in (("train", trajs_train), ("test", trajs_test)):
-        _write_text(os.path.join(art_dir, TRAJECTORY_FILE % split),
-                    write_trajectories(trajs))
-    _manifest_record(art_dir, config, "build-mdp",
-                     [MDP_FILE, TRAJECTORY_FILE % "train",
-                      TRAJECTORY_FILE % "test"])
+        files.write(TRAJECTORY_FILE % split, write_trajectories(trajs))
+    files.record(config)
 
 
 def stage_solve(config: PipelineConfig, art_dir: str) -> None:
     """Policy-iterate the optimal policy; evaluate the behavioral one."""
-    model = _read_artifact(art_dir, "build-mdp", MDP_FILE, "MDP",
-                           lambda data: load_mdp(data.decode()))
+    files = _StageFiles(art_dir, "solve")
+    model = files.read("build-mdp", MDP_FILE, "MDP",
+                       lambda data: load_mdp(data.decode()))
     pi_real = extract_real_policy(model)
     optimal, v_real = solve(model, pi_real, epsilon=config.solver.epsilon)
     real = PolicySolution(policy=pi_real, V=v_real, Q=None,
                           eval_sweeps=0, improvements=0, converged=True)
-    os.makedirs(os.path.join(art_dir, "solution"), exist_ok=True)
     for label, solution in (("optimal", optimal), ("real", real)):
-        _write_text(os.path.join(art_dir, SOLUTION_FILE % label),
-                    write_solution(solution, label))
-    q_table = os.path.join("solution", "q_optimal.csv")
-    _write_text(os.path.join(art_dir, q_table), write_q_table(optimal))
-    _manifest_record(art_dir, config, "solve",
-                     [SOLUTION_FILE % "optimal", SOLUTION_FILE % "real",
-                      q_table])
+        files.write(SOLUTION_FILE % label, write_solution(solution, label))
+    files.write(SOLUTION_FILE % "q_optimal", write_q_table(optimal))
+    files.record(config)
 
 
-def _read_values(art_dir: str, label: str) -> np.ndarray:
+def _read_values(files: _StageFiles, label: str) -> np.ndarray:
     """V over the k non-terminal states from solution/<label>.csv."""
     def parse(data: bytes) -> np.ndarray:
         _, values, found = read_solution(data.decode())
@@ -478,11 +489,11 @@ def _read_values(art_dir: str, label: str) -> np.ndarray:
             raise ValueError("holds a value that is not finite")
         return values
 
-    return _read_artifact(art_dir, "solve", SOLUTION_FILE % label, "solution",
-                          parse)
+    return files.read("solve", SOLUTION_FILE % label, "solution", parse)
 
 
-def _read_trajectories(art_dir: str, split: str, k: int) -> List[Trajectory]:
+def _read_trajectories(files: _StageFiles, split: str,
+                       k: int) -> List[Trajectory]:
     """mdp/trajectories_<split>.csv, every step inside the k-state MDP."""
     def parse(data: bytes) -> List[Trajectory]:
         trajs = read_trajectories(data.decode())
@@ -497,40 +508,40 @@ def _read_trajectories(art_dir: str, split: str, k: int) -> List[Trajectory]:
                         % (traj.patient_id, s, sp, k, k + 2))
         return trajs
 
-    return _read_artifact(art_dir, "build-mdp", TRAJECTORY_FILE % split,
-                          "trajectory file", parse)
+    return files.read("build-mdp", TRAJECTORY_FILE % split, "trajectory file",
+                      parse)
 
 
 def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
     """Fit the mortality-versus-return curve on the training split."""
-    v_real = _read_values(art_dir, "real")
-    trajs_train = _read_trajectories(art_dir, "train", len(v_real))
+    files = _StageFiles(art_dir, "calibrate")
+    v_real = _read_values(files, "real")
+    trajs_train = _read_trajectories(files, "train", len(v_real))
     curve = calib.fit_curve(v_real, trajs_train,
                             n_bins=config.calibration.n_bins,
                             min_bin_support=config.calibration.min_bin_support)
-    _write_text(os.path.join(art_dir, "curve.csv"), calib.emit_curve_csv(curve))
-    _manifest_record(art_dir, config, "calibrate", ["curve.csv"])
+    files.write("curve.csv", calib.emit_curve_csv(curve))
+    files.record(config)
 
 
 def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
     """Score both policies' solved values on the test split; anchor the
     logged policy's estimate against training data."""
-    v_real = _read_values(art_dir, "real")
-    v_opt = _read_values(art_dir, "optimal")
+    files = _StageFiles(art_dir, "evaluate")
+    v_real = _read_values(files, "real")
+    v_opt = _read_values(files, "optimal")
     k = len(v_real)
     if len(v_opt) != k:
         raise ArtifactError("%s covers %d states but real.csv covers %d"
-                            % (os.path.join(art_dir, SOLUTION_FILE % "optimal"),
+                            % (files.path(SOLUTION_FILE % "optimal"),
                                len(v_opt), k))
-    curve = _read_artifact(art_dir, "calibrate", "curve.csv",
-                           "calibration curve",
-                           lambda data: calib.parse_curve_csv(data.decode()))
-    trajs_train = _read_trajectories(art_dir, "train", k)
-    trajs_test = _read_trajectories(art_dir, "test", k)
+    curve = files.read("calibrate", "curve.csv", "calibration curve",
+                       lambda data: calib.parse_curve_csv(data.decode()))
+    trajs_train = _read_trajectories(files, "train", k)
+    trajs_test = _read_trajectories(files, "test", k)
 
     representation = config.representation
-    manifest = _manifest_read(art_dir)
-    recorded = manifest.get("representation")
+    recorded = files.manifest.get("representation")
     if recorded is not None and recorded != representation:
         log.warning("config says representation %r but the artifacts were "
                     "built with %r; keeping the artifact label",
@@ -560,14 +571,20 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
             mapping).estimated_mortality,
         "empirical_mortality": calib.empirical_mortality(trajs_train, k),
     }
-    _write_json(os.path.join(art_dir, "report.json"), doc)
-    _manifest_record(art_dir, config, "evaluate", ["report.json"])
+    files.write("report.json", doc)
+    files.record(config)
     return doc
 
 
-def _run_stage(name: str, fn, *args):
+def stage_function(name: str):
+    """The function that runs stage ``name``, looked up when called, so a
+    replaced module attribute (a test double, a tracing wrapper) runs."""
+    return globals()["stage_" + name.replace("-", "_")]
+
+
+def _run_stage(name: str, *args):
     try:
-        return fn(*args)
+        return stage_function(name)(*args)
     except GlyrlError as exc:
         # name the stage, but keep the class and its fields (a
         # TrainingDivergedError's epoch, a ParseError's line_number)
@@ -578,10 +595,7 @@ def _run_stage(name: str, fn, *args):
 def run_pipeline(config: PipelineConfig, input_csv: str, art_dir: str) -> dict:
     """Chain every stage over one artifacts directory; returns the report."""
     config.validate()
-    _run_stage("ingest", stage_ingest, config, input_csv, art_dir)
-    _run_stage("train-encoder", stage_train_encoder, config, art_dir)
-    _run_stage("cluster", stage_cluster, config, art_dir)
-    _run_stage("build-mdp", stage_build_mdp, config, art_dir)
-    _run_stage("solve", stage_solve, config, art_dir)
-    _run_stage("calibrate", stage_calibrate, config, art_dir)
-    return _run_stage("evaluate", stage_evaluate, config, art_dir)
+    for name, _, reads_cohort in STAGES:
+        inputs = (input_csv,) if reads_cohort else ()
+        report = _run_stage(name, config, *inputs, art_dir)
+    return report

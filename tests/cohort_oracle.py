@@ -579,7 +579,6 @@ def split_patients(
 
 def ingest(config, input_csv: str, art_dir: str) -> None:
     """``pipeline.stage_ingest`` on the object path: the same five files."""
-    os.makedirs(art_dir, exist_ok=True)
     with open(input_csv, encoding="utf-8") as fh:
         patients = parse_cohort(fh, config.covariates)
     n_parsed = len(patients)
@@ -595,14 +594,15 @@ def ingest(config, input_csv: str, art_dir: str) -> None:
     train, test = split_patients(imputed, config.split.test_fraction,
                                  pipeline.derive_seed(config.seed, "split"))
     spec = fit_normalization(train, config.covariates)
-    pipeline._save_norm_spec(os.path.join(art_dir, "norm_spec.json"), spec)
-    pipeline._save_hours(os.path.join(art_dir, "hours.npy"),
-                         hours_table((train, test), spec))
+    pipeline._write(os.path.join(art_dir, "norm_spec.json"),
+                    pipeline._norm_spec_doc(spec))
+    pipeline._write(os.path.join(art_dir, "hours.npy"),
+                    hours_table((train, test), spec))
     for name, subset in (("train.csv", train), ("test.csv", test)):
         buf = io.StringIO()
         write_cohort(subset, buf, config.covariates)
-        pipeline._write_text(os.path.join(art_dir, name), buf.getvalue())
-    pipeline._write_json(os.path.join(art_dir, "exclusions.json"), {
+        pipeline._write(os.path.join(art_dir, name), buf.getvalue())
+    pipeline._write(os.path.join(art_dir, "exclusions.json"), {
         "parsed_patients": n_parsed,
         "filtered": {k: int(v) for k, v in sorted(exclusions.items())},
         "imputation_dropped": sorted([pid, reason] for pid, reason in dropped),

@@ -396,7 +396,8 @@ def test_seeding_exact_on_offset_ties(offset, dim):
 def test_seeding_exact_when_squares_overflow():
     # the two outer rows are an infinite squared distance apart, each a
     # finite one from the middle rows; a first seed on an outer row makes
-    # the total infinite, and both forms must then fail alike
+    # the total infinite: the reference then fails inside rng.choice on NaN
+    # probabilities, and the fit must fail there too and say why
     a = 5e153
     points = np.array([[0.0, 0.0]] * 5 + [[a, a], [-a, -a], [0.0, 1e-160]])
     finished = 0
@@ -405,9 +406,10 @@ def test_seeding_exact_when_squares_overflow():
             with np.errstate(over="ignore", invalid="ignore"):
                 reference_seed(points, 4, np.random.default_rng(seed))
         except ValueError:
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(ValueError):
-                cluster._seed_plus_plus(points, 4, np.random.default_rng(seed))
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="^squared distances between the points "
+                                      "overflow float64$"):
+                kmeans_fit(points, 4, seed=seed)
             continue
         with np.errstate(over="ignore"):
             check_seeding(points, 4, seed)

@@ -1,0 +1,47 @@
+"""The package's runtime dependencies stay numpy and PyYAML.
+
+Every import in ``src/glyrl/*.py``, at module level or inside a function,
+must name the standard library, numpy, yaml or glyrl itself, and
+``pyproject.toml`` must declare exactly the two third-party packages.
+"""
+
+import ast
+import glob
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALLOWED = {"numpy", "yaml", "glyrl"}
+
+
+def imported_modules(path):
+    """(line, top-level module) of every absolute import in ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_and_yaml():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    assert sources
+    outside = ["%s:%d imports %s" % (os.path.basename(path), line, module)
+               for path in sources
+               for line, module in imported_modules(path)
+               if module not in sys.stdlib_module_names and module not in ALLOWED]
+    assert outside == []
+
+
+def test_pyproject_declares_only_numpy_and_pyyaml():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {dep.split(">")[0].split("=")[0].split("<")[0].strip()
+             for dep in declared}
+    assert names == {"numpy", "PyYAML"}

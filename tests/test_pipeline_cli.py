@@ -5,11 +5,13 @@ module; the tests then check determinism, the staged-versus-run equivalence,
 exit codes, and a pinned report so silent behavior drift shows up as a diff.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -17,7 +19,8 @@ import pytest
 
 from conftest import cohort_row, make_csv
 from glyrl import cli, pipeline, synthgen
-from glyrl.cohort import apply_normalization, fit_normalization, parse_cohort
+from glyrl.cohort import (apply_normalization, fit_normalization, hours_dtype,
+                          parse_cohort)
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
 from glyrl.solver import read_solution
@@ -25,6 +28,21 @@ from glyrl.solver import read_solution
 N_PATIENTS = 200
 COHORT_SEED = 5
 PIPELINE_SEED = 3
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+# every file a later stage of a raw run reads, and the stages that read it
+READERS = {
+    "hours.npy": ["cluster", "build-mdp"],
+    "assignments.csv": ["build-mdp"],
+    "mdp/mdp.txt": ["solve"],
+    "solution/real.csv": ["calibrate", "evaluate"],
+    "solution/optimal.csv": ["evaluate"],
+    "mdp/trajectories_train.csv": ["calibrate", "evaluate"],
+    "mdp/trajectories_test.csv": ["evaluate"],
+    "curve.csv": ["evaluate"],
+}
 
 CONFIG_YAML = """
 seed: 3
@@ -159,8 +177,95 @@ def test_exclusions_summary_written(golden):
 def test_manifest_lists_every_stage(golden):
     doc = json.loads(open(os.path.join(golden["art"], "manifest.json")).read())
     assert doc["format"] == pipeline.MANIFEST_FORMAT
-    assert sorted(doc["stages"]) == sorted(pipeline.STAGE_ORDER)
+    assert sorted(doc["stages"]) == sorted(name for name, _, _ in
+                                           pipeline.STAGES)
     assert doc["representation"] == "raw"
+
+
+def readme_stage_outputs():
+    """Stage -> (the files README's stage table says it writes, whether it
+    writes them on sparse_ae runs only), in table order."""
+    with open(README) as fh:
+        lines = fh.read().split("| stage ", 1)[1].splitlines()[2:]
+    outputs = {}
+    for line in lines[:lines.index("")]:
+        _, stage, _, writes, _ = line.split("|")
+        outputs[stage.strip().strip("`")] = (
+            set(re.findall(r"`([^`]+)`", writes)), "sparse_ae runs only" in writes)
+    return outputs
+
+
+def test_manifest_records_the_readme_outputs_with_their_hashes(golden,
+                                                               sparse_art):
+    outputs = readme_stage_outputs()
+    assert list(outputs) == [name for name, _, _ in pipeline.STAGES]
+    on_disk = tree_hashes(golden["art"])
+    stages = json.loads(open(os.path.join(golden["art"],
+                                          "manifest.json")).read())["stages"]
+    for stage, entry in stages.items():
+        files, sparse_only = outputs[stage]
+        assert set(entry) == (set() if sparse_only else files), stage
+        assert entry == {rel: on_disk[rel] for rel in entry}, stage
+    assert set(on_disk) - {"manifest.json"} == \
+        {rel for entry in stages.values() for rel in entry}
+
+    sparse = sparse_art["art"]
+    entry = json.loads((sparse / "manifest.json").read_text())["stages"][
+        "train-encoder"]
+    assert set(entry) == outputs["train-encoder"][0]
+    assert entry == {rel: tree_hashes(str(sparse))[rel] for rel in entry}
+
+
+def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
+        workspace, monkeypatch, tmp_path):
+    art = tmp_path / "art"
+    manifest_reads, reads = [], collections.Counter()
+    manifest_read = pipeline._manifest_read
+
+    def counted_manifest_read(art_dir):
+        manifest_reads.append(art_dir)
+        return manifest_read(art_dir)
+
+    def counted_open(path, mode="r", *args, **kwargs):
+        if "w" not in mode and str(path).startswith(str(art)):
+            reads[os.path.relpath(path, art)] += 1
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_manifest_read", counted_manifest_read)
+    monkeypatch.setattr(pipeline, "open", counted_open, raising=False)
+    rc, _ = run_cli(["run", "--config", workspace["config"],
+                     "--input", workspace["cohort"], "--out", str(art)])
+    assert rc == 0
+    assert len(manifest_reads) == len(pipeline.STAGES) == 7
+    # ingest finds no manifest yet; every other file is read by its readers
+    assert reads == {"manifest.json": 6,
+                     **{rel: len(stages) for rel, stages in READERS.items()}}
+
+
+@pytest.mark.parametrize("content", [
+    "text, and one non-ASCII character: \u00e9\n",
+    "\u00e9" * ((1 << 20) + 3),  # more than one slice of text
+    {"b": [1, 2.5], "a": "x"},
+    np.arange(12.0).reshape(3, 4),
+    np.zeros(5, dtype=hours_dtype(3, 6)),
+    np.arange(300_000, dtype=np.int64),  # more than one slice of memory
+], ids=["text", "long_text", "json", "matrix", "hours_rows", "long_array"])
+def test_write_returns_the_sha256_of_exactly_the_bytes_written(tmp_path,
+                                                               content):
+    if isinstance(content, np.ndarray):
+        buf = io.BytesIO()
+        np.save(buf, content, allow_pickle=False)
+        expected = buf.getvalue()
+    elif isinstance(content, dict):
+        expected = (json.dumps(content, indent=1, sort_keys=True)
+                    + "\n").encode()
+    else:
+        expected = content.encode("utf-8")
+    path = tmp_path / "new" / "artifact"
+    digest = pipeline._write(str(path), content)
+    assert path.read_bytes() == expected
+    assert digest == hashlib.sha256(expected).hexdigest()
+    assert os.listdir(tmp_path / "new") == ["artifact"]
 
 
 def test_usage_error_exits_1(capsys):
@@ -393,6 +498,25 @@ def test_bad_late_artifacts_exit_2_and_name_them(
     assert rc == cli.DATA_EXIT
     assert named in caplog.text
     assert message in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rel,command", [
+    (rel, command) for rel, commands in READERS.items() for command in commands])
+def test_every_recorded_artifact_refuses_a_flipped_byte(
+        workspace, golden, caplog, capsys, rel, command):
+    art = workspace["root"] / ("flipped_%s_%s"
+                               % (command, rel.replace("/", "_")))
+    shutil.copytree(golden["art"], art)
+    path = art / rel
+    data = path.read_bytes()
+    mid = len(data) // 2
+    path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    rc, _ = run_cli([command, "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert str(path) in caplog.text
+    assert TAMPERED in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
