@@ -12,7 +12,7 @@ corrective action in every state.
 import numpy as np
 
 from glyrl.calib import visitation_from_trajectories
-from glyrl.mdp import ActionSpace, Trajectory, estimate_mdp, extract_real_policy
+from glyrl.mdp import ActionSpace, Trajectories, estimate_mdp, extract_real_policy
 from glyrl.solver import policy_evaluation, policy_iteration
 
 SURVIVE, DIE = 3, 4  # terminals for k=3
@@ -22,10 +22,9 @@ def logged_trajectories(n=400, seed=0):
     rng = np.random.default_rng(seed)
     drift = {0: [0, 1, 1], 1: [0, 1, 2], 2: [1, 2, 2]}
     pull = {0: [0, 0, 0], 1: [0, 0, 1], 2: [1, 1, 2]}
-    trajs = []
+    steps, bounds = [], [0]  # patient p's steps are steps[bounds[p]:bounds[p + 1]]
     for p in range(n):
         s = int(rng.integers(3))
-        steps = []
         for _ in range(12):
             a = int(rng.random() < 0.5)
             options = (pull if a == 1 else drift)[s]
@@ -37,8 +36,10 @@ def logged_trajectories(n=400, seed=0):
             if sp >= 3:
                 break
             s = sp
-        trajs.append(Trajectory("p%d" % p, steps))
-    return trajs
+        bounds.append(len(steps))
+    state, action, next_state = np.array(steps).T
+    return Trajectories(np.array(["p%d" % p for p in range(n)]),
+                        np.array(bounds), state, action, next_state)
 
 
 def main():

@@ -15,6 +15,8 @@ import os
 import tempfile
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from glyrl import pipeline, synthgen
 from glyrl.config import PipelineConfig
 from glyrl.mdp import read_trajectories
@@ -65,7 +67,7 @@ def main():
         policy, _, _ = read_solution(fh.read())
     with open(os.path.join(art, "mdp", "trajectories_train.csv")) as fh:
         trajs = read_trajectories(fh.read())
-    visited = sorted({s for t in trajs for s, _, _ in t.steps})
+    visited = np.unique(trajs.state).tolist()
     hits = sum(int(policy[s]) == int(truth.pi_star[majority[s]])
                for s in visited)
     print("recovered optimal action on %d/%d visited states" %

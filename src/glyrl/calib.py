@@ -12,12 +12,12 @@ distribution, yielding the real versus optimal mortality comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from .errors import CalibrationError
-from .mdp import Trajectory
+from .mdp import Trajectories
 
 DEFAULT_N_BINS = 20
 DEFAULT_MIN_BIN_SUPPORT = 50
@@ -60,24 +60,13 @@ class EvaluationReport:
     seed: int
 
 
-def collect_samples(V_real, trajectories: Sequence[Trajectory]):
+def collect_samples(V_real, trajectories: Trajectories):
     """Per-visit (return, died) pairs; died is the whole patient's outcome."""
     values = np.asarray(V_real, dtype=float)
     k = len(values)
-    death_state = k + 1
-    returns: List[float] = []
-    died: List[int] = []
-    for traj in trajectories:
-        if not traj.steps:
-            continue
-        outcome = 1 if traj.steps[-1][2] == death_state else 0
-        for s, _, _ in traj.steps:
-            if not 0 <= s < k:
-                raise ValueError("visit to state %d outside the %d value entries"
-                                 % (s, k))
-            returns.append(float(values[s]))
-            died.append(outcome)
-    return np.array(returns), np.array(died, dtype=float)
+    trajectories.check(k)
+    died = np.repeat(trajectories.final_state == k + 1, trajectories.lengths)
+    return values[trajectories.state], died.astype(float)
 
 
 def _pav_non_increasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -103,7 +92,7 @@ def _pav_non_increasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_curve(V_real, trajectories: Sequence[Trajectory],
+def fit_curve(V_real, trajectories: Trajectories,
               n_bins: int = DEFAULT_N_BINS,
               min_bin_support: int = DEFAULT_MIN_BIN_SUPPORT) -> CalibrationCurve:
     """Bin per-visit samples, merge thin bins, and isotonize the mortalities.
@@ -174,26 +163,22 @@ def estimate_mortality(curve: CalibrationCurve, expected_return):
     return result
 
 
-def visitation_from_trajectories(trajectories: Sequence[Trajectory],
+def visitation_from_trajectories(trajectories: Trajectories,
                                  k: int) -> np.ndarray:
     """Empirical distribution of visited source states."""
-    counts = np.zeros(k, dtype=float)
-    for traj in trajectories:
-        for s, _, _ in traj.steps:
-            if not 0 <= s < k:
-                raise ValueError("visit to state %d outside [0, %d)" % (s, k))
-            counts[s] += 1.0
+    trajectories.check(k)
+    counts = np.bincount(trajectories.state, minlength=k).astype(float)
     total = counts.sum()
     if total == 0:
         raise ValueError("no state visits in the trajectories")
     return counts / total
 
 
-def empirical_mortality(trajectories: Sequence[Trajectory], k: int) -> float:
+def empirical_mortality(trajectories: Trajectories, k: int) -> float:
     """Fraction of patients whose trajectory ends in DEATH (= state k + 1)."""
-    if not trajectories:
+    if not len(trajectories):
         raise ValueError("no trajectories")
-    deaths = sum(1 for t in trajectories if t.steps and t.steps[-1][2] == k + 1)
+    deaths = int(np.count_nonzero(trajectories.final_state == k + 1))
     return deaths / len(trajectories)
 
 

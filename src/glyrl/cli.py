@@ -116,14 +116,16 @@ def _run_command(args) -> int:
         config = _synth_config(args)
         config.validate()
         csv_text, truth = synthgen.generate(config)
+        path = args.out
         try:
-            pipeline._write(args.out, csv_text)
+            pipeline._write(path, csv_text)
+            log.info("wrote %d-patient cohort to %s", config.n_patients, path)
+            if args.truth_out:
+                path = args.truth_out
+                synthgen.save_ground_truth(path, truth)
+                log.info("wrote ground truth to %s", path)
         except OSError as exc:
-            raise ConfigError("cannot write %s: %s" % (args.out, exc))
-        log.info("wrote %d-patient cohort to %s", config.n_patients, args.out)
-        if args.truth_out:
-            synthgen.save_ground_truth(args.truth_out, truth)
-            log.info("wrote ground truth to %s", args.truth_out)
+            raise ConfigError("cannot write %s: %s" % (path, exc))
         return 0
 
     cfg = _load_pipeline_config(args)

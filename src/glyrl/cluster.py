@@ -176,6 +176,10 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     seeds = np.empty((k, dim))
     seeds[0] = points[rng.integers(n)]
     d2 = ((points - seeds[0]) ** 2).sum(axis=1)
+    # each point's d2 only decreases from here, so every later total is finite
+    if not np.isfinite(d2.sum()):
+        raise ValueError("squared distances between the points overflow "
+                         "float64")
     owner = np.zeros(n, dtype=np.int64)
     finfo = np.finfo(float)
     scale = 4.0 * (1.0 + 2 * (dim + 4) * finfo.eps)  # exact
@@ -183,9 +187,6 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     reach = d2 * scale + floor
     for j in range(1, k):
         total = d2.sum()
-        if not np.isfinite(total):
-            raise ValueError("squared distances between the points overflow "
-                             "float64")
         if total <= 0.0:
             # all remaining mass on already-covered points (duplicates)
             seeds[j] = points[rng.integers(n)]

@@ -14,10 +14,12 @@ stay well-defined everywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +39,10 @@ MDP_FORMAT = "glyrl-mdp"
 MDP_FORMAT_VERSION = 1
 MDP_COLUMNS = "s,a,s_next,count,p"
 TRAJECTORY_COLUMNS = "patient_id,step_index,state,action,next_state"
+# Trajectory rows formatted, and characters of trajectory text parsed, at a
+# time: bounds the strings held at once.
+CHUNK_ROWS = 4096
+CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,57 +78,83 @@ def discretize_glucose(glucose_mgdl, action_space: ActionSpace):
 
 
 @dataclass
-class AssignedSeries:
-    """One patient's hourly cluster ids and glucose after state assignment."""
+class Trajectories:
+    """Logged trajectories as columns.  Patient p's steps are rows
+    ``bounds[p]:bounds[p + 1]`` of ``state``, ``action`` and ``next_state``;
+    each patient's last step enters SURVIVE (k) or DEATH (k + 1)."""
 
-    patient_id: str
-    state_ids: List[int]
-    glucose: List[Optional[float]]
-    survived: bool
+    patient_ids: np.ndarray  # (P,) str
+    bounds: np.ndarray  # (P + 1,) row offsets
+    state: np.ndarray  # (N,) int64
+    action: np.ndarray  # (N,) int64
+    next_state: np.ndarray  # (N,) int64
+
+    def __len__(self) -> int:
+        return len(self.patient_ids)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    @property
+    def final_state(self) -> np.ndarray:
+        """The state each patient's last step enters."""
+        return self.next_state[self.bounds[1:] - 1]
+
+    def check(self, k: int) -> None:
+        """Raise a ValueError naming the first step whose state lies outside
+        [0, k) or whose next state lies outside [0, k + 2)."""
+        s, sp = self.state, self.next_state
+        bad = (s < 0) | (s >= k) | (sp < 0) | (sp >= k + 2)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                "patient %s steps from state %d to %d; states must lie in "
+                "[0, %d) and next states in [0, %d)"
+                % (self.patient_ids[np.searchsorted(self.bounds, row, "right") - 1],
+                   s[row], sp[row], k, k + 2))
 
 
-@dataclass
-class Trajectory:
-    patient_id: str
-    steps: List[Tuple[int, int, int]]  # (state, action, next_state)
-
-
-def build_trajectories(assigned: Sequence[AssignedSeries],
+def build_trajectories(patient_ids, bounds, states, glucose, survived,
                        action_space: ActionSpace,
-                       n_cluster_states: int) -> List[Trajectory]:
+                       n_cluster_states: int) -> Trajectories:
     """One step per hour; the final step transitions into SURVIVE or DEATH.
 
-    Hours with missing glucose reuse the last observed action; hours before
-    the first observation borrow that first action.  Patients with no
-    glucose observation at all are excluded (logged).
+    Patient p's hours, at least one, are rows ``bounds[p]:bounds[p + 1]``
+    of the arrays ``states`` (cluster ids) and ``glucose`` (mg/dl, NaN where
+    missing); ``survived`` holds one flag per patient.  Hours with missing
+    glucose reuse the last observed action; hours before the first
+    observation borrow that first action.  Patients with no glucose
+    observation at all are excluded (logged).
     """
-    survive = n_cluster_states
-    death = n_cluster_states + 1
-    out: List[Trajectory] = []
-    for series in assigned:
-        n = len(series.state_ids)
-        if n == 0 or n != len(series.glucose):
-            raise IntegrityError(series.patient_id,
-                                 "state and glucose series lengths disagree")
-        observed = [t for t, g in enumerate(series.glucose) if g is not None]
-        if not observed:
-            log.warning("patient %s has no glucose observations, excluded from MDP",
-                        series.patient_id)
-            continue
-        try:
-            bins = discretize_glucose([series.glucose[t] for t in observed],
-                                      action_space)
-        except ValueError as exc:
-            raise IntegrityError(series.patient_id, str(exc))
-        # each hour takes the last observation at or before it, or the first
-        latest = np.searchsorted(observed, np.arange(n), side="right") - 1
-        actions = bins[np.maximum(latest, 0)].tolist()
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    seen = np.flatnonzero(~np.isnan(glucose))
+    try:
+        bins = discretize_glucose(glucose[seen], action_space)
+    except ValueError as exc:
+        g = glucose[seen]
+        row = seen[np.argmin(np.isfinite(g) & (g > 0.0))]
+        raise IntegrityError(
+            patient_ids[np.searchsorted(bounds, row, "right") - 1], str(exc))
+    # observations before each row; each hour takes the last observation at
+    # or before it, or its patient's first
+    before = np.concatenate(([0], np.cumsum(~np.isnan(glucose))))
+    first = np.repeat(before[starts], lengths)
+    keep = before[bounds[1:]] > before[starts]
+    for pid in patient_ids[~keep].tolist():
+        log.warning("patient %s has no glucose observations, excluded from MDP",
+                    pid)
+    rows = np.repeat(keep, lengths)
 
-        terminal = survive if series.survived else death
-        states = [int(s) for s in series.state_ids] + [terminal]
-        out.append(Trajectory(series.patient_id,
-                              list(zip(states[:-1], actions, states[1:]))))
-    return out
+    next_state = np.empty_like(states)
+    next_state[:-1] = states[1:]
+    next_state[bounds[1:] - 1] = np.where(survived, n_cluster_states,
+                                          n_cluster_states + 1)
+    return Trajectories(patient_ids[keep],
+                        np.concatenate(([0], np.cumsum(lengths[keep]))),
+                        states[rows],
+                        bins[np.maximum(before[1:] - 1, first)[rows]],
+                        next_state[rows])
 
 
 @dataclass
@@ -191,60 +223,48 @@ class MDPModel:
             raise ValueError("P(%d, %d, .) sums to %r" % (s, a, total))
 
 
-def estimate_mdp(trajectories: Sequence[Trajectory], k: int,
+def estimate_mdp(trajectories: Trajectories, k: int,
                  min_count: int = DEFAULT_MIN_COUNT,
                  gamma: float = DEFAULT_GAMMA,
                  action_space: Optional[ActionSpace] = None) -> MDPModel:
-    """Accumulate counts, normalize to probabilities, apply the count filter."""
-    if not trajectories:
+    """Count the steps, normalize to probabilities, apply the count filter."""
+    if not len(trajectories):
         raise ValueError("no trajectories to estimate from")
     if action_space is None:
         action_space = ActionSpace()
-    n_actions = action_space.n_actions
-
-    counts: Dict[Tuple[int, int, int], int] = {}
-    for traj in trajectories:
-        for s, a, sp in traj.steps:
-            if not 0 <= s < k:
-                raise ValueError("trajectory state %d outside [0, %d)" % (s, k))
-            if not 0 <= a < n_actions:
-                raise ValueError("trajectory action %d outside [0, %d)" % (a, n_actions))
-            if not 0 <= sp < k + 2:
-                raise ValueError("trajectory next state %d outside [0, %d)" % (sp, k + 2))
-            key = (s, a, sp)
-            counts[key] = counts.get(key, 0) + 1
-    return _model_from_counts(counts, k, min_count, gamma, action_space)
+    trajectories.check(k)
+    # keys in (s, a, s') order; an action outside the space raises here
+    key = np.ravel_multi_index(
+        (trajectories.state, trajectories.action, trajectories.next_state),
+        (k, action_space.n_actions, k + 2))
+    return _model_from_counts(*np.unique(key, return_counts=True), k,
+                              min_count, gamma, action_space)
 
 
-def _model_from_counts(counts: Dict[Tuple[int, int, int], int], k: int,
+def _model_from_counts(key: np.ndarray, trans_count: np.ndarray, k: int,
                        min_count: int, gamma: float,
                        action_space: ActionSpace) -> MDPModel:
-    n_actions = action_space.n_actions
-    triplets = sorted(counts)
-    trans_s = np.array([t[0] for t in triplets], dtype=np.int64)
-    trans_a = np.array([t[1] for t in triplets], dtype=np.int64)
-    trans_sp = np.array([t[2] for t in triplets], dtype=np.int64)
-    trans_count = np.array([counts[t] for t in triplets], dtype=np.int64)
-
-    action_counts = np.zeros((k, n_actions), dtype=np.int64)
+    """The model of the counts of distinct (s, a, s') keys, in key order."""
+    trans_s, trans_a, trans_sp = np.unravel_index(
+        key, (k, action_space.n_actions, k + 2))
+    action_counts = np.zeros((k, action_space.n_actions), dtype=np.int64)
     np.add.at(action_counts, (trans_s, trans_a), trans_count)
     available = action_counts >= min_count
 
-    trans_p = np.zeros(len(triplets), dtype=float)
+    trans_p = np.zeros(len(key), dtype=float)
     keep = available[trans_s, trans_a]
     row_totals = action_counts[trans_s, trans_a]
     trans_p[keep] = trans_count[keep] / row_totals[keep]
 
-    fallback = frozenset(int(s) for s in range(k) if not available[s].any())
-    for s in fallback:
-        available[s, FALLBACK_ACTION] = True
-    if fallback:
+    fallback = np.flatnonzero(~available.any(axis=1))
+    available[fallback, FALLBACK_ACTION] = True
+    if fallback.size:
         log.info("%d state(s) had no action meeting min_count=%d, "
-                 "given self-loop fallback", len(fallback), min_count)
+                 "given self-loop fallback", fallback.size, min_count)
 
     model = MDPModel(k, gamma, min_count, action_space, trans_s, trans_a,
                      trans_sp, trans_count, trans_p, available, action_counts,
-                     fallback)
+                     frozenset(fallback.tolist()))
     model.validate()
     return model
 
@@ -257,21 +277,17 @@ def extract_real_policy(mdp: MDPModel) -> np.ndarray:
     fallback action.
     """
     policy = np.argmax(mdp.action_counts, axis=1).astype(np.int64)
-    for s in mdp.fallback_states:
-        policy[s] = FALLBACK_ACTION
+    policy[sorted(mdp.fallback_states)] = FALLBACK_ACTION
     return policy
-
-
-def _text_lines(text: str) -> List[str]:
-    lines = text.split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
 
 
 def split_headed_csv(text: str, fmt: str, version: int,
                      columns: str) -> Tuple[dict, Iterator[List[str]]]:
     """The header and the comma-split rows of a ``fmt`` file: a JSON header
     line, the ``columns`` line, then one row per line."""
-    lines = _text_lines(text)
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     try:
         header = json.loads(lines[0]) if lines else None
     except ValueError:
@@ -285,31 +301,56 @@ def split_headed_csv(text: str, fmt: str, version: int,
     return header, (line.split(",") for line in lines[2:])
 
 
-def write_trajectories(trajectories: Sequence[Trajectory]) -> str:
+def write_trajectories(trajectories: Trajectories) -> str:
     """One `patient_id,step_index,state,action,next_state` row per step."""
-    # joined per patient first: a list of every row would outweigh the text
+    t = trajectories
+    ids = np.repeat(t.patient_ids, t.lengths)
+    step = np.arange(len(t.state)) - np.repeat(t.bounds[:-1], t.lengths)
+    row = "%s,%d,%d,%d,%d\n".__mod__
     return TRAJECTORY_COLUMNS + "\n" + "".join(
-        "".join("%s,%d,%d,%d,%d\n" % (traj.patient_id, i, s, a, sp)
-                for i, (s, a, sp) in enumerate(traj.steps))
-        for traj in trajectories)
+        "".join(map(row, zip(*(col[at:at + CHUNK_ROWS].tolist() for col in
+                               (ids, step, t.state, t.action, t.next_state)))))
+        for at in range(0, len(step), CHUNK_ROWS))
 
 
-def read_trajectories(text: str) -> List[Trajectory]:
-    """The trajectories of ``write_trajectories``' text."""
-    lines = _text_lines(text)
-    if lines[:1] != [TRAJECTORY_COLUMNS]:
+def read_trajectories(text: str) -> Trajectories:
+    """The trajectories of ``write_trajectories``' text, converted to columns
+    a block of whole lines, about CHUNK_CHARS characters, at a time."""
+    at = len(TRAJECTORY_COLUMNS) + 1
+    if text[:at].rstrip("\n") != TRAJECTORY_COLUMNS:
         raise ValueError("not a trajectory file")
-    out: List[Trajectory] = []
-    current: Optional[Trajectory] = None
-    for line in lines[1:]:
-        pid, idx, s, a, sp = line.split(",")
-        if current is None or current.patient_id != pid:
-            current = Trajectory(pid, [])
-            out.append(current)
-        if int(idx) != len(current.steps):
-            raise ValueError("non-contiguous steps for patient %s" % pid)
-        current.steps.append((int(s), int(a), int(sp)))
-    return out
+    ids: List[str] = []
+    new = [np.zeros(0, dtype=bool)]  # whether each row starts a patient
+    columns = [np.zeros((4, 0), dtype=np.int64)]  # step index, s, a, s'
+    n = 0
+    while at < len(text):
+        end = text.find("\n", at + CHUNK_CHARS)
+        if end < 0:  # the last block; a final newline ends its last line
+            end = len(text) - text.endswith("\n")
+        cells = [line.split(",") for line in text[at:end].split("\n")]
+        at = end + 1
+        for i, row in enumerate(cells):
+            if len(row) != 5:
+                raise ValueError("line %d has %d fields, expected 5"
+                                 % (n + i + 2, len(row)))
+        pids, *ints = zip(*cells)
+        # a row starts a patient when its id differs from the row before's
+        before = (ids[-1] if ids else None,) + pids
+        new.append(np.fromiter(map(operator.ne, pids, before), dtype=bool,
+                               count=len(pids)))
+        ids.extend(itertools.compress(pids, new[-1]))
+        columns.append(np.array([list(map(int, col)) for col in ints],
+                                dtype=np.int64))
+        n += len(pids)
+    step, state, action, next_state = np.concatenate(columns, axis=1)
+    bounds = np.append(np.flatnonzero(np.concatenate(new)), n)
+    patient = np.repeat(np.arange(len(ids)), np.diff(bounds))
+    off = np.flatnonzero(step != np.arange(n) - bounds[patient])
+    if off.size:
+        raise ValueError("non-contiguous steps for patient %s"
+                         % ids[patient[off[0]]])
+    return Trajectories(np.array(ids, dtype=str), bounds, state, action,
+                        next_state)
 
 
 def save_mdp(mdp: MDPModel) -> str:
@@ -337,33 +378,34 @@ def load_mdp(text: str) -> MDPModel:
     p must agree."""
     header, body = split_headed_csv(text, MDP_FORMAT, MDP_FORMAT_VERSION,
                                     MDP_COLUMNS)
-    rows = [(int(s), int(a), int(sp), int(c), float(p))
-            for s, a, sp, c, p in body]
+    ints, stored_p = [], []
+    for s, a, sp, c, p in body:
+        ints.append((int(s), int(a), int(sp), int(c)))
+        stored_p.append(float(p))
     k = int(header["k"])
     gamma = float(header["gamma"])
     min_count = int(header["min_count"])
     action_space = ActionSpace(tuple(header["bin_edges"]))
     declared = int(header["n_rows"])
-    if declared != len(rows):
-        raise ValueError("declares %d rows but has %d" % (declared, len(rows)))
+    if declared != len(ints):
+        raise ValueError("declares %d rows but has %d" % (declared, len(ints)))
     if int(header.get("n_states", k + 2)) != k + 2:
         raise ValueError("inconsistent n_states")
 
-    stored = {(s, a, sp): (c, p) for s, a, sp, c, p in rows}
-    if len(stored) != len(rows):
-        raise ValueError("duplicate triplet rows")
-    if not stored:
+    s, a, sp, c = np.array(ints, dtype=np.int64).reshape(-1, 4).T
+    if not len(c):
         raise ValueError("no transitions")
-    counts = {key: c for key, (c, _) in stored.items()}
-    if any(c <= 0 for c in counts.values()):
+    if np.any(c <= 0):
         raise ValueError("non-positive count")
-    if any(not (0 <= s < k and 0 <= a < action_space.n_actions and 0 <= sp < k + 2)
-           for s, a, sp in counts):
+    if np.any((s < 0) | (s >= k) | (a < 0) | (a >= action_space.n_actions)
+              | (sp < 0) | (sp >= k + 2)):
         raise ValueError("triplet indices out of range")
-    model = _model_from_counts(counts, k, min_count, gamma, action_space)
-    for s, a, sp, c, p in zip(model.trans_s, model.trans_a, model.trans_sp,
-                              model.trans_count, model.trans_p):
-        c_stored, p_stored = stored[(int(s), int(a), int(sp))]
-        if c_stored != int(c) or abs(p_stored - float(p)) > 1e-12:
-            raise ValueError("stored probabilities disagree with counts")
+    key = np.ravel_multi_index((s, a, sp), (k, action_space.n_actions, k + 2))
+    order = np.argsort(key)
+    if np.any(np.diff(key[order]) == 0):
+        raise ValueError("duplicate triplet rows")
+    model = _model_from_counts(key[order], c[order], k, min_count, gamma,
+                               action_space)
+    if np.any(np.abs(np.array(stored_p)[order] - model.trans_p) > 1e-12):
+        raise ValueError("stored probabilities disagree with counts")
     return model

@@ -15,7 +15,7 @@ import io
 import json
 import logging
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from .encoder import (
 from .errors import ArtifactError, DataError, GlyrlError
 from .mdp import (
     ActionSpace,
-    AssignedSeries,
-    Trajectory,
+    Trajectories,
     build_trajectories,
     estimate_mdp,
     extract_real_policy,
@@ -430,18 +429,6 @@ def _aligned_labels(files: _StageFiles, rows: np.ndarray, k: int) -> np.ndarray:
     return files.read("cluster", "assignments.csv", "assignments", parse)
 
 
-def _assigned(rows: np.ndarray, labels: np.ndarray) -> List[AssignedSeries]:
-    """Cut aligned rows and labels into one series per patient."""
-    first = np.flatnonzero(rows["hour"] == 0)
-    bounds = first.tolist() + [len(rows)]
-    states = labels.tolist()
-    glucose = [None if g != g else g for g in rows["glucose"].tolist()]
-    return [AssignedSeries(pid, states[a:b], glucose[a:b], alive)
-            for pid, alive, a, b in zip(rows["patient_id"][first].tolist(),
-                                        rows["survived"][first].tolist(),
-                                        bounds, bounds[1:])]
-
-
 def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
     files = _StageFiles(art_dir, "build-mdp")
@@ -449,17 +436,21 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
     k = config.clustering.k
     labels = _aligned_labels(files, rows, k)
     space = ActionSpace(config.mdp.bin_edges)
-    trajs_train = build_trajectories(
-        _assigned(rows[:n_train], labels[:n_train]), space, k)
-    trajs_test = build_trajectories(
-        _assigned(rows[n_train:], labels[n_train:]), space, k)
-    if not trajs_train:
+    trajs = {}
+    for split, at in (("train", slice(0, n_train)),
+                      ("test", slice(n_train, len(rows)))):
+        part = rows[at]
+        first = np.flatnonzero(part["hour"] == 0)
+        trajs[split] = build_trajectories(
+            part["patient_id"][first], np.append(first, len(part)),
+            labels[at], part["glucose"], part["survived"][first], space, k)
+    if not trajs["train"]:
         raise DataError("no usable training trajectories")
-    model = estimate_mdp(trajs_train, k, min_count=config.mdp.min_count,
+    model = estimate_mdp(trajs["train"], k, min_count=config.mdp.min_count,
                          gamma=config.mdp.gamma, action_space=space)
     files.write(MDP_FILE, save_mdp(model))
-    for split, trajs in (("train", trajs_train), ("test", trajs_test)):
-        files.write(TRAJECTORY_FILE % split, write_trajectories(trajs))
+    for split in ("train", "test"):
+        files.write(TRAJECTORY_FILE % split, write_trajectories(trajs[split]))
     files.record(config)
 
 
@@ -493,19 +484,13 @@ def _read_values(files: _StageFiles, label: str) -> np.ndarray:
 
 
 def _read_trajectories(files: _StageFiles, split: str,
-                       k: int) -> List[Trajectory]:
+                       k: int) -> Trajectories:
     """mdp/trajectories_<split>.csv, every step inside the k-state MDP."""
-    def parse(data: bytes) -> List[Trajectory]:
+    def parse(data: bytes) -> Trajectories:
         trajs = read_trajectories(data.decode())
         if split == "train" and not trajs:
             raise ValueError("lists no trajectories")
-        for traj in trajs:
-            for s, _, sp in traj.steps:
-                if not (0 <= s < k and 0 <= sp < k + 2):
-                    raise ValueError(
-                        "patient %s steps from state %d to %d; states must "
-                        "lie in [0, %d) and next states in [0, %d)"
-                        % (traj.patient_id, s, sp, k, k + 2))
+        trajs.check(k)
         return trajs
 
     return files.read("build-mdp", TRAJECTORY_FILE % split, "trajectory file",

@@ -60,49 +60,33 @@ class _Compiled:
 
 
 def _compile(mdp: MDPModel) -> _Compiled:
-    k = mdp.k
-    n_actions = mdp.n_actions
-    pair_index = np.full((k, n_actions), -1, dtype=np.int64)
-
-    pair_state, pair_action, pair_reward = [], [], []
-    targets, probs, ptr = [], [], []
-    kept = mdp.trans_p > 0.0
-    by_pair = {}
-    for s, a, sp, p in zip(mdp.trans_s[kept], mdp.trans_a[kept],
-                           mdp.trans_sp[kept], mdp.trans_p[kept]):
-        by_pair.setdefault((int(s), int(a)), []).append((int(sp), float(p)))
-
-    offset = 0
-    for s in range(k):
-        for a in range(n_actions):
-            if not mdp.available[s, a]:
-                continue
-            pair_index[s, a] = len(pair_state)
-            pair_state.append(s)
-            pair_action.append(a)
-            if s in mdp.fallback_states and a == FALLBACK_ACTION and (s, a) not in by_pair:
-                rows = [(s, 1.0)]  # flagged self-loop, zero reward
-            else:
-                rows = by_pair[(s, a)]
-            reward = sum(p * mdp.reward_into(sp) for sp, p in rows)
-            pair_reward.append(reward)
-            ptr.append(offset)
-            for sp, p in rows:
-                targets.append(sp)
-                probs.append(p)
-            offset += len(rows)
-
+    """The rows with p > 0 of every available pair, pair by pair in (s, a)
+    order and in model order within a pair; each fallback state gets a
+    flagged self-loop with zero reward."""
+    k, n_actions = mdp.k, mdp.n_actions
+    kept = (mdp.trans_p > 0.0) & mdp.available[mdp.trans_s, mdp.trans_a]
+    loops = np.array(sorted(mdp.fallback_states), dtype=np.int64)
+    pair = np.concatenate((mdp.trans_s[kept] * n_actions + mdp.trans_a[kept],
+                           loops * n_actions + FALLBACK_ACTION))
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    target = np.concatenate((mdp.trans_sp[kept], loops))[order]
+    prob = np.concatenate((mdp.trans_p[kept], np.ones(len(loops))))[order]
+    ptr = np.flatnonzero(np.diff(pair, prepend=-1))
+    pair_index = np.full(k * n_actions, -1, dtype=np.int64)
+    pair_index[pair[ptr]] = np.arange(len(ptr))
+    reward = np.array([mdp.reward_into(sp) for sp in range(mdp.n_states)])
     return _Compiled(
         k=k,
         n_states=mdp.n_states,
         gamma=mdp.gamma,
-        pair_state=np.array(pair_state, dtype=np.int64),
-        pair_action=np.array(pair_action, dtype=np.int64),
-        pair_reward=np.array(pair_reward, dtype=float),
-        t_target=np.array(targets, dtype=np.int64),
-        t_prob=np.array(probs, dtype=float),
-        pair_ptr=np.array(ptr, dtype=np.int64),
-        pair_index=pair_index,
+        pair_state=pair[ptr] // n_actions,
+        pair_action=pair[ptr] % n_actions,
+        pair_reward=np.add.reduceat(prob * reward[target], ptr),
+        t_target=target,
+        t_prob=prob,
+        pair_ptr=ptr,
+        pair_index=pair_index.reshape(k, n_actions),
     )
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import pipeline
 from .cohort import FIXED_COLUMNS
 from .errors import ArtifactError
 from .mdp import ActionSpace, DEFAULT_BIN_EDGES, MDPModel
@@ -391,7 +391,7 @@ def ladder_config(n_patients: int, seed: int = 0,
 
 
 def save_ground_truth(path: str, truth: GroundTruth) -> None:
-    doc = {
+    pipeline._write(path, {
         "format": GROUND_TRUTH_FORMAT,
         "version": GROUND_TRUTH_FORMAT_VERSION,
         "n_latent_states": truth.n_latent_states,
@@ -400,12 +400,7 @@ def save_ground_truth(path: str, truth: GroundTruth) -> None:
         "pi_star": truth.pi_star.tolist(),
         "v_star": truth.v_star.tolist(),
         "latent_states": truth.latent_states,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    })
 
 
 def load_ground_truth(path: str) -> GroundTruth:

@@ -20,6 +20,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+import trajectory_oracle as oracle
 from glyrl import pipeline, synthgen
 from glyrl.cluster import kmeans_fit
 from glyrl.cohort import (
@@ -40,7 +41,6 @@ from glyrl.encoder import (
 )
 from glyrl.mdp import (
     ActionSpace,
-    Trajectory,
     estimate_mdp,
     extract_real_policy,
     load_mdp,
@@ -130,8 +130,9 @@ def random_logged_mdp(rng, max_k=18, max_actions=5):
             s = sp
         else:
             steps.append((s, int(rng.integers(n_actions)), k))
-        trajs.append(Trajectory("p%d" % p, steps))
-    return estimate_mdp(trajs, k, min_count=int(rng.integers(1, 3)),
+        trajs.append(steps)
+    return estimate_mdp(oracle.trajectories(trajs), k,
+                        min_count=int(rng.integers(1, 3)),
                         gamma=0.9, action_space=space)
 
 
@@ -224,7 +225,7 @@ def test_criterion_04_hand_computed_bellman_values():
     started = time.monotonic()
 
     def mdp_of(steps):
-        return estimate_mdp([Trajectory("p", steps)], k=2, min_count=1,
+        return estimate_mdp(oracle.trajectories([steps]), k=2, min_count=1,
                             gamma=0.9)
 
     survive = mdp_of([(0, 3, 2)])
@@ -312,8 +313,9 @@ def test_criterion_07_estimated_mdp_integrity():
             if sp >= k:
                 break
             s = sp
-        trajs.append(Trajectory("p%d" % p, steps))
-    mdp = estimate_mdp(trajs, k, min_count=1, gamma=0.9, action_space=space)
+        trajs.append(steps)
+    mdp = estimate_mdp(oracle.trajectories(trajs), k, min_count=1, gamma=0.9,
+                       action_space=space)
 
     # every counted step survives into the model, none invented
     modeled = Counter()
@@ -362,7 +364,7 @@ def test_criterion_08_recovers_planted_policy_and_lowers_mortality(ladder_run):
 
     with open(os.path.join(art, "mdp", "trajectories_train.csv")) as fh:
         trajs = read_trajectories(fh.read())
-    visited = sorted({s for t in trajs for s, _, _ in t.steps})
+    visited = np.unique(trajs.state).tolist()
     with open(os.path.join(art, "solution", "optimal.csv")) as fh:
         policy, _, label = read_solution(fh.read())
     assert label == "optimal"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import trajectory_oracle as oracle
+
 from glyrl.calib import (
     CalibrationCurve,
     _pav_non_increasing,
@@ -17,15 +19,14 @@ from glyrl.calib import (
     visitation_from_trajectories,
 )
 from glyrl.errors import CalibrationError
-from glyrl.mdp import Trajectory, estimate_mdp
+from glyrl.mdp import estimate_mdp
 from glyrl.solver import policy_evaluation
 
 
 def visits(state, n, died, k):
     """n single-visit trajectories at `state`, each with the given outcome."""
     terminal = k + 1 if died else k
-    return [Trajectory("s%d_%d" % (state, i), [(state, 0, terminal)])
-            for i in range(n)]
+    return [[(state, 0, terminal)]] * n
 
 
 def test_two_cluster_curve_matches_hand_values():
@@ -33,7 +34,8 @@ def test_two_cluster_curve_matches_hand_values():
     k = 2
     trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
              + visits(1, 1, True, k) + visits(1, 9, False, k))
-    curve = fit_curve([-50.0, 50.0], trajs, n_bins=20, min_bin_support=1)
+    curve = fit_curve([-50.0, 50.0], oracle.trajectories(trajs),
+                      n_bins=20, min_bin_support=1)
     assert curve.bin_centers.tolist() == [-50.0, 50.0]
     assert curve.mortality.tolist() == [0.9, 0.1]
     assert curve.support.tolist() == [10, 10]
@@ -59,14 +61,16 @@ def test_fit_curve_pav_path():
     trajs += visits(0, 3, True, k) + visits(0, 7, False, k)  # 0.3 at V=-10
     trajs += visits(1, 5, True, k) + visits(1, 5, False, k)  # 0.5 at V=0
     trajs += visits(2, 2, True, k) + visits(2, 8, False, k)  # 0.2 at V=+10
-    curve = fit_curve([-10.0, 0.0, 10.0], trajs, n_bins=3, min_bin_support=1)
+    curve = fit_curve([-10.0, 0.0, 10.0], oracle.trajectories(trajs),
+                      n_bins=3, min_bin_support=1)
     assert np.allclose(curve.mortality, [0.4, 0.4, 0.2], atol=1e-12)
 
 
 def test_all_died_curve_is_constant_one():
     k = 2
     trajs = visits(0, 6, True, k) + visits(1, 6, True, k)
-    curve = fit_curve([-20.0, 30.0], trajs, n_bins=5, min_bin_support=1)
+    curve = fit_curve([-20.0, 30.0], oracle.trajectories(trajs),
+                      n_bins=5, min_bin_support=1)
     assert np.all(curve.mortality == 1.0)
     assert estimate_mortality(curve, -100.0) == 1.0
     assert estimate_mortality(curve, 100.0) == 1.0
@@ -90,7 +94,7 @@ def test_estimate_mortality_monotone_everywhere():
         n = 40
         n_died = int(round(rate * n))
         trajs += visits(s, n_died, True, k) + visits(s, n - n_died, False, k)
-    curve = fit_curve([-60.0, -20.0, 20.0, 60.0], trajs,
+    curve = fit_curve([-60.0, -20.0, 20.0, 60.0], oracle.trajectories(trajs),
                       n_bins=10, min_bin_support=5)
     xs = np.sort(rng.uniform(-80, 80, size=200))
     ys = estimate_mortality(curve, xs)
@@ -103,7 +107,8 @@ def test_fit_curve_merges_thin_bins():
     trajs += visits(0, 30, True, k)  # V=-10
     trajs += visits(1, 3, False, k)  # V=0, thin
     trajs += visits(2, 30, False, k)  # V=+10
-    curve = fit_curve([-10.0, 0.0, 10.0], trajs, n_bins=3, min_bin_support=5)
+    curve = fit_curve([-10.0, 0.0, 10.0], oracle.trajectories(trajs),
+                      n_bins=3, min_bin_support=5)
     assert len(curve.bin_centers) == 2
     assert int(curve.support.sum()) == 63
     assert np.all(curve.support >= 5)
@@ -115,27 +120,29 @@ def test_fit_curve_errors_when_too_thin():
     k = 2
     trajs = visits(0, 3, True, k) + visits(1, 3, False, k)
     with pytest.raises(CalibrationError):
-        fit_curve([-10.0, 10.0], trajs, n_bins=5, min_bin_support=50)
+        fit_curve([-10.0, 10.0], oracle.trajectories(trajs),
+                  n_bins=5, min_bin_support=50)
 
 
 def test_fit_curve_errors_on_constant_returns():
     k = 2
     trajs = visits(0, 5, True, k) + visits(1, 5, False, k)
     with pytest.raises(CalibrationError):
-        fit_curve([7.0, 7.0], trajs, n_bins=5, min_bin_support=1)
+        fit_curve([7.0, 7.0], oracle.trajectories(trajs), n_bins=5,
+                  min_bin_support=1)
 
 
 def test_fit_curve_errors_on_empty():
     with pytest.raises(CalibrationError):
-        fit_curve([1.0, 2.0], [], n_bins=5, min_bin_support=1)
+        fit_curve([1.0, 2.0], oracle.trajectories([]), n_bins=5,
+                  min_bin_support=1)
     with pytest.raises(ValueError):
-        fit_curve([1.0, 2.0], [Trajectory("p", [(0, 0, 3)])],
+        fit_curve([1.0, 2.0], oracle.trajectories([[(0, 0, 3)]]),
                   n_bins=1, min_bin_support=1)
 
 
 def test_visitation_counts_source_states():
-    trajs = [Trajectory("a", [(0, 1, 1), (1, 1, 2)]),
-             Trajectory("b", [(1, 1, 3)])]
+    trajs = oracle.trajectories([[(0, 1, 1), (1, 1, 2)], [(1, 1, 3)]])
     w = visitation_from_trajectories(trajs, 2)
     assert np.allclose(w, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -144,7 +151,7 @@ def test_visitation_counts_source_states():
 def test_empirical_mortality_counts_death_terminals():
     k = 2
     trajs = visits(0, 3, True, k) + visits(1, 7, False, k)
-    assert empirical_mortality(trajs, k) == pytest.approx(0.3)
+    assert empirical_mortality(oracle.trajectories(trajs), k) == pytest.approx(0.3)
 
 
 def curve_and_mdp():
@@ -152,11 +159,12 @@ def curve_and_mdp():
     trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
              + visits(1, 1, True, k) + visits(1, 9, False, k))
     # a second action at each state so real and optimal can differ
-    trajs += [Trajectory("x%d" % i, [(0, 5, k)]) for i in range(10)]
-    trajs += [Trajectory("y%d" % i, [(1, 5, k)]) for i in range(10)]
-    mdp = estimate_mdp(trajs, k, min_count=1, gamma=0.9)
+    trajs += [[(0, 5, k)]] * 10
+    trajs += [[(1, 5, k)]] * 10
+    mdp = estimate_mdp(oracle.trajectories(trajs), k, min_count=1, gamma=0.9)
     v_real = np.array([-50.0, 50.0])
-    curve = fit_curve(v_real, trajs, n_bins=20, min_bin_support=1)
+    curve = fit_curve(v_real, oracle.trajectories(trajs), n_bins=20,
+                      min_bin_support=1)
     return mdp, curve
 
 
@@ -242,9 +250,9 @@ def test_training_anchor_on_synthetic_two_state_cohort():
     k = 2
     trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
              + visits(1, 1, True, k) + visits(1, 9, False, k)
-             + [Trajectory("x%d" % i, [(0, 5, k)]) for i in range(10)]
-             + [Trajectory("y%d" % i, [(1, 5, k)]) for i in range(10)])
-    w_train = visitation_from_trajectories(trajs, k)
+             + [[(0, 5, k)]] * 10
+             + [[(1, 5, k)]] * 10)
+    w_train = visitation_from_trajectories(oracle.trajectories(trajs), k)
     v_real = np.array([-50.0, 50.0])
     est = float(w_train @ estimate_mortality(curve, v_real))
     visit_level = 10.0 / 40.0
@@ -255,7 +263,8 @@ def test_curve_csv_round_trip():
     k = 2
     trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
              + visits(1, 1, True, k) + visits(1, 9, False, k))
-    curve = fit_curve([-50.0, 50.0], trajs, n_bins=20, min_bin_support=1)
+    curve = fit_curve([-50.0, 50.0], oracle.trajectories(trajs),
+                      n_bins=20, min_bin_support=1)
     text = emit_curve_csv(curve)
     lines = text.splitlines()
     assert lines[0] == "expected_return,estimated_mortality,support"

@@ -417,6 +417,26 @@ def test_seeding_exact_when_squares_overflow():
     assert 0 < finished < 12
 
 
+def test_single_cluster_fit_refuses_overflowing_squares():
+    # with k = 1 there is no second draw: the first seed's distances alone
+    # decide, and an infinite total must fail as it does for k > 1
+    a = 5e153
+    points = np.array([[0.0, 0.0]] * 5 + [[a, a], [-a, -a], [0.0, 1e-160]])
+    refused = 0
+    for seed in range(12):
+        first = points[np.random.default_rng(seed).integers(len(points))]
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(((points - first) ** 2).sum())
+            if overflows:
+                with pytest.raises(ValueError, match="overflow float64$"):
+                    kmeans_fit(points, 1, seed=seed)
+                refused += 1
+            else:
+                model = kmeans_fit(points, 1, seed=seed)
+                assert np.all(np.isfinite(model.inertia_history))
+    assert 0 < refused < 12
+
+
 def tight_triples(rng, triples, dim, scale):
     """Rows a, x and c = a + 2v with x past a + v toward c by about one
     rounding step of the squared distances, picked so that c - a reads more

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+import trajectory_oracle as oracle
 from glyrl.errors import IntegrityError
 from glyrl.mdp import (
     ActionSpace,
-    AssignedSeries,
     DEFAULT_BIN_EDGES,
     MDPModel,
-    Trajectory,
     build_trajectories,
     discretize_glucose,
     estimate_mdp,
@@ -67,58 +66,59 @@ def test_action_space_validation():
         ActionSpace(())
 
 
-def series(pid, states, glucose, survived):
-    return AssignedSeries(pid, states, glucose, survived)
+def build(series, k):
+    """build_trajectories over (id, states, glucose or None, survived) per
+    patient, as (id, steps) per kept patient."""
+    ids, states, glucose, survived = zip(*series)
+    trajs = build_trajectories(
+        np.array(ids), np.cumsum([0] + [len(s) for s in states]),
+        np.array([s for patient in states for s in patient], dtype=np.int64),
+        np.array([np.nan if g is None else g
+                  for patient in glucose for g in patient]),
+        np.array(survived), SPACE, k)
+    return oracle.steps(trajs)
 
 
 def test_trajectory_three_hour_survivor():
-    trajs = build_trajectories(
-        [series("p1", [2, 4, 4], [70.0, 110.0, 150.0], True)], SPACE, 6)
-    assert len(trajs) == 1
-    assert trajs[0].steps == [(2, 1, 4), (4, 3, 4), (4, 5, 6)]  # SURVIVE = 6
+    trajs = build([("p1", [2, 4, 4], [70.0, 110.0, 150.0], True)], 6)
+    assert trajs == [("p1", [(2, 1, 4), (4, 3, 4), (4, 5, 6)])]  # SURVIVE = 6
 
 
 def test_trajectory_death_terminal():
-    trajs = build_trajectories(
-        [series("p2", [0, 1], [90.0, 90.0], False)], SPACE, 6)
-    assert trajs[0].steps[-1] == (1, 2, 7)  # DEATH = 7
+    trajs = build([("p2", [0, 1], [90.0, 90.0], False)], 6)
+    assert trajs[0][1][-1] == (1, 2, 7)  # DEATH = 7
 
 
 def test_trajectory_carry_forward_missing_glucose():
-    trajs = build_trajectories(
-        [series("p3", [0, 1, 2], [70.0, None, 150.0], True)], SPACE, 5)
-    actions = [a for _, a, _ in trajs[0].steps]
+    trajs = build([("p3", [0, 1, 2], [70.0, None, 150.0], True)], 5)
+    actions = [a for _, a, _ in trajs[0][1]]
     assert actions == [1, 1, 5]
 
 
 def test_trajectory_leading_missing_borrows_first_observation():
-    trajs = build_trajectories(
-        [series("p4", [0, 1, 2], [None, None, 130.0], True)], SPACE, 5)
-    actions = [a for _, a, _ in trajs[0].steps]
+    trajs = build([("p4", [0, 1, 2], [None, None, 130.0], True)], 5)
+    actions = [a for _, a, _ in trajs[0][1]]
     assert actions == [4, 4, 4]
 
 
 def test_trajectory_no_glucose_at_all_excluded(caplog):
     import logging
     with caplog.at_level(logging.WARNING, logger="glyrl.mdp"):
-        trajs = build_trajectories(
-            [series("p5", [0, 1], [None, None], True),
-             series("p6", [0], [100.0], True)], SPACE, 5)
-    assert [t.patient_id for t in trajs] == ["p6"]
+        trajs = build([("p5", [0, 1], [None, None], True),
+                       ("p6", [0], [100.0], True)], 5)
+    assert [pid for pid, _ in trajs] == ["p6"]
     assert "p5" in caplog.text
 
 
 def test_trajectory_contiguity_invariant():
-    trajs = build_trajectories(
-        [series("p7", [3, 1, 4, 1], [100.0] * 4, False)], SPACE, 5)
-    steps = trajs[0].steps
+    steps = build([("p7", [3, 1, 4, 1], [100.0] * 4, False)], 5)[0][1]
     for (s, a, sp), (s2, _, _) in zip(steps, steps[1:]):
         assert sp == s2
 
 
 def test_trajectory_bad_glucose_names_patient():
     with pytest.raises(IntegrityError) as err:
-        build_trajectories([series("p8", [0], [-3.0], True)], SPACE, 3)
+        build([("p7", [0], [100.0], True), ("p8", [0], [-3.0], True)], 3)
     assert "p8" in str(err.value)
 
 
@@ -147,27 +147,35 @@ def test_trajectory_actions_match_per_hour_reference():
                            float(rng.uniform(1.0, 450.0)))
         states = rng.integers(0, 7, size=n).tolist()
         alive = bool(rng.random() < 0.5)
-        assigned.append(series("p%d" % p, states, glucose, alive))
+        assigned.append(("p%d" % p, states, glucose, alive))
         if any(g is not None for g in glucose):
             actions = reference_actions(glucose)
             nxt = states[1:] + [7 if alive else 8]
             expected.append(("p%d" % p, list(zip(states, actions, nxt))))
-    trajs = build_trajectories(assigned, SPACE, 7)
-    assert [(t.patient_id, t.steps) for t in trajs] == expected
+    assert build(assigned, 7) == expected
 
 
 def test_trajectory_first_bad_glucose_in_time_order_is_reported():
-    for bad in (np.nan, np.inf, 0.0):
+    for bad in (np.inf, 0.0):
         with pytest.raises(IntegrityError) as err:
-            build_trajectories(
-                [series("p9", [0, 1, 2], [None, bad, -3.0], True)], SPACE, 3)
+            build([("p9", [0, 1, 2], [None, bad, -3.0], True)], 3)
         assert "p9" in str(err.value)
         assert repr(bad) in str(err.value)
 
 
 def single_step_mdp(min_count=1):
-    trajs = [Trajectory("p", [(0, 3, 1)])]  # SURVIVE for k=1
+    trajs = oracle.trajectories([[(0, 3, 1)]])  # SURVIVE for k=1
     return estimate_mdp(trajs, k=1, min_count=min_count, gamma=0.9)
+
+
+def test_estimate_rejects_steps_outside_the_model():
+    for steps, message in (
+            ([(0, 3, 1), (1, 0, 2)], "^patient p1 steps from state 1 to 2"),
+            ([(0, 3, 1), (0, 0, 3)], "^patient p1 steps from state 0 to 3"),
+            ([(0, 3, 1), (0, 11, 1)], None)):  # action outside the 11 bins
+        trajs = oracle.trajectories([steps[:1], steps[1:]])
+        with pytest.raises(ValueError, match=message):
+            estimate_mdp(trajs, k=1)
 
 
 def test_estimate_single_observation():
@@ -184,9 +192,8 @@ def test_estimate_single_observation():
 
 
 def test_estimate_even_split_probabilities():
-    trajs = [Trajectory("a", [(0, 3, 1), (1, 0, 3)]),
-             Trajectory("b", [(0, 3, 2), (2, 0, 3)])]
-    mdp = estimate_mdp(trajs, k=3, min_count=1, gamma=0.9)
+    trajs = [[(0, 3, 1), (1, 0, 3)], [(0, 3, 2), (2, 0, 3)]]
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=3, min_count=1, gamma=0.9)
     for target in (1, 2):
         idx = np.flatnonzero((mdp.trans_s == 0) & (mdp.trans_a == 3)
                              & (mdp.trans_sp == target))
@@ -205,8 +212,8 @@ def test_estimate_row_stochastic():
             steps.append((s, a, sp))
             s = sp
         steps.append((s, int(rng.integers(11)), 4 if rng.random() < 0.5 else 5))
-        trajs.append(Trajectory("p%d" % p, steps))
-    mdp = estimate_mdp(trajs, k=4, min_count=1)
+        trajs.append(steps)
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=4, min_count=1)
     mdp.validate()
     for s in range(4):
         for a in range(11):
@@ -238,8 +245,9 @@ def test_validate_reports_the_first_failing_pair_like_the_per_pair_loop():
                 steps.append((s, int(rng.integers(4)), sp))
                 s = sp
             steps.append((s, int(rng.integers(4)), 5 + int(rng.random() < 0.4)))
-            trajs.append(Trajectory("p%d" % p, steps))
-        mdp = estimate_mdp(trajs, k=5, min_count=int(rng.integers(1, 6)))
+            trajs.append(steps)
+        mdp = estimate_mdp(oracle.trajectories(trajs), k=5,
+                           min_count=int(rng.integers(1, 6)))
         assert reference_validate_error(mdp) is None
         picks = rng.choice(len(mdp.trans_p), size=int(rng.integers(1, 4)),
                            replace=False)
@@ -263,16 +271,15 @@ def test_validate_rejects_actions_outside_the_action_space():
 
 
 def test_estimate_count_conservation_min_count_one():
-    trajs = [Trajectory("a", [(0, 1, 1), (1, 2, 2)]),
-             Trajectory("b", [(0, 1, 1), (1, 5, 3)])]
-    mdp = estimate_mdp(trajs, k=2, min_count=1)
-    total_steps = sum(len(t.steps) for t in trajs)
+    trajs = [[(0, 1, 1), (1, 2, 2)], [(0, 1, 1), (1, 5, 3)]]
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=2, min_count=1)
+    total_steps = sum(map(len, trajs))
     assert int(mdp.trans_count.sum()) == total_steps
 
 
 def test_estimate_min_count_removes_action():
-    trajs = [Trajectory("a", [(0, 2, 1)] * 3 + [(0, 7, 1)] * 5)]
-    mdp = estimate_mdp(trajs, k=1, min_count=5)
+    trajs = [[(0, 2, 1)] * 3 + [(0, 7, 1)] * 5]
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=1, min_count=5)
     assert not mdp.available[0, 2]
     assert mdp.available[0, 7]
     # removed action has zero probability mass
@@ -281,8 +288,8 @@ def test_estimate_min_count_removes_action():
 
 
 def test_estimate_fallback_state_flagged():
-    trajs = [Trajectory("a", [(0, 2, 1)] * 2)]  # state 1 = SURVIVE for k=1? no: k=2
-    mdp = estimate_mdp(trajs, k=2, min_count=5)
+    trajs = [[(0, 2, 1)] * 2]  # state 1 = SURVIVE for k=1? no: k=2
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=2, min_count=5)
     # state 0 has too few counts, state 1 has none: both fall back
     assert mdp.fallback_states == frozenset({0, 1})
     assert mdp.available[0, 0] and mdp.available[1, 0]
@@ -301,9 +308,9 @@ def test_estimate_deterministic_rebuild():
         for _, a, sp in steps:
             fixed.append((s, a, sp))
             s = sp
-        trajs.append(Trajectory("p%d" % p, fixed))
-    a = estimate_mdp(trajs, k=3, min_count=2)
-    b = estimate_mdp(list(trajs), k=3, min_count=2)
+        trajs.append(fixed)
+    a = estimate_mdp(oracle.trajectories(trajs), k=3, min_count=2)
+    b = estimate_mdp(oracle.trajectories(list(trajs)), k=3, min_count=2)
     assert np.array_equal(a.trans_s, b.trans_s)
     assert np.array_equal(a.trans_count, b.trans_count)
     assert np.array_equal(a.trans_p, b.trans_p)
@@ -313,13 +320,13 @@ def flip_outcomes(trajs, k):
     flipped = []
     for t in trajs:
         steps = []
-        for s, a, sp in t.steps:
+        for s, a, sp in t:
             if sp == k:
                 sp = k + 1
             elif sp == k + 1:
                 sp = k
             steps.append((s, a, sp))
-        flipped.append(Trajectory(t.patient_id, steps))
+        flipped.append(steps)
     return flipped
 
 
@@ -334,9 +341,10 @@ def test_reward_antisymmetry_under_outcome_flip():
             steps.append((s, int(rng.integers(11)), sp))
             s = sp
         steps.append((s, int(rng.integers(11)), 3 if rng.random() < 0.6 else 4))
-        trajs.append(Trajectory("p%d" % p, steps))
-    mdp_a = estimate_mdp(trajs, k=3, min_count=1)
-    mdp_b = estimate_mdp(flip_outcomes(trajs, 3), k=3, min_count=1)
+        trajs.append(steps)
+    mdp_a = estimate_mdp(oracle.trajectories(trajs), k=3, min_count=1)
+    mdp_b = estimate_mdp(oracle.trajectories(flip_outcomes(trajs, 3)), k=3,
+                         min_count=1)
 
     def terminal_counts(m, terminal):
         mask = m.trans_sp == terminal
@@ -348,9 +356,9 @@ def test_reward_antisymmetry_under_outcome_flip():
 
 
 def test_real_policy_argmax_and_ties():
-    trajs = [Trajectory("a", [(0, 2, 1)] * 10 + [(0, 7, 1)] * 3
-                        + [(1, 1, 2)] * 5 + [(1, 4, 2)] * 5)]
-    mdp = estimate_mdp(trajs, k=3, min_count=1)
+    trajs = [[(0, 2, 1)] * 10 + [(0, 7, 1)] * 3
+             + [(1, 1, 2)] * 5 + [(1, 4, 2)] * 5]
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=3, min_count=1)
     policy = extract_real_policy(mdp)
     assert policy[0] == 2  # 10 vs 3
     assert policy[1] == 1  # 5 vs 5, tie -> lowest
@@ -358,8 +366,8 @@ def test_real_policy_argmax_and_ties():
 
 
 def test_real_policy_single_action_everywhere():
-    trajs = [Trajectory("a", [(0, 6, 1), (1, 3, 2)])]
-    mdp = estimate_mdp(trajs, k=2, min_count=1)
+    trajs = [[(0, 6, 1), (1, 3, 2)]]
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=2, min_count=1)
     policy = extract_real_policy(mdp)
     assert policy[0] == 6 and policy[1] == 3
 
@@ -375,22 +383,34 @@ def test_real_policy_lands_in_available_set():
             steps.append((s, int(rng.integers(4)), sp))
             s = sp
         steps.append((s, int(rng.integers(4)), 5))
-        trajs.append(Trajectory("p%d" % p, steps))
-    mdp = estimate_mdp(trajs, k=5, min_count=5)
+        trajs.append(steps)
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=5, min_count=5)
     policy = extract_real_policy(mdp)
     for s in range(5):
         assert mdp.available[s, policy[s]]
 
 
 def test_trajectory_round_trip():
-    trajs = build_trajectories(
-        [series("p1", [0, 1], [70.0, 80.0], True),
-         series("p2", [1, 1, 2], [None, 90.0, 301.0], False)], SPACE, 4)
+    trajs = oracle.trajectories([[(0, 1, 1), (1, 1, 4)],
+                                 [(1, 0, 1), (1, 2, 2), (2, 10, 5)]])
     back = read_trajectories(write_trajectories(trajs))
-    assert len(back) == len(trajs)
-    for orig, got in zip(trajs, back):
-        assert orig.patient_id == got.patient_id
-        assert orig.steps == got.steps
+    assert oracle.steps(back) == oracle.steps(trajs)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("patient_id,step_index,state\n", "not a trajectory file"),
+    ("", "not a trajectory file"),
+    (oracle.TRAJECTORY_COLUMNS + "\np1,0,0,1\n", "line 2 has 4 fields"),
+    (oracle.TRAJECTORY_COLUMNS + "\np1,0,0,1,1\n\n", "line 3 has 1 fields"),
+    (oracle.TRAJECTORY_COLUMNS + "\np1,0,0,1,1\np1,2,1,1,4\n",
+     "non-contiguous steps for patient p1"),
+    (oracle.TRAJECTORY_COLUMNS + "\np1,0,0,1,1\np2,1,1,1,4\n",
+     "non-contiguous steps for patient p2"),
+    (oracle.TRAJECTORY_COLUMNS + "\np1,0,zero,1,1\n", "invalid literal"),
+])
+def test_read_trajectories_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_trajectories(text)
 
 
 def test_mdp_save_load_round_trip():
@@ -404,8 +424,8 @@ def test_mdp_save_load_round_trip():
             steps.append((s, int(rng.integers(11)), sp))
             s = sp
         steps.append((s, int(rng.integers(11)), 4 if rng.random() < 0.7 else 5))
-        trajs.append(Trajectory("p%d" % p, steps))
-    mdp = estimate_mdp(trajs, k=4, min_count=2)
+        trajs.append(steps)
+    mdp = estimate_mdp(oracle.trajectories(trajs), k=4, min_count=2)
     text = save_mdp(mdp)
     loaded = load_mdp(text)
     assert loaded.k == 4

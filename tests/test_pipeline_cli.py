@@ -142,6 +142,37 @@ def test_rerun_is_byte_identical(workspace, golden):
     assert tree_hashes(str(again)) == tree_hashes(golden["art"])
 
 
+# The SHA-256 of every file the golden run's manifest records.  A change that
+# moves any of these bytes must update the pin and say which bytes moved and
+# why.
+GOLDEN_SHA256 = {
+    'assignments.csv': '4a69e57a8045bacb2335fe5c0ff919c9aa186b496e13a2e9f32cb6457f311309',
+    'clusters.model': '878038d630aa88767e5cc5055589f58968dbbe940c0b9053fbc80ad5df83cbe3',
+    'curve.csv': 'b3af4a26350b48f04911f9fbefa5a4a83be92a0260616900a16b69f9265de946',
+    'exclusions.json': 'c3a25e0ddae3ff79ca46deb62cdad85c66de21e2def765220da2176df3008e30',
+    'hours.npy': '9810269242af19eed6264f2d1176598c126a7a6e999df3afce3eefc0cdb383e5',
+    'mdp/mdp.txt': '8b79e455bfef8f34f7bcac36dc8e040aa7f053c89536a80e843d004d3b0be84d',
+    'mdp/trajectories_test.csv': 'a8b445af1d329cb0a6f1c37e0f17a82529c42452b3bff45e892f58b69707560f',
+    'mdp/trajectories_train.csv': 'cffc712c66a425bfa59e57dff7cb8c946515e681176b3afdf88bfef668f62889',
+    'norm_spec.json': 'e61a615ab19c6ba26f764a0270c180cd00e78a7e5f0b4c098cf82e25a15518a6',
+    'report.json': '9066ef6048bfb9d32e58b1940af3831a69907566fdaf51dcfd374d200406a0ec',
+    'solution/optimal.csv': 'ffd73de75dac81d0ba41943a5cc408ae84973d71d8a240bda430bce1b6693c4c',
+    'solution/q_optimal.csv': '4fb91b42a052899998ff19cb4a72d90b45d4ceeea9e05d92012c80531f49903a',
+    'solution/real.csv': '52d81cd6b6320bf1fb4b1df3298611299df8cb7ed22e9b03d53f0c231dd0ccb7',
+    'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
+    'train.csv': '71a4aa87f461c0b608278226595f5b0c108748ca52b4af5ca1d85611946772df',
+}
+
+
+def test_golden_run_bytes_are_pinned(golden):
+    with open(os.path.join(golden["art"], pipeline.MANIFEST_FILE)) as fh:
+        stages = json.load(fh)["stages"]
+    recorded = {rel: sha for entry in stages.values() for rel, sha in entry.items()}
+    assert recorded == GOLDEN_SHA256
+    on_disk = tree_hashes(golden["art"])
+    assert {rel: on_disk[rel] for rel in recorded} == GOLDEN_SHA256
+
+
 def test_staged_chain_matches_run(workspace, golden):
     staged = workspace["root"] / "staged"
     common = ["--config", workspace["config"], "--out", str(staged)]
@@ -855,6 +886,21 @@ def test_synth_writes_parseable_cohort(workspace):
     assert truth.pi_star.shape == (truth.n_latent_states,)
     # values cover the two absorbing outcomes as well
     assert truth.v_star.shape == (truth.n_latent_states + 2,)
+
+
+def test_synth_truth_out_creates_its_directory_or_exits_1(
+        workspace, caplog, capsys):
+    root = workspace["root"]
+    argv = ["synth", "--patients", "5", "--seed", "2",
+            "--out", str(root / "synth_truth.csv"), "--truth-out"]
+    truth_out = root / "new_dir" / "truth.json"
+    assert run_cli(argv + [str(truth_out)])[0] == 0
+    assert synthgen.load_ground_truth(str(truth_out)).seed == 2
+
+    blocked = root / "synth_truth.csv" / "truth.json"  # under a regular file
+    assert run_cli(argv + [str(blocked)])[0] == cli.USAGE_EXIT
+    assert "cannot write %s" % blocked in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 def test_synth_is_deterministic(workspace):

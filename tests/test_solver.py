@@ -10,7 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from glyrl.mdp import ActionSpace, MDPModel, Trajectory, estimate_mdp
+import trajectory_oracle as oracle
+from glyrl import synthgen
+from glyrl.mdp import FALLBACK_ACTION, ActionSpace, MDPModel, estimate_mdp
 from glyrl.solver import (
     _compile,
     _q_table,
@@ -47,8 +49,7 @@ def q_from_v(mdp, V):
 
 
 def mdp_from_steps(steps_by_patient, k, min_count=1, gamma=0.9, action_space=None):
-    trajs = [Trajectory("p%d" % i, steps) for i, steps in enumerate(steps_by_patient)]
-    return estimate_mdp(trajs, k, min_count=min_count, gamma=gamma,
+    return estimate_mdp(oracle.trajectories(steps_by_patient), k, min_count=min_count, gamma=gamma,
                         action_space=action_space)
 
 
@@ -111,9 +112,10 @@ def random_mdp(rng, max_states=20, max_actions=5):
             s = sp
         else:
             steps.append((s, int(rng.integers(n_actions)), k))
-        trajs.append(Trajectory("p%d" % p, steps))
+        trajs.append(steps)
     min_count = int(rng.integers(1, 3))
-    return estimate_mdp(trajs, k, min_count=min_count, gamma=0.9, action_space=space)
+    return estimate_mdp(oracle.trajectories(trajs), k, min_count=min_count,
+                        gamma=0.9, action_space=space)
 
 
 def test_single_action_to_survive_is_plus_100():
@@ -259,6 +261,45 @@ def test_solve_equals_iteration_and_evaluation_bitwise():
         assert np.array_equal(
             v_logged.view(np.int64),
             policy_evaluation(mdp, logged, epsilon=1e-6).view(np.int64))
+
+
+def reference_compile(mdp):
+    """The pair-by-pair loop over a dict of per-pair rows that _compile
+    replaced: (pair_state, pair_action, pair_reward, t_target, t_prob,
+    pair_ptr, pair_index)."""
+    by_pair = {}
+    for s, a, sp, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp, mdp.trans_p):
+        if p > 0.0:
+            by_pair.setdefault((int(s), int(a)), []).append((int(sp), float(p)))
+    pair_index = np.full((mdp.k, mdp.n_actions), -1, dtype=np.int64)
+    pairs, rewards, targets, probs, ptr = [], [], [], [], []
+    for s, a in zip(*np.nonzero(mdp.available)):
+        if int(s) in mdp.fallback_states and a == FALLBACK_ACTION:
+            rows = by_pair.get((s, a), [(int(s), 1.0)])
+        else:
+            rows = by_pair[(s, a)]
+        pair_index[s, a] = len(pairs)
+        pairs.append((s, a))
+        rewards.append(sum(p * mdp.reward_into(sp) for sp, p in rows))
+        ptr.append(len(targets))
+        targets += [sp for sp, _ in rows]
+        probs += [p for _, p in rows]
+    state, action = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return (state, action, np.array(rewards), np.array(targets, dtype=np.int64),
+            np.array(probs), np.array(ptr, dtype=np.int64), pair_index)
+
+
+def test_compiled_form_matches_the_per_pair_loop_bitwise():
+    rng = np.random.default_rng(77)
+    models = [random_mdp(rng, max_states=30, max_actions=11) for _ in range(40)]
+    models.append(synthgen.true_mdp(synthgen.ladder_config(20, seed=1)))
+    for mdp in models:
+        compiled = _compile(mdp)
+        got = (compiled.pair_state, compiled.pair_action, compiled.pair_reward,
+               compiled.t_target, compiled.t_prob, compiled.pair_ptr,
+               compiled.pair_index)
+        for a, b in zip(got, reference_compile(mdp)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_solve_rejects_what_its_parts_reject():
