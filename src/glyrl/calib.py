@@ -17,12 +17,13 @@ from typing import List
 import numpy as np
 
 from .errors import CalibrationError
-from .mdp import Trajectories
+from .mdp import Trajectories, read_table, write_table
 
 DEFAULT_N_BINS = 20
 DEFAULT_MIN_BIN_SUPPORT = 50
 
 MORTALITY_MAPPINGS = ("per_state", "mean_return")
+CURVE_COLUMNS = "expected_return,estimated_mortality,support"
 
 
 @dataclass(frozen=True)
@@ -250,23 +251,13 @@ def report_to_dict(report: EvaluationReport) -> dict:
 
 
 def emit_curve_csv(curve: CalibrationCurve) -> str:
-    lines = ["expected_return,estimated_mortality,support"]
-    for c, m, s in zip(curve.bin_centers, curve.mortality, curve.support):
-        lines.append("%s,%s,%d" % (repr(float(c)), repr(float(m)), int(s)))
-    return "\n".join(lines) + "\n"
+    return write_table(CURVE_COLUMNS, "%r,%r,%d\n",
+                       (curve.bin_centers, curve.mortality, curve.support))
 
 
 def parse_curve_csv(text: str) -> CalibrationCurve:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "expected_return,estimated_mortality,support":
-        raise ValueError("not a calibration curve CSV")
-    centers, mortality, support = [], [], []
-    for ln in lines[1:]:
-        c, m, s = ln.split(",")
-        centers.append(float(c))
-        mortality.append(float(m))
-        support.append(int(s))
-    curve = CalibrationCurve(np.array(centers), np.array(mortality),
-                             np.array(support, dtype=np.int64))
+    _, (centers, mortality, support) = read_table(
+        text, "calibration curve", CURVE_COLUMNS, (float, float, int))
+    curve = CalibrationCurve(centers, mortality, support)
     curve.validate()
     return curve

@@ -63,6 +63,8 @@ _FLAG_COLUMNS = frozenset((
 
 # CSV rows converted to columns at a time: bounds the cell strings held at once.
 CHUNK_ROWS = 4096
+# Characters a patient id may not hold: artifact tables write ids unquoted.
+_ID_RESERVED = frozenset(',"\r\n')
 
 
 @dataclass
@@ -186,6 +188,9 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
 
     ids = np.array(cells["patient_id"], dtype=str)
     check(ids == "", lambda i: "empty patient_id")
+    check([not _ID_RESERVED.isdisjoint(c) for c in cells["patient_id"]],
+          lambda i: f"patient_id {cells['patient_id'][i]!r} holds a comma, "
+          "quote, CR or LF")
     hour, bad = _ints(cells["hour_index"])
     check(bad, unparsable("hour_index", cells["hour_index"], "an integer"))
     check(hour < 0, lambda i: f"hour_index must be >= 0, got {int(hour[i])}")

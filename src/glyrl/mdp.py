@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +38,8 @@ MDP_FORMAT = "glyrl-mdp"
 MDP_FORMAT_VERSION = 1
 MDP_COLUMNS = "s,a,s_next,count,p"
 TRAJECTORY_COLUMNS = "patient_id,step_index,state,action,next_state"
-# Trajectory rows formatted, and characters of trajectory text parsed, at a
-# time: bounds the strings held at once.
+# Table rows formatted, and characters of table text parsed, at a time:
+# bounds the strings held at once.
 CHUNK_ROWS = 4096
 CHUNK_CHARS = 1 << 16
 
@@ -281,76 +280,99 @@ def extract_real_policy(mdp: MDPModel) -> np.ndarray:
     return policy
 
 
-def split_headed_csv(text: str, fmt: str, version: int,
-                     columns: str) -> Tuple[dict, Iterator[List[str]]]:
-    """The header and the comma-split rows of a ``fmt`` file: a JSON header
-    line, the ``columns`` line, then one row per line."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    try:
-        header = json.loads(lines[0]) if lines else None
-    except ValueError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise ValueError("not a %s file" % fmt)
-    if header.get("version") != version:
-        raise ValueError("unsupported %s version %r" % (fmt, header.get("version")))
-    if lines[1:2] != [columns]:
-        raise ValueError("the column header is not %r" % columns)
-    return header, (line.split(",") for line in lines[2:])
+def write_table(columns: str, template: str, cols,
+                header: Optional[dict] = None) -> str:
+    """The text table of ``cols``: ``header`` as a line of sorted JSON when
+    given, the ``columns`` line, then one ``template`` row per row, formatted
+    CHUNK_ROWS rows at a time from ``.tolist()`` lists."""
+    head = "" if header is None else json.dumps(header, sort_keys=True) + "\n"
+    cols = [np.asarray(col) for col in cols]
+    return head + columns + "\n" + "".join(
+        "".join(map(template.__mod__,
+                    zip(*(col[at:at + CHUNK_ROWS].tolist() for col in cols))))
+        for at in range(0, len(cols[0]), CHUNK_ROWS))
+
+
+def _column(kind, cells) -> np.ndarray:
+    """``cells`` as a numpy column of ``kind``: str, int (int64) or float."""
+    if kind is str:
+        return np.array(cells, dtype=str)
+    return np.fromiter(map(kind, cells), dtype=np.int64 if kind is int else float,
+                       count=len(cells))
+
+
+def read_table(text: str, fmt: str, columns: str, kinds: Sequence[type],
+               version: Optional[int] = None) -> Tuple[Optional[dict],
+                                                       List[np.ndarray]]:
+    """The header of ``write_table``'s text (None unless ``version`` is
+    given) and one numpy column per entry of ``kinds`` (str, int or float).
+
+    With a ``version``, the first line must be a JSON header of format
+    ``fmt`` and that version; ``fmt`` also names the file in errors.  Rows
+    are converted a block of whole lines, about CHUNK_CHARS characters, at a
+    time; a row with the wrong number of fields raises, naming its line."""
+    header, at = None, 0
+    if version is not None:
+        at = text.find("\n") + 1 or len(text)
+        try:
+            header = json.loads(text[:at])
+        except ValueError:
+            pass
+        if not isinstance(header, dict) or header.get("format") != fmt:
+            raise ValueError("not a %s file" % fmt)
+        if header.get("version") != version:
+            raise ValueError("unsupported %s version %r"
+                             % (fmt, header.get("version")))
+    end = text.find("\n", at) + 1 or len(text)
+    if text[at:end].rstrip("\n") != columns:
+        raise ValueError("not a %s file" % fmt if header is None
+                         else "the column header is not %r" % columns)
+    at, line = end, 2 if header is None else 3
+    width = len(kinds)
+    blocks = [[_column(kind, []) for kind in kinds]]
+    while at < len(text):
+        end = text.find("\n", at + CHUNK_CHARS)
+        if end < 0:  # the last block; a final newline ends its last line
+            end = len(text) - text.endswith("\n")
+        block = text[at:end]
+        lines = block.split("\n")
+        commas = np.fromiter(map(str.count, lines, itertools.repeat(",")),
+                             dtype=np.int64, count=len(lines))
+        bad = np.flatnonzero(commas != width - 1)
+        if bad.size:
+            raise ValueError("line %d has %d fields, expected %d"
+                             % (line + bad[0], commas[bad[0]] + 1, width))
+        cells = block.replace("\n", ",").split(",")
+        blocks.append([_column(kind, cells[j::width])
+                       for j, kind in enumerate(kinds)])
+        at, line = end + 1, line + len(lines)
+    return header, [np.concatenate(col) for col in zip(*blocks)]
 
 
 def write_trajectories(trajectories: Trajectories) -> str:
     """One `patient_id,step_index,state,action,next_state` row per step."""
     t = trajectories
-    ids = np.repeat(t.patient_ids, t.lengths)
     step = np.arange(len(t.state)) - np.repeat(t.bounds[:-1], t.lengths)
-    row = "%s,%d,%d,%d,%d\n".__mod__
-    return TRAJECTORY_COLUMNS + "\n" + "".join(
-        "".join(map(row, zip(*(col[at:at + CHUNK_ROWS].tolist() for col in
-                               (ids, step, t.state, t.action, t.next_state)))))
-        for at in range(0, len(step), CHUNK_ROWS))
+    return write_table(TRAJECTORY_COLUMNS, "%s,%d,%d,%d,%d\n",
+                       (np.repeat(t.patient_ids, t.lengths), step, t.state,
+                        t.action, t.next_state))
 
 
 def read_trajectories(text: str) -> Trajectories:
-    """The trajectories of ``write_trajectories``' text, converted to columns
-    a block of whole lines, about CHUNK_CHARS characters, at a time."""
-    at = len(TRAJECTORY_COLUMNS) + 1
-    if text[:at].rstrip("\n") != TRAJECTORY_COLUMNS:
-        raise ValueError("not a trajectory file")
-    ids: List[str] = []
-    new = [np.zeros(0, dtype=bool)]  # whether each row starts a patient
-    columns = [np.zeros((4, 0), dtype=np.int64)]  # step index, s, a, s'
-    n = 0
-    while at < len(text):
-        end = text.find("\n", at + CHUNK_CHARS)
-        if end < 0:  # the last block; a final newline ends its last line
-            end = len(text) - text.endswith("\n")
-        cells = [line.split(",") for line in text[at:end].split("\n")]
-        at = end + 1
-        for i, row in enumerate(cells):
-            if len(row) != 5:
-                raise ValueError("line %d has %d fields, expected 5"
-                                 % (n + i + 2, len(row)))
-        pids, *ints = zip(*cells)
-        # a row starts a patient when its id differs from the row before's
-        before = (ids[-1] if ids else None,) + pids
-        new.append(np.fromiter(map(operator.ne, pids, before), dtype=bool,
-                               count=len(pids)))
-        ids.extend(itertools.compress(pids, new[-1]))
-        columns.append(np.array([list(map(int, col)) for col in ints],
-                                dtype=np.int64))
-        n += len(pids)
-    step, state, action, next_state = np.concatenate(columns, axis=1)
-    bounds = np.append(np.flatnonzero(np.concatenate(new)), n)
-    patient = np.repeat(np.arange(len(ids)), np.diff(bounds))
-    off = np.flatnonzero(step != np.arange(n) - bounds[patient])
+    """The trajectories of ``write_trajectories``' text; a patient's rows
+    are consecutive, with steps 0, 1, ..."""
+    _, (ids, step, state, action, next_state) = read_table(
+        text, "trajectory", TRAJECTORY_COLUMNS, (str, int, int, int, int))
+    # a row starts a patient when its id differs from the row before's
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = ids[1:] != ids[:-1]
+    bounds = np.append(np.flatnonzero(new), len(ids))
+    patient = np.cumsum(new) - 1
+    off = np.flatnonzero(step != np.arange(len(ids)) - bounds[patient])
     if off.size:
         raise ValueError("non-contiguous steps for patient %s"
-                         % ids[patient[off[0]]])
-    return Trajectories(np.array(ids, dtype=str), bounds, state, action,
-                        next_state)
+                         % ids[off[0]])
+    return Trajectories(ids[bounds[:-1]], bounds, state, action, next_state)
 
 
 def save_mdp(mdp: MDPModel) -> str:
@@ -367,32 +389,26 @@ def save_mdp(mdp: MDPModel) -> str:
         "bin_edges": list(mdp.action_space.bin_edges),
         "n_rows": int(len(mdp.trans_s)),
     }
-    return json.dumps(header, sort_keys=True) + "\n" + MDP_COLUMNS + "\n" + \
-        "".join("%d,%d,%d,%d,%s\n" % (s, a, sp, c, repr(float(p)))
-                for s, a, sp, c, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp,
-                                          mdp.trans_count, mdp.trans_p))
+    return write_table(MDP_COLUMNS, "%d,%d,%d,%d,%r\n",
+                       (mdp.trans_s, mdp.trans_a, mdp.trans_sp,
+                        mdp.trans_count, mdp.trans_p), header)
 
 
 def load_mdp(text: str) -> MDPModel:
     """Rebuild the model from the counts in ``save_mdp``'s text; the stored
     p must agree."""
-    header, body = split_headed_csv(text, MDP_FORMAT, MDP_FORMAT_VERSION,
-                                    MDP_COLUMNS)
-    ints, stored_p = [], []
-    for s, a, sp, c, p in body:
-        ints.append((int(s), int(a), int(sp), int(c)))
-        stored_p.append(float(p))
+    header, (s, a, sp, c, stored_p) = read_table(
+        text, MDP_FORMAT, MDP_COLUMNS, (int, int, int, int, float),
+        MDP_FORMAT_VERSION)
     k = int(header["k"])
     gamma = float(header["gamma"])
     min_count = int(header["min_count"])
     action_space = ActionSpace(tuple(header["bin_edges"]))
     declared = int(header["n_rows"])
-    if declared != len(ints):
-        raise ValueError("declares %d rows but has %d" % (declared, len(ints)))
-    if int(header.get("n_states", k + 2)) != k + 2:
+    if declared != len(c):
+        raise ValueError("declares %d rows but has %d" % (declared, len(c)))
+    if int(header["n_states"]) != k + 2:
         raise ValueError("inconsistent n_states")
-
-    s, a, sp, c = np.array(ints, dtype=np.int64).reshape(-1, 4).T
     if not len(c):
         raise ValueError("no transitions")
     if np.any(c <= 0):
@@ -406,6 +422,6 @@ def load_mdp(text: str) -> MDPModel:
         raise ValueError("duplicate triplet rows")
     model = _model_from_counts(key[order], c[order], k, min_count, gamma,
                                action_space)
-    if np.any(np.abs(np.array(stored_p)[order] - model.trans_p) > 1e-12):
+    if np.any(np.abs(stored_p[order] - model.trans_p) > 1e-12):
         raise ValueError("stored probabilities disagree with counts")
     return model

@@ -52,8 +52,10 @@ from .mdp import (
     estimate_mdp,
     extract_real_policy,
     load_mdp,
+    read_table,
     read_trajectories,
     save_mdp,
+    write_table,
     write_trajectories,
 )
 from .solver import (
@@ -182,7 +184,7 @@ class _StageFiles:
         except KeyError as exc:
             raise ArtifactError("malformed %s %s: no %s field" % (what, path, exc))
         except (ValueError, TypeError, IndexError, OverflowError,
-                RecursionError, EOFError, csv.Error) as exc:
+                RecursionError, EOFError) as exc:
             raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
 
     def record(self, config: PipelineConfig, **extra) -> None:
@@ -243,6 +245,7 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
 
 
 HOURS_FILE = "hours.npy"
+ASSIGNMENT_COLUMNS = "patient_id,hour_index,state_id"
 ENCODER_FILE = "encoder.model"
 MDP_FILE = os.path.join("mdp", "mdp.txt")
 TRAJECTORY_FILE = os.path.join("mdp", "trajectories_%s.csv")
@@ -371,7 +374,7 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     points_train = np.ascontiguousarray(rows["state"][:n_train])
     points_test = np.ascontiguousarray(rows["state"][n_train:])
     # free the table before k-means needs its scratch space
-    ids, hours = rows["patient_id"].tolist(), rows["hour"].tolist()
+    ids, hours = rows["patient_id"].copy(), rows["hour"].copy()
     del rows
     if config.representation == "sparse_ae":
         params = files.read("train-encoder", ENCODER_FILE, "encoder model",
@@ -385,13 +388,11 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
                        tol=config.clustering.tol)
     files.write("clusters.model", save_clusters(model))
 
-    labels_test = assign_many(points_test, model).tolist() if len(points_test) \
-        else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "hour_index", "state_id"])
-    writer.writerows(zip(ids, hours, model.labels.tolist() + labels_test))
-    files.write("assignments.csv", buf.getvalue())
+    labels = model.labels
+    if len(points_test):
+        labels = np.concatenate((labels, assign_many(points_test, model)))
+    files.write("assignments.csv", write_table(
+        ASSIGNMENT_COLUMNS, "%s,%d,%d\n", (ids, hours, labels)))
     files.record(config, representation=config.representation)
 
 
@@ -399,23 +400,13 @@ def _aligned_labels(files: _StageFiles, rows: np.ndarray, k: int) -> np.ndarray:
     """The state of each row of ``rows``; assignments.csv must list the same
     patient-hours in the same order."""
     def parse(data: bytes) -> np.ndarray:
-        # decoded as it is read, like a file: no second copy of the text
-        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                             newline=""))
-        if next(reader, None) != ["patient_id", "hour_index", "state_id"]:
-            raise ValueError("not an assignments file")
-        ids, ints = [], []
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError("line %d does not have 3 fields"
-                                 % reader.line_num)
-            ids.append(row[0])
-            ints.append((int(row[1]), int(row[2])))
+        _, (ids, hours, labels) = read_table(
+            data.decode(), "cluster assignment", ASSIGNMENT_COLUMNS,
+            (str, int, int))
         if len(ids) != len(rows):
             raise ValueError("%d rows but %s has %d"
                              % (len(ids), HOURS_FILE, len(rows)))
-        hours, labels = np.array(ints, dtype=np.int64).reshape(-1, 2).T
-        off = np.flatnonzero((np.array(ids, dtype=str) != rows["patient_id"])
+        off = np.flatnonzero((ids != rows["patient_id"])
                              | (hours != rows["hour"]))
         if off.size:
             raise ValueError("line %d does not line up with %s"

@@ -11,14 +11,13 @@ bounded by 100 in magnitude and evaluation contracts at rate gamma.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .mdp import FALLBACK_ACTION, MDPModel, split_headed_csv
+from .mdp import FALLBACK_ACTION, MDPModel, read_table, write_table
 
 DEFAULT_EPSILON = 1e-4
 MAX_EVAL_SWEEPS = 1_000_000
@@ -208,39 +207,33 @@ def solve(mdp: MDPModel, logged_policy,
 def write_solution(solution: PolicySolution, label: str) -> str:
     """The solution as text: a JSON header line, then
     `state_id,policy_action,V` per non-terminal state."""
+    k = len(solution.policy)
     header = {
         "format": SOLUTION_FORMAT,
         "version": SOLUTION_FORMAT_VERSION,
         "label": label,
-        "k": int(len(solution.policy)),
+        "k": k,
         "eval_sweeps": int(solution.eval_sweeps),
         "improvements": int(solution.improvements),
         "converged": bool(solution.converged),
     }
-    return json.dumps(header, sort_keys=True) + "\n" + SOLUTION_COLUMNS + "\n" + \
-        "".join("%d,%d,%s\n" % (s, int(a), repr(float(v)))
-                for s, (a, v) in enumerate(zip(solution.policy, solution.V)))
+    return write_table(SOLUTION_COLUMNS, "%d,%d,%r\n",
+                       (np.arange(k), solution.policy, solution.V[:k]), header)
 
 
 def read_solution(text: str) -> Tuple[np.ndarray, np.ndarray, str]:
     """Returns (policy, V over non-terminal states, label) of
     ``write_solution``'s text."""
-    header, body = split_headed_csv(text, SOLUTION_FORMAT,
-                                    SOLUTION_FORMAT_VERSION, SOLUTION_COLUMNS)
-    states, actions, values = [], [], []
-    for s, a, v in body:
-        states.append(int(s))
-        actions.append(int(a))
-        values.append(float(v))
-    if states != list(range(int(header.get("k", len(states))))):
+    header, (states, actions, values) = read_table(
+        text, SOLUTION_FORMAT, SOLUTION_COLUMNS, (int, int, float),
+        SOLUTION_FORMAT_VERSION)
+    if not np.array_equal(states, np.arange(int(header["k"]))):
         raise ValueError("rows are not the contiguous states")
-    return (np.array(actions, dtype=np.int64), np.array(values, dtype=float),
-            str(header.get("label", "")))
+    return actions, values, str(header["label"])
 
 
 def write_q_table(solution: PolicySolution) -> str:
     """`state_id,action,Q` triplets for every available pair."""
-    Q = solution.Q
-    return "state_id,action,Q\n" + "".join(
-        "%d,%d,%s\n" % (s, a, repr(float(Q[s, a])))
-        for s, a in zip(*np.nonzero(np.isfinite(Q))))
+    s, a = np.nonzero(np.isfinite(solution.Q))
+    return write_table("state_id,action,Q", "%d,%d,%r\n",
+                       (s, a, solution.Q[s, a]))

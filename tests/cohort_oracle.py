@@ -199,6 +199,9 @@ def parse_cohort(
         pid = named["patient_id"]
         if not pid:
             raise ParseError(line_no, "empty patient_id")
+        if any(c in pid for c in ',"\r\n'):
+            raise ParseError(line_no,
+                             f"patient_id {pid!r} holds a comma, quote, CR or LF")
         hour = _parse_int(named["hour_index"], line_no, "hour_index")
         if hour < 0:
             raise ParseError(line_no, f"hour_index must be >= 0, got {hour}")

@@ -184,6 +184,10 @@ PARSE_DEFECTS = {
     "nul_in_covariate": lambda: _with((4, {"lactate": "1.5\0"})),
     "nul_in_gender": lambda: _with((4, {"gender": "F\0"})),
     "empty_id": lambda: _with((4, {"patient_id": ""})),
+    # quoted in the cohort CSV, but artifact tables write ids unquoted
+    "comma_in_id": lambda: _with((4, {"patient_id": '"p1,x"'})),
+    "quote_in_id": lambda: _with((4, {"patient_id": 'p1"x'})),
+    "line_break_in_id": lambda: _with((4, {"patient_id": '"p1\r\nx"'})),
     "hour_text": lambda: _with((4, {"hour_index": "one"})),
     "hour_float": lambda: _with((4, {"hour_index": "1.0"})),
     "hour_negative": lambda: _with((4, {"hour_index": "-1"})),
@@ -301,6 +305,7 @@ def test_parity_cases_cover_every_check():
         messages.add(_error(cohort.parse_cohort,
                             "\n".join([HEADER] + rows) + "\n")[1])
     stems = ["expected 21 columns", "NUL character", "empty patient_id",
+             "holds a comma, quote, CR or LF",
              "cannot parse hour_index", "hour_index must be >= 0",
              "unknown glucose_source", "cannot parse glucose_mgdl",
              "non-finite glucose_mgdl", "glucose_mgdl must be > 0",

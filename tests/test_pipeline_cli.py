@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import cohort_row, make_csv
-from glyrl import cli, pipeline, synthgen
+from glyrl import cli, cohort, mdp, pipeline, synthgen
 from glyrl.cohort import (apply_normalization, fit_normalization, hours_dtype,
                           parse_cohort)
 from glyrl.config import PipelineConfig, load_config
@@ -171,6 +171,23 @@ def test_golden_run_bytes_are_pinned(golden):
     assert recorded == GOLDEN_SHA256
     on_disk = tree_hashes(golden["art"])
     assert {rel: on_disk[rel] for rel in recorded} == GOLDEN_SHA256
+
+
+def test_golden_run_bytes_hold_when_every_chunk_is_7(workspace, monkeypatch,
+                                                    tmp_path):
+    # the golden cohort's ~1,200 rows fit in one chunk at the default sizes
+    for module, name in ((mdp, "CHUNK_ROWS"), (mdp, "CHUNK_CHARS"),
+                         (cohort, "CHUNK_ROWS")):
+        monkeypatch.setattr(module, name, 7)
+    art = tmp_path / "art"
+    rc, _ = run_cli(["run", "--config", workspace["config"],
+                     "--input", workspace["cohort"], "--out", str(art)])
+    assert rc == 0
+    stages = json.loads((art / pipeline.MANIFEST_FILE).read_text())["stages"]
+    assert {rel: sha for entry in stages.values()
+            for rel, sha in entry.items()} == GOLDEN_SHA256
+    on_disk = tree_hashes(str(art))
+    assert {rel: on_disk[rel] for rel in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
 def test_staged_chain_matches_run(workspace, golden):
@@ -456,6 +473,24 @@ def header_only(lines):
     return lines[:1]
 
 
+def cut_mid_line(lines):
+    """The last line cut at its first comma."""
+    lines[-1] = lines[-1].split(",", 1)[0]
+    return lines
+
+
+# the number of fields of each text table in READERS (all but hours.npy)
+TABLE_FIELDS = {
+    "assignments.csv": 3,
+    "mdp/mdp.txt": 5,
+    "solution/real.csv": 3,
+    "solution/optimal.csv": 3,
+    "mdp/trajectories_train.csv": 5,
+    "mdp/trajectories_test.csv": 5,
+    "curve.csv": 3,
+}
+
+
 def mdp_columns_renamed(lines):
     lines[1] = "s,a,next_state,count,p\n"
     return lines
@@ -504,12 +539,18 @@ TAMPERED = "does not match the SHA-256"
     ("evaluate", "solution/real.csv", value_raised_by_5, "real.csv", TAMPERED),
     ("build-mdp", "assignments.csv", state_moved, "assignments.csv", TAMPERED),
     ("evaluate", "curve.csv", support_raised, "curve.csv", TAMPERED),
+] + [
+    (READERS[rel][0], rel, cut_mid_line, os.path.basename(rel),
+     "has 1 fields, expected %d" % fields)
+    for rel, fields in TABLE_FIELDS.items()
 ], ids=["test_state_99", "optimal_cut_to_k4", "train_state_99",
         "swapped_labels", "optimal_value_nan", "train_emptied",
         "real_k_not_a_number", "mdp_version_2", "mdp_columns_renamed",
         "mdp_n_states_null", "mdp_k_infinite", "train_step_skipped",
         "real_k_null", "real_header_too_deep", "tampered_real_value",
-        "tampered_assignment", "tampered_curve"])
+        "tampered_assignment", "tampered_curve"] + [
+            os.path.basename(rel).split(".")[0] + "_cut_mid_line"
+            for rel in TABLE_FIELDS])
 def test_bad_late_artifacts_exit_2_and_name_them(
         workspace, golden, caplog, capsys, request, command, path, edit, named,
         message):
@@ -819,6 +860,22 @@ def test_nul_in_a_cell_exits_2_naming_line_and_column(workspace, tmp_path,
                      "--input", str(cohort), "--out", str(tmp_path / "art")])
     assert rc == cli.DATA_EXIT
     assert "line %d: NUL character in patient_id" % (len(lines) + 1) \
+        in caplog.text
+
+
+def test_id_with_a_comma_exits_2_naming_the_line(workspace, tmp_path, caplog):
+    # the artifact tables write ids unquoted, so ingest refuses an id they
+    # could not hold, even when the cohort CSV quotes it
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    pid = lines[1].split(",", 1)[0]
+    lines = ['"x,%s"' % pid + line[len(pid):] if line.startswith(pid + ",")
+             else line for line in lines]
+    cohort_csv = tmp_path / "comma.csv"
+    cohort_csv.write_text("".join(lines))
+    rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                     "--input", str(cohort_csv), "--out", str(tmp_path / "art")])
+    assert rc == cli.DATA_EXIT
+    assert "line 2: patient_id 'x,%s' holds a comma, quote, CR or LF" % pid \
         in caplog.text
 
 
