@@ -166,6 +166,17 @@ def _squared_distances(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1)
 
 
+def _choice(weights: np.ndarray, total: float, rng: np.random.Generator,
+            p: np.ndarray, cdf: np.ndarray) -> int:
+    """rng.choice(len(weights), p=weights / total): Generator.choice's own
+    arithmetic, step for step, in the buffers p and cdf and without its
+    checks of p."""
+    np.divide(weights, total, out=p)
+    np.cumsum(p, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     """k-means++ seeds, each point's nearest seed and its squared distance.
 
@@ -185,13 +196,14 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     scale = 4.0 * (1.0 + 2 * (dim + 4) * finfo.eps)  # exact
     floor = 4 * (dim + 2) * finfo.tiny
     reach = d2 * scale + floor
+    p, cdf = np.empty(n), np.empty(n)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass on already-covered points (duplicates)
             seeds[j] = points[rng.integers(n)]
         else:
-            seeds[j] = points[rng.choice(n, p=d2 / total)]
+            seeds[j] = points[_choice(d2, total, rng, p, cdf)]
         gap = ((seeds[:j] - seeds[j]) ** 2).sum(axis=1)
         # "not greater" keeps every point the bound cannot rule out
         near = np.flatnonzero(~(gap[owner] > reach))

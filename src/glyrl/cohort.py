@@ -3,7 +3,10 @@
 Input is a long-format CSV (one row per patient-hour, empty string = missing).
 ``parse_cohort`` reads it CHUNK_ROWS rows at a time, converts each chunk to
 numpy columns with ``float()``/``int()`` and keeps only the columns, so ingest
-holds at most one chunk of cell strings.  The result is a ``Cohort``: one entry
+holds at most one chunk of cell strings.  The per-patient cells, which repeat
+on every row of a patient, are converted once per distinct block of them, and
+``write_cohort`` formats them once per patient.  Errors name the physical line
+where the row starts.  The result is a ``Cohort``: one entry
 per patient (statics and outcome, patients sorted by id) and one row per
 patient-hour on a gap-free hourly grid.  Filtering, diabetic classification,
 imputation, min-max normalization and the train/test split are array
@@ -125,7 +128,9 @@ def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values = np.full(len(cells), np.nan)
     bad = np.zeros(len(cells), dtype=bool)
     try:
-        values[present] = list(map(float, itertools.compress(cells, present)))
+        values[present] = np.fromiter(
+            map(float, itertools.compress(cells, present)), dtype=float,
+            count=int(np.count_nonzero(present)))
     except ValueError:
         for i in np.flatnonzero(present):
             try:
@@ -141,7 +146,7 @@ def _ints(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     values = np.zeros(len(cells), dtype=np.int64)
     bad = np.zeros(len(cells), dtype=bool)
     try:
-        values[:] = [int(c) for c in cells]
+        values[:] = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
     except (ValueError, OverflowError):
         for i, c in enumerate(cells):
             try:
@@ -157,7 +162,9 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
     columns, that row's position (len(rows) if none) and its message.
 
     Each check runs on the whole chunk as one mask.  A row's message is that
-    of the first check it fails, in the order the checks are made."""
+    of the first check it fails, in the order the checks are made.  The
+    per-patient cells are converted and checked once per distinct block of
+    them, and each check's mask is expanded back to the rows."""
     failures: list[tuple[int, str]] = []
 
     def check(mask, message):
@@ -166,8 +173,10 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
             failures.append((int(bad[0]), message(int(bad[0]))))
 
     width = len(names)
-    short = next((i for i, row in enumerate(rows) if len(row) != width), None)
-    if short is not None:
+    short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp,
+                                       count=len(rows)) != width)
+    if short.size:
+        short = int(short[0])
         failures.append((short, f"expected {width} columns, got {len(rows[short])}"))
         rows = rows[:short]
     n = len(rows)
@@ -179,6 +188,18 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
     # covariate names may repeat each other or a fixed name: look columns up
     # by position
     cells = dict(zip(FIXED_COLUMNS, by_position))
+    # a patient's rows repeat its per-patient cells: key each row on them,
+    # and number the distinct blocks of them in order of first appearance
+    block_of: dict[tuple[str, ...], int] = {}
+    inverse = np.array([block_of.setdefault(key, len(block_of)) for key in
+                        zip(*(cells[name] for name in PATIENT_COLUMNS))],
+                       dtype=np.intp)
+    blocks = dict(zip(PATIENT_COLUMNS,
+                      zip(*block_of) if n else [()] * len(PATIENT_COLUMNS)))
+
+    def check_blocks(mask, message):
+        check(np.asarray(mask, dtype=bool)[inverse],
+              lambda i: message(int(inverse[i])))
 
     def unparsable(name, col, kind):
         return lambda i: f"cannot parse {name}={col[i]!r} as {kind}"
@@ -186,16 +207,17 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
     def non_finite(name, col):
         return lambda i: f"non-finite {name}={col[i]!r}"
 
-    ids = np.array(cells["patient_id"], dtype=str)
-    check(ids == "", lambda i: "empty patient_id")
-    check([not _ID_RESERVED.isdisjoint(c) for c in cells["patient_id"]],
-          lambda i: f"patient_id {cells['patient_id'][i]!r} holds a comma, "
-          "quote, CR or LF")
+    ids = blocks["patient_id"]
+    check_blocks([not c for c in ids], lambda b: "empty patient_id")
+    check_blocks([not _ID_RESERVED.isdisjoint(c) for c in ids],
+                 lambda b: f"patient_id {ids[b]!r} holds a comma, quote, CR "
+                 "or LF")
     hour, bad = _ints(cells["hour_index"])
     check(bad, unparsable("hour_index", cells["hour_index"], "an integer"))
     check(hour < 0, lambda i: f"hour_index must be >= 0, got {int(hour[i])}")
-    source = np.array([_SOURCE_CODES.get(c, -1) for c in cells["glucose_source"]],
-                      dtype=np.int8)
+    codes = {c: _SOURCE_CODES.get(c, -1) for c in set(cells["glucose_source"])}
+    source = np.fromiter(map(codes.__getitem__, cells["glucose_source"]),
+                         dtype=np.int8, count=n)
     check(source < 0,
           lambda i: f"unknown glucose_source {cells['glucose_source'][i]!r}")
     glucose, bad, present = _floats(cells["glucose_mgdl"])
@@ -214,33 +236,33 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
         check(bad, unparsable(name, text, "a number"))
         check(present & ~np.isfinite(values[:, j]), non_finite(name, text))
 
-    columns = {"patient_id": ids, "hour_index": hour, "glucose_mgdl": glucose,
+    columns = {"hour_index": hour, "glucose_mgdl": glucose,
                "glucose_source": source, "values": values}
-    for name in PATIENT_COLUMNS[1:]:
-        text = cells[name]
+    for name, text in blocks.items():
         if name in ("age_years", "first_glucose_mgdl"):
             col, bad, present = _floats(text)
-            check(bad | ~present, unparsable(name, text, "a number"))
-            check(present & ~np.isfinite(col), non_finite(name, text))
+            check_blocks(bad | ~present, unparsable(name, text, "a number"))
+            check_blocks(present & ~np.isfinite(col), non_finite(name, text))
             if name == "age_years":
-                check(col < 0, lambda i: f"age_years must be >= 0, got {float(col[i])}")
+                check_blocks(col < 0, lambda b: "age_years must be >= 0, got "
+                             f"{float(col[b])}")
         elif name in ("sofa_admission", "elixhauser"):
             col, bad = _ints(text)
-            check(bad, unparsable(name, text, "an integer"))
+            check_blocks(bad, unparsable(name, text, "an integer"))
             if name == "sofa_admission":
-                check(col < 0,
-                      lambda i: f"sofa_admission must be >= 0, got {int(col[i])}")
+                check_blocks(col < 0, lambda b: "sofa_admission must be >= 0, "
+                             f"got {int(col[b])}")
         elif name in _FLAG_COLUMNS:
             flag = np.array(text, dtype=str)
             col = flag == "1"
-            check(~col & (flag != "0"),
-                  lambda i: f"{name} must be 0 or 1, got {text[i]!r}")
+            check_blocks(~col & (flag != "0"),
+                         lambda b: f"{name} must be 0 or 1, got {text[b]!r}")
         elif name == "icd9_codes":
-            joined = {c: ";".join(filter(None, c.split(";"))) for c in set(text)}
-            col = np.array([joined[c] for c in text], dtype=str)
+            col = np.array([";".join(filter(None, c.split(";"))) for c in text],
+                           dtype=str)
         else:
             col = np.array(text, dtype=str)
-        columns[name] = col
+        columns[name] = col[inverse]
 
     first_bad, message = min(failures, default=(n, None), key=lambda f: f[0])
     return {k: v[:first_bad] for k, v in columns.items()}, first_bad, message
@@ -305,15 +327,22 @@ def parse_cohort(
 
     # the empty first chunk gives every column its type when no rows follow
     chunks = [_parse_chunk([], names)[0]]
-    chunk_lines, error, next_line = [np.zeros(0, dtype=np.int64)], None, 2
+    chunk_lines, error = [np.zeros(0, dtype=np.int64)], None
     while error is None:
+        read = reader.line_num
         block = list(itertools.islice(reader, CHUNK_ROWS))
         if not block:
             break
-        lines = np.flatnonzero([bool(row) for row in block]) + next_line
-        next_line += len(block)
-        columns, first_bad, message = _parse_chunk([row for row in block if row],
-                                                   names)
+        # each record starts on the line after the previous one ends; only a
+        # quoted line break makes a record span more than one line
+        spans = np.ones(len(block), dtype=np.int64)
+        if reader.line_num - read != len(block):
+            spans += [sum(cell.count("\n") for cell in row) for row in block]
+        lines = read + 1 + np.cumsum(spans) - spans
+        if not all(block):  # blank lines hold no record
+            lines = lines[[bool(row) for row in block]]
+            block = [row for row in block if row]
+        columns, first_bad, message = _parse_chunk(block, names)
         chunks.append(columns)
         chunk_lines.append(lines[:first_bad])
         if message is not None:
@@ -349,13 +378,27 @@ def parse_cohort(
                   bounds, values, glucose, source)
 
 
+class _Echo:
+    """A stream whose write returns its text: csv.writer.writerow then
+    returns the formatted record."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
     """Serialize a cohort back to the long-format CSV (round-trips with
-    parse_cohort); floats are written as their repr."""
+    parse_cohort); floats are written as their repr.
+
+    csv.writer formats and quotes each patient's static cells once; every
+    other cell needs no quoting (ingest refuses ids with a comma, quote, CR
+    or LF, and the rest are numbers and source names), so each hour's row is
+    joined directly."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(list(FIXED_COLUMNS) + list(cohort.covariates))
     per_patient = []
-    for name in PATIENT_COLUMNS:
+    for name in PATIENT_COLUMNS[1:]:
         col = cohort.patients[name]
         if name in _FLAG_COLUMNS:
             per_patient.append(np.where(col, "1", "0").tolist())
@@ -363,25 +406,31 @@ def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
             per_patient.append(list(map(repr, col.tolist())))
         else:
             per_patient.append(list(map(str, col.tolist())))
+    # the record keeps its line end while it is formatted, because csv
+    # quotes a cell that holds a character of the line terminator
+    record = csv.writer(_Echo(), lineterminator="\n").writerow
+    statics = np.array([record(cells)[:-1] for cells in zip(*per_patient)],
+                       dtype=object)
     owner = np.repeat(np.arange(len(cohort.ids)), cohort.lengths)
     hours = cohort.hours
     sources = np.array(GLUCOSE_SOURCES)
 
     def floats(col):
-        if not np.isnan(col).any():
-            return list(map(repr, col.tolist()))
-        return ["" if v != v else repr(v) for v in col.tolist()]
+        text = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            text[i] = ""
+        return text
 
     for a in range(0, len(owner), CHUNK_ROWS):
         rows = slice(a, a + CHUNK_ROWS)
-        who = owner[rows].tolist()
+        who = owner[rows]
         glucose = cohort.glucose[rows]
         source = np.where(np.isnan(glucose), "none", sources[cohort.source[rows]])
-        patient = [[cells[p] for p in who] for cells in per_patient]
-        writer.writerows(zip(
-            patient[0], map(str, hours[rows].tolist()), *patient[1:],
-            floats(glucose), source.tolist(),
+        lines = map(",".join, zip(
+            cohort.ids[who].tolist(), map(str, hours[rows].tolist()),
+            statics[who].tolist(), floats(glucose), source.tolist(),
             *(floats(col) for col in cohort.values[rows].T)))
+        stream.write("\n".join(lines) + "\n")
 
 
 def filter_cohort(

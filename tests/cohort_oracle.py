@@ -185,7 +185,11 @@ def parse_cohort(
     statics_by_patient: dict[str, StaticCovariates] = {}
     died_by_patient: dict[str, bool] = {}
 
-    for line_no, row in enumerate(reader, start=2):
+    # a record starts on the line after the previous one ends: a quoted line
+    # break makes a record span several lines
+    end = reader.line_num
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != n_fixed + n_cov:

@@ -363,6 +363,27 @@ def check_seeding(points, k, seed):
     assert np.array_equal(bits(d2), bits(ref_d2))
 
 
+@pytest.mark.parametrize("kind", ["spread", "zero_heavy", "tiny", "single"])
+def test_choice_draws_what_generator_choice_draws(kind):
+    """The seeding's draw picks Generator.choice's index and leaves the
+    generator in the same state, draw after draw, as the weights change."""
+    rng = np.random.default_rng(41)
+    n = 1 if kind == "single" else 257
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    p, cdf = np.empty(n), np.empty(n)
+    for _ in range(400):
+        d2 = rng.exponential(size=n) ** 3
+        if kind == "zero_heavy":
+            d2[rng.random(n) < 0.97] = 0.0
+            d2[rng.integers(n)] = rng.random() + 1e-3
+        elif kind == "tiny":
+            d2 *= 1e-300
+        total = d2.sum()
+        assert cluster._choice(d2, total, ours, p, cdf) == \
+            theirs.choice(n, p=d2 / total)
+    assert ours.random() == theirs.random()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 15, 32])
 def test_seeding_matches_reference_bitwise(dim):
     rng = np.random.default_rng(300 + dim)

@@ -6,6 +6,7 @@ inconsistent file must raise the reference's error: same class, message and
 line.
 """
 
+import csv
 import io
 import os
 import shutil
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import cohort_oracle
 from glyrl import cohort, pipeline
 from glyrl.config import PipelineConfig
-from glyrl.errors import DataError
+from glyrl.errors import DataError, ParseError
 
 COVARIATES = ("hr", "map", "lactate")
 ARTIFACTS = ("hours.npy", "train.csv", "test.csv", "norm_spec.json",
@@ -31,27 +32,35 @@ FLOATS = st.sampled_from(["-0.0", "0.0", "0", "1.5", "1.50", "-2.25", "7",
                           "0.1", "1e-3", "123456.789", "-1e5", "3.0000000001"])
 
 
+# each static column's values, each value as one or more spellings that parse
+# to the same bits; a patient's rows may spell its value differently, and
+# text cells may need CSV quoting
+STATIC_SPELLINGS = [
+    [["40.5"], ["18", "18.0"], ["66.25", "66.250"], ["17.0"], ["-0.0"]],
+    [["F"], ["M"], ["X"], ["F,M"], ['"M"'], ["F\nM"]],
+    [["MICU"], ["SICU"], ["CCU"], ["MI\nCU"], ["S,ICU"], ['C"CU']],
+    [["2", "02"], ["5"], ["1"]],
+    [["0"], ["3", "03"], ["-1"]],
+] + [[["0"], ["1"]]] * 4 + [
+    [["130.0"], ["-0.0"], ["95.5"], ["1e2", "100.0"]],
+    [[""], ["250.00"], ["401.9;249.1"], ["1250.1"], [";250;", "250"],
+     ["401.9;;428.0"], ["401.9,428.0"], ['250"1'], ["250.00\n401.9"]],
+    [["0"], ["1"]],
+    [["0"], ["1"]],
+    [["0"], ["1"]],  # died_within_90d
+]
+DIED = cohort.FIXED_COLUMNS.index("died_within_90d")
+
+
 @st.composite
 def patients(draw, pid):
-    """CSV rows of one patient: hour gaps, missing cells, edge statics."""
+    """Cell lists of one patient's rows: hour gaps, missing cells, edge
+    statics."""
     max_hour = draw(st.integers(1, 6))
     hours = draw(st.sets(st.integers(0, max_hour - 1), max_size=max_hour))
     hours = sorted(hours | {max_hour})
     # mostly patients the filters keep; some fail on age or SOFA
-    statics = [
-        draw(st.sampled_from(["40.5", "18", "66.25", "66.250", "17.0", "-0.0"])),
-        draw(st.sampled_from(["F", "M", "X"])),
-        draw(st.sampled_from(["MICU", "SICU", "CCU"])),
-        draw(st.sampled_from(["2", "5", "02", "1"])),
-        draw(st.sampled_from(["0", "3", "-1"])),
-    ] + [draw(st.sampled_from(["0", "1"])) for _ in range(4)] + [
-        draw(st.sampled_from(["130.0", "-0.0", "95.5", "1e2"])),
-        draw(st.sampled_from(["", "250.00", "401.9;249.1", "1250.1", ";250;",
-                              "401.9;;428.0"])),
-        draw(st.sampled_from(["0", "1"])),
-        draw(st.sampled_from(["0", "1"])),
-        draw(st.sampled_from(["0", "1"])),  # died_within_90d
-    ]
+    statics = [draw(st.sampled_from(values)) for values in STATIC_SPELLINGS]
     # per covariate: always observed, sometimes missing, or never observed
     modes = [draw(st.sampled_from(["dense"] * 6 + ["sparse"] * 2 + ["empty"]))
              for _ in COVARIATES]
@@ -68,9 +77,17 @@ def patients(draw, pid):
             missing = mode == "empty" or (
                 mode == "sparse" and draw(st.integers(0, 2)) == 0)
             covs.append("" if missing else draw(FLOATS))
-        rows.append(",".join([pid, str(hour)] + statics + [glucose, source]
-                             + covs))
+        rows.append([pid, str(hour)]
+                    + [draw(st.sampled_from(spellings)) for spellings in statics]
+                    + [glucose, source] + covs)
     return rows
+
+
+def record(cells):
+    """One CSV record, quoted where a cell needs it, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
 
 
 @st.composite
@@ -83,12 +100,11 @@ def cohorts(draw):
     for pid in ids:
         rows += draw(patients(pid))
     if draw(st.booleans()):  # single-outcome cohort
-        died = cohort.FIXED_COLUMNS.index("died_within_90d")
         outcome = draw(st.sampled_from(["0", "1"]))
-        rows = [",".join(c if j != died else outcome
-                         for j, c in enumerate(r.split(","))) for r in rows]
+        for row in rows:
+            row[DIED] = outcome
     order = draw(st.permutations(range(len(rows))))
-    return [rows[i] for i in order]
+    return [record(rows[i]) for i in order]
 
 
 def _config(max_missing, test_fraction, seed):
@@ -223,6 +239,10 @@ PARSE_DEFECTS = {
     "row_nul_and_count": lambda: _base()[:4] + [_base()[4] + ",\0"],
     # the earliest row wins, whatever its check
     "two_rows": lambda: _with((7, {"hour_index": "x"}), (5, {"map": "?"})),
+    # p0's rows each span two lines: later rows start further down the file
+    "after_quoted_line_breaks": lambda: _with(
+        *((i, {"icu_unit": '"MI\nCU"'}) for i in range(3)),
+        (4, {"hour_index": "x"})),
 }
 for flag in ("mech_vent", "intubation", "vasopressor", "hba1c_ge_7",
              "admission_meds_diabetic", "history_mentions_diabetes",
@@ -254,6 +274,9 @@ INTEGRITY_DEFECTS = {
     "single_hour_then_parse": lambda: _with((6, {"hour_index": "0",
                                                  "patient_id": "p9"}),
                                             (8, {"map": "?"})),
+    "statics_after_quoted_line_breaks": lambda: _with(
+        *((i, {"icd9_codes": '"250.00\n401.9"'}) for i in range(3)),
+        (5, {"age_years": "51.0"})),
 }
 
 BODY = "\n".join(_base()) + "\n"
@@ -322,6 +345,20 @@ def test_parity_cases_cover_every_check():
         "died_within_90d")]
     for stem in stems:
         assert any(stem in m for m in messages), stem
+
+
+def test_error_lines_are_where_the_row_starts_in_the_file():
+    # lines 2-7 hold p0's three rows, two lines each: p1's first row is on
+    # line 8, the 5th CSV record
+    rows = _with(*((i, {"icu_unit": '"MI\nCU"'}) for i in range(3)),
+                 (3, {"hour_index": "x"}))
+    text = "\n".join([HEADER] + rows) + "\n"
+    for parse in (cohort.parse_cohort, cohort_oracle.parse_cohort):
+        for chunk in (1, 2, 4096):
+            with mock.patch.object(cohort, "CHUNK_ROWS", chunk), \
+                    pytest.raises(ParseError, match="^line 8: cannot parse "
+                                  "hour_index='x' as an integer$"):
+                parse(io.StringIO(text), COVARIATES)
 
 
 def test_nul_rows_do_not_merge_with_their_patient():

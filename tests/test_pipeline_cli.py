@@ -573,23 +573,47 @@ def test_bad_late_artifacts_exit_2_and_name_them(
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rel,command", [
-    (rel, command) for rel, commands in READERS.items() for command in commands])
-def test_every_recorded_artifact_refuses_a_flipped_byte(
-        workspace, golden, caplog, capsys, rel, command):
-    art = workspace["root"] / ("flipped_%s_%s"
-                               % (command, rel.replace("/", "_")))
+READER_PAIRS = [(rel, command) for rel, commands in READERS.items()
+                for command in commands]
+
+
+def refuses_damage(workspace, golden, caplog, capsys, rel, command, damage):
+    """Damage a copy of one recorded artifact (its checksum left as
+    recorded), run a stage that reads it, and return the log."""
+    art = workspace["root"] / ("%s_%s_%s"
+                               % (damage, command, rel.replace("/", "_")))
     shutil.copytree(golden["art"], art)
     path = art / rel
     data = path.read_bytes()
     mid = len(data) // 2
-    path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    if damage == "flipped":
+        path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    elif damage == "truncated":
+        path.write_bytes(data[:mid])
+    else:
+        path.unlink()
     rc, _ = run_cli([command, "--config", workspace["config"],
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
     assert str(path) in caplog.text
-    assert TAMPERED in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
+    return caplog.text
+
+
+@pytest.mark.parametrize("rel,command", READER_PAIRS)
+def test_every_recorded_artifact_refuses_a_flipped_byte(
+        workspace, golden, caplog, capsys, rel, command):
+    assert TAMPERED in refuses_damage(workspace, golden, caplog, capsys, rel,
+                                      command, "flipped")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "deleted"])
+@pytest.mark.parametrize("rel,command", READER_PAIRS)
+def test_every_recorded_artifact_refuses_truncation_and_deletion(
+        workspace, golden, caplog, capsys, rel, command, damage):
+    log = refuses_damage(workspace, golden, caplog, capsys, rel, command,
+                         damage)
+    assert (TAMPERED if damage == "truncated" else "No such file") in log
 
 
 @pytest.mark.parametrize("command", ["cluster", "solve", "evaluate"])
