@@ -5,8 +5,9 @@ This is the cohort path as it was before ingest worked on numpy columns: one
 ``dataclasses.replace`` per hour in filtering and imputation, and one
 ``apply_normalization`` call per patient.  The tests run it next to the
 library and require the same artifact bytes and the same errors.  ``ingest``
-is the old ``stage_ingest`` on top of it.  The one addition is the NUL check,
-which the columnar parser needs and the reference must share.
+is the old ``stage_ingest`` on top of it.  It departs from the old path in
+two ways the columnar parser shares: the NUL check, and error lines that are
+the physical line where a row starts rather than its CSV record number.
 """
 
 from __future__ import annotations
