@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from .errors import CalibrationError
-from .mdp import Trajectories, read_table, write_table
+from .mdp import Trajectories, write_table
 
 DEFAULT_N_BINS = 20
 DEFAULT_MIN_BIN_SUPPORT = 50
@@ -254,10 +254,3 @@ def emit_curve_csv(curve: CalibrationCurve) -> str:
     return write_table(CURVE_COLUMNS, "%r,%r,%d\n",
                        (curve.bin_centers, curve.mortality, curve.support))
 
-
-def parse_curve_csv(text: str) -> CalibrationCurve:
-    _, (centers, mortality, support) = read_table(
-        text, "calibration curve", CURVE_COLUMNS, (float, float, int))
-    curve = CalibrationCurve(centers, mortality, support)
-    curve.validate()
-    return curve

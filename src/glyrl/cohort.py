@@ -407,9 +407,10 @@ def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
         else:
             per_patient.append(list(map(str, col.tolist())))
     # the record keeps its line end while it is formatted, because csv
-    # quotes a cell that holds a character of the line terminator
-    record = csv.writer(_Echo(), lineterminator="\n").writerow
-    statics = np.array([record(cells)[:-1] for cells in zip(*per_patient)],
+    # quotes a cell that holds a character of the line terminator, and with
+    # CR LF that is a cell holding either
+    record = csv.writer(_Echo(), lineterminator="\r\n").writerow
+    statics = np.array([record(cells)[:-2] for cells in zip(*per_patient)],
                        dtype=object)
     owner = np.repeat(np.arange(len(cohort.ids)), cohort.lengths)
     hours = cohort.hours

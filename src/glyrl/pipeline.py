@@ -80,8 +80,8 @@ STAGES = (
     ("cluster", "fit k-means and assign every hour to a state", False),
     ("build-mdp", "count the training MDP from assigned trajectories", False),
     ("solve", "policy-iterate the optimal policy, evaluate the real one", False),
-    ("calibrate", "fit the mortality-versus-return curve", False),
-    ("evaluate", "score both policies and write report.json", False),
+    ("evaluate", "fit the mortality-versus-return curve, score both "
+                 "policies and write report.json", False),
 )
 
 
@@ -188,10 +188,15 @@ class _StageFiles:
             raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
 
     def record(self, config: PipelineConfig, **extra) -> None:
-        """Write the manifest with this stage's entry: what it wrote."""
+        """Write the manifest with this stage's entry: what it wrote.  An
+        entry of a stage that no longer exists is dropped, so no file is
+        listed twice or with the hash of bytes since rewritten."""
         self.manifest.update(config_digest=config.digest(), seed=config.seed,
                              **extra)
-        self.manifest["stages"][self.stage] = self.written
+        stages = self.manifest["stages"]
+        stages[self.stage] = self.written
+        self.manifest["stages"] = {name: stages[name] for name, _, _ in STAGES
+                                   if name in stages}
         _write(self.path(MANIFEST_FILE), self.manifest)
 
 
@@ -488,21 +493,10 @@ def _read_trajectories(files: _StageFiles, split: str,
                       parse)
 
 
-def stage_calibrate(config: PipelineConfig, art_dir: str) -> None:
-    """Fit the mortality-versus-return curve on the training split."""
-    files = _StageFiles(art_dir, "calibrate")
-    v_real = _read_values(files, "real")
-    trajs_train = _read_trajectories(files, "train", len(v_real))
-    curve = calib.fit_curve(v_real, trajs_train,
-                            n_bins=config.calibration.n_bins,
-                            min_bin_support=config.calibration.min_bin_support)
-    files.write("curve.csv", calib.emit_curve_csv(curve))
-    files.record(config)
-
-
 def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
-    """Score both policies' solved values on the test split; anchor the
-    logged policy's estimate against training data."""
+    """Fit the mortality-versus-return curve on the training split, score
+    both policies' solved values on the test split through it, and anchor
+    the logged policy's estimate against training data."""
     files = _StageFiles(art_dir, "evaluate")
     v_real = _read_values(files, "real")
     v_opt = _read_values(files, "optimal")
@@ -511,10 +505,12 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
         raise ArtifactError("%s covers %d states but real.csv covers %d"
                             % (files.path(SOLUTION_FILE % "optimal"),
                                len(v_opt), k))
-    curve = files.read("calibrate", "curve.csv", "calibration curve",
-                       lambda data: calib.parse_curve_csv(data.decode()))
     trajs_train = _read_trajectories(files, "train", k)
     trajs_test = _read_trajectories(files, "test", k)
+    curve = calib.fit_curve(v_real, trajs_train,
+                            n_bins=config.calibration.n_bins,
+                            min_bin_support=config.calibration.min_bin_support)
+    files.write("curve.csv", calib.emit_curve_csv(curve))
 
     representation = config.representation
     recorded = files.manifest.get("representation")

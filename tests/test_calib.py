@@ -6,6 +6,7 @@ import pytest
 import trajectory_oracle as oracle
 
 from glyrl.calib import (
+    CURVE_COLUMNS,
     CalibrationCurve,
     _pav_non_increasing,
     emit_curve_csv,
@@ -13,13 +14,12 @@ from glyrl.calib import (
     estimate_mortality,
     evaluate,
     fit_curve,
-    parse_curve_csv,
     report_to_dict,
     score,
     visitation_from_trajectories,
 )
 from glyrl.errors import CalibrationError
-from glyrl.mdp import estimate_mdp
+from glyrl.mdp import estimate_mdp, read_table
 from glyrl.solver import policy_evaluation
 
 
@@ -269,9 +269,11 @@ def test_curve_csv_round_trip():
     lines = text.splitlines()
     assert lines[0] == "expected_return,estimated_mortality,support"
     assert len(lines) == 1 + len(curve.bin_centers)
-    back = parse_curve_csv(text)
-    assert np.array_equal(back.bin_centers, curve.bin_centers)
-    assert np.array_equal(back.mortality, curve.mortality)
-    assert np.array_equal(back.support, curve.support)
-    with pytest.raises(ValueError):
-        parse_curve_csv("wrong,header\n1,2\n")
+    # curve.csv is an output only; read back by the table codec, it holds
+    # the curve's columns bit for bit
+    _, back = read_table(text, "calibration curve", CURVE_COLUMNS,
+                         (float, float, int))
+    for column, expected in zip(back, (curve.bin_centers, curve.mortality,
+                                       curve.support)):
+        assert column.dtype == expected.dtype
+        assert np.array_equal(column, expected)

@@ -102,13 +102,25 @@ def test_parse_write_parse_round_trip():
         cohort_row("p1", 2, icd9="250.00;401.9", glucose="", source=""),
         cohort_row("p2", 0, died=1, covs=("", "100.0", "2.0")),
         cohort_row("p2", 1, died=1),
+        # a bare CR in a static cell must be quoted to survive a reread
+        cohort_row("p3", 0, gender='"M\rX"'),
+        cohort_row("p3", 1, gender='"M\rX"'),
     ]
-    first = cohort.parse_cohort(make_csv(rows), COVARIATES)
+    source = make_csv(rows)
+    first = cohort.parse_cohort(source, COVARIATES)
+    assert first.patients["gender"].tolist()[-1] == "M\rX"
     buffer = io.StringIO()
     cohort.write_cohort(first, buffer)
     buffer.seek(0)
     second = cohort.parse_cohort(buffer, COVARIATES)
     assert_same_cohort(first, second)
+    # read with universal newlines, as stage_ingest opens files, the written
+    # cohort parses to what the source itself parses to
+    universal = [cohort.parse_cohort(io.StringIO(text, newline=None),
+                                     COVARIATES)
+                 for text in (source.getvalue(), buffer.getvalue())]
+    assert universal[0].patients["gender"].tolist()[-1] == "M\nX"
+    assert_same_cohort(*universal)
 
 
 # --- filtering ---------------------------------------------------------------

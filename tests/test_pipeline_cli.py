@@ -37,11 +37,10 @@ READERS = {
     "hours.npy": ["cluster", "build-mdp"],
     "assignments.csv": ["build-mdp"],
     "mdp/mdp.txt": ["solve"],
-    "solution/real.csv": ["calibrate", "evaluate"],
+    "solution/real.csv": ["evaluate"],
     "solution/optimal.csv": ["evaluate"],
-    "mdp/trajectories_train.csv": ["calibrate", "evaluate"],
+    "mdp/trajectories_train.csv": ["evaluate"],
     "mdp/trajectories_test.csv": ["evaluate"],
-    "curve.csv": ["evaluate"],
 }
 
 CONFIG_YAML = """
@@ -194,8 +193,8 @@ def test_staged_chain_matches_run(workspace, golden):
     staged = workspace["root"] / "staged"
     common = ["--config", workspace["config"], "--out", str(staged)]
     assert run_cli(["ingest", "--input", workspace["cohort"]] + common)[0] == 0
-    for command in ["train-encoder", "cluster", "build-mdp",
-                    "solve", "calibrate", "evaluate"]:
+    for command in ["train-encoder", "cluster", "build-mdp", "solve",
+                    "evaluate"]:
         rc, _ = run_cli([command] + common)
         assert rc == 0, command
     assert tree_hashes(str(staged)) == tree_hashes(golden["art"])
@@ -264,6 +263,30 @@ def test_manifest_records_the_readme_outputs_with_their_hashes(golden,
     assert entry == {rel: tree_hashes(str(sparse))[rel] for rel in entry}
 
 
+def test_manifest_drops_the_entry_of_a_stage_that_no_longer_exists(
+        workspace, golden, tmp_path):
+    # a directory written while calibrate was a stage of its own lists
+    # curve.csv under calibrate; evaluate now rewrites that file
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["stages"]["calibrate"] = {
+        "curve.csv": manifest["stages"]["evaluate"].pop("curve.csv")}
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIG_YAML + "calibration:\n  n_bins: 3\n")
+    assert run_cli(["evaluate", "--config", str(config),
+                    "--out", str(art)])[0] == 0
+    on_disk = tree_hashes(str(art))
+    assert on_disk["curve.csv"] != GOLDEN_SHA256["curve.csv"]
+    # every file listed by exactly one entry, with the hash of its bytes
+    stages = json.loads((art / "manifest.json").read_text())["stages"]
+    listed = [(rel, sha) for entry in stages.values()
+              for rel, sha in entry.items()]
+    del on_disk["manifest.json"]
+    assert sorted(listed) == sorted(on_disk.items())
+
+
 def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
         workspace, monkeypatch, tmp_path):
     art = tmp_path / "art"
@@ -284,9 +307,9 @@ def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
     rc, _ = run_cli(["run", "--config", workspace["config"],
                      "--input", workspace["cohort"], "--out", str(art)])
     assert rc == 0
-    assert len(manifest_reads) == len(pipeline.STAGES) == 7
+    assert len(manifest_reads) == len(pipeline.STAGES) == 6
     # ingest finds no manifest yet; every other file is read by its readers
-    assert reads == {"manifest.json": 6,
+    assert reads == {"manifest.json": 5,
                      **{rel: len(stages) for rel, stages in READERS.items()}}
 
 
@@ -319,6 +342,8 @@ def test_write_returns_the_sha256_of_exactly_the_bytes_written(tmp_path,
 def test_usage_error_exits_1(capsys):
     assert cli.main(["ingest", "--input", "x.csv"]) == cli.USAGE_EXIT
     assert cli.main(["not-a-command"]) == cli.USAGE_EXIT
+    # evaluate fits the curve; there is no separate calibrate stage
+    assert cli.main(["calibrate", "--out", "x"]) == cli.USAGE_EXIT
     capsys.readouterr()
 
 
@@ -354,23 +379,6 @@ def test_corrupted_artifact_exits_2(workspace, golden):
     assert rc == cli.DATA_EXIT
 
 
-@pytest.mark.parametrize("damage", ["missing", "garbage"])
-def test_bad_curve_exits_2_and_names_it(workspace, golden, caplog, damage):
-    damaged = workspace["root"] / ("curve_" + damage)
-    shutil.copytree(golden["art"], damaged)
-    if damage == "missing":
-        (damaged / "curve.csv").unlink()
-    else:
-        (damaged / "curve.csv").write_text("not a curve\n")
-        rerecord(damaged, "curve.csv")
-    rc, _ = run_cli(["evaluate", "--config", workspace["config"],
-                     "--out", str(damaged)])
-    assert rc == cli.DATA_EXIT
-    assert "curve.csv" in caplog.text
-    if damage == "garbage":
-        assert "malformed calibration curve" in caplog.text
-
-
 def test_report_scores_the_solved_values_without_the_mdp(workspace, golden):
     # each mean_expected_return is the test-visitation mean of the V that
     # solve wrote, bit for bit
@@ -387,14 +395,13 @@ def test_report_scores_the_solved_values_without_the_mdp(workspace, golden):
         w = w / w.sum()
         assert golden["report"][label]["mean_expected_return"] == float(w @ v)
 
-    # calibrate and evaluate read only what solve and build-mdp wrote
+    # evaluate reads only what solve and build-mdp wrote
     no_mdp = workspace["root"] / "no_mdp"
     shutil.copytree(art, no_mdp)
     (no_mdp / "mdp" / "mdp.txt").unlink()
-    for command in ["calibrate", "evaluate"]:
-        rc, _ = run_cli([command, "--config", workspace["config"],
-                         "--out", str(no_mdp)])
-        assert rc == 0, command
+    rc, _ = run_cli(["evaluate", "--config", workspace["config"],
+                     "--out", str(no_mdp)])
+    assert rc == 0
     for name in ("curve.csv", "report.json"):
         assert (no_mdp / name).read_bytes() == \
             open(os.path.join(art, name), "rb").read()
@@ -457,12 +464,6 @@ def state_moved(lines):
     return lines
 
 
-def support_raised(lines):
-    head, support = lines[1].rsplit(",", 1)
-    lines[1] = "%s,%d\n" % (head, int(support) + 1)
-    return lines
-
-
 def nested_too_deep(lines):
     header = json.loads(lines[0])
     return [json.dumps(header)[:-1] + ', "x": ' + "[" * 100_000
@@ -487,7 +488,6 @@ TABLE_FIELDS = {
     "solution/optimal.csv": 3,
     "mdp/trajectories_train.csv": 5,
     "mdp/trajectories_test.csv": 5,
-    "curve.csv": 3,
 }
 
 
@@ -512,7 +512,7 @@ TAMPERED = "does not match the SHA-256"
      "steps from state 99"),
     ("evaluate", "solution/optimal.csv", cut_to_four_states, "optimal.csv",
      "covers 4 states but real.csv covers 5"),
-    ("calibrate", "mdp/trajectories_train.csv", state_99,
+    ("evaluate", "mdp/trajectories_train.csv", state_99,
      "trajectories_train.csv", "steps from state 99"),
     ("evaluate", None, None, "real.csv",
      "holds the 'optimal' solution, expected 'real'"),
@@ -520,7 +520,7 @@ TAMPERED = "does not match the SHA-256"
      "holds a value that is not finite"),
     ("evaluate", "mdp/trajectories_train.csv", header_only,
      "trajectories_train.csv", "lists no trajectories"),
-    ("calibrate", "solution/real.csv", edit_header(k="five"), "real.csv",
+    ("evaluate", "solution/real.csv", edit_header(k="five"), "real.csv",
      "invalid literal for int()"),
     ("solve", "mdp/mdp.txt", edit_header(version=2), "mdp.txt",
      "unsupported glyrl-mdp version 2"),
@@ -530,15 +530,14 @@ TAMPERED = "does not match the SHA-256"
      "NoneType"),
     ("solve", "mdp/mdp.txt", edit_header(k=float("inf")), "mdp.txt",
      "cannot convert float infinity to integer"),
-    ("calibrate", "mdp/trajectories_train.csv", step_skipped,
+    ("evaluate", "mdp/trajectories_train.csv", step_skipped,
      "trajectories_train.csv", "non-contiguous steps"),
-    ("calibrate", "solution/real.csv", edit_header(k=None), "real.csv",
+    ("evaluate", "solution/real.csv", edit_header(k=None), "real.csv",
      "NoneType"),
-    ("calibrate", "solution/real.csv", nested_too_deep, "real.csv",
+    ("evaluate", "solution/real.csv", nested_too_deep, "real.csv",
      "maximum recursion depth exceeded"),
     ("evaluate", "solution/real.csv", value_raised_by_5, "real.csv", TAMPERED),
     ("build-mdp", "assignments.csv", state_moved, "assignments.csv", TAMPERED),
-    ("evaluate", "curve.csv", support_raised, "curve.csv", TAMPERED),
 ] + [
     (READERS[rel][0], rel, cut_mid_line, os.path.basename(rel),
      "has 1 fields, expected %d" % fields)
@@ -548,7 +547,7 @@ TAMPERED = "does not match the SHA-256"
         "real_k_not_a_number", "mdp_version_2", "mdp_columns_renamed",
         "mdp_n_states_null", "mdp_k_infinite", "train_step_skipped",
         "real_k_null", "real_header_too_deep", "tampered_real_value",
-        "tampered_assignment", "tampered_curve"] + [
+        "tampered_assignment"] + [
             os.path.basename(rel).split(".")[0] + "_cut_mid_line"
             for rel in TABLE_FIELDS])
 def test_bad_late_artifacts_exit_2_and_name_them(
@@ -804,6 +803,35 @@ encoder:
   epochs: 2
   latent_dim: 4
 """
+
+
+@pytest.mark.parametrize("config_yaml,seed", [
+    (CONFIG_YAML, 0), (CONFIG_YAML, 1), (CONFIG_YAML, 2),
+    (SPARSE_CONFIG_YAML, 3),
+], ids=["raw_0", "raw_1", "raw_2", "sparse_ae_3"])
+def test_shuffled_cohort_rows_give_byte_identical_artifacts(
+        workspace, golden, tmp_path, config_yaml, seed):
+    # ingest groups rows by patient and hour, so no byte of any artifact,
+    # report.json included, may depend on the order of the cohort's rows
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(lines) - 1) + 1
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(lines[0] + "".join(lines[i] for i in order))
+    config = tmp_path / "config.yaml"
+    config.write_text(config_yaml)
+
+    def run(cohort_csv, name):
+        art = tmp_path / name
+        assert run_cli(["run", "--config", str(config), "--input", cohort_csv,
+                        "--out", str(art)])[0] == 0
+        return tree_hashes(str(art))
+
+    hashes = run(str(shuffled), "shuffled")
+    if config_yaml == CONFIG_YAML:
+        assert {rel: hashes[rel] for rel in GOLDEN_SHA256} == GOLDEN_SHA256
+        assert hashes == tree_hashes(golden["art"])
+    else:
+        assert hashes == run(workspace["cohort"], "ordered")
 
 
 def test_stage_errors_keep_their_class_and_fields(workspace, monkeypatch,
