@@ -123,6 +123,24 @@ def test_parse_write_parse_round_trip():
     assert_same_cohort(*universal)
 
 
+@pytest.mark.parametrize("line_break", ["\r", "\n", "\r\n"],
+                         ids=["cr", "lf", "crlf"])
+def test_written_static_cell_holding_a_line_break_is_quoted(line_break):
+    # stage_ingest opens the cohort with universal newlines; a static cell
+    # holding any line break must come back as one quoted cell of one row
+    cell = "M%sX" % line_break
+    rows = [cohort_row("p1", h, gender='"%s"' % cell) for h in range(2)]
+    parsed = cohort.parse_cohort(make_csv(rows), COVARIATES)
+    assert parsed.patients["gender"].tolist() == [cell]
+    buffer = io.StringIO()
+    cohort.write_cohort(parsed, buffer)
+    assert buffer.getvalue().count('"%s"' % cell) == 2
+    back = cohort.parse_cohort(io.StringIO(buffer.getvalue(), newline=None),
+                               COVARIATES)
+    assert back.patients["gender"].tolist() == ["M\nX"]
+    assert back.hours.tolist() == [0, 1]
+
+
 # --- filtering ---------------------------------------------------------------
 
 def _patient(pid, age=40.0, sofa=5, died=0, covs=("1.0", "2.0", "3.0"), n_hours=2):

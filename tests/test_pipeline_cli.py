@@ -287,6 +287,69 @@ def test_manifest_drops_the_entry_of_a_stage_that_no_longer_exists(
     assert sorted(listed) == sorted(on_disk.items())
 
 
+def test_evaluate_turns_an_older_manifest_into_the_current_one(
+        workspace, golden, tmp_path):
+    # with the config unchanged, dropping the stale calibrate entry and
+    # relisting curve.csv under evaluate gives the manifest a run writes
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["stages"]["calibrate"] = {
+        "curve.csv": manifest["stages"]["evaluate"].pop("curve.csv")}
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli(["evaluate", "--config", workspace["config"],
+                    "--out", str(art)])[0] == 0
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
+@pytest.mark.parametrize("damage", ["flipped", "truncated", "deleted"])
+def test_evaluate_rewrites_a_damaged_curve_it_does_not_read(
+        workspace, golden, tmp_path, damage):
+    # curve.csv is an output only: evaluate fits the curve afresh, so damage
+    # to the file on disk is overwritten, not refused
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    path = art / "curve.csv"
+    data = path.read_bytes()
+    mid = len(data) // 2
+    if damage == "flipped":
+        path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    elif damage == "truncated":
+        path.write_bytes(data[:mid])
+    else:
+        path.unlink()
+    assert run_cli(["evaluate", "--config", workspace["config"],
+                    "--out", str(art)])[0] == 0
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
+def test_calibration_error_names_evaluate_and_exits_2(workspace, golden,
+                                                      tmp_path, caplog):
+    # the curve is fitted inside evaluate, so a cohort too small for the
+    # configured bins fails that stage before it writes anything
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIG_YAML + "calibration:\n  min_bin_support: 100000\n")
+    message = "only 0 bin(s) reach min_bin_support=100000"
+    art = tmp_path / "run"
+    rc, _ = run_cli(["run", "--config", str(config),
+                     "--input", workspace["cohort"], "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "stage 'evaluate': " + message in caplog.text
+    assert not (art / "curve.csv").exists()
+    assert not (art / "report.json").exists()
+    assert "evaluate" not in json.loads(
+        (art / "manifest.json").read_text())["stages"]
+
+    staged = tmp_path / "staged"
+    shutil.copytree(golden["art"], staged)
+    caplog.clear()
+    rc, _ = run_cli(["evaluate", "--config", str(config),
+                     "--out", str(staged)])
+    assert rc == cli.DATA_EXIT
+    assert message in caplog.text
+    assert tree_hashes(str(staged)) == tree_hashes(golden["art"])
+
+
 def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
         workspace, monkeypatch, tmp_path):
     art = tmp_path / "art"
