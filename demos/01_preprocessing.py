@@ -12,7 +12,6 @@ import numpy as np
 
 from glyrl import synthgen
 from glyrl.cohort import (
-    FilterCriteria,
     apply_normalization,
     filter_cohort,
     fit_normalization,
@@ -20,6 +19,7 @@ from glyrl.cohort import (
     parse_cohort,
     split_patients,
 )
+from glyrl.config import PreprocessingConfig
 
 COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 
@@ -31,7 +31,7 @@ def main():
     print("parsed %d patients, %d hourly rows"
           % (len(cohort.ids), len(cohort.values)))
 
-    kept, exclusions = filter_cohort(cohort, FilterCriteria())
+    kept, exclusions = filter_cohort(cohort, PreprocessingConfig())
     print("\nfilter (age >= 18, SOFA >= 2, <= 10%% missing): kept %d"
           % len(kept.ids))
     for reason, count in sorted(exclusions.items()):

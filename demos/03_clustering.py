@@ -15,13 +15,13 @@ import numpy as np
 from glyrl import synthgen
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.cohort import (
-    FilterCriteria,
     apply_normalization,
     filter_cohort,
     fit_normalization,
     impute_cohort,
     parse_cohort,
 )
+from glyrl.config import PreprocessingConfig
 
 COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 
@@ -29,7 +29,7 @@ COVARIATES = ["heart_rate", "mean_bp", "lactate", "creatinine"]
 def main():
     csv_text, truth = synthgen.generate(synthgen.ladder_config(400, seed=12))
     cohort = parse_cohort(io.StringIO(csv_text), COVARIATES)
-    kept, _ = filter_cohort(cohort, FilterCriteria())
+    kept, _ = filter_cohort(cohort, PreprocessingConfig())
     imputed, _ = impute_cohort(kept)
     spec = fit_normalization(imputed)
     points = apply_normalization(imputed, spec)

@@ -22,7 +22,6 @@ from .mdp import Trajectories, write_table
 DEFAULT_N_BINS = 20
 DEFAULT_MIN_BIN_SUPPORT = 50
 
-MORTALITY_MAPPINGS = ("per_state", "mean_return")
 CURVE_COLUMNS = "expected_return,estimated_mortality,support"
 
 
@@ -183,17 +182,13 @@ def empirical_mortality(trajectories: Trajectories, k: int) -> float:
     return deaths / len(trajectories)
 
 
-def score(values, curve: CalibrationCurve, visitation,
-          mortality_mapping: str = "per_state") -> PolicyScore:
+def score(values, curve: CalibrationCurve, visitation) -> PolicyScore:
     """Mean value and estimated mortality of one policy's per-state values
     under a visitation distribution over the same states.
 
     Estimated mortality maps each state's value through the curve and then
-    averages (per_state); mortality_mapping="mean_return" instead maps the
-    single weighted-mean return.
+    averages.
     """
-    if mortality_mapping not in MORTALITY_MAPPINGS:
-        raise ValueError("mortality_mapping must be one of %r" % (MORTALITY_MAPPINGS,))
     v = np.asarray(values, dtype=float)
     w = np.asarray(visitation, dtype=float)
     if v.ndim != 1 or w.shape != v.shape:
@@ -205,18 +200,12 @@ def score(values, curve: CalibrationCurve, visitation,
         raise ValueError("visitation is empty")
     if abs(total - 1.0) > 1e-9:
         raise ValueError("visitation must sum to 1, got %r" % total)
-    mean_return = float(w @ v)
-    if mortality_mapping == "per_state":
-        mortality = float(w @ estimate_mortality(curve, v))
-    else:
-        mortality = estimate_mortality(curve, mean_return)
-    return PolicyScore(mean_return, mortality)
+    return PolicyScore(float(w @ v), float(w @ estimate_mortality(curve, v)))
 
 
 def evaluate(v_real, v_opt, curve: CalibrationCurve, test_visitation,
              cohort_mortality: float, representation: str = "raw",
-             config_digest: str = "", seed: int = 0,
-             mortality_mapping: str = "per_state") -> EvaluationReport:
+             config_digest: str = "", seed: int = 0) -> EvaluationReport:
     """Score the logged and the optimal policy's values (k entries each)
     under the test visitation and assemble the report."""
     if np.shape(v_real) != np.shape(v_opt):
@@ -225,8 +214,8 @@ def evaluate(v_real, v_opt, curve: CalibrationCurve, test_visitation,
         raise ValueError("cohort mortality must lie in [0, 1]")
     return EvaluationReport(
         representation=representation,
-        real=score(v_real, curve, test_visitation, mortality_mapping),
-        optimal=score(v_opt, curve, test_visitation, mortality_mapping),
+        real=score(v_real, curve, test_visitation),
+        optimal=score(v_opt, curve, test_visitation),
         cohort_mortality=float(cohort_mortality),
         config_digest=config_digest,
         seed=int(seed),

@@ -23,7 +23,6 @@ from typing import List, Optional
 import numpy as np
 
 
-DEFAULT_K = 500
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 300
 

@@ -26,12 +26,15 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import PreprocessingConfig
 from .errors import ImputationError, IntegrityError, ParseError
 
 log = logging.getLogger(__name__)
 
 GLUCOSE_SOURCES = ("arterial", "venous", "other", "none")
 NO_SOURCE = GLUCOSE_SOURCES.index("none")
+# the sources whose glucose readings filter_cohort keeps
+VALID_GLUCOSE_SOURCES = ("arterial", "venous")
 # glucose_source cell -> index into GLUCOSE_SOURCES; an empty cell means none
 _SOURCE_CODES = {**{name: j for j, name in enumerate(GLUCOSE_SOURCES)},
                  "": NO_SOURCE}
@@ -108,14 +111,6 @@ class Cohort:
                       {name: col[index] for name, col in self.patients.items()},
                       bounds, self.values[rows], self.glucose[rows],
                       self.source[rows])
-
-
-@dataclass(frozen=True)
-class FilterCriteria:
-    min_age: float = 18.0
-    min_sofa: int = 2
-    max_missing_fraction: float = 0.10
-    valid_glucose_sources: tuple[str, ...] = ("arterial", "venous")
 
 
 # --- parsing ------------------------------------------------------------------
@@ -435,13 +430,13 @@ def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
 
 
 def filter_cohort(
-    cohort: Cohort, criteria: FilterCriteria = FilterCriteria()
+    cohort: Cohort, config: PreprocessingConfig = PreprocessingConfig()
 ) -> tuple[Cohort, dict[str, int]]:
     """Apply cohort exclusions and the glucose-source validity rule.
 
     Patients are excluded for age below the minimum, admission SOFA below
     the minimum, or too many missing covariate cells. Glucose readings from
-    sources outside ``criteria.valid_glucose_sources`` are set to missing
+    sources outside ``VALID_GLUCOSE_SOURCES`` are set to missing
     (the hourly grid is preserved). Returns the kept patients plus exclusion
     counts keyed by the first criterion each excluded patient failed.
     """
@@ -450,10 +445,10 @@ def filter_cohort(
     missing = np.add.reduceat(np.isnan(cohort.values).sum(axis=1),
                               cohort.bounds[:-1])
     fraction = missing / np.maximum(cells, 1)
-    reasons = (("age_below_minimum", p["age_years"] < criteria.min_age),
-               ("sofa_below_minimum", p["sofa_admission"] < criteria.min_sofa),
+    reasons = (("age_below_minimum", p["age_years"] < config.min_age),
+               ("sofa_below_minimum", p["sofa_admission"] < config.min_sofa),
                ("missing_covariates_above_maximum",
-                fraction > criteria.max_missing_fraction))
+                fraction > config.max_missing_fraction))
     excluded = np.zeros(len(cells), dtype=bool)
     exclusions = {}
     for reason, fails in reasons:
@@ -462,7 +457,7 @@ def filter_cohort(
             exclusions[reason] = count
         excluded |= fails
     kept = cohort.take(np.flatnonzero(~excluded))
-    valid = [GLUCOSE_SOURCES.index(s) for s in criteria.valid_glucose_sources]
+    valid = [GLUCOSE_SOURCES.index(s) for s in VALID_GLUCOSE_SOURCES]
     invalid = ~np.isin(kept.source, valid) & ~np.isnan(kept.glucose)
     kept.glucose[invalid] = np.nan
     kept.source[invalid] = NO_SOURCE

@@ -1,8 +1,10 @@
 """Pipeline configuration: YAML file -> validated dataclasses.
 
 One file drives every stage.  Each stage reads only its own section plus
-the master seed; unknown keys anywhere are rejected by name so typos
-cannot silently fall back to defaults.
+the master seed, and the encoder and the cohort filter take their section
+itself; a default that a layer also uses is that layer's constant.
+Unknown keys anywhere are rejected by name so typos cannot silently fall
+back to defaults, and so are values of the wrong type.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 import yaml
 
+from . import calib, cluster, mdp, solver
 from .errors import ConfigError
-from .mdp import DEFAULT_BIN_EDGES
 
 REPRESENTATIONS = ("raw", "sparse_ae")
 
@@ -47,7 +50,6 @@ class EncoderConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 0.05
-    optimizer: str = "adam"
 
     def validate(self) -> None:
         if self.latent_dim <= 0:
@@ -60,16 +62,14 @@ class EncoderConfig:
             raise ConfigError("encoder.epochs and encoder.batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("encoder.learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("encoder.optimizer must be 'adam' or 'sgd'")
 
 
 @dataclass
 class ClusteringConfig:
     # paper-scale default; small cohorts and tests pass their own k
     k: int = 500
-    tol: float = 1e-6
-    max_iters: int = 300
+    tol: float = cluster.DEFAULT_TOL
+    max_iters: int = cluster.DEFAULT_MAX_ITERS
 
     def validate(self) -> None:
         if self.k < 1:
@@ -80,14 +80,15 @@ class ClusteringConfig:
 
 @dataclass
 class MdpConfig:
-    bin_edges: Tuple[float, ...] = DEFAULT_BIN_EDGES
-    min_count: int = 5
-    gamma: float = 0.9
+    bin_edges: Tuple[float, ...] = mdp.DEFAULT_BIN_EDGES
+    min_count: int = mdp.DEFAULT_MIN_COUNT
+    gamma: float = mdp.DEFAULT_GAMMA
 
     def validate(self) -> None:
-        edges = tuple(float(e) for e in self.bin_edges)
-        if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ConfigError("mdp.bin_edges must be strictly increasing")
+        try:
+            mdp.ActionSpace(self.bin_edges)
+        except ValueError as exc:
+            raise ConfigError("mdp.bin_edges: %s" % exc)
         if self.min_count < 1:
             raise ConfigError("mdp.min_count must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
@@ -96,7 +97,7 @@ class MdpConfig:
 
 @dataclass
 class SolverConfig:
-    epsilon: float = 1e-4
+    epsilon: float = solver.DEFAULT_EPSILON
 
     def validate(self) -> None:
         if self.epsilon <= 0:
@@ -105,18 +106,14 @@ class SolverConfig:
 
 @dataclass
 class CalibrationConfig:
-    n_bins: int = 20
-    min_bin_support: int = 50
-    mortality_mapping: str = "per_state"
+    n_bins: int = calib.DEFAULT_N_BINS
+    min_bin_support: int = calib.DEFAULT_MIN_BIN_SUPPORT
 
     def validate(self) -> None:
         if self.n_bins < 2:
             raise ConfigError("calibration.n_bins must be at least 2")
         if self.min_bin_support < 1:
             raise ConfigError("calibration.min_bin_support must be at least 1")
-        if self.mortality_mapping not in ("per_state", "mean_return"):
-            raise ConfigError(
-                "calibration.mortality_mapping must be 'per_state' or 'mean_return'")
 
 
 @dataclass
@@ -179,11 +176,35 @@ _SECTIONS = {
 _SCALAR_KEYS = ("covariates", "representation", "seed")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key: str, default, value) -> None:
+    """Refuse a value whose type does not fit the field's default: an int
+    field takes an int, a float field a finite int or float, and bin_edges
+    a list of numbers.  Nothing is converted, so a valid config keeps its
+    digest."""
+    if isinstance(default, int):
+        wanted = "an integer"
+        ok = _is_number(value) and isinstance(value, int)
+    elif isinstance(default, float):
+        wanted = "a finite number"
+        # false for NaN, and for an int too large to become a float
+        ok = _is_number(value) and abs(value) <= sys.float_info.max
+    else:
+        wanted = "a list of numbers"
+        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+    if not ok:
+        raise ConfigError("%s must be %s, got %r" % (key, wanted, value))
+
+
 def _build_section(name: str, cls, doc: dict):
     if not isinstance(doc, dict):
         raise ConfigError("section %r must be a mapping" % name)
     known = {f.name for f in fields(cls)}
-    unknown = sorted(set(doc) - known)
+    # YAML keys need not be strings
+    unknown = sorted(set(doc) - known, key=str)
     if unknown:
         raise ConfigError("unknown key %r in section %r" % (unknown[0], name))
     kwargs = {}
@@ -191,15 +212,11 @@ def _build_section(name: str, cls, doc: dict):
         if f.name not in doc:
             continue
         value = doc[f.name]
+        _check_type("%s.%s" % (name, f.name), f.default, value)
         if f.name == "bin_edges":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError("mdp.bin_edges must be a list of numbers")
             value = tuple(float(v) for v in value)
         kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("bad section %r: %s" % (name, exc))
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
@@ -207,7 +224,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = sorted(set(doc) - set(_SECTIONS) - set(_SCALAR_KEYS))
+    unknown = sorted(set(doc) - set(_SECTIONS) - set(_SCALAR_KEYS), key=str)
     if unknown:
         raise ConfigError("unknown key %r in config" % unknown[0])
 
@@ -221,8 +238,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     if "representation" in doc:
         kwargs["representation"] = doc["representation"]
     if "seed" in doc:
-        if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-            raise ConfigError("seed must be an integer")
+        _check_type("seed", 0, doc["seed"])
         kwargs["seed"] = doc["seed"]
     for name, cls in _SECTIONS.items():
         if name in doc:

@@ -18,14 +18,13 @@ oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import EncoderConfig
 from .errors import TrainingDivergedError
-
-DEFAULT_LATENT_DIM = 32
 
 # Batch-mean activations are clamped to this range before the KL logs so the
 # penalty stays finite even when a unit saturates.
@@ -70,37 +69,6 @@ class EncoderParams:
                 raise ValueError("encoder parameters contain non-finite values")
 
 
-@dataclass(frozen=True)
-class SparsityConfig:
-    """Sparsity target for batch-mean activations and its penalty weight."""
-
-    target: float = 0.05
-    beta: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.target < 1.0:
-            raise ValueError("sparsity target must lie in (0, 1), got %r" % (self.target,))
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0, got %r" % (self.beta,))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    seed: int = 0
-    optimizer: str = "adam"  # "adam" or "sgd"
-
-    def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("unknown optimizer %r" % (self.optimizer,))
-
-
 # Rows per block of the elementwise passes over a whole dataset: the
 # sigmoid's scratch, and so the memory a loss pass or an encode adds beyond
 # the layer outputs themselves.
@@ -130,7 +98,7 @@ def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def init_params(input_dim: int, latent_dim: int = DEFAULT_LATENT_DIM,
+def init_params(input_dim: int, latent_dim: int,
                 rng: Optional[np.random.Generator] = None) -> EncoderParams:
     """Glorot-uniform weights, zero biases."""
     if rng is None:
@@ -209,10 +177,10 @@ class _Workspace:
     (noted beside each block), so the results are bitwise theirs.
     """
 
-    def __init__(self, params: EncoderParams, sparsity: SparsityConfig,
+    def __init__(self, params: EncoderParams, config: EncoderConfig,
                  batch_rows: int, n_rows: int):
         lat, inp = params.latent_dim, params.input_dim
-        self.sparsity = sparsity
+        self.target, self.beta = config.sparsity_target, config.beta
         self.flat = np.concatenate([params.W_enc.ravel(), params.b_enc,
                                     params.W_dec.ravel(), params.b_dec])
         self.grad = np.empty_like(self.flat)
@@ -233,7 +201,7 @@ class _Workspace:
         textbook form: a product cut into row blocks can change its last
         bits (a one-row block runs as a matrix-vector product).
         """
-        p, sp = self.params, self.sparsity
+        p = self.params
         H, X_hat = self.all_hidden, self.all_out
         # H = sigmoid(X @ W_enc.T + b_enc); X_hat = sigmoid(H @ W_dec.T + b_dec)
         np.matmul(X, p.W_enc.T, out=H)
@@ -246,14 +214,14 @@ class _Workspace:
         np.subtract(X, X_hat, out=X_hat)
         np.square(X_hat, out=X_hat)
         recon = float(np.mean(np.sum(X_hat, axis=1, out=self.row_sums)))
-        penalty = float(np.sum(kl_bernoulli(sp.target, H.mean(axis=0))))
-        return recon + sp.beta * penalty
+        penalty = float(np.sum(kl_bernoulli(self.target, H.mean(axis=0))))
+        return recon + self.beta * penalty
 
     def gradient(self, X: np.ndarray) -> None:
         """Write the exact gradient of sparse_loss on the rows of X into
         self.grad (seen through self.grads)."""
         m = len(X)
-        p, g, sp = self.params, self.grads, self.sparsity
+        p, g = self.params, self.grads
         H, dH = self.hidden[:m], self.hidden_tmp[:m]
         X_hat, D = self.out[:m], self.out_tmp[:m]
         np.matmul(X, p.W_enc.T, out=H)
@@ -279,8 +247,8 @@ class _Workspace:
         rho_raw = H.mean(axis=0)
         unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
         rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
-        d_kl = -sp.target / rho_hat + (1.0 - sp.target) / (1.0 - rho_hat)
-        dH += (sp.beta / m) * (d_kl * unclamped)
+        d_kl = -self.target / rho_hat + (1.0 - self.target) / (1.0 - rho_hat)
+        dH += (self.beta / m) * (d_kl * unclamped)
 
         # Encoder path: dH * H * (1 - H).
         dH *= H
@@ -290,16 +258,18 @@ class _Workspace:
         np.sum(dH, axis=0, out=g.b_enc)
 
 
-def sparse_loss(batch, params: EncoderParams, sparsity: SparsityConfig) -> float:
-    """Mean squared reconstruction error plus the weighted sparsity penalty."""
+def sparse_loss(batch, params: EncoderParams, config: EncoderConfig) -> float:
+    """Mean squared reconstruction error plus ``config.beta`` times the KL
+    divergence of each unit's batch-mean activation from
+    ``config.sparsity_target``."""
     X, _ = _as_batch(batch, params.input_dim)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return _Workspace(params, sparsity, 0, len(X)).loss(X)
+    return _Workspace(params, config, 0, len(X)).loss(X)
 
 
 def loss_gradient(batch, params: EncoderParams,
-                  sparsity: SparsityConfig) -> EncoderParams:
+                  config: EncoderConfig) -> EncoderParams:
     """Exact gradient of sparse_loss with respect to every weight and bias.
 
     The sparsity term depends on the encoder parameters through the
@@ -309,21 +279,9 @@ def loss_gradient(batch, params: EncoderParams,
     X, _ = _as_batch(batch, params.input_dim)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    ws = _Workspace(params, sparsity, len(X), 0)
+    ws = _Workspace(params, config, len(X), 0)
     ws.gradient(X)
     return ws.grads
-
-
-class _SGD:
-    """flat -= lr * grad, in place."""
-
-    def __init__(self, lr: float, size: int):
-        self.lr = lr
-        self.tmp = np.empty(size)
-
-    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        np.multiply(grad, self.lr, out=self.tmp)
-        flat -= self.tmp
 
 
 class _Adam:
@@ -361,9 +319,9 @@ class _Adam:
         flat -= tmp
 
 
-def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
-          latent_dim: int = DEFAULT_LATENT_DIM) -> EncoderParams:
-    """Minibatch gradient descent on sparse_loss.
+def train(dataset, config: EncoderConfig, seed: int) -> EncoderParams:
+    """Adam minibatch descent on sparse_loss, with config's latent size,
+    sparsity target and penalty weight, epochs, batch size and step size.
 
     The seed fixes both weight initialization and batch shuffling.  The
     parameters with the best end-of-epoch loss are returned, so the final
@@ -376,11 +334,10 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
         raise ValueError("dataset must be a non-empty (samples, features) matrix")
     n, input_dim = X.shape
 
-    rng = np.random.default_rng(config.seed)
-    ws = _Workspace(init_params(input_dim, latent_dim, rng), sparsity,
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(init_params(input_dim, config.latent_dim, rng), config,
                     min(config.batch_size, n), n)
-    optimizer = (_SGD if config.optimizer == "sgd" else _Adam)(
-        config.learning_rate, ws.flat.size)
+    optimizer = _Adam(config.learning_rate, ws.flat.size)
 
     initial = ws.loss(X)
     if not np.isfinite(initial):
@@ -404,7 +361,7 @@ def train(dataset, config: TrainConfig, sparsity: SparsityConfig,
             best_loss = epoch_loss
             np.copyto(best, ws.flat)
 
-    params = _views(best, latent_dim, input_dim)
+    params = _views(best, config.latent_dim, input_dim)
     params.loss_history = history
     return params
 

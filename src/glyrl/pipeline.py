@@ -10,6 +10,7 @@ artifacts exactly, which the manifest's checksums make checkable.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -33,17 +34,9 @@ from .cohort import (
     split_patients,
     state_feature_names,
     write_cohort,
-    FilterCriteria,
 )
 from .config import PipelineConfig
-from .encoder import (
-    SparsityConfig,
-    TrainConfig,
-    encode,
-    load_encoder,
-    save_encoder,
-    train,
-)
+from .encoder import encode, load_encoder, save_encoder, train
 from .errors import ArtifactError, DataError, GlyrlError
 from .mdp import (
     ActionSpace,
@@ -301,12 +294,7 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     write the model-ready hours every later stage reads."""
     files = _StageFiles(art_dir, "ingest")
     parsed = _read_cohort_file(input_csv, config.covariates)
-    criteria = FilterCriteria(
-        min_age=config.preprocessing.min_age,
-        min_sofa=config.preprocessing.min_sofa,
-        max_missing_fraction=config.preprocessing.max_missing_fraction,
-    )
-    kept, exclusions = filter_cohort(parsed, criteria)
+    kept, exclusions = filter_cohort(parsed, config.preprocessing)
     n_parsed = len(parsed.ids)
     # free each copy of the cohort once the next one exists: ingest's peak
     # memory is the largest two copies, not all of them
@@ -351,22 +339,11 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
     rows, n_train = _load_hours(config, files)
     dataset = np.ascontiguousarray(rows["state"][:n_train])
     del rows  # training needs the room
-    enc = config.encoder
-    params = train(
-        dataset,
-        TrainConfig(epochs=enc.epochs, batch_size=enc.batch_size,
-                    learning_rate=enc.learning_rate,
-                    seed=derive_seed(config.seed, "encoder"),
-                    optimizer=enc.optimizer),
-        SparsityConfig(target=enc.sparsity_target, beta=enc.beta),
-        latent_dim=enc.latent_dim,
-    )
-    files.write(ENCODER_FILE, save_encoder(
-        params, hyperparameters={"sparsity_target": enc.sparsity_target,
-                                 "beta": enc.beta, "epochs": enc.epochs,
-                                 "batch_size": enc.batch_size,
-                                 "learning_rate": enc.learning_rate,
-                                 "optimizer": enc.optimizer}))
+    params = train(dataset, config.encoder, derive_seed(config.seed, "encoder"))
+    # latent_dim is recorded with the weights' shapes
+    hyperparameters = dataclasses.asdict(config.encoder)
+    del hyperparameters["latent_dim"]
+    files.write(ENCODER_FILE, save_encoder(params, hyperparameters))
     files.record(config)
 
 
@@ -520,7 +497,6 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
                     representation, recorded)
         representation = recorded
 
-    mapping = config.calibration.mortality_mapping
     scoring = trajs_test if trajs_test else trajs_train
     if not trajs_test:
         log.warning("empty test split, scoring on the training split")
@@ -532,15 +508,14 @@ def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
         representation=representation,
         config_digest=config.digest(),
         seed=config.seed,
-        mortality_mapping=mapping,
     )
     doc = calib.report_to_dict(report)
 
     visits_train = calib.visitation_from_trajectories(trajs_train, k)
     doc["train_anchor"] = {
         "estimated_mortality_real": calib.score(
-            v_real, curve, visits_train / visits_train.sum(),
-            mapping).estimated_mortality,
+            v_real, curve, visits_train / visits_train.sum()
+        ).estimated_mortality,
         "empirical_mortality": calib.empirical_mortality(trajs_train, k),
     }
     files.write("report.json", doc)

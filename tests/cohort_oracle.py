@@ -24,11 +24,12 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from glyrl import pipeline
+from glyrl.config import PreprocessingConfig
 from glyrl.cohort import (
     FIXED_COLUMNS,
     GLUCOSE_SOURCES,
     NormalizationSpec,
-    FilterCriteria,
+    VALID_GLUCOSE_SOURCES,
     hours_dtype,
     state_feature_names,
 )
@@ -313,33 +314,33 @@ def write_cohort(
 
 def filter_cohort(
     series_list: Sequence[PatientSeries],
-    criteria: FilterCriteria = FilterCriteria(),
+    config: PreprocessingConfig = PreprocessingConfig(),
 ) -> tuple[list[PatientSeries], Counter]:
     """Apply cohort exclusions and the glucose-source validity rule.
 
     Patients are excluded for age below the minimum, admission SOFA below
     the minimum, or too many missing covariate cells. Glucose readings from
-    sources outside ``criteria.valid_glucose_sources`` are set to missing
+    sources outside ``VALID_GLUCOSE_SOURCES`` are set to missing
     (the hourly grid is preserved). Returns the kept series plus exclusion
     counts keyed by the first criterion each excluded patient failed.
     """
     kept: list[PatientSeries] = []
     exclusions: Counter = Counter()
     for series in series_list:
-        if series.statics.age_years < criteria.min_age:
+        if series.statics.age_years < config.min_age:
             exclusions["age_below_minimum"] += 1
             continue
-        if series.statics.sofa_admission < criteria.min_sofa:
+        if series.statics.sofa_admission < config.min_sofa:
             exclusions["sofa_below_minimum"] += 1
             continue
-        if series.missing_fraction() > criteria.max_missing_fraction:
+        if series.missing_fraction() > config.max_missing_fraction:
             exclusions["missing_covariates_above_maximum"] += 1
             continue
         hours = []
         for hour in series.hours:
             if (
                 hour.glucose_mgdl is not None
-                and hour.glucose_source not in criteria.valid_glucose_sources
+                and hour.glucose_source not in VALID_GLUCOSE_SOURCES
             ):
                 hours.append(replace(hour, glucose_mgdl=None, glucose_source="none"))
             else:
@@ -590,12 +591,7 @@ def ingest(config, input_csv: str, art_dir: str) -> None:
     with open(input_csv, encoding="utf-8") as fh:
         patients = parse_cohort(fh, config.covariates)
     n_parsed = len(patients)
-    criteria = FilterCriteria(
-        min_age=config.preprocessing.min_age,
-        min_sofa=config.preprocessing.min_sofa,
-        max_missing_fraction=config.preprocessing.max_missing_fraction,
-    )
-    kept, exclusions = filter_cohort(patients, criteria)
+    kept, exclusions = filter_cohort(patients, config.preprocessing)
     imputed, dropped = impute_cohort(annotate_diabetes(kept), config.covariates)
     if not imputed:
         raise DataError("no patients left after filtering and imputation")

@@ -30,10 +30,9 @@ from glyrl.cohort import (
     impute_cohort,
     parse_cohort,
 )
-from glyrl.config import PipelineConfig
+from glyrl.config import EncoderConfig, PipelineConfig
 from glyrl.encoder import (
     EncoderParams,
-    SparsityConfig,
     init_params,
     kl_bernoulli,
     loss_gradient,
@@ -155,7 +154,7 @@ def flat_gradient(grad: EncoderParams) -> np.ndarray:
                            grad.W_dec.ravel(), grad.b_dec.ravel()])
 
 
-def fd_gradient(batch, params: EncoderParams, sparsity: SparsityConfig,
+def fd_gradient(batch, params: EncoderParams, sparsity: EncoderConfig,
                 h: float = 1e-5) -> np.ndarray:
     arrays = [params.W_enc, params.b_enc, params.W_dec, params.b_dec]
     out = []
@@ -264,7 +263,7 @@ def test_criterion_05_encoder_gradient_matches_finite_differences():
         params.W_enc += rng.normal(scale=0.1, size=params.W_enc.shape)
         params.b_enc += rng.normal(scale=0.1, size=params.b_enc.shape)
         batch = rng.uniform(size=(n, input_dim))
-        sparsity = SparsityConfig(target=target, beta=beta)
+        sparsity = EncoderConfig(sparsity_target=target, beta=beta)
         analytic = flat_gradient(loss_gradient(batch, params, sparsity))
         numeric = fd_gradient(batch, params, sparsity, h=1e-5)
         rel_err = np.max(np.abs(analytic - numeric)) / max(

@@ -195,18 +195,6 @@ def test_evaluate_constant_curve_gives_constant_mortality():
     assert report.optimal.estimated_mortality == pytest.approx(0.25, abs=1e-12)
 
 
-def test_evaluate_mapping_switch_changes_only_mortality():
-    mdp, curve = curve_and_mdp()
-    args = (values(mdp, [0, 0]), values(mdp, [5, 5]), curve,
-            np.array([0.5, 0.5]))
-    per_state = evaluate(*args, cohort_mortality=0.3, mortality_mapping="per_state")
-    mean_ret = evaluate(*args, cohort_mortality=0.3, mortality_mapping="mean_return")
-    assert per_state.real.mean_return == mean_ret.real.mean_return
-    assert per_state.optimal.mean_return == mean_ret.optimal.mean_return
-    with pytest.raises(ValueError):
-        evaluate(*args, cohort_mortality=0.3, mortality_mapping="bogus")
-
-
 def test_evaluate_rejects_bad_visitation():
     mdp, curve = curve_and_mdp()
     v = values(mdp, [0, 0])

@@ -1,6 +1,9 @@
 """Pipeline config loading: defaults, strictness, digest stability."""
 
+import os
+
 import pytest
+import yaml
 
 from glyrl.config import (
     PipelineConfig,
@@ -8,6 +11,9 @@ from glyrl.config import (
     load_config,
 )
 from glyrl.errors import ConfigError
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 def write(tmp_path, text):
@@ -51,6 +57,13 @@ def test_unknown_top_level_key_is_named():
 def test_unknown_section_key_is_named():
     with pytest.raises(ConfigError, match="max_iter'"):
         config_from_dict({"clustering": {"max_iter": 10}})
+
+
+def test_unknown_keys_that_are_not_strings_are_named():
+    with pytest.raises(ConfigError, match="unknown key 1 in config"):
+        config_from_dict({1: 2, "zz": 3})
+    with pytest.raises(ConfigError, match="unknown key 1 in section"):
+        config_from_dict({"clustering": {1: 2, "zz": 3}})
 
 
 def test_bad_yaml_is_a_config_error(tmp_path):
@@ -101,3 +114,39 @@ def test_to_dict_round_trips():
         "clustering": {"k": 6},
     })
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def test_values_are_kept_as_written():
+    cfg = config_from_dict({"clustering": {"tol": 0},
+                            "preprocessing": {"min_age": 18}})
+    assert type(cfg.clustering.tol) is int
+    assert type(cfg.preprocessing.min_age) is int
+    assert cfg.digest() != config_from_dict(
+        {"clustering": {"tol": 0.0}, "preprocessing": {"min_age": 18}}).digest()
+
+
+def readme_config_table():
+    """Key -> default, in the order of README's configuration table, each
+    default cell read as YAML."""
+    with open(README) as fh:
+        lines = fh.read().split("| key ", 1)[1].splitlines()[2:]
+    table = {}
+    for line in lines[:lines.index("")]:
+        _, key, default, _, _ = line.split("|")
+        table[key.strip().strip("`")] = yaml.safe_load(default.strip().strip("`"))
+    return table
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    defaults = PipelineConfig().to_dict()
+    keys = [name if not isinstance(value, dict) else "%s.%s" % (name, key)
+            for name, value in defaults.items()
+            for key in (value if isinstance(value, dict) else [None])]
+    table = readme_config_table()
+    assert list(table) == keys
+    # each default, pasted into a config as written, is that default
+    doc = {}
+    for key, value in table.items():
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    assert config_from_dict(doc).digest() == PipelineConfig().digest()

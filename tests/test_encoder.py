@@ -1,14 +1,15 @@
 """Sparse autoencoder: forward pass, loss, analytic gradient, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from glyrl import encoder
+from glyrl.config import EncoderConfig
 from glyrl.encoder import (
     ACTIVATION_FLOOR,
     EncoderParams,
-    SparsityConfig,
-    TrainConfig,
     encode,
     forward,
     init_params,
@@ -19,7 +20,7 @@ from glyrl.encoder import (
     sparse_loss,
     train,
 )
-from glyrl.errors import TrainingDivergedError
+from glyrl.errors import ConfigError, TrainingDivergedError
 
 # 32 * (0.05*ln(0.1) + 0.95*ln(1.9)), evaluated independently at high
 # precision and rounded to float64.
@@ -109,7 +110,7 @@ def test_sparse_loss_pinned_half_activation():
     # reconstruct exactly, so the loss is the pure sparsity penalty.
     params = zero_params(6, 32)
     batch = np.full((3, 6), 0.5)
-    loss = sparse_loss(batch, params, SparsityConfig(target=0.05, beta=1.0))
+    loss = sparse_loss(batch, params, EncoderConfig(sparsity_target=0.05, beta=1.0))
     assert loss == pytest.approx(KL_HALF_ACTIVATION_32, rel=0, abs=1e-12)
 
 
@@ -117,7 +118,7 @@ def test_sparse_loss_beta_zero_is_reconstruction_only():
     rng = np.random.default_rng(9)
     params = init_params(5, 3, rng)
     X = rng.uniform(size=(8, 5))
-    loss = sparse_loss(X, params, SparsityConfig(target=0.05, beta=0.0))
+    loss = sparse_loss(X, params, EncoderConfig(sparsity_target=0.05, beta=0.0))
     _, X_hat = forward(X, params)
     recon = np.mean(np.sum((X - X_hat) ** 2, axis=1))
     assert loss == pytest.approx(recon, rel=0, abs=1e-15)
@@ -128,15 +129,15 @@ def test_sparse_loss_never_below_reconstruction():
     for _ in range(20):
         params = init_params(6, 4, rng)
         X = rng.uniform(size=(10, 6))
-        recon = sparse_loss(X, params, SparsityConfig(0.1, 0.0))
-        full = sparse_loss(X, params, SparsityConfig(0.1, 2.5))
+        recon = sparse_loss(X, params, EncoderConfig(sparsity_target=0.1, beta=0.0))
+        full = sparse_loss(X, params, EncoderConfig(sparsity_target=0.1, beta=2.5))
         assert full >= recon - 1e-15
 
 
 def test_sparse_loss_rejects_empty_batch():
     params = zero_params(4, 2)
     with pytest.raises(ValueError):
-        sparse_loss(np.zeros((0, 4)), params, SparsityConfig())
+        sparse_loss(np.zeros((0, 4)), params, EncoderConfig())
 
 
 def finite_difference_gradient(batch, params, sparsity, step=1e-5):
@@ -176,8 +177,8 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(2, 9))
         params = init_params(input_dim, latent_dim, rng)
         X = rng.uniform(size=(n, input_dim))
-        sparsity = SparsityConfig(
-            target=float(rng.uniform(0.02, 0.3)),
+        sparsity = EncoderConfig(
+            sparsity_target=float(rng.uniform(0.02, 0.3)),
             beta=float(rng.uniform(0.0, 5.0)),
         )
         analytic = loss_gradient(X, params, sparsity)
@@ -190,11 +191,13 @@ def test_gradient_beta_zero_drops_sparsity_term():
     rng = np.random.default_rng(55)
     params = init_params(5, 3, rng)
     X = rng.uniform(size=(6, 5))
-    plain = loss_gradient(X, params, SparsityConfig(0.05, 0.0))
-    numeric = finite_difference_gradient(X, params, SparsityConfig(0.05, 0.0))
+    unpenalized = EncoderConfig(sparsity_target=0.05, beta=0.0)
+    plain = loss_gradient(X, params, unpenalized)
+    numeric = finite_difference_gradient(X, params, unpenalized)
     assert max_relative_error(plain, numeric) <= 1e-4
     # and it must differ from the penalized gradient in the encoder weights
-    penalized = loss_gradient(X, params, SparsityConfig(0.05, 3.0))
+    penalized = loss_gradient(X, params, EncoderConfig(sparsity_target=0.05,
+                                                       beta=3.0))
     assert not np.allclose(plain.W_enc, penalized.W_enc)
     assert np.array_equal(plain.W_dec, penalized.W_dec)
 
@@ -203,8 +206,9 @@ def test_gradient_identical_rows_equals_single_sample():
     rng = np.random.default_rng(8)
     params = init_params(4, 3, rng)
     x = rng.uniform(size=4)
-    one = loss_gradient(x[None, :], params, SparsityConfig(0.1, 2.0))
-    many = loss_gradient(np.tile(x, (5, 1)), params, SparsityConfig(0.1, 2.0))
+    config = EncoderConfig(sparsity_target=0.1, beta=2.0)
+    one = loss_gradient(x[None, :], params, config)
+    many = loss_gradient(np.tile(x, (5, 1)), params, config)
     for name in ("W_enc", "b_enc", "W_dec", "b_dec"):
         assert np.allclose(getattr(one, name), getattr(many, name),
                            rtol=1e-12, atol=1e-14)
@@ -212,7 +216,7 @@ def test_gradient_identical_rows_equals_single_sample():
 
 def test_gradient_shapes_match_params():
     params = zero_params(6, 3)
-    grad = loss_gradient(np.full((2, 6), 0.3), params, SparsityConfig())
+    grad = loss_gradient(np.full((2, 6), 0.3), params, EncoderConfig())
     assert grad.W_enc.shape == params.W_enc.shape
     assert grad.b_enc.shape == params.b_enc.shape
     assert grad.W_dec.shape == params.W_dec.shape
@@ -229,9 +233,9 @@ def rank_one_dataset(n=200, dim=8, seed=42):
 
 def test_training_halves_loss_on_rank_one_data():
     X = rank_one_dataset()
-    config = TrainConfig(epochs=50, batch_size=16, learning_rate=0.01,
-                         seed=5, optimizer="adam")
-    params = train(X, config, SparsityConfig(0.05, 0.5), latent_dim=4)
+    config = EncoderConfig(latent_dim=4, sparsity_target=0.05, beta=0.5,
+                           epochs=50, batch_size=16, learning_rate=0.01)
+    params = train(X, config, seed=5)
     history = params.loss_history
     assert history is not None and len(history) >= 2
     assert history[-1] <= history[0]
@@ -242,9 +246,10 @@ def test_training_halves_loss_on_rank_one_data():
 
 def test_training_deterministic_same_seed():
     X = rank_one_dataset(n=60, dim=5, seed=3)
-    config = TrainConfig(epochs=8, batch_size=8, learning_rate=0.02, seed=17)
-    a = train(X, config, SparsityConfig(0.05, 1.0), latent_dim=3)
-    b = train(X, config, SparsityConfig(0.05, 1.0), latent_dim=3)
+    config = EncoderConfig(latent_dim=3, beta=1.0, epochs=8, batch_size=8,
+                           learning_rate=0.02)
+    a = train(X, config, seed=17)
+    b = train(X, config, seed=17)
     assert a.loss_history == b.loss_history
     assert np.array_equal(a.W_enc, b.W_enc)
     assert np.array_equal(a.b_dec, b.b_dec)
@@ -252,8 +257,10 @@ def test_training_deterministic_same_seed():
 
 def test_training_zero_learning_rate_is_noop():
     X = rank_one_dataset(n=40, dim=4, seed=1)
-    config = TrainConfig(epochs=5, batch_size=8, learning_rate=0.0, seed=2)
-    params = train(X, config, SparsityConfig(), latent_dim=3)
+    # outside the range a config file may set, but Adam's step is then 0
+    config = EncoderConfig(latent_dim=3, epochs=5, batch_size=8,
+                           learning_rate=0.0)
+    params = train(X, config, seed=2)
     assert len(set(params.loss_history)) == 1
     fresh = init_params(4, 3, np.random.default_rng(2))
     assert np.array_equal(params.W_enc, fresh.W_enc)
@@ -263,9 +270,10 @@ def test_training_zero_learning_rate_is_noop():
 def test_training_large_beta_pulls_activations_to_target():
     X = rank_one_dataset(n=120, dim=6, seed=9)
     target = 0.05
-    base = TrainConfig(epochs=30, batch_size=16, learning_rate=0.02, seed=4)
-    free = train(X, base, SparsityConfig(target, 0.0), latent_dim=4)
-    pinned = train(X, base, SparsityConfig(target, 100.0), latent_dim=4)
+    base = EncoderConfig(latent_dim=4, sparsity_target=target, epochs=30,
+                         batch_size=16, learning_rate=0.02)
+    free = train(X, dataclasses.replace(base, beta=0.0), seed=4)
+    pinned = train(X, dataclasses.replace(base, beta=100.0), seed=4)
     mean_free = forward(X, free)[0].mean()
     mean_pinned = forward(X, pinned)[0].mean()
     assert abs(mean_pinned - target) < abs(mean_free - target)
@@ -274,27 +282,25 @@ def test_training_large_beta_pulls_activations_to_target():
 def test_training_diverged_error_reports_epoch_and_rate():
     X = rank_one_dataset(n=20, dim=4, seed=6)
     X[3, 2] = np.nan  # poisoned input makes the loss non-finite immediately
-    config = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=0)
+    config = EncoderConfig(epochs=3, batch_size=8, learning_rate=0.01)
     with pytest.raises(TrainingDivergedError) as err:
-        train(X, config, SparsityConfig())
+        train(X, config, seed=0)
     assert err.value.epoch == 0
     assert err.value.learning_rate == 0.01
 
 
 def test_training_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        train(np.zeros((0, 4)), TrainConfig(), SparsityConfig())
+        train(np.zeros((0, 4)), EncoderConfig(), seed=0)
 
 
-def test_sparsity_config_validation():
-    with pytest.raises(ValueError):
-        SparsityConfig(target=0.0)
-    with pytest.raises(ValueError):
-        SparsityConfig(target=1.0)
-    with pytest.raises(ValueError):
-        SparsityConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="lbfgs")
+@pytest.mark.parametrize("field, value", [
+    ("sparsity_target", 0.0), ("sparsity_target", 1.0), ("beta", -1.0),
+    ("latent_dim", 0), ("epochs", 0), ("batch_size", 0),
+    ("learning_rate", 0.0)])
+def test_encoder_config_validation(field, value):
+    with pytest.raises(ConfigError, match="encoder." + field):
+        dataclasses.replace(EncoderConfig(), **{field: value}).validate()
 
 
 def test_save_load_round_trip_bit_identical():
@@ -320,7 +326,7 @@ def test_load_rejects_foreign_and_corrupt_files():
 
 # --- the per-operation oracle ------------------------------------------------
 #
-# The textbook form of the forward pass, loss, gradient, optimizers and
+# The textbook form of the forward pass, loss, gradient, optimizer and
 # training loop, one fresh array per operation.  The workspace in
 # glyrl.encoder must reproduce it bit for bit.
 
@@ -340,15 +346,15 @@ def reference_forward(X, params):
     return H, X_hat
 
 
-def reference_sparse_loss(X, params, sparsity):
+def reference_sparse_loss(X, params, config):
     _, X_hat = reference_forward(X, params)
     recon = float(np.mean(np.sum((X - X_hat) ** 2, axis=1)))
     H = reference_sigmoid(X @ params.W_enc.T + params.b_enc)
-    penalty = float(np.sum(kl_bernoulli(sparsity.target, H.mean(axis=0))))
-    return recon + sparsity.beta * penalty
+    penalty = float(np.sum(kl_bernoulli(config.sparsity_target, H.mean(axis=0))))
+    return recon + config.beta * penalty
 
 
-def reference_loss_gradient(X, params, sparsity):
+def reference_loss_gradient(X, params, config):
     n = X.shape[0]
     H, X_hat = reference_forward(X, params)
     delta_dec = (2.0 / n) * (X_hat - X) * X_hat * (1.0 - X_hat)
@@ -358,8 +364,9 @@ def reference_loss_gradient(X, params, sparsity):
     rho_raw = H.mean(axis=0)
     unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
     rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
-    d_kl = -sparsity.target / rho_hat + (1.0 - sparsity.target) / (1.0 - rho_hat)
-    dL_dH = dL_dH + (sparsity.beta / n) * (d_kl * unclamped)
+    target = config.sparsity_target
+    d_kl = -target / rho_hat + (1.0 - target) / (1.0 - rho_hat)
+    dL_dH = dL_dH + (config.beta / n) * (d_kl * unclamped)
     delta_enc = dL_dH * H * (1.0 - H)
     g_W_enc = delta_enc.T @ X
     g_b_enc = delta_enc.sum(axis=0)
@@ -367,15 +374,6 @@ def reference_loss_gradient(X, params, sparsity):
 
 
 FIELDS = ("W_enc", "b_enc", "W_dec", "b_dec")
-
-
-class ReferenceSGD:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grad):
-        for f in FIELDS:
-            getattr(params, f)[...] -= self.lr * getattr(grad, f)
 
 
 class ReferenceAdam:
@@ -398,12 +396,11 @@ class ReferenceAdam:
             getattr(params, f)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def reference_train(X, config, sparsity, latent_dim):
-    rng = np.random.default_rng(config.seed)
-    params = init_params(X.shape[1], latent_dim, rng)
-    optimizer = ReferenceSGD(config.learning_rate) if config.optimizer == "sgd" \
-        else ReferenceAdam(config.learning_rate)
-    initial = reference_sparse_loss(X, params, sparsity)
+def reference_train(X, config, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(X.shape[1], config.latent_dim, rng)
+    optimizer = ReferenceAdam(config.learning_rate)
+    initial = reference_sparse_loss(X, params, config)
     if not np.isfinite(initial):
         raise TrainingDivergedError(0, config.learning_rate)
     history = [initial]
@@ -414,8 +411,8 @@ def reference_train(X, config, sparsity, latent_dim):
         for start in range(0, n, config.batch_size):
             batch = X[order[start:start + config.batch_size]]
             optimizer.step(params,
-                           reference_loss_gradient(batch, params, sparsity))
-        epoch_loss = reference_sparse_loss(X, params, sparsity)
+                           reference_loss_gradient(batch, params, config))
+        epoch_loss = reference_sparse_loss(X, params, config)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, config.learning_rate)
         history.append(epoch_loss)
@@ -441,62 +438,56 @@ def saturating_dataset():
     return np.random.default_rng(13).uniform(200.0, 400.0, size=(45, 5))
 
 
-# name: (dataset, config, sparsity, latent_dim, loss block rows or None)
+# name: (dataset, config, seed, loss block rows or None)
 ORACLE_CASES = {
     "adam": (rank_one_dataset(n=96, dim=6, seed=2),
-             TrainConfig(epochs=6, batch_size=16, learning_rate=0.02, seed=3),
-             SparsityConfig(0.05, 3.0), 5, None),
-    "sgd": (rank_one_dataset(n=96, dim=6, seed=2),
-            TrainConfig(epochs=6, batch_size=16, learning_rate=0.5, seed=3,
-                        optimizer="sgd"),
-            SparsityConfig(0.05, 3.0), 5, None),
+             EncoderConfig(latent_dim=5, epochs=6, batch_size=16,
+                           learning_rate=0.02), 3, None),
     "ragged_last_batch": (rank_one_dataset(n=101, dim=7, seed=4),
-                          TrainConfig(epochs=4, batch_size=20, seed=8),
-                          SparsityConfig(0.1, 2.0), 4, None),
+                          EncoderConfig(latent_dim=4, sparsity_target=0.1,
+                                        beta=2.0, epochs=4, batch_size=20),
+                          8, None),
     "one_row_last_batch": (rank_one_dataset(n=61, dim=7, seed=4),
-                           TrainConfig(epochs=4, batch_size=12, seed=8),
-                           SparsityConfig(0.1, 2.0), 4, None),
+                           EncoderConfig(latent_dim=4, sparsity_target=0.1,
+                                         beta=2.0, epochs=4, batch_size=12),
+                           8, None),
     "n_below_one_batch": (rank_one_dataset(n=9, dim=5, seed=6),
-                          TrainConfig(epochs=5, batch_size=32, seed=1),
-                          SparsityConfig(0.05, 3.0), 3, None),
+                          EncoderConfig(latent_dim=3, epochs=5, batch_size=32),
+                          1, None),
     "block_1": (rank_one_dataset(n=50, dim=6, seed=7),
-                TrainConfig(epochs=3, batch_size=8, seed=2),
-                SparsityConfig(0.05, 3.0), 32, 1),
+                EncoderConfig(epochs=3, batch_size=8), 2, 1),
     "block_7": (rank_one_dataset(n=50, dim=6, seed=7),
-                TrainConfig(epochs=3, batch_size=8, seed=2),
-                SparsityConfig(0.05, 3.0), 32, 7),
+                EncoderConfig(epochs=3, batch_size=8), 2, 7),
     "block_n": (rank_one_dataset(n=50, dim=6, seed=7),
-                TrainConfig(epochs=3, batch_size=8, seed=2),
-                SparsityConfig(0.05, 3.0), 32, 50),
+                EncoderConfig(epochs=3, batch_size=8), 2, 50),
     "beta_0": (rank_one_dataset(n=64, dim=6, seed=9),
-               TrainConfig(epochs=4, batch_size=16, seed=4),
-               SparsityConfig(0.05, 0.0), 4, None),
+               EncoderConfig(latent_dim=4, beta=0.0, epochs=4, batch_size=16),
+               4, None),
     "learning_rate_0": (rank_one_dataset(n=64, dim=6, seed=9),
-                        TrainConfig(epochs=3, batch_size=16,
-                                    learning_rate=0.0, seed=4),
-                        SparsityConfig(0.05, 3.0), 4, None),
+                        EncoderConfig(latent_dim=4, epochs=3, batch_size=16,
+                                      learning_rate=0.0), 4, None),
     "clamp_binds": (saturating_dataset(),
-                    TrainConfig(epochs=4, batch_size=10, seed=12),
-                    SparsityConfig(0.05, 3.0), 6, None),
+                    EncoderConfig(latent_dim=6, epochs=4, batch_size=10),
+                    12, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_train_is_bitwise_the_per_operation_reference(monkeypatch, case):
-    X, config, sparsity, latent_dim, block = ORACLE_CASES[case]
+    X, config, seed, block = ORACLE_CASES[case]
     if block is not None:
         monkeypatch.setattr(encoder, "BLOCK_ROWS", block)
-    got = train(X, config, sparsity, latent_dim=latent_dim)
-    want = reference_train(X, config, sparsity, latent_dim)
+    got = train(X, config, seed)
+    want = reference_train(X, config, seed)
     assert_same_params(got, want)
     assert bits(got.loss_history) == bits(want.loss_history)
     assert len(got.loss_history) == config.epochs + 1
 
 
 def test_clamp_case_really_binds():
-    X, config, sparsity, latent_dim, _ = ORACLE_CASES["clamp_binds"]
-    params = init_params(X.shape[1], latent_dim,
-                         np.random.default_rng(config.seed))
+    X, config, seed, _ = ORACLE_CASES["clamp_binds"]
+    params = init_params(X.shape[1], config.latent_dim,
+                         np.random.default_rng(seed))
     rho = reference_forward(X, params)[0].mean(axis=0)
     assert np.any((rho <= ACTIVATION_FLOOR) | (rho >= 1.0 - ACTIVATION_FLOOR))
 
@@ -504,20 +495,20 @@ def test_clamp_case_really_binds():
 @pytest.mark.parametrize("poison", ["nan_input", "overflowing_steps"])
 def test_divergence_is_raised_at_the_reference_epoch(poison):
     X = rank_one_dataset(n=40, dim=4, seed=6)
-    config = TrainConfig(epochs=4, batch_size=8, learning_rate=0.01, seed=0)
+    config = EncoderConfig(latent_dim=3, epochs=4, batch_size=8,
+                           learning_rate=0.01)
     if poison == "nan_input":
         X[5, 1] = np.nan
     else:
         # Adam steps of about lr overflow the weights to +-inf, and the
         # products of mixed-sign infinities are NaN
-        config = TrainConfig(epochs=4, batch_size=8, learning_rate=1e308,
-                             seed=0)
+        config = dataclasses.replace(config, learning_rate=1e308)
     with pytest.raises(TrainingDivergedError) as want:
         with np.errstate(all="ignore"):
-            reference_train(X, config, SparsityConfig(), 3)
+            reference_train(X, config, 0)
     with pytest.raises(TrainingDivergedError) as got:
         with np.errstate(all="ignore"):
-            train(X, config, SparsityConfig(), latent_dim=3)
+            train(X, config, 0)
     assert got.value.epoch == want.value.epoch
     assert got.value.learning_rate == config.learning_rate
     if poison == "overflowing_steps":
@@ -530,8 +521,8 @@ def test_loss_and_gradient_are_bitwise_the_reference(monkeypatch):
     for n in (1, 2, 3, 8, 33):
         params = init_params(6, 5, rng)
         X = rng.uniform(size=(n, 6))
-        sparsity = SparsityConfig(float(rng.uniform(0.02, 0.3)),
-                                  float(rng.uniform(0.0, 5.0)))
+        sparsity = EncoderConfig(sparsity_target=float(rng.uniform(0.02, 0.3)),
+                                 beta=float(rng.uniform(0.0, 5.0)))
         assert bits(sparse_loss(X, params, sparsity)) == \
             bits(reference_sparse_loss(X, params, sparsity))
         assert_same_params(loss_gradient(X, params, sparsity),

@@ -154,7 +154,7 @@ GOLDEN_SHA256 = {
     'mdp/trajectories_test.csv': 'a8b445af1d329cb0a6f1c37e0f17a82529c42452b3bff45e892f58b69707560f',
     'mdp/trajectories_train.csv': 'cffc712c66a425bfa59e57dff7cb8c946515e681176b3afdf88bfef668f62889',
     'norm_spec.json': 'e61a615ab19c6ba26f764a0270c180cd00e78a7e5f0b4c098cf82e25a15518a6',
-    'report.json': '9066ef6048bfb9d32e58b1940af3831a69907566fdaf51dcfd374d200406a0ec',
+    'report.json': '82f10355e11eaa2ea94ef0a99aadb2403bc8109ad224b4b4d9efca33d0af5c54',
     'solution/optimal.csv': 'ffd73de75dac81d0ba41943a5cc408ae84973d71d8a240bda430bce1b6693c4c',
     'solution/q_optimal.csv': '4fb91b42a052899998ff19cb4a72d90b45d4ceeea9e05d92012c80531f49903a',
     'solution/real.csv': '52d81cd6b6320bf1fb4b1df3298611299df8cb7ed22e9b03d53f0c231dd0ccb7',
@@ -424,6 +424,57 @@ def test_unknown_config_key_exits_1_and_names_it(workspace, caplog):
                      str(workspace["root"] / "never")])
     assert rc == cli.USAGE_EXIT
     assert "klustering" in caplog.text
+
+
+# (key named in the error, config): values of the wrong type, non-finite
+# floats and bin edges that ActionSpace refuses
+BAD_CONFIGS = [
+    ("clustering.k", "clustering: {k: '5'}"),
+    ("clustering.k", "clustering: {k: 2.5}"),
+    ("clustering.k", "clustering: {k: true}"),
+    ("clustering.max_iters", "clustering: {k: 5, max_iters: 2.5}"),
+    ("calibration.n_bins", "calibration: {n_bins: 2.5}"),
+    ("preprocessing.min_sofa", "preprocessing: {min_sofa: '2'}"),
+    ("split.test_fraction", "split: {test_fraction: x}"),
+    ("encoder.epochs", "representation: sparse_ae\nencoder: {epochs: 1.5}"),
+    ("mdp.min_count", "mdp: {min_count: 2.5}"),
+    ("solver.epsilon", "solver: {epsilon: .nan}"),
+    ("preprocessing.min_age", "preprocessing: {min_age: .nan}"),
+    ("mdp.bin_edges", "mdp: {bin_edges: [-60, 80]}"),
+    ("mdp.bin_edges", "mdp: {bin_edges: [60, .nan]}"),
+    ("mdp.bin_edges", "mdp: {bin_edges: [60, .inf]}"),
+    ("mdp.bin_edges", "mdp: {bin_edges: [60, '80']}"),
+    ("mdp.bin_edges", "mdp: {bin_edges: [80, 60]}"),
+]
+
+
+@pytest.mark.parametrize("key, text", BAD_CONFIGS,
+                         ids=[text for _, text in BAD_CONFIGS])
+def test_bad_config_value_exits_1_naming_the_key_before_any_stage(
+        workspace, tmp_path, caplog, capsys, key, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    out = tmp_path / "never"
+    rc, _ = run_cli(["run", "--config", str(bad),
+                     "--input", workspace["cohort"], "--out", str(out)])
+    assert rc == cli.USAGE_EXIT
+    assert key in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("encoder", "optimizer", "adam"),
+    ("calibration", "mortality_mapping", "per_state")])
+def test_removed_config_keys_are_unknown(workspace, tmp_path, caplog,
+                                         section, key, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("%s:\n  %s: %s\n" % (section, key, value))
+    rc, _ = run_cli(["run", "--config", str(bad),
+                     "--input", workspace["cohort"],
+                     "--out", str(tmp_path / "never")])
+    assert rc == cli.USAGE_EXIT
+    assert "unknown key %r in section %r" % (key, section) in caplog.text
 
 
 def test_missing_cohort_file_exits_2(workspace):
