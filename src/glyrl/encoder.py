@@ -9,10 +9,12 @@ runs in numpy with an exact analytic gradient; there is no autodiff.
 Training runs in one preallocated workspace: the four parameter arrays and
 their gradient are views of two flat vectors, minibatch steps and optimizer
 updates write in place, and each epoch's loss computes the hidden layer once.
-Memory is bounded: beyond the two layer outputs of a loss pass, elementwise
-scratch spans at most BLOCK_ROWS rows.  The weights and loss history are
-bitwise those of the plain per-operation form, which the tests keep as their
-oracle.
+A minibatch step writes every intermediate into preallocated scratch, and
+its row sums and batch means are the reductions that np.sum and np.mean
+run.  Memory is bounded: beyond the two layer outputs of a loss pass,
+elementwise scratch spans at most BLOCK_ROWS rows.  The weights and loss
+history are bitwise those of the plain per-operation form, which the tests
+keep as their oracle.
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.W_enc.shape[1]
 
-    def copy(self) -> "EncoderParams":
-        hist = None if self.loss_history is None else list(self.loss_history)
-        return EncoderParams(self.W_enc.copy(), self.b_enc.copy(),
-                             self.W_dec.copy(), self.b_dec.copy(), hist)
-
     def validate(self) -> None:
         lat, inp = self.W_enc.shape
         if self.W_dec.shape != (inp, lat):
@@ -75,26 +72,32 @@ class EncoderParams:
 BLOCK_ROWS = 4096
 
 
-def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Overwrite z with its logistic sigmoid, len(tmp) rows at a time.
+def _sigmoid_block(z: np.ndarray, den: np.ndarray) -> None:
+    """Overwrite z with its logistic sigmoid; den is float scratch of z's
+    shape.
 
-    tmp is float scratch with z's row width.  The result is bitwise that of
-    splitting by sign, 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z))
-    elsewhere, without masks: the numerator exp(min(z, 0)) is exactly 1
-    where z >= 0, and the denominator's exp(min(z, -z)) = exp(-|z|) never
-    overflows.  Both keep a NaN's sign, as exp(z) did.
+    The result is bitwise that of splitting by sign, 1/(1+exp(-z)) where
+    z >= 0 and exp(z)/(1+exp(z)) elsewhere, without masks: the numerator
+    exp(min(z, 0)) is exactly 1 where z >= 0, and the denominator's
+    exp(min(z, -z)) = exp(-|z|) never overflows.  Both keep a NaN's sign,
+    as exp(z) did.
     """
+    np.negative(z, out=den)
+    np.minimum(z, den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= den
+
+
+def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite z with its logistic sigmoid, len(tmp) rows at a time, by
+    _sigmoid_block; tmp is float scratch with z's row width."""
     step = len(tmp)
     for start in range(0, len(z), step):
         zb = z[start:start + step]
-        den = tmp[:len(zb)]
-        np.negative(zb, out=den)
-        np.minimum(zb, den, out=den)
-        np.exp(den, out=den)
-        den += 1.0
-        np.minimum(zb, 0.0, out=zb)
-        np.exp(zb, out=zb)
-        zb /= den
+        _sigmoid_block(zb, tmp[:len(zb)])
     return z
 
 
@@ -193,6 +196,8 @@ class _Workspace:
         self.all_hidden = np.empty((n_rows, lat))
         self.all_out = np.empty((n_rows, inp))
         self.row_sums = np.empty(n_rows)
+        self.rho, self.d_kl = np.empty((2, lat))
+        self.unclamped, self.below_ceiling = np.empty((2, lat), dtype=bool)
 
     def loss(self, X: np.ndarray) -> float:
         """sparse_loss over all n_rows rows of X.
@@ -219,17 +224,23 @@ class _Workspace:
 
     def gradient(self, X: np.ndarray) -> None:
         """Write the exact gradient of sparse_loss on the rows of X into
-        self.grad (seen through self.grads)."""
+        self.grad (seen through self.grads).
+
+        A minibatch fits the scratch, so every intermediate is written in
+        place.  np.add.reduce is the reduction that np.sum runs and np.mean divides by the row
+        count.  The products stay matmul: np.dot multiplies a 1x1 by 1x1
+        product where matmul adds it to +0.0, which keeps a -0.0.
+        """
         m = len(X)
         p, g = self.params, self.grads
         H, dH = self.hidden[:m], self.hidden_tmp[:m]
         X_hat, D = self.out[:m], self.out_tmp[:m]
         np.matmul(X, p.W_enc.T, out=H)
         H += p.b_enc
-        _sigmoid(H, dH)
+        _sigmoid_block(H, dH)
         np.matmul(H, p.W_dec.T, out=X_hat)
         X_hat += p.b_dec
-        _sigmoid(X_hat, D)
+        _sigmoid_block(X_hat, D)
 
         # Reconstruction path: D = (2/m) * (X_hat - X) * X_hat * (1 - X_hat).
         np.subtract(X_hat, X, out=D)
@@ -238,24 +249,37 @@ class _Workspace:
         np.subtract(1.0, X_hat, out=X_hat)
         D *= X_hat
         np.matmul(D.T, H, out=g.W_dec)
-        np.sum(D, axis=0, out=g.b_dec)
+        np.add.reduce(D, axis=0, out=g.b_dec)
         np.matmul(D, p.W_dec, out=dH)
 
         # Sparsity path through the batch-mean activation of each unit.  Where
         # the clamp binds the penalty is locally constant, so that unit gets
         # no sparsity gradient.
-        rho_raw = H.mean(axis=0)
-        unclamped = (rho_raw > ACTIVATION_FLOOR) & (rho_raw < 1.0 - ACTIVATION_FLOOR)
-        rho_hat = np.clip(rho_raw, ACTIVATION_FLOOR, 1.0 - ACTIVATION_FLOOR)
-        d_kl = -self.target / rho_hat + (1.0 - self.target) / (1.0 - rho_hat)
-        dH += (self.beta / m) * (d_kl * unclamped)
+        # unclamped = FLOOR < mean(H, axis=0) < 1 - FLOOR; rho = clip(the mean)
+        rho, d_kl = self.rho, self.d_kl
+        unclamped, below_ceiling = self.unclamped, self.below_ceiling
+        np.add.reduce(H, axis=0, out=rho)
+        rho /= m
+        np.greater(rho, ACTIVATION_FLOOR, out=unclamped)
+        np.less(rho, 1.0 - ACTIVATION_FLOOR, out=below_ceiling)
+        unclamped &= below_ceiling
+        np.maximum(rho, ACTIVATION_FLOOR, out=rho)
+        np.minimum(rho, 1.0 - ACTIVATION_FLOOR, out=rho)
+        # dH += (beta/m) * ((-target/rho + (1-target)/(1-rho)) * unclamped)
+        np.divide(-self.target, rho, out=d_kl)
+        np.subtract(1.0, rho, out=rho)
+        np.divide(1.0 - self.target, rho, out=rho)
+        d_kl += rho
+        d_kl *= unclamped
+        d_kl *= self.beta / m
+        dH += d_kl
 
         # Encoder path: dH * H * (1 - H).
         dH *= H
         np.subtract(1.0, H, out=H)
         dH *= H
         np.matmul(dH.T, X, out=g.W_enc)
-        np.sum(dH, axis=0, out=g.b_enc)
+        np.add.reduce(dH, axis=0, out=g.b_enc)
 
 
 def sparse_loss(batch, params: EncoderParams, config: EncoderConfig) -> float:

@@ -37,7 +37,7 @@ from .cohort import (
 )
 from .config import PipelineConfig
 from .encoder import encode, load_encoder, save_encoder, train
-from .errors import ArtifactError, DataError, GlyrlError
+from .errors import ArtifactError, ConfigError, DataError, GlyrlError
 from .mdp import (
     ActionSpace,
     Trajectories,
@@ -308,6 +308,11 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
         config.split.test_fraction, derive_seed(config.seed, "split"))
     train, test = imputed.take(train_at), imputed.take(test_at)
     del imputed
+    # k-means needs a training hour per cluster; refuse before writing
+    train_hours = len(train.values)
+    if config.clustering.k > train_hours:
+        raise ConfigError("clustering.k is %d, but the cohort has only %d "
+                          "training hours" % (config.clustering.k, train_hours))
 
     spec = fit_normalization(train)
     files.write("norm_spec.json", _norm_spec_doc(spec))

@@ -396,6 +396,11 @@ class ReferenceAdam:
             getattr(params, f)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def copy_params(params):
+    return EncoderParams(params.W_enc.copy(), params.b_enc.copy(),
+                         params.W_dec.copy(), params.b_dec.copy())
+
+
 def reference_train(X, config, seed):
     rng = np.random.default_rng(seed)
     params = init_params(X.shape[1], config.latent_dim, rng)
@@ -404,7 +409,7 @@ def reference_train(X, config, seed):
     if not np.isfinite(initial):
         raise TrainingDivergedError(0, config.learning_rate)
     history = [initial]
-    best_loss, best = initial, params.copy()
+    best_loss, best = initial, copy_params(params)
     n = X.shape[0]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -417,7 +422,7 @@ def reference_train(X, config, seed):
             raise TrainingDivergedError(epoch, config.learning_rate)
         history.append(epoch_loss)
         if epoch_loss < best_loss:
-            best_loss, best = epoch_loss, params.copy()
+            best_loss, best = epoch_loss, copy_params(params)
     best.loss_history = history
     return best
 
@@ -469,6 +474,14 @@ ORACLE_CASES = {
     "clamp_binds": (saturating_dataset(),
                     EncoderConfig(latent_dim=6, epochs=4, batch_size=10),
                     12, None),
+    # the benchmark's shape: the default latent size and batch, 15 inputs
+    "default_shape": (rank_one_dataset(n=100, dim=15, seed=10),
+                      EncoderConfig(latent_dim=32, epochs=2, batch_size=32),
+                      3, None),
+    # every product 1x1 by 1x1, and saturated units give zero gradients
+    "one_input_one_unit": (saturating_dataset()[:12, :1],
+                           EncoderConfig(latent_dim=1, epochs=3, batch_size=1),
+                           4, None),
 }
 
 
@@ -518,15 +531,26 @@ def test_divergence_is_raised_at_the_reference_epoch(poison):
 def test_loss_and_gradient_are_bitwise_the_reference(monkeypatch):
     monkeypatch.setattr(encoder, "BLOCK_ROWS", 3)
     rng = np.random.default_rng(77)
-    for n in (1, 2, 3, 8, 33):
-        params = init_params(6, 5, rng)
-        X = rng.uniform(size=(n, 6))
+    for n, inputs, latent in ((1, 6, 5), (2, 6, 5), (3, 6, 5), (8, 6, 5),
+                              (33, 6, 5), (32, 15, 32)):
+        params = init_params(inputs, latent, rng)
+        X = rng.uniform(size=(n, inputs))
         sparsity = EncoderConfig(sparsity_target=float(rng.uniform(0.02, 0.3)),
                                  beta=float(rng.uniform(0.0, 5.0)))
         assert bits(sparse_loss(X, params, sparsity)) == \
             bits(reference_sparse_loss(X, params, sparsity))
         assert_same_params(loss_gradient(X, params, sparsity),
                            reference_loss_gradient(X, params, sparsity))
+
+
+def test_one_by_one_gradient_keeps_the_reference_zero_signs():
+    # a saturated unit's zero gradient: matmul adds the 1x1 by 1x1 product
+    # to +0.0, where np.dot would keep its -0.0
+    X, config, seed, _ = ORACLE_CASES["one_input_one_unit"]
+    params = init_params(1, 1, np.random.default_rng(seed))
+    want = reference_loss_gradient(X[:1], params, config)
+    assert want.W_enc[0, 0] == 0.0
+    assert_same_params(loss_gradient(X[:1], params, config), want)
 
 
 def test_forward_and_encode_are_bitwise_the_reference(monkeypatch):
@@ -554,4 +578,8 @@ def test_sigmoid_edges_are_bitwise_the_sign_split_form():
     for rows in (1, 5, len(z)):
         got = encoder._sigmoid(z.copy(), np.empty((rows, 4)))
         assert bits(got) == bits(want), rows
+    # the minibatch step calls the block kernel directly
+    got = z.copy()
+    encoder._sigmoid_block(got, np.empty_like(z))
+    assert bits(got) == bits(want)
     assert np.signbit(want[5, 0]) != np.signbit(want[5, 1])  # NaN signs kept

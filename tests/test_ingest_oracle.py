@@ -113,6 +113,8 @@ def _config(max_missing, test_fraction, seed):
     config.preprocessing.max_missing_fraction = max_missing
     config.split.test_fraction = test_fraction
     config.seed = seed
+    # ingest refuses a k above the training hours; these cohorts have few
+    config.clustering.k = 1
     return config
 
 

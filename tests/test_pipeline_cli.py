@@ -477,6 +477,28 @@ def test_removed_config_keys_are_unknown(workspace, tmp_path, caplog,
     assert "unknown key %r in section %r" % (key, section) in caplog.text
 
 
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_k_above_the_training_hours_exits_1_before_ingest_writes(
+        workspace, golden, tmp_path, caplog, capsys, command):
+    train_hours = int(np.count_nonzero(np.load(
+        os.path.join(golden["art"], "hours.npy"))["split"] == 0))
+    out = tmp_path / "art"
+    for k in (train_hours + 1, 10 ** 20):
+        bad = tmp_path / "big_k.yaml"
+        bad.write_text("seed: 3\nclustering:\n  k: %d\n" % k)
+        caplog.clear()
+        rc, _ = run_cli([command, "--config", str(bad),
+                         "--input", workspace["cohort"], "--out", str(out)])
+        assert rc == cli.USAGE_EXIT
+        assert "clustering.k is %d, but the cohort has only %d training hours" \
+            % (k, train_hours) in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (out / "hours.npy").exists()
+    bad.write_text("seed: 3\nclustering:\n  k: %d\n" % train_hours)
+    assert run_cli(["ingest", "--config", str(bad),
+                    "--input", workspace["cohort"], "--out", str(out)])[0] == 0
+
+
 def test_missing_cohort_file_exits_2(workspace):
     rc, _ = run_cli(["run", "--config", workspace["config"],
                      "--input", str(workspace["root"] / "nope.csv"),
@@ -918,6 +940,27 @@ encoder:
   latent_dim: 4
 """
 
+# The SHA-256 of every file the manifest records in the SPARSE_CONFIG_YAML
+# run of the golden cohort: encoder.model and every file downstream of it.
+SPARSE_GOLDEN_SHA256 = {
+    'assignments.csv': '078209cda66533d51063e1e516debd4d8bd3e7e200f52380d9f4cffcdb078937',
+    'clusters.model': 'beaa9f720ae319347868d64fbe37de7069875d8d46a7a6fcfc55844db461128b',
+    'curve.csv': '8391266824b9971e93d7c02ffcc0f0c56ed4be3d6d71190b5e51f152ce4e4eed',
+    'encoder.model': '09fe06f39b81e9c81888b8e3d1a33d7dcdfb044058ce90683141e0d9801f456a',
+    'exclusions.json': 'c3a25e0ddae3ff79ca46deb62cdad85c66de21e2def765220da2176df3008e30',
+    'hours.npy': '9810269242af19eed6264f2d1176598c126a7a6e999df3afce3eefc0cdb383e5',
+    'mdp/mdp.txt': 'cc359042a1d4cca0e54597cfc1f8f1c815dbc46d569bf39a245302ba4cc589d1',
+    'mdp/trajectories_test.csv': 'd6caeb04ef80674ea5e1790636faca767fcc35293347aa1156cbbda0c56dcc18',
+    'mdp/trajectories_train.csv': 'f4c39bf6342d88418f1e74362ff88c3a7b37588f4f5e6356bf757cf5ecabb8c7',
+    'norm_spec.json': 'e61a615ab19c6ba26f764a0270c180cd00e78a7e5f0b4c098cf82e25a15518a6',
+    'report.json': '859d555b7c46ffee3c4bce5d134c8a46b49eefcb59e218fe667f7bc60e49fa83',
+    'solution/optimal.csv': '70cb6598acc4769914fc617db4ee0ae9f0e713feca4eb0b50bb431716412c931',
+    'solution/q_optimal.csv': 'd028b47d2eac3ebc4e94c310031c10bd67492ee232a664bdd88a3ef1a1a4bc54',
+    'solution/real.csv': '49b748c520b6d6740a8129dff6719c1bf0afabf8eb34dbec8d2ca6a15416a367',
+    'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
+    'train.csv': '71a4aa87f461c0b608278226595f5b0c108748ca52b4af5ca1d85611946772df',
+}
+
 
 @pytest.mark.parametrize("config_yaml,seed", [
     (CONFIG_YAML, 0), (CONFIG_YAML, 1), (CONFIG_YAML, 2),
@@ -938,14 +981,18 @@ def test_shuffled_cohort_rows_give_byte_identical_artifacts(
         art = tmp_path / name
         assert run_cli(["run", "--config", str(config), "--input", cohort_csv,
                         "--out", str(art)])[0] == 0
-        return tree_hashes(str(art))
+        stages = json.loads((art / pipeline.MANIFEST_FILE).read_text())["stages"]
+        return ({rel: sha for entry in stages.values()
+                 for rel, sha in entry.items()}, tree_hashes(str(art)))
 
-    hashes = run(str(shuffled), "shuffled")
+    recorded, hashes = run(str(shuffled), "shuffled")
     if config_yaml == CONFIG_YAML:
-        assert {rel: hashes[rel] for rel in GOLDEN_SHA256} == GOLDEN_SHA256
+        assert recorded == GOLDEN_SHA256
         assert hashes == tree_hashes(golden["art"])
     else:
-        assert hashes == run(workspace["cohort"], "ordered")
+        assert recorded == SPARSE_GOLDEN_SHA256
+        assert hashes == run(workspace["cohort"], "ordered")[1]
+    assert {rel: hashes[rel] for rel in recorded} == recorded
 
 
 def test_stage_errors_keep_their_class_and_fields(workspace, monkeypatch,
