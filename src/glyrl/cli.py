@@ -9,6 +9,7 @@ artifacts, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
@@ -17,7 +18,7 @@ from typing import List, Optional
 import yaml
 
 from . import pipeline, synthgen
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, _check_type, load_config
 from .errors import ConfigError, DataError, GlyrlError, NumericalError
 
 log = logging.getLogger("glyrl")
@@ -77,8 +78,12 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-_SYNTH_KEYS = ("patients", "seed", "n_latent_states", "horizon_hours",
-               "noise_scale", "missing_prob")
+# each synth knob with a value of the type it takes: ladder_config's
+# defaults, and an int for the patient count, which has none
+_SYNTH_KNOBS = {"patients": 0, **{
+    name: param.default for name, param
+    in inspect.signature(synthgen.ladder_config).parameters.items()
+    if param.default is not param.empty}}
 
 
 def _synth_config(args) -> synthgen.GeneratorConfig:
@@ -94,7 +99,7 @@ def _synth_config(args) -> synthgen.GeneratorConfig:
                               % (args.config, exc))
         if not isinstance(doc, dict):
             raise ConfigError("synth config root must be a mapping")
-        unknown = sorted(set(doc) - set(_SYNTH_KEYS))
+        unknown = sorted(set(doc) - set(_SYNTH_KNOBS), key=str)
         if unknown:
             raise ConfigError("unknown key %r in synth config" % unknown[0])
         knobs.update(doc)
@@ -104,6 +109,8 @@ def _synth_config(args) -> synthgen.GeneratorConfig:
         knobs["seed"] = args.seed
     if "patients" not in knobs:
         raise ConfigError("synth needs --patients or a config with 'patients'")
+    for key, value in knobs.items():
+        _check_type(key, _SYNTH_KNOBS[key], value)
     patients = knobs.pop("patients")
     try:
         return synthgen.ladder_config(patients, **knobs)
@@ -114,7 +121,6 @@ def _synth_config(args) -> synthgen.GeneratorConfig:
 def _run_command(args) -> int:
     if args.command == "synth":
         config = _synth_config(args)
-        config.validate()
         csv_text, truth = synthgen.generate(config)
         path = args.out
         try:

@@ -15,14 +15,38 @@ what the pipeline recovers from the generated CSV.
 Real admission records cannot be redistributed, so this module is the
 test bed: it plants a harmful high-glucose action and a severity-dependent
 optimal action, then the pipeline must find them.
+
+Sampling contract: a seed's cohort keeps its bytes.  Patient i draws from
+its own stream, ``default_rng([seed, i])``, which nothing else reads, and
+each hour takes the same doubles in the same order:
+
+- Categorical draws (initial state, action, next state) use
+  ``Generator.choice``'s arithmetic without its checks of ``p``: the CDF
+  ``p.cumsum() / cdf[-1]``, built once per probability row, and
+  ``bisect_right(cdf, u)`` for one uniform double ``u``.
+- The glucose reading is ``lo + (hi - lo) * u``, numpy's own
+  ``uniform(lo, hi)`` for numpy builds whose baseline has no fused
+  multiply-add.  On a build where the two differ, the oracle test fails,
+  and that one draw goes back to ``rng.uniform(lo, hi)``.
+- Uniform doubles that follow one another come from one ``rng.random(n)``
+  call, which returns what n scalar calls return: an hour's missingness
+  draws, its transition draw, the two hazard draws (from the third hour
+  on, and never at the horizon), and the next hour's action and glucose
+  draws.  A stay that ends draws those last two doubles without using
+  them; no other patient reads the stream, so nothing else moves.
+- The covariate noise is one ``rng.normal(size=n_covariates)`` call per
+  hour, because the ziggurat consumes a variable number of words.
+
+``tests/synthgen_oracle.py`` keeps the per-draw loop these replace, and the
+tests require the same CSV text and ground truth from both.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +97,15 @@ class GeneratorConfig:
         if L < 2:
             raise ValueError("need at least two latent states")
         if self.horizon_hours < 2:
-            raise ValueError("horizon must allow at least two hours")
+            raise ValueError("horizon_hours must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        # NaN passes every range check below, since each comparison is false
+        for name in ("transition", "death_hazard", "discharge_hazard",
+                     "emission_means", "emission_scales",
+                     "behavioral_policy", "initial_distribution"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s holds a value that is not finite" % name)
         if self.transition.shape != (L, A, L):
             raise ValueError("transition tensor shaped %r, expected %r"
                              % (self.transition.shape, (L, A, L)))
@@ -204,6 +236,15 @@ _STATIC_CELLS = {
 }
 
 
+def _cdf(p) -> List[float]:
+    """Generator.choice's CDF of the probability row p, as floats:
+    bisect_right(cdf, rng.random()) picks the index that
+    rng.choice(len(p), p=p) picks, from the same double."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate(config: GeneratorConfig) -> Tuple[str, GroundTruth]:
     """Sample the cohort CSV and the matching ground truth.
 
@@ -213,60 +254,64 @@ def generate(config: GeneratorConfig) -> Tuple[str, GroundTruth]:
     """
     config.validate()
     L, A = config.n_latent_states, config.n_actions
-    header = ",".join(FIXED_COLUMNS + tuple(config.covariate_names))
-    out = io.StringIO()
-    out.write(header + "\n")
+    n_cov, horizon = config.n_covariates, config.horizon_hours
+    missing_prob = config.missing_prob
+    initial = _cdf(config.initial_distribution)
+    policy = [_cdf(row) for row in config.behavioral_policy]
+    transition = [[_cdf(row) for row in rows] for rows in config.transition]
+    bins = [_bin_bounds(config.bin_edges, a) for a in range(A)]
+    low = [float(lo) for lo, _ in bins]
+    span = [float(hi) - float(lo) for lo, hi in bins]
+    means, scales = config.emission_means, config.emission_scales
+    death = config.death_hazard.tolist()
+    discharge = config.discharge_hazard.tolist()
+    statics = ",".join(_STATIC_CELLS[c] for c in FIXED_COLUMNS[2:15])
+    lines = [",".join(FIXED_COLUMNS + tuple(config.covariate_names))]
     latent_states: Dict[str, List[int]] = {}
 
     pid_width = max(5, len(str(config.n_patients - 1)))
     for i in range(config.n_patients):
         rng = np.random.default_rng([config.seed, i])
         pid = "synth-%0*d" % (pid_width, i)
-        z = int(rng.choice(L, p=config.initial_distribution))
-        hours: List[Tuple[int, float, List[Optional[float]]]] = []
+        u_z, u_a, u_glucose = rng.random(3).tolist()
+        z = bisect_right(initial, u_z)
+        a = bisect_right(policy[z], u_a)
+        glucose = low[a] + span[a] * u_glucose
+        tails: List[str] = []
         zs: List[int] = []
         died = False
         t = 0
         while True:
-            a = int(rng.choice(A, p=config.behavioral_policy[z]))
-            lo, hi = _bin_bounds(config.bin_edges, a)
-            glucose = float(rng.uniform(lo, hi))
-            covs: List[Optional[float]] = []
-            noise = rng.normal(size=config.n_covariates)
-            miss = rng.random(config.n_covariates)
-            for j in range(config.n_covariates):
-                if t > 0 and miss[j] < config.missing_prob:
-                    covs.append(None)
-                else:
-                    covs.append(float(config.emission_means[z, j]
-                                      + config.emission_scales[j] * noise[j]))
-            hours.append((t, glucose, covs))
+            values = (means[z] + scales * rng.normal(size=n_cov)).tolist()
+            # missingness, transition, the two hazards when they are
+            # checked, then the next hour's action and glucose
+            u = rng.random(n_cov + (5 if 2 <= t + 1 < horizon else 3)).tolist()
+            cells = [repr(glucose), "arterial"]
+            if t == 0:  # the first hour is never missing a covariate
+                cells += map(repr, values)
+            else:
+                cells += ["" if u[j] < missing_prob else repr(v)
+                          for j, v in enumerate(values)]
+            tails.append(",".join(cells))
             zs.append(z)
 
-            z_next = int(rng.choice(L, p=config.transition[z, a]))
+            z = bisect_right(transition[z][a], u[n_cov])
             t += 1
-            if t >= config.horizon_hours:
+            if t >= horizon:
                 break
             if t >= 2:
-                u_death = float(rng.random())
-                u_discharge = float(rng.random())
-                if u_death < config.death_hazard[z_next]:
+                if u[n_cov + 1] < death[z]:
                     died = True
                     break
-                if u_discharge < config.discharge_hazard[z_next]:
+                if u[n_cov + 2] < discharge[z]:
                     break
-            z = z_next
+            a = bisect_right(policy[z], u[-2])
+            glucose = low[a] + span[a] * u[-1]
 
         latent_states[pid] = zs
-        static_cells = [_STATIC_CELLS[c] for c in FIXED_COLUMNS[2:15]]
-        for t_idx, glucose, covs in hours:
-            cells = [pid, str(t_idx)]
-            cells += static_cells
-            cells.append("1" if died else "0")
-            cells.append(repr(glucose))
-            cells.append("arterial")
-            cells += ["" if v is None else repr(v) for v in covs]
-            out.write(",".join(cells) + "\n")
+        died_cell = "1" if died else "0"
+        lines += ["%s,%d,%s,%s,%s" % (pid, t_idx, statics, died_cell, tail)
+                  for t_idx, tail in enumerate(tails)]
 
     solution = solve_ground_truth(config)
     truth = GroundTruth(
@@ -277,7 +322,8 @@ def generate(config: GeneratorConfig) -> Tuple[str, GroundTruth]:
         latent_states=latent_states,
         seed=config.seed,
     )
-    return out.getvalue(), truth
+    lines.append("")
+    return "\n".join(lines), truth
 
 
 # hazard profiles along the normalized severity axis; the death hazard
@@ -308,6 +354,10 @@ def ladder_config(n_patients: int, seed: int = 0,
     long stays.  Patients still in the unit at the window edge are recorded
     as survivors.
     """
+    if n_latent_states < 2:
+        raise ValueError("n_latent_states must be at least 2")
+    if not noise_scale > 0:
+        raise ValueError("noise_scale must be positive")
     L = n_latent_states
     A = len(DEFAULT_BIN_EDGES) + 1
 

@@ -8,6 +8,7 @@ the round-trip oracle of ``save_clusters``; no pipeline stage reads the
 cluster model back.
 """
 
+import bisect
 import itertools
 import json
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glyrl import cluster
+from glyrl import cluster, synthgen
 from glyrl.cluster import (
     CLUSTER_FORMAT,
     CLUSTER_FORMAT_VERSION,
@@ -363,14 +364,27 @@ def check_seeding(points, k, seed):
     assert np.array_equal(bits(d2), bits(ref_d2))
 
 
+def _seeding_draw(n):
+    p, cdf = np.empty(n), np.empty(n)
+    return lambda d2, total, rng: cluster._choice(d2, total, rng, p, cdf)
+
+
+def _generator_draw(n):
+    return lambda d2, total, rng: bisect.bisect_right(
+        synthgen._cdf(d2 / total), rng.random())
+
+
+@pytest.mark.parametrize("draw", [_seeding_draw, _generator_draw],
+                         ids=["kmeans_seeding", "synthgen"])
 @pytest.mark.parametrize("kind", ["spread", "zero_heavy", "tiny", "single"])
-def test_choice_draws_what_generator_choice_draws(kind):
-    """The seeding's draw picks Generator.choice's index and leaves the
-    generator in the same state, draw after draw, as the weights change."""
+def test_choice_draws_what_generator_choice_draws(kind, draw):
+    """The seeding's draw, and the cohort generator's, picks
+    Generator.choice's index and leaves the generator in the same state,
+    draw after draw, as the weights change."""
     rng = np.random.default_rng(41)
     n = 1 if kind == "single" else 257
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    p, cdf = np.empty(n), np.empty(n)
+    draw = draw(n)
     for _ in range(400):
         d2 = rng.exponential(size=n) ** 3
         if kind == "zero_heavy":
@@ -379,8 +393,7 @@ def test_choice_draws_what_generator_choice_draws(kind):
         elif kind == "tiny":
             d2 *= 1e-300
         total = d2.sum()
-        assert cluster._choice(d2, total, ours, p, cdf) == \
-            theirs.choice(n, p=d2 / total)
+        assert draw(d2, total, ours) == theirs.choice(n, p=d2 / total)
     assert ours.random() == theirs.random()
 
 

@@ -16,6 +16,7 @@ import shutil
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import cohort_row, make_csv
 from glyrl import cli, cohort, mdp, pipeline, synthgen
@@ -1207,6 +1208,52 @@ def test_synth_rejects_unknown_knob(workspace):
 def test_synth_requires_patient_count(workspace):
     rc, _ = run_cli(["synth", "--out", str(workspace["root"] / "never5.csv")])
     assert rc == cli.USAGE_EXIT
+
+
+# (key named in the error, synth config): knob values of the wrong type,
+# non-finite floats and integers out of range
+BAD_SYNTH_CONFIGS = [
+    ("patients", "patients: 2.5"),
+    ("patients", "patients: true"),
+    ("seed", "patients: 5\nseed: 1.5"),
+    ("seed", "patients: 5\nseed: -1"),
+    ("horizon_hours", "patients: 5\nhorizon_hours: 4.5"),
+    ("noise_scale", "patients: 5\nnoise_scale: .nan"),
+    ("noise_scale", "patients: 5\nnoise_scale: .inf"),
+    ("patients", "patients: 0"),
+    ("n_latent_states", "patients: 5\nn_latent_states: 1"),
+    ("horizon_hours", "patients: 5\nhorizon_hours: 1"),
+    ("noise_scale", "patients: 5\nnoise_scale: 0"),
+    ("missing_prob", "patients: 5\nmissing_prob: 1"),
+]
+
+
+def test_readme_synth_table_lists_every_knob_with_its_default():
+    with open(README) as fh:
+        lines = fh.read().split("| knob ", 1)[1].splitlines()[2:]
+    table = {}
+    for line in lines[:lines.index("")]:
+        _, knob, default, _, _ = line.split("|")
+        table[knob.strip().strip("`")] = default.strip()
+    assert list(table) == list(cli._SYNTH_KNOBS)
+    assert table.pop("patients") == "(required)"
+    assert {knob: yaml.safe_load(cell.strip("`"))
+            for knob, cell in table.items()} == \
+        {knob: cli._SYNTH_KNOBS[knob] for knob in table}
+
+
+@pytest.mark.parametrize("key, text", BAD_SYNTH_CONFIGS,
+                         ids=[text for _, text in BAD_SYNTH_CONFIGS])
+def test_synth_bad_knob_value_exits_1_naming_the_key(tmp_path, caplog, capsys,
+                                                      key, text):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text + "\n")
+    out = tmp_path / "never.csv"
+    rc, _ = run_cli(["synth", "--config", str(scenario), "--out", str(out)])
+    assert rc == cli.USAGE_EXIT
+    assert key in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_derive_seed_is_stable_and_stream_sensitive():

@@ -2,11 +2,13 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cohort_oracle
+import synthgen_oracle
 from glyrl import cohort
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.errors import ArtifactError
@@ -336,6 +338,67 @@ def test_validate_rejects_bad_shapes_and_ranges():
     bad.behavioral_policy = np.full((2, 11), 0.05)
     with pytest.raises(ValueError):
         bad.validate()
+    with pytest.raises(ValueError, match="seed"):
+        tiny_config(seed=-1).validate()
+
+
+@pytest.mark.parametrize("name, bad_value", [
+    ("transition", np.nan),
+    ("death_hazard", np.nan),
+    ("discharge_hazard", np.nan),
+    ("emission_means", np.nan),
+    ("emission_means", np.inf),
+    ("emission_scales", np.nan),
+    ("emission_scales", np.inf),
+    ("behavioral_policy", np.nan),
+    ("initial_distribution", np.nan),
+])
+def test_validate_rejects_a_non_finite_entry_naming_the_array(name, bad_value):
+    # each comparison with NaN is false, so NaN slips past the range checks
+    bad = tiny_config()
+    value = getattr(bad, name).copy()
+    value.flat[0] = bad_value
+    setattr(bad, name, value)
+    with pytest.raises(ValueError, match=name):
+        bad.validate()
+
+
+# configs on which the batched draws must reproduce the per-draw oracle:
+# both benchmark horizons, dense missingness, a wide ladder, the horizons at
+# which the hazard draws start (3) and never happen (2), probability rows
+# full of zeros, and hazards that never or always end a stay
+ORACLE_CONFIGS = {
+    "ladder_seed3_h16": lambda: ladder_config(300, seed=3),
+    "ladder_seed3_h72": lambda: ladder_config(300, seed=3, horizon_hours=72),
+    "missing_0.3": lambda: ladder_config(200, seed=3, missing_prob=0.3),
+    "25_states_h72": lambda: ladder_config(200, seed=3, n_latent_states=25,
+                                           horizon_hours=72),
+    "horizon_2": lambda: ladder_config(100, seed=3, horizon_hours=2),
+    "horizon_3": lambda: ladder_config(100, seed=3, horizon_hours=3),
+    "four_state_oracle": lambda: replace(four_state_oracle(), n_patients=100),
+    "zero_hazards": lambda: tiny_config(n_patients=50,
+                                        discharge_hazard=np.zeros(2)),
+    "certain_death": lambda: tiny_config(n_patients=50,
+                                         death_hazard=np.ones(2)),
+    "no_covariates": lambda: tiny_config(n_patients=50,
+                                         emission_means=np.zeros((2, 0)),
+                                         emission_scales=np.zeros(0),
+                                         covariate_names=()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_generate_equals_the_per_draw_oracle(name):
+    csv_text, truth = generate(ORACLE_CONFIGS[name]())
+    ref_text, ref = synthgen_oracle.generate(ORACLE_CONFIGS[name]())
+    # row by row first, so a failure shows one row and not a diff of the text
+    for row, ref_row in zip(csv_text.split("\n"), ref_text.split("\n")):
+        assert row == ref_row
+    assert csv_text == ref_text
+    assert truth.latent_states == ref.latent_states
+    assert np.array_equal(truth.pi_star, ref.pi_star)
+    assert truth.v_star.tobytes() == ref.v_star.tobytes()
+    assert truth.seed == ref.seed and truth.gamma == ref.gamma
 
 
 def test_generated_csv_survives_cohort_filters_mostly_intact():
