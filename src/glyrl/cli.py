@@ -112,6 +112,8 @@ def _synth_config(args) -> synthgen.GeneratorConfig:
     for key, value in knobs.items():
         _check_type(key, _SYNTH_KNOBS[key], value)
     patients = knobs.pop("patients")
+    if patients < 1:
+        raise ConfigError("patients is %d; it must be positive" % patients)
     try:
         return synthgen.ladder_config(patients, **knobs)
     except (TypeError, ValueError) as exc:

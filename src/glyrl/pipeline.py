@@ -2,7 +2,9 @@
 
 Each stage is a function over an artifacts directory: it reads the files
 earlier stages wrote and writes its own, so the CLI subcommands and
-run_pipeline are the same code path.  Every byte written is a pure
+run_pipeline are the same code path.  Within one run_pipeline call a stage
+also hands the value of a file it wrote to the one later stage that reads
+it, which then skips reading the file back.  Every byte written is a pure
 function of (config, master seed, input CSV); reruns must reproduce
 artifacts exactly, which the manifest's checksums make checkable.
 """
@@ -36,7 +38,7 @@ from .cohort import (
     write_cohort,
 )
 from .config import PipelineConfig
-from .encoder import encode, load_encoder, save_encoder, train
+from .encoder import EncoderParams, encode, load_encoder, save_encoder, train
 from .errors import ArtifactError, ConfigError, DataError, GlyrlError
 from .mdp import (
     ActionSpace,
@@ -140,30 +142,49 @@ def _manifest_read(art_dir: str) -> dict:
 class _StageFiles:
     """One stage's view of the artifacts directory: the manifest, read once
     when the stage starts; checked reads of what earlier stages wrote; and
-    the SHA-256 of each file the stage writes, taken as it is written."""
+    the SHA-256 of each file the stage writes, taken as it is written.
 
-    def __init__(self, art_dir: str, stage: str):
+    ``handoff``, shared by the stages of one run, maps a file a stage wrote
+    to (its SHA-256, its value as the reader's ``parse`` would return it)."""
+
+    def __init__(self, art_dir: str, stage: str,
+                 handoff: Optional[dict] = None):
         self.dir, self.stage = art_dir, stage
         self.manifest = _manifest_read(art_dir)
         self.written = {}
+        self.handoff = {} if handoff is None else handoff
 
     def path(self, rel: str) -> str:
         return os.path.join(self.dir, rel)
 
-    def write(self, rel: str, content) -> None:
-        self.written[rel] = _write(self.path(rel), content)
+    def _put(self, rel: str, content) -> str:
+        path = self.path(rel)
+        try:
+            return _write(path, content)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (path, exc))
+
+    def write(self, rel: str, content, decoded=None) -> None:
+        """Write ``rel``; a ``decoded`` value goes to its reader in this
+        run."""
+        self.written[rel] = self._put(rel, content)
+        if decoded is not None:
+            self.handoff[rel] = (self.written[rel], decoded)
 
     def read(self, writer: str, rel: str, what: str, parse):
         """``parse`` of the bytes of ``rel``, read once and checked against
-        the SHA-256 that ``writer``'s manifest entry records.  A file that
-        cannot be read, does not match or does not parse raises an
-        ArtifactError naming it."""
+        the SHA-256 that ``writer``'s manifest entry records, or the value
+        handed off with that SHA-256.  A file that cannot be read, does not
+        match or does not parse raises an ArtifactError naming it."""
         path = self.path(rel)
         entry = self.manifest["stages"].get(writer)
         recorded = entry.get(rel) if isinstance(entry, dict) else None
         if recorded is None:
             raise ArtifactError("the manifest records no %s checksum for %s; "
                                 "rerun %s" % (writer, path, writer))
+        sha256, value = self.handoff.pop(rel, (None, None))
+        if sha256 == recorded:
+            return value
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -190,7 +211,7 @@ class _StageFiles:
         stages[self.stage] = self.written
         self.manifest["stages"] = {name: stages[name] for name, _, _ in STAGES
                                    if name in stages}
-        _write(self.path(MANIFEST_FILE), self.manifest)
+        self._put(MANIFEST_FILE, self.manifest)
 
 
 # --- normalization spec serialization ----------------------------------------
@@ -289,10 +310,11 @@ def _load_hours(config: PipelineConfig,
 # --- stages -------------------------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
+def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str,
+                 handoff: Optional[dict] = None) -> None:
     """Parse, filter, impute, split, fit normalization (train only), and
     write the model-ready hours every later stage reads."""
-    files = _StageFiles(art_dir, "ingest")
+    files = _StageFiles(art_dir, "ingest", handoff)
     parsed = _read_cohort_file(input_csv, config.covariates)
     kept, exclusions = filter_cohort(parsed, config.preprocessing)
     n_parsed = len(parsed.ids)
@@ -317,10 +339,10 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
     spec = fit_normalization(train)
     files.write("norm_spec.json", _norm_spec_doc(spec))
     files.write(HOURS_FILE, hours_table((train, test), spec))
-    for name, subset in (("train.csv", train), ("test.csv", test)):
-        buf = io.StringIO()
-        write_cohort(subset, buf)
-        files.write(name, buf.getvalue())
+    # the benchmark's policy-agreement check reads the test split's hours
+    buf = io.StringIO()
+    write_cohort(test, buf)
+    files.write("test.csv", buf.getvalue())
     files.write("exclusions.json", {
         "parsed_patients": n_parsed,
         "filtered": dict(sorted(exclusions.items())),
@@ -333,9 +355,10 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str) -> None:
              n_parsed, len(train.ids), len(test.ids))
 
 
-def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
+def stage_train_encoder(config: PipelineConfig, art_dir: str,
+                        handoff: Optional[dict] = None) -> None:
     """Fit the sparse autoencoder on training-hour state vectors."""
-    files = _StageFiles(art_dir, "train-encoder")
+    files = _StageFiles(art_dir, "train-encoder", handoff)
     if config.representation != "sparse_ae":
         log.info("representation %r needs no encoder, skipping",
                  config.representation)
@@ -348,13 +371,18 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str) -> None:
     # latent_dim is recorded with the weights' shapes
     hyperparameters = dataclasses.asdict(config.encoder)
     del hyperparameters["latent_dim"]
-    files.write(ENCODER_FILE, save_encoder(params, hyperparameters))
+    # as load_encoder returns it: contiguous weights, no loss history
+    files.write(ENCODER_FILE, save_encoder(params, hyperparameters),
+                decoded=EncoderParams(*(
+                    np.ascontiguousarray(w, dtype=float) for w in
+                    (params.W_enc, params.b_enc, params.W_dec, params.b_dec))))
     files.record(config)
 
 
-def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
+def stage_cluster(config: PipelineConfig, art_dir: str,
+                  handoff: Optional[dict] = None) -> None:
     """Fit k-means on training hours; assign every hour of both splits."""
-    files = _StageFiles(art_dir, "cluster")
+    files = _StageFiles(art_dir, "cluster", handoff)
     rows, n_train = _load_hours(config, files)
     # contiguous copies: on a strided view of the table numpy would skip BLAS,
     # which changes the bits of every matrix product
@@ -379,7 +407,8 @@ def stage_cluster(config: PipelineConfig, art_dir: str) -> None:
     if len(points_test):
         labels = np.concatenate((labels, assign_many(points_test, model)))
     files.write("assignments.csv", write_table(
-        ASSIGNMENT_COLUMNS, "%s,%d,%d\n", (ids, hours, labels)))
+        ASSIGNMENT_COLUMNS, "%s,%d,%d\n", (ids, hours, labels)),
+        decoded=labels)
     files.record(config, representation=config.representation)
 
 
@@ -407,9 +436,18 @@ def _aligned_labels(files: _StageFiles, rows: np.ndarray, k: int) -> np.ndarray:
     return files.read("cluster", "assignments.csv", "assignments", parse)
 
 
-def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
+def _as_read(trajs: Trajectories) -> Trajectories:
+    """``trajs`` as read_trajectories returns them from their text: the id
+    column only as wide as its longest id."""
+    width = int(np.char.str_len(trajs.patient_ids).max(initial=1))
+    return dataclasses.replace(
+        trajs, patient_ids=trajs.patient_ids.astype("<U%d" % width))
+
+
+def stage_build_mdp(config: PipelineConfig, art_dir: str,
+                    handoff: Optional[dict] = None) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
-    files = _StageFiles(art_dir, "build-mdp")
+    files = _StageFiles(art_dir, "build-mdp", handoff)
     rows, n_train = _load_hours(config, files)
     k = config.clustering.k
     labels = _aligned_labels(files, rows, k)
@@ -426,15 +464,18 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str) -> None:
         raise DataError("no usable training trajectories")
     model = estimate_mdp(trajs["train"], k, min_count=config.mdp.min_count,
                          gamma=config.mdp.gamma, action_space=space)
-    files.write(MDP_FILE, save_mdp(model))
+    files.write(MDP_FILE, save_mdp(model),
+                decoded=dataclasses.replace(model, gamma=float(model.gamma)))
     for split in ("train", "test"):
-        files.write(TRAJECTORY_FILE % split, write_trajectories(trajs[split]))
+        files.write(TRAJECTORY_FILE % split, write_trajectories(trajs[split]),
+                    decoded=_as_read(trajs[split]))
     files.record(config)
 
 
-def stage_solve(config: PipelineConfig, art_dir: str) -> None:
+def stage_solve(config: PipelineConfig, art_dir: str,
+                handoff: Optional[dict] = None) -> None:
     """Policy-iterate the optimal policy; evaluate the behavioral one."""
-    files = _StageFiles(art_dir, "solve")
+    files = _StageFiles(art_dir, "solve", handoff)
     model = files.read("build-mdp", MDP_FILE, "MDP",
                        lambda data: load_mdp(data.decode()))
     pi_real = extract_real_policy(model)
@@ -442,7 +483,9 @@ def stage_solve(config: PipelineConfig, art_dir: str) -> None:
     real = PolicySolution(policy=pi_real, V=v_real, Q=None,
                           eval_sweeps=0, improvements=0, converged=True)
     for label, solution in (("optimal", optimal), ("real", real)):
-        files.write(SOLUTION_FILE % label, write_solution(solution, label))
+        # V over the k non-terminal states, the ones the file lists
+        files.write(SOLUTION_FILE % label, write_solution(solution, label),
+                    decoded=solution.V[:model.k])
     files.write(SOLUTION_FILE % "q_optimal", write_q_table(optimal))
     files.record(config)
 
@@ -475,11 +518,12 @@ def _read_trajectories(files: _StageFiles, split: str,
                       parse)
 
 
-def stage_evaluate(config: PipelineConfig, art_dir: str) -> dict:
+def stage_evaluate(config: PipelineConfig, art_dir: str,
+                   handoff: Optional[dict] = None) -> dict:
     """Fit the mortality-versus-return curve on the training split, score
     both policies' solved values on the test split through it, and anchor
     the logged policy's estimate against training data."""
-    files = _StageFiles(art_dir, "evaluate")
+    files = _StageFiles(art_dir, "evaluate", handoff)
     v_real = _read_values(files, "real")
     v_opt = _read_values(files, "optimal")
     k = len(v_real)
@@ -534,9 +578,9 @@ def stage_function(name: str):
     return globals()["stage_" + name.replace("-", "_")]
 
 
-def _run_stage(name: str, *args):
+def _run_stage(name: str, *args, **kwargs):
     try:
-        return stage_function(name)(*args)
+        return stage_function(name)(*args, **kwargs)
     except GlyrlError as exc:
         # name the stage, but keep the class and its fields (a
         # TrainingDivergedError's epoch, a ParseError's line_number)
@@ -545,9 +589,11 @@ def _run_stage(name: str, *args):
 
 
 def run_pipeline(config: PipelineConfig, input_csv: str, art_dir: str) -> dict:
-    """Chain every stage over one artifacts directory; returns the report."""
+    """Chain every stage over one artifacts directory, each handing the
+    files it writes to their reader; returns the report."""
     config.validate()
+    handoff = {}
     for name, _, reads_cohort in STAGES:
         inputs = (input_csv,) if reads_cohort else ()
-        report = _run_stage(name, config, *inputs, art_dir)
+        report = _run_stage(name, config, *inputs, art_dir, handoff=handoff)
     return report

@@ -587,7 +587,7 @@ def split_patients(
 
 
 def ingest(config, input_csv: str, art_dir: str) -> None:
-    """``pipeline.stage_ingest`` on the object path: the same five files."""
+    """``pipeline.stage_ingest`` on the object path: the same four files."""
     with open(input_csv, encoding="utf-8") as fh:
         patients = parse_cohort(fh, config.covariates)
     n_parsed = len(patients)
@@ -602,10 +602,9 @@ def ingest(config, input_csv: str, art_dir: str) -> None:
                     pipeline._norm_spec_doc(spec))
     pipeline._write(os.path.join(art_dir, "hours.npy"),
                     hours_table((train, test), spec))
-    for name, subset in (("train.csv", train), ("test.csv", test)):
-        buf = io.StringIO()
-        write_cohort(subset, buf, config.covariates)
-        pipeline._write(os.path.join(art_dir, name), buf.getvalue())
+    buf = io.StringIO()
+    write_cohort(test, buf, config.covariates)
+    pipeline._write(os.path.join(art_dir, "test.csv"), buf.getvalue())
     pipeline._write(os.path.join(art_dir, "exclusions.json"), {
         "parsed_patients": n_parsed,
         "filtered": {k: int(v) for k, v in sorted(exclusions.items())},

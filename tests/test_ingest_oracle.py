@@ -1,18 +1,20 @@
 """The columnar ingest against the object-per-hour reference in cohort_oracle.
 
 Random small cohorts must give the reference's bytes for every ingest
-artifact, in any row order and at any chunk size, and every malformed or
-inconsistent file must raise the reference's error: same class, message and
-line.
+artifact and the reference's imputed training split bit for bit, in any row
+order and at any chunk size, and every malformed or inconsistent file must
+raise the reference's error: same class, message and line.
 """
 
 import csv
 import io
+import math
 import os
 import shutil
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +24,7 @@ from glyrl.config import PipelineConfig
 from glyrl.errors import DataError, ParseError
 
 COVARIATES = ("hr", "map", "lactate")
-ARTIFACTS = ("hours.npy", "train.csv", "test.csv", "norm_spec.json",
-             "exclusions.json")
+ARTIFACTS = ("hours.npy", "test.csv", "norm_spec.json", "exclusions.json")
 HEADER = ",".join(cohort.FIXED_COLUMNS + COVARIATES)
 
 # cell values that stress the formatting and the arithmetic: signed zeros,
@@ -118,16 +119,65 @@ def _config(max_missing, test_fraction, seed):
     return config
 
 
-def _ingest(fn, config, csv_path, art_dir):
-    """The artifact bytes, or the DataError raised."""
+def _hex_floats(values):
+    """``values`` with every float, in lists too, as its hex: compared bit
+    for bit, -0.0 and NaN included."""
+    return [_hex_floats(v) if isinstance(v, list) else
+            v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _cohort_columns(train):
+    """A ``cohort.Cohort``'s columns as lists; no source where no glucose."""
+    columns = {name: train.patients[name].tolist()
+               for name in cohort.PATIENT_COLUMNS}
+    observed = ~np.isnan(train.glucose)
+    columns.update(
+        hour=train.hours.tolist(), values=train.values.tolist(),
+        glucose=train.glucose.tolist(),
+        source=np.where(observed, np.array(cohort.GLUCOSE_SOURCES)[train.source],
+                        "none").tolist())
+    return {name: _hex_floats(col) for name, col in columns.items()}
+
+
+def _series_columns(train):
+    """The same columns of the reference's list of PatientSeries."""
+    columns = {name: [getattr(s.statics, name) for s in train]
+               for name in cohort.STATIC_COLUMNS}
+    columns.update(
+        patient_id=[s.patient_id for s in train],
+        icd9_codes=[";".join(s.statics.icd9_codes) for s in train],
+        died_within_90d=[not s.survived for s in train])
+    hours = [h for s in train for h in s.hours]
+    columns.update(
+        hour=[h.hour_index for h in hours],
+        values=[list(h.covariates) for h in hours],
+        glucose=[math.nan if h.glucose_mgdl is None else h.glucose_mgdl
+                 for h in hours],
+        source=["none" if h.glucose_mgdl is None else h.glucose_source
+                for h in hours])
+    return {name: _hex_floats(col) for name, col in columns.items()}
+
+
+def _ingest(module, fn, config, csv_path, art_dir):
+    """The artifact bytes and the columns of the training split ``fn``
+    passes to ``module.hours_table``, or the DataError raised."""
+    hours_table, splits = module.hours_table, []
+
+    def keep_splits(parts, spec):
+        splits.append(parts)
+        return hours_table(parts, spec)
+
     try:
-        fn(config, csv_path, art_dir)
+        with mock.patch.object(module, "hours_table", keep_splits):
+            fn(config, csv_path, art_dir)
     except DataError as err:
         return type(err), str(err)
     out = {}
     for name in ARTIFACTS:
         with open(os.path.join(art_dir, name), "rb") as fh:
             out[name] = fh.read()
+    columns = _series_columns if module is cohort_oracle else _cohort_columns
+    out["train"] = columns(splits[0][0])
     return out
 
 
@@ -147,17 +197,17 @@ def test_ingest_bytes_equal_the_object_reference(rows, max_missing,
         path = os.path.join(root, "cohort.csv")
         with open(path, "w") as fh:
             fh.write("\n".join([HEADER] + rows) + "\n")
-        expected = _ingest(cohort_oracle.ingest, config, path,
+        expected = _ingest(cohort_oracle, cohort_oracle.ingest, config, path,
                            os.path.join(root, "oracle"))
         with mock.patch.object(cohort, "CHUNK_ROWS", chunk):
-            got = _ingest(pipeline.stage_ingest, config, path,
+            got = _ingest(pipeline, pipeline.stage_ingest, config, path,
                           os.path.join(root, "columns"))
         assert got == expected
         # the same rows in another order give the same bytes
         shuffle.shuffle(rows)
         with open(path, "w") as fh:
             fh.write("\n".join([HEADER] + rows) + "\n")
-        assert _ingest(pipeline.stage_ingest, config, path,
+        assert _ingest(pipeline, pipeline.stage_ingest, config, path,
                        os.path.join(root, "shuffled")) == expected
     finally:
         shutil.rmtree(root)

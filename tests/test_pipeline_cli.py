@@ -7,6 +7,7 @@ exit codes, and a pinned report so silent behavior drift shows up as a diff.
 
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 import yaml
 
+import cohort_oracle
 from conftest import cohort_row, make_csv
 from glyrl import cli, cohort, mdp, pipeline, synthgen
-from glyrl.cohort import (apply_normalization, fit_normalization, hours_dtype,
+from glyrl.cohort import (NormalizationSpec, apply_normalization, hours_dtype,
                           parse_cohort)
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
@@ -33,7 +35,8 @@ PIPELINE_SEED = 3
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
-# every file a later stage of a raw run reads, and the stages that read it
+# every file a later stage of a raw run reads from the artifacts directory,
+# and the stages that read it
 READERS = {
     "hours.npy": ["cluster", "build-mdp"],
     "assignments.csv": ["build-mdp"],
@@ -49,6 +52,16 @@ seed: 3
 clustering:
   k: 5
 """
+
+SPARSE_CONFIG_YAML = CONFIG_YAML + """
+representation: sparse_ae
+encoder:
+  epochs: 2
+  latent_dim: 4
+"""
+
+# the files whose decoded value one stage of a run hands to its reader
+HANDED_OFF = set(READERS) - {"hours.npy"}
 
 
 def run_cli(argv):
@@ -109,7 +122,6 @@ def test_expected_artifact_files(golden):
         "solution/q_optimal.csv",
         "solution/real.csv",
         "test.csv",
-        "train.csv",
     ]
 
 
@@ -160,7 +172,6 @@ GOLDEN_SHA256 = {
     'solution/q_optimal.csv': '4fb91b42a052899998ff19cb4a72d90b45d4ceeea9e05d92012c80531f49903a',
     'solution/real.csv': '52d81cd6b6320bf1fb4b1df3298611299df8cb7ed22e9b03d53f0c231dd0ccb7',
     'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
-    'train.csv': '71a4aa87f461c0b608278226595f5b0c108748ca52b4af5ca1d85611946772df',
 }
 
 
@@ -190,15 +201,26 @@ def test_golden_run_bytes_hold_when_every_chunk_is_7(workspace, monkeypatch,
     assert {rel: on_disk[rel] for rel in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
-def test_staged_chain_matches_run(workspace, golden):
-    staged = workspace["root"] / "staged"
-    common = ["--config", workspace["config"], "--out", str(staged)]
+@pytest.mark.parametrize("config_yaml", [CONFIG_YAML, SPARSE_CONFIG_YAML],
+                         ids=["raw", "sparse_ae"])
+def test_staged_chain_matches_run(workspace, golden, tmp_path, config_yaml):
+    # each subcommand reads every file it needs back from disk, while run
+    # hands decoded values from stage to stage: the bytes must not differ
+    config = tmp_path / "config.yaml"
+    config.write_text(config_yaml)
+    ran = golden["art"]
+    if config_yaml != CONFIG_YAML:
+        ran = str(tmp_path / "run")
+        assert run_cli(["run", "--config", str(config), "--input",
+                        workspace["cohort"], "--out", ran])[0] == 0
+    staged = tmp_path / "staged"
+    common = ["--config", str(config), "--out", str(staged)]
     assert run_cli(["ingest", "--input", workspace["cohort"]] + common)[0] == 0
     for command in ["train-encoder", "cluster", "build-mdp", "solve",
                     "evaluate"]:
         rc, _ = run_cli([command] + common)
         assert rc == 0, command
-    assert tree_hashes(str(staged)) == tree_hashes(golden["art"])
+    assert tree_hashes(str(staged)) == tree_hashes(ran)
 
 
 def test_seed_flag_overrides_config(workspace):
@@ -353,6 +375,8 @@ def test_calibration_error_names_evaluate_and_exits_2(workspace, golden,
 
 def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
         workspace, monkeypatch, tmp_path):
+    # a run reads back only hours.npy: every other file a later stage needs
+    # is handed over decoded
     art = tmp_path / "art"
     manifest_reads, reads = [], collections.Counter()
     manifest_read = pipeline._manifest_read
@@ -372,9 +396,87 @@ def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
                      "--input", workspace["cohort"], "--out", str(art)])
     assert rc == 0
     assert len(manifest_reads) == len(pipeline.STAGES) == 6
-    # ingest finds no manifest yet; every other file is read by its readers
-    assert reads == {"manifest.json": 5,
-                     **{rel: len(stages) for rel, stages in READERS.items()}}
+    # ingest finds no manifest yet
+    assert reads == {"manifest.json": 5, "hours.npy": len(READERS["hours.npy"])}
+
+
+def assert_same_value(got, expected, where):
+    """``got`` and ``expected`` are of one type throughout, and their arrays
+    of one dtype, shape and layout, and equal bit for bit."""
+    assert type(got) is type(expected), where
+    if isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == \
+            (expected.dtype, expected.shape, expected.flags.c_contiguous), where
+        assert got.tobytes() == expected.tobytes(), where
+    elif dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            assert_same_value(getattr(got, field.name),
+                              getattr(expected, field.name),
+                              "%s.%s" % (where, field.name))
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(expected), where
+        for at, (a, b) in enumerate(zip(got, expected)):
+            assert_same_value(a, b, "%s[%d]" % (where, at))
+    elif isinstance(got, float):
+        assert got.hex() == expected.hex(), where
+    else:
+        assert got == expected, where
+
+
+@pytest.mark.parametrize("config_yaml,handed_off,long_id", [
+    (CONFIG_YAML, HANDED_OFF, False),
+    (SPARSE_CONFIG_YAML, HANDED_OFF | {"encoder.model"}, False),
+    # one id longer than the rest, so one split's ids are narrower than the
+    # hours table's; and an int gamma, which the MDP file reads as a float
+    (CONFIG_YAML + "mdp:\n  gamma: 0\n", HANDED_OFF, True),
+], ids=["raw", "sparse_ae", "long_id_int_gamma"])
+def test_each_handed_off_value_equals_its_file_decoded(
+        workspace, monkeypatch, tmp_path, config_yaml, handed_off, long_id):
+    cohort_csv = workspace["cohort"]
+    if long_id:
+        text = open(cohort_csv).read()
+        pid = text.splitlines()[1].split(",", 1)[0]
+        cohort_csv = str(tmp_path / "long_id.csv")
+        with open(cohort_csv, "w") as fh:
+            fh.write(text.replace("\n%s," % pid, "\n%s-with-a-longer-id," % pid))
+    read = pipeline._StageFiles.read
+    checked, handoffs = [], []
+
+    def read_and_decode(files, writer, rel, what, parse):
+        held = rel in files.handoff
+        handoffs.append(files.handoff)
+        value = read(files, writer, rel, what, parse)
+        if held:
+            with open(files.path(rel), "rb") as fh:
+                assert_same_value(value, parse(fh.read()), rel)
+            checked.append(rel)
+        return value
+
+    monkeypatch.setattr(pipeline._StageFiles, "read", read_and_decode)
+    config = tmp_path / "config.yaml"
+    config.write_text(config_yaml)
+    rc, _ = run_cli(["run", "--config", str(config), "--input", cohort_csv,
+                     "--out", str(tmp_path / "art")])
+    assert rc == 0
+    assert sorted(checked) == sorted(handed_off)
+    # one hand-off per run, every value in it read by its stage
+    assert all(handoff is handoffs[0] for handoff in handoffs)
+    assert handoffs[0] == {}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_out_on_a_file_exits_1_naming_the_path(workspace, tmp_path, caplog,
+                                               capsys, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "art" if under else blocker
+    rc, _ = run_cli([command, "--config", workspace["config"],
+                     "--input", workspace["cohort"], "--out", str(out)])
+    assert rc == cli.USAGE_EXIT
+    assert "cannot write %s%s" % (out, os.sep) in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("content", [
@@ -857,34 +959,36 @@ def test_misaligned_assignments_exit_2_and_name_it(workspace, golden, caplog,
     assert message in caplog.text
 
 
-def test_hours_equal_a_reparse_of_the_split_csvs(golden):
+def test_hours_equal_the_object_ingest_and_a_reparse_of_test_csv(
+        workspace, golden, tmp_path):
+    # the object-per-hour reference writes the same ingest bytes
+    oracle = tmp_path / "oracle"
+    cohort_oracle.ingest(load_config(workspace["config"]), workspace["cohort"],
+                         str(oracle))
+    for name in ("hours.npy", "test.csv", "norm_spec.json", "exclusions.json"):
+        assert (oracle / name).read_bytes() == \
+            open(os.path.join(golden["art"], name), "rb").read(), name
+
+    # the test rows are test.csv's hours, normalized by the stored spec
     rows = np.load(os.path.join(golden["art"], "hours.npy"), allow_pickle=False)
-    covariates = PipelineConfig().covariates
-    splits = []
-    for name in ("train.csv", "test.csv"):
-        with open(os.path.join(golden["art"], name)) as fh:
-            splits.append(parse_cohort(fh, covariates))
-    spec = fit_normalization(splits[0])
+    rows = rows[rows["split"] == 1]
+    with open(os.path.join(golden["art"], "test.csv")) as fh:
+        part = parse_cohort(fh, PipelineConfig().covariates)
     with open(os.path.join(golden["art"], "norm_spec.json")) as fh:
         stored = json.load(fh)
-    assert stored["mins"] == [repr(float(v)) for v in spec.mins]
-    assert stored["maxs"] == [repr(float(v)) for v in spec.maxs]
-
-    split, ids, hours, glucose, survived, states = [], [], [], [], [], []
-    for index, part in enumerate(splits):
-        n = part.lengths
-        split += [index] * len(part.values)
-        ids += np.repeat(part.ids, n).tolist()
-        hours += part.hours.tolist()
-        glucose.append(part.glucose)
-        survived += np.repeat(~part.patients["died_within_90d"], n).tolist()
-        states.append(apply_normalization(part, spec))
-    assert rows["split"].tolist() == split
-    assert rows["patient_id"].tolist() == ids
-    assert rows["hour"].tolist() == hours
-    assert rows["survived"].tolist() == survived
-    assert rows["glucose"].tobytes() == np.concatenate(glucose).tobytes()
-    assert rows["state"].tobytes() == np.vstack(states).tobytes()
+    spec = NormalizationSpec(
+        tuple(stored["feature_names"]),
+        np.array([float(v) for v in stored["mins"]]),
+        np.array([float(v) for v in stored["maxs"]]),
+        tuple(stored["gender_codes"]), tuple(stored["icu_unit_codes"]))
+    n = part.lengths
+    assert rows["patient_id"].tolist() == np.repeat(part.ids, n).tolist()
+    assert rows["hour"].tolist() == part.hours.tolist()
+    assert rows["survived"].tolist() == \
+        np.repeat(~part.patients["died_within_90d"], n).tolist()
+    assert rows["glucose"].tobytes() == part.glucose.tobytes()
+    assert rows["state"].tobytes() == \
+        apply_normalization(part, spec).tobytes()
 
 
 def test_reordered_input_gives_byte_identical_hours(workspace, golden):
@@ -934,13 +1038,6 @@ def test_numerical_failure_exits_3(workspace, golden, monkeypatch):
     assert rc == cli.NUMERICAL_EXIT
 
 
-SPARSE_CONFIG_YAML = CONFIG_YAML + """
-representation: sparse_ae
-encoder:
-  epochs: 2
-  latent_dim: 4
-"""
-
 # The SHA-256 of every file the manifest records in the SPARSE_CONFIG_YAML
 # run of the golden cohort: encoder.model and every file downstream of it.
 SPARSE_GOLDEN_SHA256 = {
@@ -959,7 +1056,6 @@ SPARSE_GOLDEN_SHA256 = {
     'solution/q_optimal.csv': 'd028b47d2eac3ebc4e94c310031c10bd67492ee232a664bdd88a3ef1a1a4bc54',
     'solution/real.csv': '49b748c520b6d6740a8129dff6719c1bf0afabf8eb34dbec8d2ca6a15416a367',
     'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
-    'train.csv': '71a4aa87f461c0b608278226595f5b0c108748ca52b4af5ca1d85611946772df',
 }
 
 
@@ -1251,7 +1347,7 @@ def test_synth_bad_knob_value_exits_1_naming_the_key(tmp_path, caplog, capsys,
     out = tmp_path / "never.csv"
     rc, _ = run_cli(["synth", "--config", str(scenario), "--out", str(out)])
     assert rc == cli.USAGE_EXIT
-    assert key in caplog.text
+    assert re.search(r"\b%s\b" % key, caplog.text)
     assert "Traceback" not in caplog.text + capsys.readouterr().err
     assert not out.exists()
 
