@@ -4,15 +4,14 @@ Input is a long-format CSV (one row per patient-hour, empty string = missing).
 ``parse_cohort`` reads it CHUNK_ROWS rows at a time, converts each chunk to
 numpy columns with ``float()``/``int()`` and keeps only the columns, so ingest
 holds at most one chunk of cell strings.  The per-patient cells, which repeat
-on every row of a patient, are converted once per distinct block of them, and
-``write_cohort`` formats them once per patient.  Errors name the physical line
-where the row starts.  The result is a ``Cohort``: one entry
-per patient (statics and outcome, patients sorted by id) and one row per
-patient-hour on a gap-free hourly grid.  Filtering, diabetic classification,
-imputation, min-max normalization and the train/test split are array
-expressions over those columns; the end product is the model-ready table of
-per-hour state vectors on a 0..1 scale with glucose readings and the 90-day
-outcome attached.
+on every row of a patient, are converted once per distinct block of them.
+Errors name the physical line where the row starts.  The result is a
+``Cohort``: one entry per patient (statics and outcome, patients sorted by id)
+and one row per patient-hour on a gap-free hourly grid.  Filtering, diabetic
+classification, imputation, min-max normalization and the train/test split
+are array expressions over those columns; the end product is the model-ready
+table of per-hour state vectors on a 0..1 scale with glucose readings and the
+90-day outcome attached.
 """
 
 from __future__ import annotations
@@ -371,62 +370,6 @@ def parse_cohort(
     return Cohort(tuple(file_covariates),
                   {name: rows[name][first] for name in PATIENT_COLUMNS},
                   bounds, values, glucose, source)
-
-
-class _Echo:
-    """A stream whose write returns its text: csv.writer.writerow then
-    returns the formatted record."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-def write_cohort(cohort: Cohort, stream: IO[str]) -> None:
-    """Serialize a cohort back to the long-format CSV (round-trips with
-    parse_cohort); floats are written as their repr.
-
-    csv.writer formats and quotes each patient's static cells once; every
-    other cell needs no quoting (ingest refuses ids with a comma, quote, CR
-    or LF, and the rest are numbers and source names), so each hour's row is
-    joined directly."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(FIXED_COLUMNS) + list(cohort.covariates))
-    per_patient = []
-    for name in PATIENT_COLUMNS[1:]:
-        col = cohort.patients[name]
-        if name in _FLAG_COLUMNS:
-            per_patient.append(np.where(col, "1", "0").tolist())
-        elif col.dtype.kind == "f":
-            per_patient.append(list(map(repr, col.tolist())))
-        else:
-            per_patient.append(list(map(str, col.tolist())))
-    # the record keeps its line end while it is formatted, because csv
-    # quotes a cell that holds a character of the line terminator, and with
-    # CR LF that is a cell holding either
-    record = csv.writer(_Echo(), lineterminator="\r\n").writerow
-    statics = np.array([record(cells)[:-2] for cells in zip(*per_patient)],
-                       dtype=object)
-    owner = np.repeat(np.arange(len(cohort.ids)), cohort.lengths)
-    hours = cohort.hours
-    sources = np.array(GLUCOSE_SOURCES)
-
-    def floats(col):
-        text = list(map(repr, col.tolist()))
-        for i in np.flatnonzero(np.isnan(col)).tolist():
-            text[i] = ""
-        return text
-
-    for a in range(0, len(owner), CHUNK_ROWS):
-        rows = slice(a, a + CHUNK_ROWS)
-        who = owner[rows]
-        glucose = cohort.glucose[rows]
-        source = np.where(np.isnan(glucose), "none", sources[cohort.source[rows]])
-        lines = map(",".join, zip(
-            cohort.ids[who].tolist(), map(str, hours[rows].tolist()),
-            statics[who].tolist(), floats(glucose), source.tolist(),
-            *(floats(col) for col in cohort.values[rows].T)))
-        stream.write("\n".join(lines) + "\n")
 
 
 def filter_cohort(

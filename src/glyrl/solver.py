@@ -168,9 +168,10 @@ def _iterate(mdp: MDPModel, compiled: _Compiled, epsilon: float,
         rows = compiled.pair_index[np.arange(mdp.k), policy]
         v, sweeps = _evaluate(compiled, rows, epsilon, v0=v)
         total_sweeps += sweeps
-        improved = greedy_improve(mdp, _q_table(compiled, v))
+        Q = _q_table(compiled, v)
+        improved = greedy_improve(mdp, Q)
         if np.array_equal(improved, policy):
-            return PolicySolution(policy=policy, V=v, Q=_q_table(compiled, v),
+            return PolicySolution(policy=policy, V=v, Q=Q,
                                   eval_sweeps=total_sweeps,
                                   improvements=round_no, converged=True)
         policy = improved

@@ -13,7 +13,6 @@ the physical line where a row starts rather than its CSV record number.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import os
@@ -263,53 +262,6 @@ def parse_cohort(
             )
         )
     return series_list
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_cohort(
-    series_list: Sequence[PatientSeries],
-    stream: IO[str],
-    covariates: Sequence[str],
-) -> None:
-    """Serialize series back to the long-format CSV (round-trips with parse)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(FIXED_COLUMNS) + list(covariates))
-    for series in series_list:
-        s = series.statics
-        static_cells = [
-            _format_cell(s.age_years),
-            s.gender,
-            s.icu_unit,
-            str(s.sofa_admission),
-            str(s.elixhauser),
-            _format_cell(s.mech_vent),
-            _format_cell(s.intubation),
-            _format_cell(s.vasopressor),
-            _format_cell(s.hba1c_ge_7),
-            _format_cell(s.first_glucose_mgdl),
-            ";".join(s.icd9_codes),
-            _format_cell(s.admission_meds_diabetic),
-            _format_cell(s.history_mentions_diabetes),
-        ]
-        died = "0" if series.survived else "1"
-        for hour in series.hours:
-            glucose = "" if hour.glucose_mgdl is None else repr(hour.glucose_mgdl)
-            source = hour.glucose_source if hour.glucose_mgdl is not None else "none"
-            writer.writerow(
-                [series.patient_id, str(hour.hour_index)]
-                + static_cells
-                + [died, glucose, source]
-                + [_format_cell(v) for v in hour.covariates]
-            )
 
 
 def filter_cohort(
@@ -602,9 +554,11 @@ def ingest(config, input_csv: str, art_dir: str) -> None:
                     pipeline._norm_spec_doc(spec))
     pipeline._write(os.path.join(art_dir, "hours.npy"),
                     hours_table((train, test), spec))
-    buf = io.StringIO()
-    write_cohort(test, buf, config.covariates)
-    pipeline._write(os.path.join(art_dir, "test.csv"), buf.getvalue())
+    lines = ["patient_id,hour_index\n"]
+    for series in test:
+        for hour in series.hours:
+            lines.append("%s,%d\n" % (series.patient_id, hour.hour_index))
+    pipeline._write(os.path.join(art_dir, "test.csv"), "".join(lines))
     pipeline._write(os.path.join(art_dir, "exclusions.json"), {
         "parsed_patients": n_parsed,
         "filtered": {k: int(v) for k, v in sorted(exclusions.items())},

@@ -1,8 +1,8 @@
 """The columnar ingest against the object-per-hour reference in cohort_oracle.
 
 Random small cohorts must give the reference's bytes for every ingest
-artifact and the reference's imputed training split bit for bit, in any row
-order and at any chunk size, and every malformed or inconsistent file must
+artifact and the reference's imputed training and test splits bit for bit,
+in any row order and at any chunk size, and every malformed or inconsistent file must
 raise the reference's error: same class, message and line.
 """
 
@@ -126,28 +126,28 @@ def _hex_floats(values):
             v.hex() if isinstance(v, float) else v for v in values]
 
 
-def _cohort_columns(train):
+def _cohort_columns(split):
     """A ``cohort.Cohort``'s columns as lists; no source where no glucose."""
-    columns = {name: train.patients[name].tolist()
+    columns = {name: split.patients[name].tolist()
                for name in cohort.PATIENT_COLUMNS}
-    observed = ~np.isnan(train.glucose)
+    observed = ~np.isnan(split.glucose)
     columns.update(
-        hour=train.hours.tolist(), values=train.values.tolist(),
-        glucose=train.glucose.tolist(),
-        source=np.where(observed, np.array(cohort.GLUCOSE_SOURCES)[train.source],
+        hour=split.hours.tolist(), values=split.values.tolist(),
+        glucose=split.glucose.tolist(),
+        source=np.where(observed, np.array(cohort.GLUCOSE_SOURCES)[split.source],
                         "none").tolist())
     return {name: _hex_floats(col) for name, col in columns.items()}
 
 
-def _series_columns(train):
+def _series_columns(split):
     """The same columns of the reference's list of PatientSeries."""
-    columns = {name: [getattr(s.statics, name) for s in train]
+    columns = {name: [getattr(s.statics, name) for s in split]
                for name in cohort.STATIC_COLUMNS}
     columns.update(
-        patient_id=[s.patient_id for s in train],
-        icd9_codes=[";".join(s.statics.icd9_codes) for s in train],
-        died_within_90d=[not s.survived for s in train])
-    hours = [h for s in train for h in s.hours]
+        patient_id=[s.patient_id for s in split],
+        icd9_codes=[";".join(s.statics.icd9_codes) for s in split],
+        died_within_90d=[not s.survived for s in split])
+    hours = [h for s in split for h in s.hours]
     columns.update(
         hour=[h.hour_index for h in hours],
         values=[list(h.covariates) for h in hours],
@@ -159,8 +159,8 @@ def _series_columns(train):
 
 
 def _ingest(module, fn, config, csv_path, art_dir):
-    """The artifact bytes and the columns of the training split ``fn``
-    passes to ``module.hours_table``, or the DataError raised."""
+    """The artifact bytes and the columns of the training and test splits
+    ``fn`` passes to ``module.hours_table``, or the DataError raised."""
     hours_table, splits = module.hours_table, []
 
     def keep_splits(parts, spec):
@@ -177,7 +177,8 @@ def _ingest(module, fn, config, csv_path, art_dir):
         with open(os.path.join(art_dir, name), "rb") as fh:
             out[name] = fh.read()
     columns = _series_columns if module is cohort_oracle else _cohort_columns
-    out["train"] = columns(splits[0][0])
+    (train, test), = splits
+    out["train"], out["test"] = columns(train), columns(test)
     return out
 
 

@@ -8,6 +8,7 @@ exit codes, and a pinned report so silent behavior drift shows up as a diff.
 import collections
 import contextlib
 import dataclasses
+import fnmatch
 import hashlib
 import io
 import json
@@ -22,8 +23,7 @@ import yaml
 import cohort_oracle
 from conftest import cohort_row, make_csv
 from glyrl import cli, cohort, mdp, pipeline, synthgen
-from glyrl.cohort import (NormalizationSpec, apply_normalization, hours_dtype,
-                          parse_cohort)
+from glyrl.cohort import hours_dtype, parse_cohort
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
 from glyrl.solver import read_solution
@@ -105,6 +105,18 @@ def golden(workspace):
             "report": json.loads((art / "report.json").read_text())}
 
 
+@pytest.fixture(scope="module")
+def sparse_golden(workspace):
+    """The artifacts directory of a SPARSE_CONFIG_YAML run of the golden
+    cohort."""
+    config = workspace["root"] / "sparse_run.yaml"
+    config.write_text(SPARSE_CONFIG_YAML)
+    art = workspace["root"] / "sparse_run"
+    assert run_cli(["run", "--config", str(config), "--input",
+                    workspace["cohort"], "--out", str(art)])[0] == 0
+    return str(art)
+
+
 def test_expected_artifact_files(golden):
     assert sorted(tree_hashes(golden["art"])) == [
         "assignments.csv",
@@ -171,7 +183,7 @@ GOLDEN_SHA256 = {
     'solution/optimal.csv': 'ffd73de75dac81d0ba41943a5cc408ae84973d71d8a240bda430bce1b6693c4c',
     'solution/q_optimal.csv': '4fb91b42a052899998ff19cb4a72d90b45d4ceeea9e05d92012c80531f49903a',
     'solution/real.csv': '52d81cd6b6320bf1fb4b1df3298611299df8cb7ed22e9b03d53f0c231dd0ccb7',
-    'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
+    'test.csv': '23fc709fb4b227b092d87914ed0f1fe5efb7a2bc6b1f3107c316043217f299d8',
 }
 
 
@@ -203,16 +215,13 @@ def test_golden_run_bytes_hold_when_every_chunk_is_7(workspace, monkeypatch,
 
 @pytest.mark.parametrize("config_yaml", [CONFIG_YAML, SPARSE_CONFIG_YAML],
                          ids=["raw", "sparse_ae"])
-def test_staged_chain_matches_run(workspace, golden, tmp_path, config_yaml):
+def test_staged_chain_matches_run(workspace, golden, sparse_golden, tmp_path,
+                                  config_yaml):
     # each subcommand reads every file it needs back from disk, while run
     # hands decoded values from stage to stage: the bytes must not differ
     config = tmp_path / "config.yaml"
     config.write_text(config_yaml)
-    ran = golden["art"]
-    if config_yaml != CONFIG_YAML:
-        ran = str(tmp_path / "run")
-        assert run_cli(["run", "--config", str(config), "--input",
-                        workspace["cohort"], "--out", ran])[0] == 0
+    ran = golden["art"] if config_yaml == CONFIG_YAML else sparse_golden
     staged = tmp_path / "staged"
     common = ["--config", str(config), "--out", str(staged)]
     assert run_cli(["ingest", "--input", workspace["cohort"]] + common)[0] == 0
@@ -284,6 +293,63 @@ def test_manifest_records_the_readme_outputs_with_their_hashes(golden,
         "train-encoder"]
     assert set(entry) == outputs["train-encoder"][0]
     assert entry == {rel: tree_hashes(str(sparse))[rel] for rel in entry}
+
+
+def readme_table_columns():
+    """File name pattern -> column line, from README's table of the text
+    tables."""
+    with open(README) as fh:
+        lines = fh.read().split("| file | columns |", 1)[1].splitlines()[2:]
+    columns = {}
+    for line in lines[:lines.index("")]:
+        _, files, cells, _ = line.split("|")
+        for pattern in re.findall(r"`([^`]+)`", files):
+            columns[pattern] = cells.strip().strip("`")
+    return columns
+
+
+def _canonical(cell):
+    """``cell`` as write_table writes its number: an int, or a float's repr."""
+    try:
+        return str(int(cell))
+    except ValueError:
+        return repr(float(cell))
+
+
+@pytest.mark.parametrize("representation", ["raw", "sparse_ae"])
+def test_every_text_table_reads_back_with_the_readme_columns(
+        golden, sparse_golden, representation):
+    art = golden["art"] if representation == "raw" else sparse_golden
+    columns = readme_table_columns()
+    with open(os.path.join(art, pipeline.MANIFEST_FILE)) as fh:
+        stages = json.load(fh)["stages"]
+    tables = []
+    for rel in (rel for entry in stages.values() for rel in entry):
+        matches = {line for pattern, line in columns.items()
+                   if fnmatch.fnmatch(rel, pattern)}
+        if not rel.endswith((".csv", ".txt")):
+            assert not matches, rel
+            continue
+        (line,) = matches
+        with open(os.path.join(art, rel)) as fh:
+            text = fh.read()
+        header = json.loads(text.split("\n", 1)[0]) \
+            if text.startswith("{") else {}
+        names = line.split(",")
+        _, cells = mdp.read_table(text, header.get("format", rel), line,
+                                  [str] * len(names), header.get("version"))
+        assert len(cells[0]) > 0, rel
+        # a field is an id, an integer, or a float written as its repr
+        for name, col in zip(names, cells):
+            if name != "patient_id":
+                col = col.tolist()
+                assert col == [_canonical(c) for c in col], (rel, name)
+        tables.append(rel)
+    assert sorted(tables) == [
+        "assignments.csv", "curve.csv", "mdp/mdp.txt",
+        "mdp/trajectories_test.csv", "mdp/trajectories_train.csv",
+        "solution/optimal.csv", "solution/q_optimal.csv", "solution/real.csv",
+        "test.csv"]
 
 
 def test_manifest_drops_the_entry_of_a_stage_that_no_longer_exists(
@@ -386,9 +452,11 @@ def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
         return manifest_read(art_dir)
 
     def counted_open(path, mode="r", *args, **kwargs):
+        # counted once open: ingest's look for a manifest finds none
+        fh = open(path, mode, *args, **kwargs)
         if "w" not in mode and str(path).startswith(str(art)):
             reads[os.path.relpath(path, art)] += 1
-        return open(path, mode, *args, **kwargs)
+        return fh
 
     monkeypatch.setattr(pipeline, "_manifest_read", counted_manifest_read)
     monkeypatch.setattr(pipeline, "open", counted_open, raising=False)
@@ -464,15 +532,25 @@ def test_each_handed_off_value_equals_its_file_decoded(
     assert handoffs[0] == {}
 
 
+# every subcommand that takes --out as an artifacts directory, and whether
+# it also takes --input
+READS_COHORT = {name: reads for name, _, reads in pipeline.STAGES}
+READS_COHORT["run"] = True
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("command", sorted(READS_COHORT))
 def test_out_on_a_file_exits_1_naming_the_path(workspace, tmp_path, caplog,
                                                capsys, command, under):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     out = blocker / "art" if under else blocker
-    rc, _ = run_cli([command, "--config", workspace["config"],
-                     "--input", workspace["cohort"], "--out", str(out)])
+    # a cohort that does not exist exits 2 if it is opened: --out must be
+    # refused before it is
+    inputs = ["--input", str(tmp_path / "missing.csv")] \
+        if READS_COHORT[command] else []
+    rc, _ = run_cli([command, "--config", workspace["config"], *inputs,
+                     "--out", str(out)])
     assert rc == cli.USAGE_EXIT
     assert "cannot write %s%s" % (out, os.sep) in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
@@ -969,26 +1047,15 @@ def test_hours_equal_the_object_ingest_and_a_reparse_of_test_csv(
         assert (oracle / name).read_bytes() == \
             open(os.path.join(golden["art"], name), "rb").read(), name
 
-    # the test rows are test.csv's hours, normalized by the stored spec
+    # test.csv lists exactly the test rows' patient-hours, in order
     rows = np.load(os.path.join(golden["art"], "hours.npy"), allow_pickle=False)
     rows = rows[rows["split"] == 1]
     with open(os.path.join(golden["art"], "test.csv")) as fh:
-        part = parse_cohort(fh, PipelineConfig().covariates)
-    with open(os.path.join(golden["art"], "norm_spec.json")) as fh:
-        stored = json.load(fh)
-    spec = NormalizationSpec(
-        tuple(stored["feature_names"]),
-        np.array([float(v) for v in stored["mins"]]),
-        np.array([float(v) for v in stored["maxs"]]),
-        tuple(stored["gender_codes"]), tuple(stored["icu_unit_codes"]))
-    n = part.lengths
-    assert rows["patient_id"].tolist() == np.repeat(part.ids, n).tolist()
-    assert rows["hour"].tolist() == part.hours.tolist()
-    assert rows["survived"].tolist() == \
-        np.repeat(~part.patients["died_within_90d"], n).tolist()
-    assert rows["glucose"].tobytes() == part.glucose.tobytes()
-    assert rows["state"].tobytes() == \
-        apply_normalization(part, spec).tobytes()
+        _, (ids, hours) = mdp.read_table(fh.read(), "test hours",
+                                         "patient_id,hour_index", (str, int))
+    assert len(rows) > 0
+    assert ids.tolist() == rows["patient_id"].tolist()
+    assert hours.tolist() == rows["hour"].tolist()
 
 
 def test_reordered_input_gives_byte_identical_hours(workspace, golden):
@@ -1055,7 +1122,7 @@ SPARSE_GOLDEN_SHA256 = {
     'solution/optimal.csv': '70cb6598acc4769914fc617db4ee0ae9f0e713feca4eb0b50bb431716412c931',
     'solution/q_optimal.csv': 'd028b47d2eac3ebc4e94c310031c10bd67492ee232a664bdd88a3ef1a1a4bc54',
     'solution/real.csv': '49b748c520b6d6740a8129dff6719c1bf0afabf8eb34dbec8d2ca6a15416a367',
-    'test.csv': '8971bf4dae2aa16b0ecd486d0543fd79bb2f2aaf1d51fc52072afdc5fc843ead',
+    'test.csv': '23fc709fb4b227b092d87914ed0f1fe5efb7a2bc6b1f3107c316043217f299d8',
 }
 
 
@@ -1064,7 +1131,7 @@ SPARSE_GOLDEN_SHA256 = {
     (SPARSE_CONFIG_YAML, 3),
 ], ids=["raw_0", "raw_1", "raw_2", "sparse_ae_3"])
 def test_shuffled_cohort_rows_give_byte_identical_artifacts(
-        workspace, golden, tmp_path, config_yaml, seed):
+        workspace, golden, sparse_golden, tmp_path, config_yaml, seed):
     # ingest groups rows by patient and hour, so no byte of any artifact,
     # report.json included, may depend on the order of the cohort's rows
     lines = open(workspace["cohort"]).read().splitlines(keepends=True)
@@ -1088,7 +1155,7 @@ def test_shuffled_cohort_rows_give_byte_identical_artifacts(
         assert hashes == tree_hashes(golden["art"])
     else:
         assert recorded == SPARSE_GOLDEN_SHA256
-        assert hashes == run(workspace["cohort"], "ordered")[1]
+        assert hashes == tree_hashes(sparse_golden)
     assert {rel: hashes[rel] for rel in recorded} == recorded
 
 
