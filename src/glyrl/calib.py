@@ -44,22 +44,6 @@ class CalibrationCurve:
             raise ValueError("mortality must be non-increasing in return")
 
 
-@dataclass(frozen=True)
-class PolicyScore:
-    mean_return: float
-    estimated_mortality: float
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    representation: str
-    real: PolicyScore
-    optimal: PolicyScore
-    cohort_mortality: float
-    config_digest: str
-    seed: int
-
-
 def collect_samples(V_real, trajectories: Trajectories):
     """Per-visit (return, died) pairs; died is the whole patient's outcome."""
     values = np.asarray(V_real, dtype=float)
@@ -182,7 +166,7 @@ def empirical_mortality(trajectories: Trajectories, k: int) -> float:
     return deaths / len(trajectories)
 
 
-def score(values, curve: CalibrationCurve, visitation) -> PolicyScore:
+def score(values, curve: CalibrationCurve, visitation) -> dict:
     """Mean value and estimated mortality of one policy's per-state values
     under a visitation distribution over the same states.
 
@@ -200,42 +184,35 @@ def score(values, curve: CalibrationCurve, visitation) -> PolicyScore:
         raise ValueError("visitation is empty")
     if abs(total - 1.0) > 1e-9:
         raise ValueError("visitation must sum to 1, got %r" % total)
-    return PolicyScore(float(w @ v), float(w @ estimate_mortality(curve, v)))
+    return {"mean_expected_return": float(w @ v),
+            "estimated_mortality": float(w @ estimate_mortality(curve, v))}
 
 
-def evaluate(v_real, v_opt, curve: CalibrationCurve, test_visitation,
-             cohort_mortality: float, representation: str = "raw",
-             config_digest: str = "", seed: int = 0) -> EvaluationReport:
-    """Score the logged and the optimal policy's values (k entries each)
-    under the test visitation and assemble the report."""
+def evaluate(v_real, v_opt, curve: CalibrationCurve, train: Trajectories,
+             scoring: Trajectories, representation: str, config_digest: str,
+             seed: int) -> dict:
+    """The report: the logged and the optimal policy's values (k entries
+    each) scored under the visitation of the ``scoring`` trajectories, and
+    the logged policy's estimate anchored against the ``train`` ones."""
     if np.shape(v_real) != np.shape(v_opt):
         raise ValueError("real and optimal values must cover the same states")
-    if not 0.0 <= cohort_mortality <= 1.0:
-        raise ValueError("cohort mortality must lie in [0, 1]")
-    return EvaluationReport(
-        representation=representation,
-        real=score(v_real, curve, test_visitation),
-        optimal=score(v_opt, curve, test_visitation),
-        cohort_mortality=float(cohort_mortality),
-        config_digest=config_digest,
-        seed=int(seed),
-    )
-
-
-def report_to_dict(report: EvaluationReport) -> dict:
+    k = len(v_real)
+    visits = visitation_from_trajectories(scoring, k)
+    visits = visits / visits.sum()
+    visits_train = visitation_from_trajectories(train, k)
     return {
-        "representation": report.representation,
-        "real": {
-            "mean_expected_return": report.real.mean_return,
-            "estimated_mortality": report.real.estimated_mortality,
+        "representation": representation,
+        "real": score(v_real, curve, visits),
+        "optimal": score(v_opt, curve, visits),
+        "cohort_mortality": empirical_mortality(scoring, k),
+        "config_digest": config_digest,
+        "seed": int(seed),
+        "train_anchor": {
+            "estimated_mortality_real": score(
+                v_real, curve, visits_train / visits_train.sum()
+            )["estimated_mortality"],
+            "empirical_mortality": empirical_mortality(train, k),
         },
-        "optimal": {
-            "mean_expected_return": report.optimal.mean_return,
-            "estimated_mortality": report.optimal.estimated_mortality,
-        },
-        "cohort_mortality": report.cohort_mortality,
-        "config_digest": report.config_digest,
-        "seed": report.seed,
     }
 
 

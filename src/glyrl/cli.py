@@ -141,7 +141,7 @@ def _run_command(args) -> int:
         result = pipeline.run_pipeline(cfg, args.input, args.out)
     else:
         inputs = (args.input,) if "input" in args else ()
-        result = pipeline.stage_function(args.command)(cfg, *inputs, args.out)
+        result = pipeline._run_stage(args.command, cfg, *inputs, args.out)
     if result is not None:  # the report, from run and evaluate
         json.dump(result, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")

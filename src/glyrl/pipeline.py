@@ -53,9 +53,9 @@ from .mdp import (
     write_trajectories,
 )
 from .solver import (
-    PolicySolution,
+    policy_evaluation,
+    policy_iteration,
     read_solution,
-    solve,
     write_q_table,
     write_solution,
 )
@@ -240,6 +240,11 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_cohort(fh, covariates)
+    except DataError as exc:
+        # name the file, but keep the class and its fields (a
+        # ParseError's line_number, an IntegrityError's patient_id)
+        exc.args = ("cohort %s %s" % (path, exc),)
+        raise
     except OSError as exc:
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
     except csv.Error:
@@ -480,14 +485,19 @@ def stage_solve(config: PipelineConfig, art_dir: str,
     files = _StageFiles(art_dir, "solve", handoff)
     model = files.read("build-mdp", MDP_FILE, "MDP",
                        lambda data: load_mdp(data.decode()))
+    epsilon = config.solver.epsilon
+    optimal = policy_iteration(model, epsilon=epsilon)
     pi_real = extract_real_policy(model)
-    optimal, v_real = solve(model, pi_real, epsilon=config.solver.epsilon)
-    real = PolicySolution(policy=pi_real, V=v_real, Q=None,
-                          eval_sweeps=0, improvements=0, converged=True)
-    for label, solution in (("optimal", optimal), ("real", real)):
-        # V over the k non-terminal states, the ones the file lists
-        files.write(SOLUTION_FILE % label, write_solution(solution, label),
-                    decoded=solution.V[:model.k])
+    v_real = policy_evaluation(model, pi_real, epsilon=epsilon)
+    # V over the k non-terminal states, the ones each file lists
+    files.write(SOLUTION_FILE % "optimal",
+                write_solution("optimal", optimal.policy, optimal.V,
+                               optimal.eval_sweeps, optimal.improvements),
+                decoded=optimal.V[:model.k])
+    files.write(SOLUTION_FILE % "real",
+                write_solution("real", pi_real, v_real, eval_sweeps=0,
+                               improvements=0),
+                decoded=v_real[:model.k])
     files.write(SOLUTION_FILE % "q_optimal", write_q_table(optimal))
     files.record(config)
 
@@ -548,41 +558,21 @@ def stage_evaluate(config: PipelineConfig, art_dir: str,
                     representation, recorded)
         representation = recorded
 
-    scoring = trajs_test if trajs_test else trajs_train
     if not trajs_test:
         log.warning("empty test split, scoring on the training split")
-    visits = calib.visitation_from_trajectories(scoring, k)
-    report = calib.evaluate(
-        v_real, v_opt, curve,
-        visits / visits.sum(),
-        calib.empirical_mortality(scoring, k),
-        representation=representation,
-        config_digest=config.digest(),
-        seed=config.seed,
-    )
-    doc = calib.report_to_dict(report)
-
-    visits_train = calib.visitation_from_trajectories(trajs_train, k)
-    doc["train_anchor"] = {
-        "estimated_mortality_real": calib.score(
-            v_real, curve, visits_train / visits_train.sum()
-        ).estimated_mortality,
-        "empirical_mortality": calib.empirical_mortality(trajs_train, k),
-    }
+        trajs_test = trajs_train
+    doc = calib.evaluate(v_real, v_opt, curve, trajs_train, trajs_test,
+                         representation, config.digest(), config.seed)
     files.write("report.json", doc)
     files.record(config)
     return doc
 
 
-def stage_function(name: str):
-    """The function that runs stage ``name``, looked up when called, so a
-    replaced module attribute (a test double, a tracing wrapper) runs."""
-    return globals()["stage_" + name.replace("-", "_")]
-
-
 def _run_stage(name: str, *args, **kwargs):
+    """Run stage ``name``.  The stage function is looked up when called, so
+    a replaced module attribute (a test double, a tracing wrapper) runs."""
     try:
-        return stage_function(name)(*args, **kwargs)
+        return globals()["stage_" + name.replace("-", "_")](*args, **kwargs)
     except GlyrlError as exc:
         # name the stage, but keep the class and its fields (a
         # TrainingDivergedError's epoch, a ParseError's line_number)

@@ -32,10 +32,9 @@ SOLUTION_COLUMNS = "state_id,policy_action,V"
 class PolicySolution:
     policy: np.ndarray  # (k,) action per non-terminal state
     V: np.ndarray  # (n_states,), terminals exactly 0
-    Q: Optional[np.ndarray]  # (k, n_actions), NaN where unavailable, or None
+    Q: np.ndarray  # (k, n_actions), NaN where unavailable
     eval_sweeps: int
     improvements: int
-    converged: bool
 
 
 @dataclass
@@ -121,19 +120,15 @@ def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
                 "policy evaluation still moving %r after %d sweeps" % (delta, sweeps))
 
 
-def _evaluate_policy(mdp: MDPModel, compiled: _Compiled, policy,
-                     epsilon: float) -> np.ndarray:
-    pol = _check_policy(mdp, policy, compiled)
-    rows = compiled.pair_index[np.arange(mdp.k), pol]
-    v, _ = _evaluate(compiled, rows, epsilon)
-    return v
-
-
 def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Iterate the Bellman expectation update until the sup-norm step < epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return _evaluate_policy(mdp, _compile(mdp), policy, epsilon)
+    compiled = _compile(mdp)
+    pol = _check_policy(mdp, policy, compiled)
+    v, _ = _evaluate(compiled, compiled.pair_index[np.arange(mdp.k), pol],
+                     epsilon)
+    return v
 
 
 def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
@@ -155,8 +150,18 @@ def greedy_improve(mdp: MDPModel, Q) -> np.ndarray:
     return np.argmax(masked, axis=1).astype(np.int64)
 
 
-def _iterate(mdp: MDPModel, compiled: _Compiled, epsilon: float,
-             initial_policy, max_improvements: int) -> PolicySolution:
+def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
+                     initial_policy=None,
+                     max_improvements: int = MAX_IMPROVEMENTS) -> PolicySolution:
+    """Alternate full evaluation and greedy improvement until the policy is stable.
+
+    Evaluation warm-starts from the previous value function (same fixed point,
+    fewer sweeps).  Starts from the lowest-index available action in each
+    state unless an initial policy (e.g. the behavioral one) is supplied.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    compiled = _compile(mdp)
     if initial_policy is None:
         policy = np.argmax(mdp.available, axis=1).astype(np.int64)
     else:
@@ -173,53 +178,29 @@ def _iterate(mdp: MDPModel, compiled: _Compiled, epsilon: float,
         if np.array_equal(improved, policy):
             return PolicySolution(policy=policy, V=v, Q=Q,
                                   eval_sweeps=total_sweeps,
-                                  improvements=round_no, converged=True)
+                                  improvements=round_no)
         policy = improved
     raise ConvergenceError(
         "policy iteration did not stabilize within %d improvements" % max_improvements)
 
 
-def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
-                     initial_policy=None,
-                     max_improvements: int = MAX_IMPROVEMENTS) -> PolicySolution:
-    """Alternate full evaluation and greedy improvement until the policy is stable.
-
-    Evaluation warm-starts from the previous value function (same fixed point,
-    fewer sweeps).  Starts from the lowest-index available action in each
-    state unless an initial policy (e.g. the behavioral one) is supplied.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return _iterate(mdp, _compile(mdp), epsilon, initial_policy,
-                    max_improvements)
-
-
-def solve(mdp: MDPModel, logged_policy,
-          epsilon: float = DEFAULT_EPSILON) -> Tuple[PolicySolution, np.ndarray]:
-    """policy_iteration(mdp, epsilon) and policy_evaluation(mdp,
-    logged_policy, epsilon), bit for bit, on one compiled MDP."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    compiled = _compile(mdp)
-    return (_iterate(mdp, compiled, epsilon, None, MAX_IMPROVEMENTS),
-            _evaluate_policy(mdp, compiled, logged_policy, epsilon))
-
-
-def write_solution(solution: PolicySolution, label: str) -> str:
-    """The solution as text: a JSON header line, then
-    `state_id,policy_action,V` per non-terminal state."""
-    k = len(solution.policy)
+def write_solution(label: str, policy: np.ndarray, V: np.ndarray,
+                   eval_sweeps: int, improvements: int) -> str:
+    """A policy and its values as text: a JSON header line, then
+    `state_id,policy_action,V` per non-terminal state.  The header says
+    converged: the solver raises rather than return values that are not."""
+    k = len(policy)
     header = {
         "format": SOLUTION_FORMAT,
         "version": SOLUTION_FORMAT_VERSION,
         "label": label,
         "k": k,
-        "eval_sweeps": int(solution.eval_sweeps),
-        "improvements": int(solution.improvements),
-        "converged": bool(solution.converged),
+        "eval_sweeps": int(eval_sweeps),
+        "improvements": int(improvements),
+        "converged": True,
     }
     return write_table(SOLUTION_COLUMNS, "%d,%d,%r\n",
-                       (np.arange(k), solution.policy, solution.V[:k]), header)
+                       (np.arange(k), policy, V[:k]), header)
 
 
 def read_solution(text: str) -> Tuple[np.ndarray, np.ndarray, str]:

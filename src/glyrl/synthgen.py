@@ -459,7 +459,7 @@ def load_ground_truth(path: str) -> GroundTruth:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError("cannot read ground truth %s: %s" % (path, exc))
-    if doc.get("format") != GROUND_TRUTH_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != GROUND_TRUTH_FORMAT:
         raise ArtifactError("%s is not a ground-truth file" % path)
     if doc.get("version") != GROUND_TRUTH_FORMAT_VERSION:
         raise ArtifactError("unsupported ground-truth version %r"
@@ -474,5 +474,5 @@ def load_ground_truth(path: str) -> GroundTruth:
                            for k, v in doc["latent_states"].items()},
             seed=int(doc["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ArtifactError("malformed ground-truth file %s: %s" % (path, exc))

@@ -14,7 +14,6 @@ from glyrl.calib import (
     estimate_mortality,
     evaluate,
     fit_curve,
-    report_to_dict,
     score,
     visitation_from_trajectories,
 )
@@ -154,35 +153,43 @@ def test_empirical_mortality_counts_death_terminals():
     assert empirical_mortality(oracle.trajectories(trajs), k) == pytest.approx(0.3)
 
 
+def training_split(k=2):
+    """Training trajectories: states 0 and 1 at 90% and 10% mortality, and
+    a second action at each state so real and optimal can differ."""
+    return oracle.trajectories(
+        visits(0, 9, True, k) + visits(0, 1, False, k)
+        + visits(1, 1, True, k) + visits(1, 9, False, k)
+        + [[(0, 5, k)]] * 10 + [[(1, 5, k)]] * 10)
+
+
+def scoring_split(k=2):
+    """Test-split trajectories: 3 deaths at state 0, 7 survivals at state 1."""
+    return oracle.trajectories(visits(0, 3, True, k) + visits(1, 7, False, k))
+
+
 def curve_and_mdp():
-    k = 2
-    trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
-             + visits(1, 1, True, k) + visits(1, 9, False, k))
-    # a second action at each state so real and optimal can differ
-    trajs += [[(0, 5, k)]] * 10
-    trajs += [[(1, 5, k)]] * 10
-    mdp = estimate_mdp(oracle.trajectories(trajs), k, min_count=1, gamma=0.9)
-    v_real = np.array([-50.0, 50.0])
-    curve = fit_curve(v_real, oracle.trajectories(trajs), n_bins=20,
+    mdp = estimate_mdp(training_split(), 2, min_count=1, gamma=0.9)
+    curve = fit_curve(np.array([-50.0, 50.0]), training_split(), n_bins=20,
                       min_bin_support=1)
     return mdp, curve
 
 
 def values(mdp, policy):
-    """V of a policy over the non-terminal states, as solve writes it."""
+    """V of a policy over the non-terminal states, as the solve stage
+    writes it."""
     return policy_evaluation(mdp, np.array(policy))[:mdp.k]
 
 
 def test_evaluate_same_policy_identical_rows():
     mdp, curve = curve_and_mdp()
     v = values(mdp, [0, 0])
-    report = evaluate(v, v, curve, np.array([0.5, 0.5]),
-                      cohort_mortality=0.3, representation="raw",
-                      config_digest="abc", seed=7)
-    assert report.real == report.optimal
-    assert 0.0 <= report.real.estimated_mortality <= 1.0
-    assert report.cohort_mortality == 0.3
-    assert report.seed == 7
+    report = evaluate(v, v, curve, training_split(), scoring_split(),
+                      "raw", "abc", 7)
+    assert report["real"] == report["optimal"]
+    assert 0.0 <= report["real"]["estimated_mortality"] <= 1.0
+    assert report["cohort_mortality"] == pytest.approx(0.3)
+    assert (report["representation"], report["config_digest"],
+            report["seed"]) == ("raw", "abc", 7)
 
 
 def test_evaluate_constant_curve_gives_constant_mortality():
@@ -190,61 +197,78 @@ def test_evaluate_constant_curve_gives_constant_mortality():
     flat = CalibrationCurve(np.array([-60.0, 60.0]), np.array([0.25, 0.25]),
                             np.array([5, 5]))
     report = evaluate(values(mdp, [0, 0]), values(mdp, [5, 5]), flat,
-                      np.array([0.5, 0.5]), cohort_mortality=0.25)
-    assert report.real.estimated_mortality == pytest.approx(0.25, abs=1e-12)
-    assert report.optimal.estimated_mortality == pytest.approx(0.25, abs=1e-12)
+                      training_split(), scoring_split(), "raw", "", 0)
+    assert report["real"]["estimated_mortality"] == pytest.approx(0.25, abs=1e-12)
+    assert report["optimal"]["estimated_mortality"] == pytest.approx(0.25, abs=1e-12)
+    assert report["train_anchor"]["estimated_mortality_real"] == \
+        pytest.approx(0.25, abs=1e-12)
 
 
-def test_evaluate_rejects_bad_visitation():
+def test_score_rejects_bad_visitation():
     mdp, curve = curve_and_mdp()
     v = values(mdp, [0, 0])
     with pytest.raises(ValueError):
-        evaluate(v, v, curve, np.array([0.0, 0.0]), cohort_mortality=0.3)
+        score(v, curve, np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        evaluate(v, v, curve, np.array([0.7, 0.7]), cohort_mortality=0.3)
+        score(v, curve, np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
-        evaluate(v, v, curve, np.array([1.0]), cohort_mortality=0.3)
+        score(v, curve, np.array([1.0]))
+    with pytest.raises(ValueError):
+        score(v, curve, np.array([-0.5, 1.5]))
+
+
+def test_evaluate_rejects_trajectories_outside_the_valued_states():
+    mdp, curve = curve_and_mdp()
+    v = values(mdp, [0, 0])
+    outside = oracle.trajectories([[(2, 0, 3)]])
+    with pytest.raises(ValueError, match="states must lie in"):
+        evaluate(v, v, curve, training_split(), outside, "raw", "", 0)
+    with pytest.raises(ValueError, match="states must lie in"):
+        evaluate(v, v, curve, outside, scoring_split(), "raw", "", 0)
 
 
 def test_evaluate_deterministic_report():
     mdp, curve = curve_and_mdp()
-    args = dict(v_real=values(mdp, [0, 0]), v_opt=values(mdp, [5, 5]),
-                curve=curve, test_visitation=np.array([0.4, 0.6]),
-                cohort_mortality=0.3, representation="sparse-autoencoder",
-                config_digest="d1", seed=11)
-    a = report_to_dict(evaluate(**args))
-    b = report_to_dict(evaluate(**args))
+    args = (values(mdp, [0, 0]), values(mdp, [5, 5]), curve,
+            training_split(), scoring_split(), "sparse-autoencoder", "d1", 11)
+    a = evaluate(*args)
+    b = evaluate(*args)
     assert a == b
     import json
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert set(a) == {"representation", "real", "optimal", "cohort_mortality",
+                      "config_digest", "seed", "train_anchor"}
 
 
 def test_evaluate_rows_are_the_scores_of_each_value_vector():
     mdp, curve = curve_and_mdp()
     v_real, v_opt = values(mdp, [0, 0]), values(mdp, [5, 5])
-    w = np.array([0.4, 0.6])
-    report = evaluate(v_real, v_opt, curve, w, cohort_mortality=0.3)
-    assert report.real == score(v_real, curve, w)
-    assert report.optimal == score(v_opt, curve, w)
-    assert report.optimal.mean_return == float(w @ v_opt)
+    w = np.array([0.3, 0.7])
+    report = evaluate(v_real, v_opt, curve, training_split(), scoring_split(),
+                      "raw", "", 0)
+    assert report["real"] == score(v_real, curve, w)
+    assert report["optimal"] == score(v_opt, curve, w)
+    assert report["optimal"]["mean_expected_return"] == float(w @ v_opt)
     with pytest.raises(ValueError):
-        evaluate(v_real, v_opt[:1], curve, w, cohort_mortality=0.3)
+        evaluate(v_real, v_opt[:1], curve, training_split(), scoring_split(),
+                 "raw", "", 0)
 
 
 def test_training_anchor_on_synthetic_two_state_cohort():
     # calibrating on the very samples being scored pins the estimate to the
     # visit-level mortality
-    mdp, curve = curve_and_mdp()
-    k = 2
-    trajs = (visits(0, 9, True, k) + visits(0, 1, False, k)
-             + visits(1, 1, True, k) + visits(1, 9, False, k)
-             + [[(0, 5, k)]] * 10
-             + [[(1, 5, k)]] * 10)
-    w_train = visitation_from_trajectories(oracle.trajectories(trajs), k)
+    _, curve = curve_and_mdp()
     v_real = np.array([-50.0, 50.0])
-    est = float(w_train @ estimate_mortality(curve, v_real))
+    report = evaluate(v_real, v_real, curve, training_split(), scoring_split(),
+                      "raw", "", 0)
+    anchor = report["train_anchor"]
     visit_level = 10.0 / 40.0
-    assert est == pytest.approx(visit_level, abs=0.02)
+    assert anchor["estimated_mortality_real"] == pytest.approx(visit_level,
+                                                               abs=0.02)
+    assert anchor["empirical_mortality"] == pytest.approx(10.0 / 40.0)
+    w_train = visitation_from_trajectories(training_split(), 2)
+    assert anchor["estimated_mortality_real"] == \
+        float(w_train @ estimate_mortality(curve, v_real))
 
 
 def test_curve_csv_round_trip():

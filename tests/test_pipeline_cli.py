@@ -1191,7 +1191,21 @@ def test_parse_error_keeps_its_line_number(workspace, tmp_path):
         pipeline.run_pipeline(load_config(workspace["config"]), str(cohort),
                               str(tmp_path / "art"))
     assert err.value.line_number == 5
-    assert str(err.value).startswith("stage 'ingest': line 5: ")
+    assert str(err.value).startswith("stage 'ingest': cohort %s line 5: "
+                                     % cohort)
+
+
+def test_ingest_subcommand_names_its_stage_like_run(workspace, tmp_path,
+                                                    caplog):
+    lines = open(workspace["cohort"]).read().splitlines(keepends=True)
+    cohort = tmp_path / "short.csv"
+    cohort.write_text(lines[0] + lines[1])  # one patient with one hour
+    for command in ("ingest", "run"):
+        caplog.clear()
+        rc, _ = run_cli([command, "--config", workspace["config"], "--input",
+                         str(cohort), "--out", str(tmp_path / command)])
+        assert rc == cli.DATA_EXIT
+        assert "stage 'ingest': cohort %s patient " % cohort in caplog.text
 
 
 def test_non_utf8_cohort_exits_2_and_names_file_and_line(workspace, tmp_path,
@@ -1236,8 +1250,8 @@ def test_nul_in_a_cell_exits_2_naming_line_and_column(workspace, tmp_path,
     rc, _ = run_cli(["ingest", "--config", workspace["config"],
                      "--input", str(cohort), "--out", str(tmp_path / "art")])
     assert rc == cli.DATA_EXIT
-    assert "line %d: NUL character in patient_id" % (len(lines) + 1) \
-        in caplog.text
+    assert "cohort %s line %d: NUL character in patient_id" % (
+        cohort, len(lines) + 1) in caplog.text
 
 
 def test_id_with_a_comma_exits_2_naming_the_line(workspace, tmp_path, caplog):
@@ -1252,8 +1266,8 @@ def test_id_with_a_comma_exits_2_naming_the_line(workspace, tmp_path, caplog):
     rc, _ = run_cli(["ingest", "--config", workspace["config"],
                      "--input", str(cohort_csv), "--out", str(tmp_path / "art")])
     assert rc == cli.DATA_EXIT
-    assert "line 2: patient_id 'x,%s' holds a comma, quote, CR or LF" % pid \
-        in caplog.text
+    assert "cohort %s line 2: patient_id 'x,%s' holds a comma, quote, CR " \
+        "or LF" % (cohort_csv, pid) in caplog.text
 
 
 @pytest.fixture(scope="module")

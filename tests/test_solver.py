@@ -6,6 +6,7 @@ threshold than the solver under test.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from glyrl.solver import (
     policy_evaluation,
     policy_iteration,
     read_solution,
-    solve,
     write_q_table,
     write_solution,
 )
@@ -146,6 +146,8 @@ def test_policy_evaluation_rejects_bad_policies():
         policy_evaluation(mdp, np.array([4]))  # unavailable action
     with pytest.raises(ValueError):
         policy_evaluation(mdp, np.array([3]), epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        policy_evaluation(mdp, np.array([3]), epsilon=float("nan"))
 
 
 def test_q_matches_v_on_single_action_chain():
@@ -194,7 +196,6 @@ def test_policy_iteration_picks_survival_action():
     sol = policy_iteration(mdp, epsilon=1e-9)
     assert sol.policy[0] == 2
     assert sol.V[0] == pytest.approx(100.0, abs=1e-9)
-    assert sol.converged
 
 
 def test_policy_iteration_fixed_point_in_one_round():
@@ -246,23 +247,6 @@ def test_optimal_dominates_every_fixed_policy():
         assert np.all(sol.V[:mdp.k] >= v_rand[:mdp.k] - 1e-3)
 
 
-def test_solve_equals_iteration_and_evaluation_bitwise():
-    rng = np.random.default_rng(4242)
-    for _ in range(20):
-        mdp = random_mdp(rng)
-        logged = np.array([
-            int(rng.choice(np.flatnonzero(mdp.available[s])))
-            for s in range(mdp.k)], dtype=np.int64)
-        optimal, v_logged = solve(mdp, logged, epsilon=1e-6)
-        alone = policy_iteration(mdp, epsilon=1e-6)
-        for field in dataclasses.fields(alone):
-            np.testing.assert_array_equal(getattr(optimal, field.name),
-                                          getattr(alone, field.name))
-        assert np.array_equal(
-            v_logged.view(np.int64),
-            policy_evaluation(mdp, logged, epsilon=1e-6).view(np.int64))
-
-
 def reference_compile(mdp):
     """The pair-by-pair loop over a dict of per-pair rows that _compile
     replaced: (pair_state, pair_action, pair_reward, t_target, t_prob,
@@ -302,13 +286,14 @@ def test_compiled_form_matches_the_per_pair_loop_bitwise():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_solve_rejects_what_its_parts_reject():
+def test_policy_iteration_rejects_bad_epsilon_and_initial_policy():
     mdp = random_mdp(np.random.default_rng(5))
     logged = np.argmax(mdp.available, axis=1)
+    for epsilon in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            policy_iteration(mdp, epsilon=epsilon)
     with pytest.raises(ValueError):
-        solve(mdp, logged, epsilon=0.0)
-    with pytest.raises(ValueError):
-        solve(mdp, logged[:-1])
+        policy_iteration(mdp, initial_policy=logged[:-1])
 
 
 def test_sweep_deltas_contract():
@@ -384,7 +369,13 @@ def test_solution_round_trip():
     rng = np.random.default_rng(55)
     mdp = random_mdp(rng)
     sol = policy_iteration(mdp, epsilon=1e-8)
-    policy, v, label = read_solution(write_solution(sol, label="optimal"))
+    text = write_solution("optimal", sol.policy, sol.V, sol.eval_sweeps,
+                          sol.improvements)
+    policy, v, label = read_solution(text)
+    assert json.loads(text.split("\n", 1)[0]) == {
+        "format": "glyrl-solution", "version": 1, "label": "optimal",
+        "k": mdp.k, "eval_sweeps": sol.eval_sweeps,
+        "improvements": sol.improvements, "converged": True}
     assert label == "optimal"
     assert np.array_equal(policy, sol.policy)
     assert np.array_equal(v, sol.V[:mdp.k])

@@ -306,6 +306,11 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
         json.dump({"format": "something-else", "version": 1}, fh)
     with pytest.raises(ArtifactError):
         load_ground_truth(path)
+    for root in ([], "glyrl-ground-truth", None):
+        with open(path, "w") as fh:
+            json.dump(root, fh)
+        with pytest.raises(ArtifactError, match="not a ground-truth file"):
+            load_ground_truth(path)
     _, truth = generate(ladder_config(5))
     save_ground_truth(path, truth)
     doc = json.load(open(path))
@@ -314,6 +319,10 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
     with pytest.raises(ArtifactError):
         load_ground_truth(path)
     doc["version"] = 1
+    doc["latent_states"] = [[0, 1]]
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ArtifactError, match="malformed"):
+        load_ground_truth(path)
     del doc["pi_star"]
     json.dump(doc, open(path, "w"))
     with pytest.raises(ArtifactError):
