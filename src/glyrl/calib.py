@@ -99,12 +99,15 @@ def fit_curve(V_real, trajectories: Trajectories,
     width = (hi - lo) / n_bins
     idx = np.minimum(((returns - lo) / width).astype(int), n_bins - 1)
 
-    bins = []  # (support, sum_return, sum_died) in return order
-    for b in range(n_bins):
-        mask = idx == b
-        n = int(mask.sum())
-        if n:
-            bins.append([n, float(returns[mask].sum()), float(died[mask].sum())])
+    # (support, sum_return, sum_died) of each non-empty bin in return
+    # order; a stable sort keeps each bin's visits in visit order, so its
+    # slice sums to the same bits as returns[idx == b].sum()
+    order = np.argsort(idx, kind="stable")
+    idx, returns, died = idx[order], returns[order], died[order]
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    ends = np.append(starts[1:], len(idx))
+    bins = [[int(e - s), float(returns[s:e].sum()), float(died[s:e].sum())]
+            for s, e in zip(starts.tolist(), ends.tolist())]
 
     # merge the thinnest bin into its nearest-center neighbor until all
     # surviving bins carry enough visits

@@ -15,10 +15,8 @@ import logging
 import sys
 from typing import List, Optional
 
-import yaml
-
 from . import pipeline, synthgen
-from .config import PipelineConfig, _check_type, load_config
+from .config import PipelineConfig, checked_keys, config_from_dict, read_yaml
 from .errors import ConfigError, DataError, GlyrlError, NumericalError
 
 log = logging.getLogger("glyrl")
@@ -70,10 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.config is None:
-        cfg.validate()
-    if getattr(args, "seed", None) is not None:
+    cfg = config_from_dict(read_yaml(args.config) if args.config else {})
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -87,30 +83,14 @@ _SYNTH_KNOBS = {"patients": 0, **{
 
 
 def _synth_config(args) -> synthgen.GeneratorConfig:
-    knobs = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-        except yaml.YAMLError as exc:
-            raise ConfigError("config %s is not valid YAML: %s"
-                              % (args.config, exc))
-        if not isinstance(doc, dict):
-            raise ConfigError("synth config root must be a mapping")
-        unknown = sorted(set(doc) - set(_SYNTH_KNOBS), key=str)
-        if unknown:
-            raise ConfigError("unknown key %r in synth config" % unknown[0])
-        knobs.update(doc)
+    knobs = checked_keys(read_yaml(args.config), _SYNTH_KNOBS,
+                         "synth config") if args.config else {}
     if args.patients is not None:
         knobs["patients"] = args.patients
     if args.seed is not None:
         knobs["seed"] = args.seed
     if "patients" not in knobs:
         raise ConfigError("synth needs --patients or a config with 'patients'")
-    for key, value in knobs.items():
-        _check_type(key, _SYNTH_KNOBS[key], value)
     patients = knobs.pop("patients")
     if patients < 1:
         raise ConfigError("patients is %d; it must be positive" % patients)

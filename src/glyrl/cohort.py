@@ -20,6 +20,7 @@ import csv
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
@@ -70,6 +71,9 @@ _FLAG_COLUMNS = frozenset((
 CHUNK_ROWS = 4096
 # Characters a patient id may not hold: artifact tables write ids unquoted.
 _ID_RESERVED = frozenset(',"\r\n')
+# What a byte that is not UTF-8 becomes when the file is read with
+# errors="surrogateescape"; a message shows such a cell only through repr().
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass
@@ -176,9 +180,14 @@ def _parse_chunk(rows: list[list[str]], names: Sequence[str]) -> tuple[
     n = len(rows)
     by_position = list(zip(*rows)) if n else [()] * width
     for name, col in zip(names, by_position):
-        if "\0" in "".join(col):
+        text = "".join(col)
+        if "\0" in text:
             failures.append((next(i for i, c in enumerate(col) if "\0" in c),
                              f"NUL character in {name}"))
+        if not text.isascii() and _NOT_UTF8.search(text):
+            failures.append((next(i for i, c in enumerate(col)
+                                  if _NOT_UTF8.search(c)),
+                             f"{name} is not UTF-8 text"))
     # covariate names may repeat each other or a fixed name: look columns up
     # by position
     cells = dict(zip(FIXED_COLUMNS, by_position))
@@ -296,16 +305,21 @@ def parse_cohort(
     and missing hour indices inside [0, max_hour] become all-missing rows.
     Statics come from the first row seen for a patient and must be
     consistent across all of that patient's rows.  The first malformed or
-    inconsistent row in file order raises; a patient with a single hour
-    raises only once every row has been read.
+    inconsistent row in file order raises, a line the CSV reader refuses or
+    a byte not UTF-8 (read with errors="surrogateescape") included; a
+    patient with a single hour raises only once every row has been read.
     """
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty file, expected a header row")
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc))
     if any("\0" in h for h in header):
         raise ParseError(1, "NUL character in the header")
+    if _NOT_UTF8.search("".join(header)):
+        raise ParseError(1, "the header is not UTF-8 text")
     header = [h.strip() for h in header]
     n_fixed = len(FIXED_COLUMNS)
     if tuple(header[:n_fixed]) != FIXED_COLUMNS:
@@ -324,7 +338,12 @@ def parse_cohort(
     chunk_lines, error = [np.zeros(0, dtype=np.int64)], None
     while error is None:
         read = reader.line_num
-        block = list(itertools.islice(reader, CHUNK_ROWS))
+        block = []
+        try:
+            block.extend(itertools.islice(reader, CHUNK_ROWS))
+        except csv.Error as exc:
+            # the rows read before it are checked first: they come earlier
+            error = ParseError(reader.line_num, str(exc))
         if not block:
             break
         # each record starts on the line after the previous one ends; only a

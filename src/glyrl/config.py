@@ -4,7 +4,9 @@ One file drives every stage.  Each stage reads only its own section plus
 the master seed, and the encoder and the cohort filter take their section
 itself; a default that a layer also uses is that layer's constant.
 Unknown keys anywhere are rejected by name so typos cannot silently fall
-back to defaults, and so are values of the wrong type.
+back to defaults, and so are values of the wrong type.  ``read_yaml`` and
+``checked_keys`` also read and check the ``glyrl synth`` knobs file, so
+both files give the same messages.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import yaml
@@ -147,9 +149,9 @@ class PipelineConfig:
             raise ConfigError(
                 "representation must be one of %s, got %r"
                 % ("/".join(REPRESENTATIONS), self.representation))
-        for section in (self.preprocessing, self.encoder, self.clustering,
-                        self.mdp, self.solver, self.calibration, self.split):
-            section.validate()
+        for section in vars(self).values():
+            if dataclasses.is_dataclass(section):
+                section.validate()
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -163,99 +165,84 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-_SECTIONS = {
-    "preprocessing": PreprocessingConfig,
-    "encoder": EncoderConfig,
-    "clustering": ClusteringConfig,
-    "mdp": MdpConfig,
-    "solver": SolverConfig,
-    "calibration": CalibrationConfig,
-    "split": SplitConfig,
-}
-
-_SCALAR_KEYS = ("covariates", "representation", "seed")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_type(key: str, default, value) -> None:
-    """Refuse a value whose type does not fit the field's default: an int
-    field takes an int, a float field a finite int or float, and bin_edges
-    a list of numbers.  Nothing is converted, so a valid config keeps its
-    digest."""
-    if isinstance(default, int):
-        wanted = "an integer"
-        ok = _is_number(value) and isinstance(value, int)
-    elif isinstance(default, float):
-        wanted = "a finite number"
-        # false for NaN, and for an int too large to become a float
-        ok = _is_number(value) and abs(value) <= sys.float_info.max
+    """Refuse a value that cannot stand in for the field's default: an int
+    takes an int, a float a finite int or float, a str a str, and a tuple a
+    list of what the tuple holds; a bool is no number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError("%s must be a list, got %r" % (key, value))
+        for i, item in enumerate(value):
+            _check_type("%s[%d]" % (key, i), default[0], item)
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        wanted, ok = "a string", isinstance(value, str)
+    elif isinstance(default, int):
+        wanted, ok = "an integer", number and isinstance(value, int)
     else:
-        wanted = "a list of numbers"
-        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        # false for NaN, and for an int too large to become a float
+        wanted = "a finite number"
+        ok = number and abs(value) <= sys.float_info.max
     if not ok:
         raise ConfigError("%s must be %s, got %r" % (key, wanted, value))
 
 
-def _build_section(name: str, cls, doc: dict):
+def checked_keys(doc, defaults: dict, where: str, prefix: str = "") -> dict:
+    """``doc``, once it is known to be a mapping from keys of ``defaults``
+    to values that fit their default; a section (a dataclass default)
+    takes a mapping checked the same way, whose keys are named
+    ``section.key``.  Nothing is converted, so a valid config keeps its
+    digest.  The first bad key raises a ConfigError naming it and
+    ``where`` it is."""
     if not isinstance(doc, dict):
-        raise ConfigError("section %r must be a mapping" % name)
-    known = {f.name for f in fields(cls)}
+        raise ConfigError("%s must be a mapping" % where)
     # YAML keys need not be strings
-    unknown = sorted(set(doc) - known, key=str)
+    unknown = sorted(set(doc) - set(defaults), key=str)
     if unknown:
-        raise ConfigError("unknown key %r in section %r" % (unknown[0], name))
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in doc:
-            continue
-        value = doc[f.name]
-        _check_type("%s.%s" % (name, f.name), f.default, value)
-        if f.name == "bin_edges":
-            value = tuple(float(v) for v in value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+        raise ConfigError("unknown key %r in %s" % (unknown[0], where))
+    for key, value in doc.items():
+        default = defaults[key]
+        if dataclasses.is_dataclass(default):
+            checked_keys(value, vars(default), "section %r" % key, key + ".")
+        else:
+            _check_type(prefix + key, default, value)
+    return doc
 
 
-def config_from_dict(doc: dict) -> PipelineConfig:
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = sorted(set(doc) - set(_SECTIONS) - set(_SCALAR_KEYS), key=str)
-    if unknown:
-        raise ConfigError("unknown key %r in config" % unknown[0])
+def _build(default, value):
+    """The checked ``value`` in the shape of ``default``: a section built
+    from its mapping, a list as a tuple of the default's item type."""
+    if dataclasses.is_dataclass(default):
+        return type(default)(**{key: _build(getattr(default, key), v)
+                                for key, v in value.items()})
+    if isinstance(default, tuple):
+        return tuple(map(type(default[0]), value))
+    return value
 
-    kwargs = {}
-    if "covariates" in doc:
-        value = doc["covariates"]
-        if not isinstance(value, (list, tuple)) or \
-                not all(isinstance(c, str) for c in value):
-            raise ConfigError("covariates must be a list of column names")
-        kwargs["covariates"] = tuple(value)
-    if "representation" in doc:
-        kwargs["representation"] = doc["representation"]
-    if "seed" in doc:
-        _check_type("seed", 0, doc["seed"])
-        kwargs["seed"] = doc["seed"]
-    for name, cls in _SECTIONS.items():
-        if name in doc:
-            kwargs[name] = _build_section(name, cls, doc[name])
 
-    cfg = PipelineConfig(**kwargs)
+def config_from_dict(doc) -> PipelineConfig:
+    """The validated config that the mapping ``doc`` describes."""
+    default = PipelineConfig()
+    cfg = _build(default, checked_keys(doc, vars(default), "config"))
     cfg.validate()
     return cfg
 
 
-def load_config(path: str) -> PipelineConfig:
-    """Read and validate a YAML pipeline config; empty file means defaults."""
+def read_yaml(path: str):
+    """The document in the YAML file ``path``; an empty file holds an
+    empty mapping."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
-    except yaml.YAMLError as exc:
+    # PyYAML recurses once per level of nesting
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError("config %s is not valid YAML: %s" % (path, exc))
-    return config_from_dict(doc)
+    return {} if doc is None else doc
+
+
+def load_config(path: str) -> PipelineConfig:
+    """Read and validate a YAML pipeline config; empty file means defaults."""
+    return config_from_dict(read_yaml(path))

@@ -11,7 +11,6 @@ artifacts exactly, which the manifest's checksums make checkable.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import io
@@ -138,6 +137,11 @@ def _manifest_read(art_dir: str) -> dict:
     if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT or \
             not isinstance(doc.get("stages"), dict):
         raise ArtifactError("%s is not a pipeline manifest" % path)
+    # a bool or a float may equal the version but is not one
+    if type(doc.get("version")) is not int or \
+            doc["version"] != MANIFEST_FORMAT_VERSION:
+        raise ArtifactError("%s has manifest version %r, not %d" % (
+            path, doc.get("version"), MANIFEST_FORMAT_VERSION))
     return doc
 
 
@@ -237,8 +241,10 @@ def _norm_spec_doc(spec: NormalizationSpec) -> dict:
 
 
 def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
+    # a leading byte-order mark is dropped, as spreadsheets write one; a
+    # byte that is not UTF-8 is refused by parse_cohort in its row
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             return parse_cohort(fh, covariates)
     except DataError as exc:
         # name the file, but keep the class and its fields (a
@@ -247,27 +253,6 @@ def _read_cohort_file(path: str, covariates: Sequence[str]) -> Cohort:
         raise
     except OSError as exc:
         raise ArtifactError("cannot read cohort %s: %s" % (path, exc))
-    except csv.Error:
-        # csv.reader counts the lines it has read: read again to the bad row
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                for _ in reader:
-                    pass
-            except csv.Error as exc:
-                raise DataError("cohort %s line %d: %s"
-                                % (path, reader.line_num, exc))
-        raise
-    except UnicodeDecodeError:
-        # the decoder reads ahead of the CSV reader: locate the bad byte itself
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError("cohort %s line %d is not UTF-8 text (%s)" % (
-                path, data.count(b"\n", 0, exc.start) + 1, exc.reason))
-        raise
 
 
 HOURS_FILE = "hours.npy"

@@ -115,6 +115,39 @@ def test_fit_curve_merges_thin_bins():
     assert curve.bin_centers[0] == pytest.approx((-10.0 * 30 + 0.0 * 3) / 33)
 
 
+@pytest.mark.parametrize("n_bins", [20, 2_000, 20_000])
+def test_fit_curve_bins_bit_for_bit_like_the_per_bin_loop(n_bins):
+    # the textbook form makes one pass over every visit for each bin;
+    # 20,000 bins over 4,000 visits leaves most of them empty
+    k, rng = 500, np.random.default_rng(n_bins)
+    V = rng.normal(size=k) * 37.0
+    steps = rng.integers(k, size=(400, 10))
+    died = rng.random(400) < 0.3
+    trajs = [[(int(s), 0, int(s)) for s in row[:-1]]
+             + [(int(row[-1]), 0, k + 1 if d else k)]
+             for row, d in zip(steps, died)]
+    curve = fit_curve(V, oracle.trajectories(trajs), n_bins=n_bins,
+                      min_bin_support=1)
+
+    returns = V[steps.reshape(-1)]
+    dead = np.repeat(died, 10).astype(float)
+    lo, hi = returns.min(), returns.max()
+    idx = np.minimum(((returns - lo) / ((hi - lo) / n_bins)).astype(int),
+                     n_bins - 1)
+    support, centers, rates = [], [], []
+    for b in range(n_bins):
+        mask = idx == b
+        if mask.any():
+            support.append(int(mask.sum()))
+            centers.append(float(returns[mask].sum()) / support[-1])
+            rates.append(float(dead[mask].sum()) / support[-1])
+    assert curve.support.tolist() == support
+    assert curve.bin_centers.tobytes() == np.array(centers).tobytes()
+    mortality = _pav_non_increasing(np.array(rates), np.array(support, float))
+    assert curve.mortality.tobytes() == \
+        np.clip(mortality, 0.0, 1.0).tobytes()
+
+
 def test_fit_curve_errors_when_too_thin():
     k = 2
     trajs = visits(0, 3, True, k) + visits(1, 3, False, k)

@@ -3,6 +3,8 @@
 Every import in ``src/glyrl/*.py``, at module level or inside a function,
 must name the standard library, numpy, yaml or glyrl itself, and
 ``pyproject.toml`` must declare exactly the two third-party packages.
+Each kind of outside input has one reader: only ``config.py`` imports yaml
+and only ``cohort.py`` imports csv.
 """
 
 import ast
@@ -36,6 +38,15 @@ def test_package_imports_only_stdlib_numpy_and_yaml():
                for line, module in imported_modules(path)
                if module not in sys.stdlib_module_names and module not in ALLOWED]
     assert outside == []
+
+
+def test_yaml_and_csv_each_have_one_reader():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    importers = {"yaml": set(), "csv": set()}
+    for path in sources:
+        for _, module in imported_modules(path):
+            importers.get(module, set()).add(os.path.basename(path))
+    assert importers == {"yaml": {"config.py"}, "csv": {"cohort.py"}}
 
 
 def test_pyproject_declares_only_numpy_and_pyyaml():

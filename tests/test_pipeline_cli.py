@@ -625,6 +625,8 @@ BAD_CONFIGS = [
     ("mdp.bin_edges", "mdp: {bin_edges: [60, .nan]}"),
     ("mdp.bin_edges", "mdp: {bin_edges: [60, .inf]}"),
     ("mdp.bin_edges", "mdp: {bin_edges: [60, '80']}"),
+    # an int too large to become a float
+    ("mdp.bin_edges", "mdp: {bin_edges: [60, 1%s]}" % ("0" * 400)),
     ("mdp.bin_edges", "mdp: {bin_edges: [80, 60]}"),
 ]
 
@@ -656,6 +658,24 @@ def test_removed_config_keys_are_unknown(workspace, tmp_path, caplog,
                      "--out", str(tmp_path / "never")])
     assert rc == cli.USAGE_EXIT
     assert "unknown key %r in section %r" % (key, section) in caplog.text
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_deeply_nested_yaml_exits_1_as_invalid_config(workspace, tmp_path,
+                                                      caplog, capsys, command):
+    # PyYAML recurses once per level: the reader turns the RecursionError
+    # into the same error as any YAML it cannot parse
+    bad = tmp_path / "deep.yaml"
+    bad.write_text("seed: " + "[" * 5000 + "]" * 5000 + "\n")
+    out = tmp_path / "never"
+    argv = [command, "--config", str(bad), "--out", str(out)]
+    if command == "run":
+        argv += ["--input", workspace["cohort"]]
+    rc, _ = run_cli(argv)
+    assert rc == cli.USAGE_EXIT
+    assert "config %s is not valid YAML" % bad in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "ingest"])
@@ -947,6 +967,24 @@ def test_manifest_nested_too_deep_exits_2_and_names_it(
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [99, 0, "1", True, None])
+def test_manifest_of_another_version_exits_2_and_names_it(
+        workspace, golden, caplog, capsys, version):
+    art = workspace["root"] / ("manifest_version_%s" % version)
+    shutil.copytree(golden["art"], art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["version"] = version
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    written = (art / "manifest.json").read_bytes()
+    rc, _ = run_cli(["evaluate", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "%s has manifest version %r, not 1" % (art / "manifest.json",
+                                                   version) in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert (art / "manifest.json").read_bytes() == written
+
+
 def copy_with_hours(workspace, golden, name):
     art = workspace["root"] / name
     shutil.copytree(golden["art"], art)
@@ -1217,7 +1255,7 @@ def test_non_utf8_cohort_exits_2_and_names_file_and_line(workspace, tmp_path,
     rc, _ = run_cli(["ingest", "--config", workspace["config"],
                      "--input", str(cohort), "--out", str(tmp_path / "art")])
     assert rc == cli.DATA_EXIT
-    assert "%s line 3 is not UTF-8" % cohort in caplog.text
+    assert "%s line 3: icu_unit is not UTF-8 text" % cohort in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
@@ -1236,6 +1274,70 @@ def test_oversized_cell_exits_2_and_names_file_and_line(workspace, tmp_path,
     assert rc == cli.DATA_EXIT
     assert "%s line 3: field larger than field limit" % cohort in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def ingest_lines(workspace, tmp_path, name, lines):
+    """The exit code of ``ingest`` on a cohort of ``lines`` (bytes), and
+    the cohort's path."""
+    cohort = tmp_path / name
+    cohort.write_bytes(b"".join(lines))
+    rc, _ = run_cli(["ingest", "--config", workspace["config"],
+                     "--input", str(cohort), "--out", str(tmp_path / "art")])
+    return rc, cohort
+
+
+def with_cell(line, header, column, cell):
+    fields = line.split(b",")
+    fields[header.split(b",").index(column)] = cell
+    return b",".join(fields)
+
+
+@pytest.mark.parametrize("late", ["oversized", "not_utf8"])
+def test_the_earliest_bad_line_wins_over_a_later_reader_failure(
+        workspace, tmp_path, caplog, capsys, late):
+    # lines 4 and 10 fall in one chunk: the CSV reader fails on line 10,
+    # or its decoder meets a byte that is not UTF-8 there, after the rows
+    # up to line 9 were read, and those rows are still checked
+    lines = open(workspace["cohort"], "rb").read().splitlines(keepends=True)
+    lines[3] = with_cell(lines[3], lines[0], b"glucose_mgdl", b"abc")
+    lines[9] = with_cell(lines[9], lines[0], b"icd9_codes",
+                         b"4" * 200_000 if late == "oversized" else b"\xff")
+    rc, cohort = ingest_lines(workspace, tmp_path, late + ".csv", lines)
+    assert rc == cli.DATA_EXIT
+    assert "cohort %s line 4: cannot parse glucose_mgdl='abc'" % cohort \
+        in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_oversized_header_field_exits_2_naming_line_1(workspace, tmp_path,
+                                                     caplog, capsys):
+    lines = open(workspace["cohort"], "rb").read().splitlines(keepends=True)
+    lines[0] = b"x" * 200_000 + b"," + lines[0]
+    rc, cohort = ingest_lines(workspace, tmp_path, "header.csv", lines)
+    assert rc == cli.DATA_EXIT
+    assert "cohort %s line 1: field larger than field limit" % cohort \
+        in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_header_byte_that_is_not_utf8_exits_2_naming_line_1(
+        workspace, tmp_path, caplog):
+    lines = open(workspace["cohort"], "rb").read().splitlines(keepends=True)
+    lines[0] = lines[0].rstrip(b"\n") + b"\xff\n"
+    rc, cohort = ingest_lines(workspace, tmp_path, "header.csv", lines)
+    assert rc == cli.DATA_EXIT
+    assert "cohort %s line 1: the header is not UTF-8 text" % cohort \
+        in caplog.text
+
+
+def test_byte_order_mark_is_dropped(workspace, golden, tmp_path):
+    # spreadsheet exports start a UTF-8 file with one
+    data = open(workspace["cohort"], "rb").read()
+    rc, _ = ingest_lines(workspace, tmp_path, "bom.csv",
+                         [b"\xef\xbb\xbf", data])
+    assert rc == 0
+    assert (tmp_path / "art" / "hours.npy").read_bytes() == \
+        open(os.path.join(golden["art"], "hours.npy"), "rb").read()
 
 
 def test_nul_in_a_cell_exits_2_naming_line_and_column(workspace, tmp_path,
