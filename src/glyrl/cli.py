@@ -110,7 +110,7 @@ def _run_command(args) -> int:
             log.info("wrote %d-patient cohort to %s", config.n_patients, path)
             if args.truth_out:
                 path = args.truth_out
-                synthgen.save_ground_truth(path, truth)
+                pipeline._write(path, synthgen.ground_truth_doc(truth))
                 log.info("wrote ground truth to %s", path)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (path, exc))

@@ -315,7 +315,7 @@ def parse_cohort(
     except StopIteration:
         raise ParseError(1, "empty file, expected a header row")
     except csv.Error as exc:
-        raise ParseError(reader.line_num, str(exc))
+        raise ParseError(1, str(exc))
     if any("\0" in h for h in header):
         raise ParseError(1, "NUL character in the header")
     if _NOT_UTF8.search("".join(header)):
@@ -338,20 +338,23 @@ def parse_cohort(
     chunk_lines, error = [np.zeros(0, dtype=np.int64)], None
     while error is None:
         read = reader.line_num
-        block = []
+        block, refused = [], None
         try:
             block.extend(itertools.islice(reader, CHUNK_ROWS))
         except csv.Error as exc:
-            # the rows read before it are checked first: they come earlier
-            error = ParseError(reader.line_num, str(exc))
-        if not block:
-            break
+            refused = str(exc)
         # each record starts on the line after the previous one ends; only a
         # quoted line break makes a record span more than one line
         spans = np.ones(len(block), dtype=np.int64)
-        if reader.line_num - read != len(block):
+        if block and reader.line_num - read != len(block):
             spans += [sum(cell.count("\n") for cell in row) for row in block]
         lines = read + 1 + np.cumsum(spans) - spans
+        if refused is not None:
+            # named by its first line; the rows read before it are checked
+            # first: they come earlier
+            error = ParseError(read + 1 + int(spans.sum()), refused)
+        if not block:
+            break
         if not all(block):  # blank lines hold no record
             lines = lines[[bool(row) for row in block]]
             block = [row for row in block if row]

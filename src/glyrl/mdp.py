@@ -2,9 +2,10 @@
 
 States are the k cluster ids plus two absorbing terminals, SURVIVE = k and
 DEATH = k + 1.  Actions are glycemic bins: the measured glucose at each hour,
-discretized into 11 ranges.  Rewards live on transitions into the terminals
-(+100 survive, -100 death, 0 elsewhere), so a length-T trajectory earns the
-discounted return gamma^(T-1) * (+-100).
+discretized into 11 ranges.  Rewards live on transitions into the terminals:
++TERMINAL_REWARD (+100) into SURVIVE, -TERMINAL_REWARD (-100) into DEATH and
+0 elsewhere, so a length-T trajectory earns the discounted return
+gamma^(T-1) * (+-100).
 
 Transition probabilities are empirical frequencies.  Actions observed fewer
 than min_count times at a state are dropped from the available set; a state
@@ -33,6 +34,7 @@ DEFAULT_BIN_EDGES = (60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 220.0, 260.0
 DEFAULT_GAMMA = 0.9
 DEFAULT_MIN_COUNT = 5
 FALLBACK_ACTION = 0
+TERMINAL_REWARD = 100.0
 
 MDP_FORMAT = "glyrl-mdp"
 MDP_FORMAT_VERSION = 1
@@ -178,23 +180,8 @@ class MDPModel:
         return self.k + 2
 
     @property
-    def survive_state(self) -> int:
-        return self.k
-
-    @property
-    def death_state(self) -> int:
-        return self.k + 1
-
-    @property
     def n_actions(self) -> int:
         return self.action_space.n_actions
-
-    def reward_into(self, next_state: int) -> float:
-        if next_state == self.survive_state:
-            return 100.0
-        if next_state == self.death_state:
-            return -100.0
-        return 0.0
 
     def validate(self) -> None:
         if self.k < 1:

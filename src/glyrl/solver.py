@@ -1,12 +1,14 @@
 """Exact dynamic programming on the estimated MDP.
 
-Iterative policy evaluation (synchronous Jacobi sweeps from v_0 = 0), greedy
-improvement with lowest-index tie-breaks, and full policy iteration.  The
-sparse transition structure is compiled once into flat arrays so each sweep
-is a handful of vectorized operations; results are bit-deterministic.
+Iterative policy evaluation (synchronous Jacobi sweeps from v_0 = 0),
+improvement as an argmax over the available actions with ties to the lowest
+index, and full policy iteration.  The sparse transition structure is
+compiled once into flat arrays so each sweep is a handful of vectorized
+operations; results are bit-deterministic.
 
 Rewards sit on transitions into the terminal states, so every value is
-bounded by 100 in magnitude and evaluation contracts at rate gamma.
+bounded by TERMINAL_REWARD (100) in magnitude and evaluation contracts at
+rate gamma.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .mdp import FALLBACK_ACTION, MDPModel, read_table, write_table
+from .mdp import (FALLBACK_ACTION, TERMINAL_REWARD, MDPModel, read_table,
+                  write_table)
 
 DEFAULT_EPSILON = 1e-4
 MAX_EVAL_SWEEPS = 1_000_000
@@ -44,8 +47,6 @@ class _Compiled:
     k: int
     n_states: int
     gamma: float
-    pair_state: np.ndarray
-    pair_action: np.ndarray
     pair_reward: np.ndarray  # expected immediate reward of the pair
     t_target: np.ndarray  # transition targets, flattened per pair
     t_prob: np.ndarray
@@ -73,13 +74,12 @@ def _compile(mdp: MDPModel) -> _Compiled:
     ptr = np.flatnonzero(np.diff(pair, prepend=-1))
     pair_index = np.full(k * n_actions, -1, dtype=np.int64)
     pair_index[pair[ptr]] = np.arange(len(ptr))
-    reward = np.array([mdp.reward_into(sp) for sp in range(mdp.n_states)])
+    reward = np.zeros(mdp.n_states)
+    reward[k:] = TERMINAL_REWARD, -TERMINAL_REWARD  # into SURVIVE, DEATH
     return _Compiled(
         k=k,
         n_states=mdp.n_states,
         gamma=mdp.gamma,
-        pair_state=pair[ptr] // n_actions,
-        pair_action=pair[ptr] % n_actions,
         pair_reward=np.add.reduceat(prob * reward[target], ptr),
         t_target=target,
         t_prob=prob,
@@ -88,18 +88,20 @@ def _compile(mdp: MDPModel) -> _Compiled:
     )
 
 
-def _check_policy(mdp: MDPModel, policy, compiled: _Compiled) -> np.ndarray:
+def _policy_rows(compiled: _Compiled, policy) -> np.ndarray:
+    """The pair row of each state's action under ``policy``."""
     pol = np.asarray(policy, dtype=np.int64)
-    if pol.shape != (mdp.k,):
-        raise ValueError("policy must assign one action to each of %d states" % mdp.k)
-    if np.any(pol < 0) or np.any(pol >= mdp.n_actions):
+    k, n_actions = compiled.pair_index.shape
+    if pol.shape != (k,):
+        raise ValueError("policy must assign one action to each of %d states" % k)
+    if np.any(pol < 0) or np.any(pol >= n_actions):
         raise ValueError("policy contains an action outside the action space")
-    rows = compiled.pair_index[np.arange(mdp.k), pol]
+    rows = compiled.pair_index[np.arange(k), pol]
     if np.any(rows < 0):
         bad = int(np.flatnonzero(rows < 0)[0])
         raise ValueError("policy picks unavailable action %d at state %d"
                          % (int(pol[bad]), bad))
-    return pol
+    return rows
 
 
 def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
@@ -125,63 +127,46 @@ def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     compiled = _compile(mdp)
-    pol = _check_policy(mdp, policy, compiled)
-    v, _ = _evaluate(compiled, compiled.pair_index[np.arange(mdp.k), pol],
-                     epsilon)
+    v, _ = _evaluate(compiled, _policy_rows(compiled, policy), epsilon)
     return v
 
 
 def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
-    """Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s') on available pairs."""
+    """Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s') on available pairs,
+    NaN elsewhere."""
     q_pairs = compiled.pair_reward + compiled.gamma * compiled.expected_next(v)
-    Q = np.full(compiled.pair_index.shape, np.nan)
-    Q[compiled.pair_state, compiled.pair_action] = q_pairs
-    return Q
+    return np.where(compiled.pair_index >= 0, q_pairs[compiled.pair_index],
+                    np.nan)
 
 
-def greedy_improve(mdp: MDPModel, Q) -> np.ndarray:
-    """Argmax over available actions per state; ties go to the lowest index."""
-    q = np.asarray(Q, dtype=float)
-    if q.shape != (mdp.k, mdp.n_actions):
-        raise ValueError("Q must be shaped (%d, %d)" % (mdp.k, mdp.n_actions))
-    masked = np.where(mdp.available & np.isfinite(q), q, -np.inf)
-    if np.any(~np.isfinite(masked).any(axis=1)):
-        raise ValueError("some state has no finite Q value over available actions")
-    return np.argmax(masked, axis=1).astype(np.int64)
+def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON) -> PolicySolution:
+    """Alternate full evaluation and improvement until the policy is stable.
 
-
-def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON,
-                     initial_policy=None,
-                     max_improvements: int = MAX_IMPROVEMENTS) -> PolicySolution:
-    """Alternate full evaluation and greedy improvement until the policy is stable.
-
-    Evaluation warm-starts from the previous value function (same fixed point,
-    fewer sweeps).  Starts from the lowest-index available action in each
-    state unless an initial policy (e.g. the behavioral one) is supplied.
+    Starts from the lowest-index available action in each state.  Evaluation
+    warm-starts from the previous value function (same fixed point, fewer
+    sweeps); improvement takes the argmax of Q over the available actions,
+    ties to the lowest index.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     compiled = _compile(mdp)
-    if initial_policy is None:
-        policy = np.argmax(mdp.available, axis=1).astype(np.int64)
-    else:
-        policy = _check_policy(mdp, initial_policy, compiled)
-
+    policy = np.argmax(compiled.pair_index >= 0, axis=1)
     v = None
     total_sweeps = 0
-    for round_no in range(1, max_improvements + 1):
-        rows = compiled.pair_index[np.arange(mdp.k), policy]
-        v, sweeps = _evaluate(compiled, rows, epsilon, v0=v)
+    for round_no in range(1, MAX_IMPROVEMENTS + 1):
+        v, sweeps = _evaluate(compiled, _policy_rows(compiled, policy),
+                              epsilon, v0=v)
         total_sweeps += sweeps
         Q = _q_table(compiled, v)
-        improved = greedy_improve(mdp, Q)
+        improved = np.nanargmax(Q, axis=1)  # Q is NaN where no pair exists
         if np.array_equal(improved, policy):
             return PolicySolution(policy=policy, V=v, Q=Q,
                                   eval_sweeps=total_sweeps,
                                   improvements=round_no)
         policy = improved
     raise ConvergenceError(
-        "policy iteration did not stabilize within %d improvements" % max_improvements)
+        "policy iteration did not stabilize within %d improvements"
+        % MAX_IMPROVEMENTS)
 
 
 def write_solution(label: str, policy: np.ndarray, V: np.ndarray,

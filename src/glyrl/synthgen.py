@@ -50,7 +50,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import pipeline
 from .cohort import FIXED_COLUMNS
 from .errors import ArtifactError
 from .mdp import ActionSpace, DEFAULT_BIN_EDGES, MDPModel
@@ -165,45 +164,25 @@ def true_mdp(config: GeneratorConfig) -> MDPModel:
     """
     config.validate()
     L, A = config.n_latent_states, config.n_actions
-    hd = config.death_hazard
-    hds = config.discharge_hazard
-    continue_frac = (1.0 - hd) * (1.0 - hds)
-
-    trans_s, trans_a, trans_sp, trans_p = [], [], [], []
-    for z in range(L):
-        for a in range(A):
-            row = config.transition[z, a]
-            p_death = float(row @ hd)
-            p_survive = float(row @ ((1.0 - hd) * hds))
-            for zp in range(L):
-                p = float(row[zp] * continue_frac[zp])
-                if p > 0.0:
-                    trans_s.append(z)
-                    trans_a.append(a)
-                    trans_sp.append(zp)
-                    trans_p.append(p)
-            if p_survive > 0.0:
-                trans_s.append(z)
-                trans_a.append(a)
-                trans_sp.append(L)
-                trans_p.append(p_survive)
-            if p_death > 0.0:
-                trans_s.append(z)
-                trans_a.append(a)
-                trans_sp.append(L + 1)
-                trans_p.append(p_death)
-
-    order = np.lexsort((trans_sp, trans_a, trans_s))
+    hd, hds = config.death_hazard, config.discharge_hazard
+    rows = config.transition.reshape(L * A, L)  # one row per (z, a)
+    # continue into each z', then the survive and death columns; one dot
+    # per row, as a batched product may round differently
+    p = np.empty((L * A, L + 2))
+    p[:, :L] = rows * ((1.0 - hd) * (1.0 - hds))
+    p[:, L] = [row @ ((1.0 - hd) * hds) for row in rows]
+    p[:, L + 1] = [row @ hd for row in rows]
+    pair, trans_sp = np.nonzero(p > 0.0)  # in (s, a, s') order
     return MDPModel(
         k=L,
         gamma=config.gamma,
         min_count=0,
         action_space=ActionSpace(config.bin_edges),
-        trans_s=np.array(trans_s, dtype=np.int64)[order],
-        trans_a=np.array(trans_a, dtype=np.int64)[order],
-        trans_sp=np.array(trans_sp, dtype=np.int64)[order],
-        trans_count=np.zeros(len(trans_s), dtype=np.int64),
-        trans_p=np.array(trans_p, dtype=float)[order],
+        trans_s=pair // A,
+        trans_a=pair % A,
+        trans_sp=trans_sp,
+        trans_count=np.zeros(len(pair), dtype=np.int64),
+        trans_p=p[pair, trans_sp],
         available=np.ones((L, A), dtype=bool),
         action_counts=np.zeros((L, A), dtype=np.int64),
         fallback_states=frozenset(),
@@ -440,8 +419,9 @@ def ladder_config(n_patients: int, seed: int = 0,
     )
 
 
-def save_ground_truth(path: str, truth: GroundTruth) -> None:
-    pipeline._write(path, {
+def ground_truth_doc(truth: GroundTruth) -> dict:
+    """The ground truth as the JSON document ``load_ground_truth`` reads."""
+    return {
         "format": GROUND_TRUTH_FORMAT,
         "version": GROUND_TRUTH_FORMAT_VERSION,
         "n_latent_states": truth.n_latent_states,
@@ -450,7 +430,7 @@ def save_ground_truth(path: str, truth: GroundTruth) -> None:
         "pi_star": truth.pi_star.tolist(),
         "v_star": truth.v_star.tolist(),
         "latent_states": truth.latent_states,
-    })
+    }
 
 
 def load_ground_truth(path: str) -> GroundTruth:

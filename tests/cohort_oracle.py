@@ -166,6 +166,8 @@ def parse_cohort(
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty file, expected a header row")
+    except csv.Error as exc:
+        raise ParseError(1, str(exc))
     if any("\0" in h for h in header):
         raise ParseError(1, "NUL character in the header")
     header = [h.strip() for h in header]
@@ -189,7 +191,13 @@ def parse_cohort(
     # a record starts on the line after the previous one ends: a quoted line
     # break makes a record span several lines
     end = reader.line_num
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # named by the refused record's first line
+            raise ParseError(end + 1, str(exc))
         line_no, end = end + 1, reader.line_num
         if not row:
             continue

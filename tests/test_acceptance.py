@@ -45,7 +45,12 @@ from glyrl.mdp import (
     load_mdp,
     read_trajectories,
 )
-from glyrl.solver import policy_evaluation, policy_iteration, read_solution
+from glyrl.solver import (
+    _compile,
+    policy_evaluation,
+    policy_iteration,
+    read_solution,
+)
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -87,15 +92,23 @@ def second_run(tmp_path_factory):
 
 # --- independent oracles ----------------------------------------------------
 
+def dense_model(mdp):
+    """The dense transition tensor T[s, a, s'] over all k + 2 states, and
+    the expected immediate reward R = T @ r of each (s, a): +100 into
+    SURVIVE (k), -100 into DEATH (k + 1), 0 elsewhere."""
+    n = mdp.n_states
+    T = np.zeros((n, mdp.n_actions, n))
+    T[mdp.trans_s, mdp.trans_a, mdp.trans_sp] = mdp.trans_p
+    r = np.zeros(n)
+    r[mdp.k] = 100.0
+    r[mdp.k + 1] = -100.0
+    return T, T @ r
+
+
 def dense_vi_oracle(mdp, tol=1e-10, max_iter=100000):
     """Dense-matrix value iteration, sharing nothing with the solver."""
     n, n_actions = mdp.n_states, mdp.n_actions
-    T = np.zeros((n, n_actions, n))
-    T[mdp.trans_s, mdp.trans_a, mdp.trans_sp] = mdp.trans_p
-    r = np.zeros(n)
-    r[mdp.survive_state] = 100.0
-    r[mdp.death_state] = -100.0
-    R = T @ r
+    T, R = dense_model(mdp)
     avail = np.zeros((n, n_actions), dtype=bool)
     avail[: mdp.k] = mdp.available
     solvable = avail.any(axis=1)  # fallback rows and terminals pin to 0
@@ -328,9 +341,13 @@ def test_criterion_07_estimated_mdp_integrity():
         mask = (mdp.trans_s == s) & (mdp.trans_a == a)
         assert abs(float(mdp.trans_p[mask].sum()) - 1.0) <= 1e-9
 
-    assert mdp.reward_into(mdp.survive_state) == 100.0
-    assert mdp.reward_into(mdp.death_state) == -100.0
-    assert mdp.reward_into(0) == 0.0
+    # the solver's reward of each pair is the dense oracle's T @ r
+    _, R = dense_model(mdp)
+    compiled = _compile(mdp)
+    s, a = np.nonzero(mdp.available)
+    assert np.allclose(compiled.pair_reward[compiled.pair_index[s, a]],
+                       R[s, a], rtol=0.0, atol=1e-9)
+    assert np.all(np.abs(R) <= 100.0) and R.min() < 0.0 < R.max()
     assert np.all(mdp.trans_s < k)  # terminals are absorbing
     mdp.validate()
 

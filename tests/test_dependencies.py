@@ -4,7 +4,8 @@ Every import in ``src/glyrl/*.py``, at module level or inside a function,
 must name the standard library, numpy, yaml or glyrl itself, and
 ``pyproject.toml`` must declare exactly the two third-party packages.
 Each kind of outside input has one reader: only ``config.py`` imports yaml
-and only ``cohort.py`` imports csv.
+and only ``cohort.py`` imports csv.  The stages sit on top of the library:
+only the entry points, ``cli.py`` and ``__init__.py``, import ``pipeline``.
 """
 
 import ast
@@ -30,6 +31,30 @@ def imported_modules(path):
             yield node.lineno, node.module.split(".")[0]
 
 
+def glyrl_modules(path):
+    """The glyrl submodule of every import in ``path``, a module of the
+    package: ``from . import pipeline``, ``from .pipeline import x`` and
+    ``import glyrl.pipeline`` all name ``pipeline``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "glyrl" and len(parts) > 1:
+                    yield parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import in the package is relative to glyrl itself
+            module = ("glyrl." if node.level else "") + (node.module or "")
+            parts = module.rstrip(".").split(".")
+            if parts[0] != "glyrl":
+                continue
+            if len(parts) > 1:
+                yield parts[1]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
 def test_package_imports_only_stdlib_numpy_and_yaml():
     sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
     assert sources
@@ -47,6 +72,13 @@ def test_yaml_and_csv_each_have_one_reader():
         for _, module in imported_modules(path):
             importers.get(module, set()).add(os.path.basename(path))
     assert importers == {"yaml": {"config.py"}, "csv": {"cohort.py"}}
+
+
+def test_only_the_entry_points_import_pipeline():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    importers = {os.path.basename(path) for path in sources
+                 if "pipeline" in set(glyrl_modules(path))}
+    assert importers == {"cli.py", "__init__.py"}
 
 
 def test_pyproject_declares_only_numpy_and_pyyaml():

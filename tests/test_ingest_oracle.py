@@ -338,6 +338,8 @@ HEADER_DEFECTS = {
     "wrong_header": "patient,hour\n" + BODY,
     "schema_mismatch": ",".join(cohort.FIXED_COLUMNS + ("hr", "map")) + "\n" + BODY,
     "nul_in_header": HEADER.replace("map", "m\0ap") + "\n" + BODY,
+    # longer than csv.field_size_limit(), so the CSV reader itself refuses it
+    "oversized_header": "x" * 200_000 + "," + HEADER + "\n" + BODY,
 }
 
 
@@ -411,6 +413,24 @@ def test_error_lines_are_where_the_row_starts_in_the_file():
             with mock.patch.object(cohort, "CHUNK_ROWS", chunk), \
                     pytest.raises(ParseError, match="^line 8: cannot parse "
                                   "hour_index='x' as an integer$"):
+                parse(io.StringIO(text), COVARIATES)
+
+
+@pytest.mark.parametrize("before", [0, 1])
+def test_a_refused_record_is_named_by_its_first_line(before):
+    # the second record's quoted icu_unit holds a middle line longer than
+    # csv.field_size_limit(); the reader refuses the record on that line,
+    # and the error names the line where the record starts: line 3, or
+    # line 4 after a first record that spans two lines
+    edits = [(1, {"icu_unit": '"MI\n%s\nCU"' % ("4" * 200_000)})]
+    if before:
+        edits.append((0, {"icu_unit": '"MI\nCU"'}))
+    text = "\n".join([HEADER] + _with(*edits)) + "\n"
+    for parse in (cohort.parse_cohort, cohort_oracle.parse_cohort):
+        for chunk in (1, 2, 4096):
+            with mock.patch.object(cohort, "CHUNK_ROWS", chunk), \
+                    pytest.raises(ParseError, match="^line %d: field larger "
+                                  "than field limit" % (3 + before)):
                 parse(io.StringIO(text), COVARIATES)
 
 

@@ -25,6 +25,7 @@ from glyrl.mdp import (
     save_mdp,
     write_trajectories,
 )
+from glyrl.solver import _compile
 
 SPACE = ActionSpace()
 
@@ -187,15 +188,12 @@ def test_estimate_rejects_steps_outside_the_model():
 
 def test_estimate_single_observation():
     mdp = single_step_mdp()
-    assert mdp.survive_state == 1 and mdp.death_state == 2
     assert mdp.available[0, 3]
     idx = np.flatnonzero((mdp.trans_s == 0) & (mdp.trans_a == 3))
     assert len(idx) == 1
     assert mdp.trans_sp[idx[0]] == 1
     assert mdp.trans_p[idx[0]] == 1.0
-    assert mdp.reward_into(1) == 100.0
-    assert mdp.reward_into(2) == -100.0
-    assert mdp.reward_into(0) == 0.0
+    assert _compile(mdp).pair_reward.tolist() == [100.0]  # into SURVIVE
 
 
 def test_estimate_even_split_probabilities():

@@ -1,11 +1,10 @@
-"""Policy evaluation, greedy improvement, and policy iteration.
+"""Policy evaluation, improvement, and policy iteration.
 
 The core check here is an independent value-iteration oracle, written as
 plain dict/loop code with no shared machinery, run to a much tighter
 threshold than the solver under test.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -13,11 +12,10 @@ import pytest
 
 import trajectory_oracle as oracle
 from glyrl import synthgen
-from glyrl.mdp import FALLBACK_ACTION, ActionSpace, MDPModel, estimate_mdp
+from glyrl.mdp import FALLBACK_ACTION, ActionSpace, estimate_mdp
 from glyrl.solver import (
     _compile,
     _q_table,
-    greedy_improve,
     policy_evaluation,
     policy_iteration,
     read_solution,
@@ -63,9 +61,9 @@ def value_iteration_oracle(mdp, tol=1e-10, max_iter=200000):
         trans.setdefault((s, 0), [(s, 1.0)])
 
     def reward(sp):
-        if sp == mdp.survive_state:
+        if sp == mdp.k:  # SURVIVE
             return 100.0
-        if sp == mdp.death_state:
+        if sp == mdp.k + 1:  # DEATH
             return -100.0
         return 0.0
 
@@ -173,22 +171,33 @@ def test_q_gamma_zero_is_immediate_reward():
     assert Q[0, 4] == pytest.approx(100.0, abs=1e-12)
 
 
-def test_greedy_argmax_and_tie_break():
-    mdp = mdp_from_steps([[(0, 1, 1)], [(0, 4, 2)],
-                          [(1, 2, 1)], [(1, 6, 1)]], k=2)
-    Q = np.full((2, 11), np.nan)
-    Q[0, 1], Q[0, 4] = 90.0, -90.0
-    Q[1, 2], Q[1, 6] = 70.0, 70.0
-    policy = greedy_improve(mdp, Q)
-    assert policy[0] == 1
-    assert policy[1] == 2  # exact tie -> lowest index
+def test_improvement_argmax_and_tie_break():
+    # state 0: action 1 dies, action 4 survives; state 1: action 0 dies,
+    # actions 2 and 6 survive with identical transitions
+    mdp = mdp_from_steps([[(0, 1, 3)], [(0, 4, 2)], [(1, 0, 3)],
+                          [(1, 2, 2)], [(1, 6, 2)]], k=2)
+    sol = policy_iteration(mdp, epsilon=1e-9)
+    assert sol.policy[0] == 4
+    assert sol.policy[1] == 2  # exact tie -> lowest index
+    assert sol.Q[1, 2] == sol.Q[1, 6]
 
 
-def test_greedy_single_available_action():
-    mdp = mdp_from_steps([[(0, 7, 1)]], k=1)
-    Q = np.full((1, 11), np.nan)
-    Q[0, 7] = -3.0
-    assert greedy_improve(mdp, Q)[0] == 7
+def test_improvement_single_available_action():
+    mdp = mdp_from_steps([[(0, 7, 2)]], k=1)
+    sol = policy_iteration(mdp, epsilon=1e-9)
+    assert sol.policy[0] == 7
+    assert sol.V[0] == pytest.approx(-100.0, abs=1e-9)
+
+
+def test_improvement_fallback_state_takes_action_0_with_value_0():
+    # state 0's only action is seen once, below min_count
+    mdp = mdp_from_steps([[(0, 5, 2)], [(1, 3, 2)], [(1, 3, 2)]], k=2,
+                         min_count=2)
+    assert mdp.fallback_states == {0}
+    sol = policy_iteration(mdp, epsilon=1e-9)
+    assert sol.policy.tolist() == [FALLBACK_ACTION, 3]
+    assert sol.V[0] == 0.0
+    assert sol.V[1] == pytest.approx(100.0, abs=1e-9)
 
 
 def test_policy_iteration_picks_survival_action():
@@ -196,22 +205,6 @@ def test_policy_iteration_picks_survival_action():
     sol = policy_iteration(mdp, epsilon=1e-9)
     assert sol.policy[0] == 2
     assert sol.V[0] == pytest.approx(100.0, abs=1e-9)
-
-
-def test_policy_iteration_fixed_point_in_one_round():
-    mdp = mdp_from_steps([[(0, 2, 1)], [(0, 6, 2)]], k=1)
-    sol = policy_iteration(mdp, epsilon=1e-9, initial_policy=np.array([2]))
-    assert sol.policy[0] == 2
-    assert sol.improvements == 1
-
-
-def test_policy_iteration_idempotent_from_optimum():
-    rng = np.random.default_rng(100)
-    mdp = random_mdp(rng)
-    first = policy_iteration(mdp, epsilon=1e-8)
-    again = policy_iteration(mdp, epsilon=1e-8, initial_policy=first.policy)
-    assert np.array_equal(first.policy, again.policy)
-    assert again.improvements == 1
 
 
 def test_policy_iteration_matches_value_iteration_oracle():
@@ -249,27 +242,25 @@ def test_optimal_dominates_every_fixed_policy():
 
 def reference_compile(mdp):
     """The pair-by-pair loop over a dict of per-pair rows that _compile
-    replaced: (pair_state, pair_action, pair_reward, t_target, t_prob,
-    pair_ptr, pair_index)."""
+    replaced: (pair_reward, t_target, t_prob, pair_ptr, pair_index)."""
     by_pair = {}
     for s, a, sp, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp, mdp.trans_p):
         if p > 0.0:
             by_pair.setdefault((int(s), int(a)), []).append((int(sp), float(p)))
     pair_index = np.full((mdp.k, mdp.n_actions), -1, dtype=np.int64)
-    pairs, rewards, targets, probs, ptr = [], [], [], [], []
+    reward = {mdp.k: 100.0, mdp.k + 1: -100.0}  # into SURVIVE, DEATH
+    rewards, targets, probs, ptr = [], [], [], []
     for s, a in zip(*np.nonzero(mdp.available)):
         if int(s) in mdp.fallback_states and a == FALLBACK_ACTION:
             rows = by_pair.get((s, a), [(int(s), 1.0)])
         else:
             rows = by_pair[(s, a)]
-        pair_index[s, a] = len(pairs)
-        pairs.append((s, a))
-        rewards.append(sum(p * mdp.reward_into(sp) for sp, p in rows))
+        pair_index[s, a] = len(rewards)
+        rewards.append(sum(p * reward.get(sp, 0.0) for sp, p in rows))
         ptr.append(len(targets))
         targets += [sp for sp, _ in rows]
         probs += [p for _, p in rows]
-    state, action = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return (state, action, np.array(rewards), np.array(targets, dtype=np.int64),
+    return (np.array(rewards), np.array(targets, dtype=np.int64),
             np.array(probs), np.array(ptr, dtype=np.int64), pair_index)
 
 
@@ -279,21 +270,17 @@ def test_compiled_form_matches_the_per_pair_loop_bitwise():
     models.append(synthgen.true_mdp(synthgen.ladder_config(20, seed=1)))
     for mdp in models:
         compiled = _compile(mdp)
-        got = (compiled.pair_state, compiled.pair_action, compiled.pair_reward,
-               compiled.t_target, compiled.t_prob, compiled.pair_ptr,
-               compiled.pair_index)
+        got = (compiled.pair_reward, compiled.t_target, compiled.t_prob,
+               compiled.pair_ptr, compiled.pair_index)
         for a, b in zip(got, reference_compile(mdp)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_policy_iteration_rejects_bad_epsilon_and_initial_policy():
+def test_policy_iteration_rejects_bad_epsilon():
     mdp = random_mdp(np.random.default_rng(5))
-    logged = np.argmax(mdp.available, axis=1)
     for epsilon in (0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             policy_iteration(mdp, epsilon=epsilon)
-    with pytest.raises(ValueError):
-        policy_iteration(mdp, initial_policy=logged[:-1])
 
 
 def test_sweep_deltas_contract():
@@ -310,22 +297,6 @@ def test_sweep_deltas_contract():
         v = v_new
     for before, after in zip(deltas[1:], deltas[2:]):
         assert after <= before + 1e-12
-
-
-def test_reward_scaling_scales_values_not_policy():
-    @dataclasses.dataclass
-    class ScaledRewards(MDPModel):
-        def reward_into(self, next_state):
-            return 3.0 * super().reward_into(next_state)
-
-    rng = np.random.default_rng(404)
-    base = random_mdp(rng)
-    scaled = ScaledRewards(*[getattr(base, f.name)
-                             for f in dataclasses.fields(MDPModel)])
-    sol_base = policy_iteration(base, epsilon=1e-10)
-    sol_scaled = policy_iteration(scaled, epsilon=1e-10)
-    assert np.array_equal(sol_base.policy, sol_scaled.policy)
-    assert np.allclose(sol_scaled.V, 3.0 * sol_base.V, atol=1e-6)
 
 
 def test_evaluate_policy_return_chain():

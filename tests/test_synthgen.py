@@ -9,7 +9,7 @@ import pytest
 
 import cohort_oracle
 import synthgen_oracle
-from glyrl import cohort
+from glyrl import cohort, pipeline
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.errors import ArtifactError
 from glyrl.mdp import ActionSpace, DEFAULT_BIN_EDGES, discretize_glucose
@@ -18,9 +18,9 @@ from glyrl.synthgen import (
     GeneratorConfig,
     GroundTruth,
     generate,
+    ground_truth_doc,
     ladder_config,
     load_ground_truth,
-    save_ground_truth,
     solve_ground_truth,
     true_mdp,
 )
@@ -286,7 +286,7 @@ def test_first_transition_distribution_converges_to_tensor():
 def test_ground_truth_round_trip(tmp_path):
     _, truth = generate(ladder_config(30, seed=6))
     path = str(tmp_path / "truth.json")
-    save_ground_truth(path, truth)
+    pipeline._write(path, ground_truth_doc(truth))
     loaded = load_ground_truth(path)
     assert loaded.n_latent_states == truth.n_latent_states
     assert loaded.gamma == truth.gamma
@@ -312,7 +312,7 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
         with pytest.raises(ArtifactError, match="not a ground-truth file"):
             load_ground_truth(path)
     _, truth = generate(ladder_config(5))
-    save_ground_truth(path, truth)
+    pipeline._write(path, ground_truth_doc(truth))
     doc = json.load(open(path))
     doc["version"] = 99
     json.dump(doc, open(path, "w"))
