@@ -30,25 +30,36 @@ CLUSTER_FORMAT = "glyrl-clusters"
 CLUSTER_FORMAT_VERSION = 1
 
 # Nearest-centroid search.  Candidates come from the expanded form
-# ||x||^2 - 2 x.c + ||c||^2, one matmul per row block (the row constant
-# ||x||^2 is left out: it does not change which centroid is nearest).  Labels
-# and distances are still exactly those of the explicit sum((x - c)^2) form,
+# ||x||^2 - 2 x.c + ||c||^2 with ||c||^2 folded into the product: each row
+# block of the points, with a column of ones appended, times one
+# (dim + 1, k) matrix of -2 c^T over ||c||^2 (the row constant ||x||^2 is
+# left out: it does not change which centroid is nearest).  Labels and
+# distances are still exactly those of the explicit sum((x - c)^2) form,
 # bit for bit and whatever the BLAS summation order or thread count: ties go
 # to the lowest index, and each returned distance is the explicit sum itself.
 #
 # Why the recheck bound holds: with u = eps / 2 and gamma_m = m u / (1 - m u),
-# the explicit sum and the expanded value plus the exact ||x||^2 both lie
-# within gamma_{dim+2} (||x|| + ||c||)^2 of the true squared distance
-# (Higham's summation and inner-product bounds, which hold in any summation
-# order).  The expanded form rounds dim times in the dot product, dim times
-# in ||c||^2 and once adding them; the explicit sum picks up three
-# factors (1 + delta) per term (the difference, counted twice once squared,
-# and the square) and dim - 1 across terms.  Since gamma_{dim+2} <= (dim + 3) u,
-# the forms differ by at most B = (dim + 3) eps (||x|| + max ||c||)^2, so the
-# explicit minimizer lies within 2B of the expanded minimum.  A row whose
+# a sum whose every term picks up at most m factors (1 + delta), |delta| <= u,
+# lies within gamma_m of the sum of the terms' magnitudes (Higham, Accuracy
+# and Stability of Numerical Algorithms, 3.1-3.3, in any summation order).
+# The explicit sum picks up three factors per term (the difference, counted
+# twice once squared, and the square) and dim - 1 across terms: it lies
+# within gamma_{dim+2} of the true squared distance D <= (||x|| + ||c||)^2.
+# In the folded product, ||c||^2 arrives already rounded dim times (dim
+# squares and dim - 1 additions) and enters a (dim + 1)-term sum, whose
+# terms each pass through at most dim additions; the terms x_i (-2 c_i)
+# round once more when multiplied (1 * ||c||^2 and the scaling by -2 are
+# exact).  So each of its terms carries at most 2 dim factors, and the
+# product plus the exact ||x||^2 lies within gamma_{2 dim} (||x|| + ||c||)^2
+# of D.  Since gamma_{dim+2} + gamma_{2 dim} <= gamma_{3 dim + 2} and
+# gamma_{3 dim + 2} < (3 dim + 3) u, the two forms differ by at most
+# B = (3 dim + 3) u (||x|| + max ||c||)^2, so the explicit minimizer lies
+# within 2B = (3 dim + 3) eps (...)^2 of the product's minimum.  A row whose
 # runner-up is that close (or whose values are not finite) is recomputed in
-# the explicit form.  The code uses dim + 4 to absorb the rounding of the
-# bound and the comparison, plus (4 dim + 8) smallest normals for underflow.
+# the explicit form.  The code uses 3 dim + 5 to absorb the rounding of the
+# bound and of the sum that compares with it, plus (4 dim + 8) smallest
+# normals for underflow (each product or square that underflows is off by
+# at most 2^-1075, differences and sums of subnormals are exact).
 #
 # Seeding.  A point x whose nearest seed so far is a can move to a new seed c
 # only if ||x - c|| < ||x - a||, which the triangle inequality rules out
@@ -74,10 +85,13 @@ CLUSTER_FORMAT_VERSION = 1
 # A reach that overflows is inf and keeps the point; a gap that overflows
 # exceeds any finite reach, as its true value does.
 #
-# Row blocks hold about _BLOCK_ELEMENTS float64 distances; the explicit
-# recheck broadcasts (rows, k, dim) differences in chunks of _CHUNK_ELEMENTS.
+# Row blocks hold about _BLOCK_ELEMENTS float64 distances and at most
+# _BLOCK_ROWS rows, so the search's scratch does not grow with the number of
+# points; the explicit recheck squares (rows, k, dim) differences in place,
+# in chunks of about _CHUNK_ELEMENTS.
 _BLOCK_ELEMENTS = 1 << 20
-_CHUNK_ELEMENTS = 1 << 22
+_BLOCK_ROWS = 4096
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -116,45 +130,64 @@ def _nearest_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     labels = np.empty(n, dtype=np.int64)
     step = max(1, _CHUNK_ELEMENTS // (k * dim))
     for start in range(0, n, step):
-        block = points[start:start + step]
-        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[start:start + step] = np.argmin(d2, axis=1)
+        diff = points[start:start + step, None, :] - centroids[None, :, :]
+        diff **= 2
+        labels[start:start + step] = np.argmin(diff.sum(axis=2), axis=1)
     return labels
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray):
-    """Labels and squared distances to each point's nearest centroid.
+class _Nearest:
+    """Nearest-centroid search over one fixed set of points.
 
-    Equal to _nearest_exact's labels and the explicit distances, bit for
-    bit; see the module comment for the recheck bound.
+    Holds the points' norms and one block of scratch, made once and reused
+    by every call: a copy of the block's rows with a column of ones, the
+    (dim + 1, k) folded centroid matrix and the block's (rows, k)
+    candidates.  Calling it with centroids returns each point's label and
+    explicit squared distance, equal to _nearest_exact's labels and the
+    explicit distances bit for bit; see the module comment for the bound.
     """
-    n, dim = points.shape
-    k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=float)
-    c_sq = (centroids ** 2).sum(axis=1)
-    c_norm = np.sqrt(c_sq.max())
-    scaled = -2.0 * centroids.T  # exact: a power-of-two scaling
-    finfo = np.finfo(float)
-    rel = 2 * (dim + 4) * finfo.eps
-    floor = 2 * (4 * dim + 8) * finfo.tiny
-    step = max(1, _BLOCK_ELEMENTS // k)
-    for start in range(0, n, step):
-        block = points[start:start + step]
-        rows = np.arange(len(block))
-        d2 = block @ scaled
-        d2 += c_sq
-        lab = np.argmin(d2, axis=1)
-        reach = d2[rows, lab] + floor \
-            + rel * (np.sqrt((block ** 2).sum(axis=1)) + c_norm) ** 2
-        d2[rows, lab] = np.inf
-        # "not greater" also catches nan runner-ups and bounds
-        ambiguous = np.flatnonzero(~(d2.min(axis=1) > reach))
-        if ambiguous.size:
-            lab[ambiguous] = _nearest_exact(block[ambiguous], centroids)
-        labels[start:start + step] = lab
-        best[start:start + step] = ((block - centroids[lab]) ** 2).sum(axis=1)
-    return labels, best
+
+    def __init__(self, points: np.ndarray, k: int):
+        n, dim = points.shape
+        rows = max(1, min(n, _BLOCK_ELEMENTS // k, _BLOCK_ROWS))
+        self.points = points
+        self.norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        self.rows = np.arange(rows)
+        self.augmented = np.empty((rows, dim + 1))
+        self.augmented[:, dim] = 1.0
+        self.folded = np.empty((dim + 1, k))
+        self.candidates = np.empty((rows, k))
+        finfo = np.finfo(float)
+        self.rel = (3 * dim + 5) * finfo.eps
+        self.floor = 2 * (4 * dim + 8) * finfo.tiny
+
+    def __call__(self, centroids: np.ndarray):
+        points, augmented, folded = self.points, self.augmented, self.folded
+        n, dim = points.shape
+        labels = np.empty(n, dtype=np.int64)
+        best = np.empty(n, dtype=float)
+        c_sq = (centroids ** 2).sum(axis=1)
+        c_norm = np.sqrt(c_sq.max())
+        np.multiply(centroids.T, -2.0, out=folded[:dim])  # exact: a power of two
+        folded[dim] = c_sq
+        step = len(self.rows)
+        for start in range(0, n, step):
+            block = points[start:start + step]
+            m = len(block)
+            rows, d2 = self.rows[:m], self.candidates[:m]
+            augmented[:m, :dim] = block
+            np.matmul(augmented[:m], folded, out=d2)
+            lab = np.argmin(d2, axis=1)
+            reach = d2[rows, lab] + self.floor \
+                + self.rel * (self.norms[start:start + m] + c_norm) ** 2
+            d2[rows, lab] = np.inf
+            # "not greater" also catches nan runner-ups and bounds
+            ambiguous = np.flatnonzero(~(d2.min(axis=1) > reach))
+            if ambiguous.size:
+                lab[ambiguous] = _nearest_exact(block[ambiguous], centroids)
+            labels[start:start + m] = lab
+            best[start:start + m] = ((block - centroids[lab]) ** 2).sum(axis=1)
+        return labels, best
 
 
 def _squared_distances(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -179,8 +212,8 @@ def _choice(weights: np.ndarray, total: float, rng: np.random.Generator,
 def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     """k-means++ seeds, each point's nearest seed and its squared distance.
 
-    The owners and distances equal _nearest(points, seeds), bit for bit; see
-    the module comment for the pruning bound.
+    The owners and distances equal _Nearest(points, k)(seeds), bit for bit;
+    see the module comment for the pruning bound.
     """
     n, dim = points.shape
     seeds = np.empty((k, dim))
@@ -237,17 +270,19 @@ def kmeans_fit(points, k: int, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     centroids, labels, d2 = _seed_plus_plus(pts, k, rng)
+    nearest = _Nearest(pts, k)
     history: List[float] = []
 
     for _ in range(max_iters):
         history.append(float(d2.sum()))
 
         counts = np.bincount(labels, minlength=k)
-        # one scatter-add: per cluster and coordinate, the same row-order sum
-        # from +0.0 that mean(axis=0) over the cluster's rows takes when
-        # dim >= 2 (a single column mean sums pairwise)
-        sums = np.bincount((labels[:, None] * dim + np.arange(dim)).ravel(),
-                           weights=pts.ravel(), minlength=k * dim).reshape(k, dim)
+        # per cluster and coordinate, the same row-order sum from +0.0 that
+        # mean(axis=0) over the cluster's rows takes when dim >= 2 (a single
+        # column mean sums pairwise)
+        sums = np.empty((k, dim))
+        for d in range(dim):
+            sums[:, d] = np.bincount(labels, weights=pts[:, d], minlength=k)
         filled = counts > 0
         new_centroids = centroids.copy()
         new_centroids[filled] = sums[filled] / counts[filled, None]
@@ -260,7 +295,7 @@ def kmeans_fit(points, k: int, seed: int = 0,
                 steal[far] = -np.inf  # each empty cluster takes a distinct point
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        labels, d2 = _nearest(pts, centroids)
+        labels, d2 = nearest(centroids)
         if movement < tol:
             break
 
@@ -277,7 +312,7 @@ def assign_many(points, model: ClusterModel) -> np.ndarray:
     if pts.shape[1] != model.dim:
         raise ValueError("expected vectors of length %d, got %d"
                          % (model.dim, pts.shape[1]))
-    labels, _ = _nearest(pts, model.centroids)
+    labels, _ = _Nearest(pts, len(model.centroids))(model.centroids)
     return labels
 
 

@@ -292,22 +292,6 @@ def sparse_loss(batch, params: EncoderParams, config: EncoderConfig) -> float:
     return _Workspace(params, config, 0, len(X)).loss(X)
 
 
-def loss_gradient(batch, params: EncoderParams,
-                  config: EncoderConfig) -> EncoderParams:
-    """Exact gradient of sparse_loss with respect to every weight and bias.
-
-    The sparsity term depends on the encoder parameters through the
-    batch-mean activations, so its gradient flows into W_enc and b_enc
-    alongside the reconstruction path.
-    """
-    X, _ = _as_batch(batch, params.input_dim)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    ws = _Workspace(params, config, len(X), 0)
-    ws.gradient(X)
-    return ws.grads
-
-
 class _Adam:
     """Adam on one flat vector, in place, in the operation order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,

@@ -52,6 +52,7 @@ from .mdp import (
     write_trajectories,
 )
 from .solver import (
+    _compile,
     policy_evaluation,
     policy_iteration,
     read_solution,
@@ -471,9 +472,10 @@ def stage_solve(config: PipelineConfig, art_dir: str,
     model = files.read("build-mdp", MDP_FILE, "MDP",
                        lambda data: load_mdp(data.decode()))
     epsilon = config.solver.epsilon
-    optimal = policy_iteration(model, epsilon=epsilon)
+    compiled = _compile(model)  # one pair table for both solves
+    optimal = policy_iteration(compiled, epsilon=epsilon)
     pi_real = extract_real_policy(model)
-    v_real = policy_evaluation(model, pi_real, epsilon=epsilon)
+    v_real = policy_evaluation(compiled, pi_real, epsilon=epsilon)
     # V over the k non-terminal states, the ones each file lists
     files.write(SOLUTION_FILE % "optimal",
                 write_solution("optimal", optimal.policy, optimal.V,

@@ -14,7 +14,7 @@ rate gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,6 +88,12 @@ def _compile(mdp: MDPModel) -> _Compiled:
     )
 
 
+def _pairs(mdp) -> _Compiled:
+    """The pair table of an MDPModel, or ``mdp`` itself if it is one, so a
+    caller that solves one model twice compiles it once."""
+    return mdp if isinstance(mdp, _Compiled) else _compile(mdp)
+
+
 def _policy_rows(compiled: _Compiled, policy) -> np.ndarray:
     """The pair row of each state's action under ``policy``."""
     pol = np.asarray(policy, dtype=np.int64)
@@ -122,11 +128,14 @@ def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
                 "policy evaluation still moving %r after %d sweeps" % (delta, sweeps))
 
 
-def policy_evaluation(mdp: MDPModel, policy, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Iterate the Bellman expectation update until the sup-norm step < epsilon."""
+def policy_evaluation(mdp: Union[MDPModel, _Compiled], policy,
+                      epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Iterate the Bellman expectation update until the sup-norm step < epsilon.
+
+    ``mdp`` is the model or its ``_compile``d pair table."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    compiled = _compile(mdp)
+    compiled = _pairs(mdp)
     v, _ = _evaluate(compiled, _policy_rows(compiled, policy), epsilon)
     return v
 
@@ -139,17 +148,19 @@ def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
                     np.nan)
 
 
-def policy_iteration(mdp: MDPModel, epsilon: float = DEFAULT_EPSILON) -> PolicySolution:
+def policy_iteration(mdp: Union[MDPModel, _Compiled],
+                     epsilon: float = DEFAULT_EPSILON) -> PolicySolution:
     """Alternate full evaluation and improvement until the policy is stable.
 
-    Starts from the lowest-index available action in each state.  Evaluation
-    warm-starts from the previous value function (same fixed point, fewer
-    sweeps); improvement takes the argmax of Q over the available actions,
-    ties to the lowest index.
+    ``mdp`` is the model or its ``_compile``d pair table.  Starts from the
+    lowest-index available action in each state.  Evaluation warm-starts
+    from the previous value function (same fixed point, fewer sweeps);
+    improvement takes the argmax of Q over the available actions, ties to
+    the lowest index.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    compiled = _compile(mdp)
+    compiled = _pairs(mdp)
     policy = np.argmax(compiled.pair_index >= 0, axis=1)
     v = None
     total_sweeps = 0

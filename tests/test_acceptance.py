@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import trajectory_oracle as oracle
+from test_encoder import loss_gradient
 from glyrl import pipeline, synthgen
 from glyrl.cluster import kmeans_fit
 from glyrl.cohort import (
@@ -35,7 +36,6 @@ from glyrl.encoder import (
     EncoderParams,
     init_params,
     kl_bernoulli,
-    loss_gradient,
     sparse_loss,
 )
 from glyrl.mdp import (

@@ -11,6 +11,7 @@ cluster model back.
 import bisect
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def reference_fit(points, k, seed, max_iters):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def nearest(points, centroids):
+    """A fit's nearest-centroid search over ``points``, called once."""
+    return cluster._Nearest(points, len(centroids))(centroids)
+
+
+# more rows than one capped block holds, so a search with few centroids
+# runs three blocks, the last one short
+CAPPED_ROWS = 2 * cluster._BLOCK_ROWS + 333
+
+
+def assert_capped_blocks(points, k):
+    assert k * cluster._BLOCK_ROWS < cluster._BLOCK_ELEMENTS
+    assert len(cluster._Nearest(points, k).rows) == cluster._BLOCK_ROWS \
+        < len(points)
 
 
 def expanded_labels(points, centroids):
@@ -211,7 +228,7 @@ def test_assign_hand_checked_distance():
     model = ClusterModel(np.array([[0.5], [10.5]]), 2, 1, 0.0, 0)
     # 3.0 is 2.5 from 0.5 and 7.5 from 10.5
     assert assign_many(np.array([[3.0], [6.0], [5.5]]), model).tolist() == [0, 1, 0]
-    labels, best = cluster._nearest(np.array([[3.0]]), model.centroids)
+    labels, best = nearest(np.array([[3.0]]), model.centroids)
     assert labels.tolist() == [0] and best.tolist() == [6.25]
 
 
@@ -275,38 +292,50 @@ def test_load_rejects_foreign_file():
         load_clusters("not json at all")
 
 
+@pytest.mark.parametrize("n,k", [(700, 40), (CAPPED_ROWS, 6)],
+                         ids=["one_block", "capped_blocks"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 15, 16, 32, 33])
-def test_nearest_matches_reference_bitwise(dim):
+def test_nearest_matches_reference_bitwise(dim, n, k):
     rng = np.random.default_rng(100 + dim)
-    points = rng.normal(size=(700, dim)) * rng.uniform(0.1, 10.0, size=dim)
-    centroids = points[rng.choice(700, size=40, replace=False)] \
-        + rng.normal(scale=0.1, size=(40, dim))
-    centroids[30:] = centroids[:10]  # exact duplicate centroids
-    labels, best = cluster._nearest(points, centroids)
+    points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    centroids = points[rng.choice(n, size=k, replace=False)] \
+        + rng.normal(scale=0.1, size=(k, dim))
+    centroids[k - k // 4:] = centroids[:k // 4]  # exact duplicate centroids
+    if n == CAPPED_ROWS:
+        assert_capped_blocks(points, k)
+    labels, best = nearest(points, centroids)
     ref_labels, ref_best = reference_nearest(points, centroids)
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(bits(best), bits(ref_best))
 
 
+@pytest.mark.parametrize("n,k", [(400, 24), (CAPPED_ROWS, 6)],
+                         ids=["one_block", "capped_blocks"])
 @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
 @pytest.mark.parametrize("dim", [1, 3, 15])
-def test_nearest_exact_on_offset_ties(offset, dim):
+def test_nearest_exact_on_offset_ties(offset, dim, n, k):
     rng = np.random.default_rng(int(offset) % 97 + dim)
-    points, centroids = offset_ties(rng, offset, 400, 24, dim)
+    points, centroids = offset_ties(rng, offset, n, k, dim)
     ref_labels, ref_best = reference_nearest(points, centroids)
     # the data is adversarial: the expanded form alone gets labels wrong
     assert not np.array_equal(expanded_labels(points, centroids), ref_labels)
-    labels, best = cluster._nearest(points, centroids)
+    if n == CAPPED_ROWS:
+        assert_capped_blocks(points, k)
+    labels, best = nearest(points, centroids)
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(bits(best), bits(ref_best))
 
 
-def test_nearest_exact_when_squares_overflow():
+@pytest.mark.parametrize("n", [50, CAPPED_ROWS],
+                         ids=["one_block", "capped_blocks"])
+def test_nearest_exact_when_squares_overflow(n):
     rng = np.random.default_rng(4)
-    points = rng.normal(size=(50, 3)) * 1e160
+    points = rng.normal(size=(n, 3)) * 1e160
     centroids = rng.normal(size=(6, 3)) * 1e160
+    if n == CAPPED_ROWS:
+        assert_capped_blocks(points, 6)
     with np.errstate(over="ignore", invalid="ignore"):
-        labels, best = cluster._nearest(points, centroids)
+        labels, best = nearest(points, centroids)
         ref_labels, ref_best = reference_nearest(points, centroids)
     assert np.all(np.isinf(ref_best))
     assert np.array_equal(labels, ref_labels)
@@ -318,14 +347,76 @@ def test_nearest_labels_independent_of_block_size(monkeypatch, rows):
     rng = np.random.default_rng(21)
     smooth = rng.normal(size=(300, 5))
     tied, tied_centroids = offset_ties(rng, 1e7, 300, 12, 5)
-    for points, centroids in ((smooth, smooth[:12] + 0.01), (tied, tied_centroids)):
+    wide = rng.normal(size=(CAPPED_ROWS, 5))
+    wide_tied, wide_centroids = offset_ties(rng, 1e7, CAPPED_ROWS, 4, 5)
+    for points, centroids in ((smooth, smooth[:12] + 0.01),
+                              (tied, tied_centroids),
+                              (wide, wide[:5] + 0.01),
+                              (wide_tied, wide_centroids)):
         ref_labels, ref_best = reference_nearest(points, centroids)
         k, n = len(centroids), len(points)
+        # rows=None asks for one block of every row, which the row cap
+        # splits when there are more rows than it
         monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", k * (rows or n))
         monkeypatch.setattr(cluster, "_CHUNK_ELEMENTS", 1)  # one-row rechecks
-        labels, best = cluster._nearest(points, centroids)
+        if rows is None and n > cluster._BLOCK_ROWS:
+            assert_capped_blocks(points, k)
+        labels, best = nearest(points, centroids)
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(bits(best), bits(ref_best))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_nearest_exact_where_the_folded_product_is_wrong(monkeypatch, dim):
+    # near a large offset the folded product ||c||^2 - 2 x.c misranks
+    # near-ties, not only exact ones: its minimum names the wrong centroid,
+    # the right one lies inside the bound 2B of the module comment, and
+    # only the explicit recheck of that row gets the label right
+    rng = np.random.default_rng(500 + dim)
+    points, centroids = offset_ties(rng, 1e8, 400, 24, dim)
+    ref_labels, ref_best = reference_nearest(points, centroids)
+    search = cluster._Nearest(points, len(centroids))
+    rechecked = []
+    exact = cluster._nearest_exact
+
+    def recorded(rows, c):
+        rechecked.extend(map(tuple, rows.tolist()))
+        return exact(rows, c)
+
+    monkeypatch.setattr(cluster, "_nearest_exact", recorded)
+    labels, best = search(centroids)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(bits(best), bits(ref_best))
+    # the search's own product, from the operands it multiplied
+    product = search.augmented @ search.folded
+    wrong = np.flatnonzero(np.argmin(product, axis=1) != ref_labels)
+    assert wrong.size
+    margin = product[wrong, ref_labels[wrong]] - product[wrong].min(axis=1)
+    bound = (3 * dim + 3) * np.finfo(float).eps * (
+        np.sqrt((points[wrong] ** 2).sum(axis=1))
+        + np.sqrt((centroids ** 2).sum(axis=1).max())) ** 2
+    assert np.all((0 <= margin) & (margin <= bound)) and margin.max() > 0
+    assert set(map(tuple, points[wrong].tolist())) <= set(rechecked)
+
+
+@pytest.mark.parametrize("k", [5, 500])
+def test_fit_scratch_is_one_block_plus_vectors(k):
+    """The memory a fit allocates, traced: the search's block scratch, one
+    (n, dim) temporary and about a dozen (n,) vectors, whatever k.  A
+    distance block per call, or an (n, dim) scatter index in the update,
+    goes over."""
+    n, dim = 20000, 15
+    points = np.random.default_rng(8).normal(size=(n, dim))
+    rows = min(cluster._BLOCK_ELEMENTS // k, cluster._BLOCK_ROWS)
+    block = rows * (k + dim + 2) + (dim + 1) * k
+    allowed = 8 * (block + n * dim + 12 * n)
+    tracemalloc.start()
+    try:
+        kmeans_fit(points, k, seed=3, max_iters=3, tol=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= allowed
 
 
 @pytest.mark.parametrize("dim", [2, 3, 15, 32])

@@ -15,7 +15,6 @@ from glyrl.encoder import (
     init_params,
     kl_bernoulli,
     load_encoder,
-    loss_gradient,
     save_encoder,
     sparse_loss,
     train,
@@ -25,6 +24,18 @@ from glyrl.errors import ConfigError, TrainingDivergedError
 # 32 * (0.05*ln(0.1) + 0.95*ln(1.9)), evaluated independently at high
 # precision and rounded to float64.
 KL_HALF_ACTIVATION_32 = 15.828221990850327
+
+
+def loss_gradient(batch, params, config):
+    """Exact gradient of sparse_loss with respect to every weight and bias:
+    one minibatch step's gradient over the whole batch, as train computes
+    it.  The sparsity term depends on the encoder parameters through the
+    batch-mean activations, so its gradient flows into W_enc and b_enc
+    alongside the reconstruction path."""
+    X = np.asarray(batch, dtype=float)
+    ws = encoder._Workspace(params, config, len(X), 0)
+    ws.gradient(X)
+    return ws.grads
 
 
 def zero_params(input_dim, latent_dim):

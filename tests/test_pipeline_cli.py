@@ -22,7 +22,7 @@ import yaml
 
 import cohort_oracle
 from conftest import cohort_row, make_csv
-from glyrl import cli, cohort, mdp, pipeline, synthgen
+from glyrl import cli, cohort, mdp, pipeline, solver, synthgen
 from glyrl.cohort import hours_dtype, parse_cohort
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
@@ -409,6 +409,27 @@ def test_evaluate_rewrites_a_damaged_curve_it_does_not_read(
         path.unlink()
     assert run_cli(["evaluate", "--config", workspace["config"],
                     "--out", str(art)])[0] == 0
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
+def test_solve_compiles_the_mdp_once(workspace, golden, tmp_path,
+                                     monkeypatch):
+    # policy iteration and the logged policy's evaluation share one pair
+    # table, and the solution files keep their bytes
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    compiled = []
+    real = solver._compile
+
+    def counted(model):
+        compiled.append(model)
+        return real(model)
+
+    monkeypatch.setattr(solver, "_compile", counted)
+    monkeypatch.setattr(pipeline, "_compile", counted)
+    assert run_cli(["solve", "--config", workspace["config"],
+                    "--out", str(art)])[0] == 0
+    assert len(compiled) == 1
     assert tree_hashes(str(art)) == tree_hashes(golden["art"])
 
 
@@ -1389,16 +1410,23 @@ def sparse_art(workspace, golden):
     return {"art": art, "config": str(config)}
 
 
-@pytest.mark.parametrize("damage", ["tampered", "missing", "unrecorded"])
+@pytest.mark.parametrize("damage", ["tampered", "flipped", "truncated",
+                                    "missing", "unrecorded"])
 def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
                                               capsys, damage):
     art = workspace["root"] / ("encoder_" + damage)
     shutil.copytree(sparse_art["art"], art)
     model = art / "encoder.model"
+    data = model.read_bytes()
+    mid = len(data) // 2
     if damage == "tampered":
-        doc = json.loads(model.read_text())
+        doc = json.loads(data)
         doc["W_enc"][0][0] += 0.5
         model.write_text(json.dumps(doc, indent=1) + "\n")
+    elif damage == "flipped":
+        model.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+    elif damage == "truncated":
+        model.write_bytes(data[:mid])
     elif damage == "missing":
         model.unlink()
     else:
@@ -1409,6 +1437,8 @@ def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
     assert "encoder.model" in caplog.text
+    if damage in ("tampered", "flipped", "truncated"):
+        assert TAMPERED in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 

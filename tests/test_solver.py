@@ -276,6 +276,22 @@ def test_compiled_form_matches_the_per_pair_loop_bitwise():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_solves_on_a_compiled_table_match_solves_on_the_model():
+    # stage_solve compiles once and hands both solves the pair table
+    rng = np.random.default_rng(78)
+    for _ in range(10):
+        mdp = random_mdp(rng, max_states=30, max_actions=11)
+        compiled = _compile(mdp)
+        ours, theirs = policy_iteration(compiled), policy_iteration(mdp)
+        for field in ("policy", "V", "Q"):
+            assert getattr(ours, field).tobytes() == \
+                getattr(theirs, field).tobytes()
+        assert (ours.eval_sweeps, ours.improvements) == \
+            (theirs.eval_sweeps, theirs.improvements)
+        assert policy_evaluation(compiled, ours.policy).tobytes() == \
+            policy_evaluation(mdp, ours.policy).tobytes()
+
+
 def test_policy_iteration_rejects_bad_epsilon():
     mdp = random_mdp(np.random.default_rng(5))
     for epsilon in (0.0, -1e-4, float("nan")):
