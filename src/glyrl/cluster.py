@@ -56,7 +56,10 @@ CLUSTER_FORMAT_VERSION = 1
 # B = (3 dim + 3) u (||x|| + max ||c||)^2, so the explicit minimizer lies
 # within 2B = (3 dim + 3) eps (...)^2 of the product's minimum.  A row whose
 # runner-up is that close (or whose values are not finite) is recomputed in
-# the explicit form.  The code uses 3 dim + 5 to absorb the rounding of the
+# the explicit form, against only the centroids whose product is not greater
+# than that reach: every explicit minimizer is among them, so are equal
+# centroids and lattice ties, and the lowest index of those wins as it would
+# among all k.  The code uses 3 dim + 5 to absorb the rounding of the
 # bound and of the sum that compares with it, plus (4 dim + 8) smallest
 # normals for underflow (each product or square that underflows is off by
 # at most 2^-1075, differences and sums of subnormals are exact).
@@ -87,8 +90,8 @@ CLUSTER_FORMAT_VERSION = 1
 #
 # Row blocks hold about _BLOCK_ELEMENTS float64 distances and at most
 # _BLOCK_ROWS rows, so the search's scratch does not grow with the number of
-# points; the explicit recheck squares (rows, k, dim) differences in place,
-# in chunks of about _CHUNK_ELEMENTS.
+# points; the explicit recheck squares the differences of its (point,
+# centroid) pairs in place, in chunks of about _CHUNK_ELEMENTS.
 _BLOCK_ELEMENTS = 1 << 20
 _BLOCK_ROWS = 4096
 _CHUNK_ELEMENTS = 1 << 20
@@ -123,17 +126,19 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
-def _nearest_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Argmin over explicit sum((x - c)^2) distances, ties -> lowest index."""
-    n, dim = points.shape
-    k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMENTS // (k * dim))
-    for start in range(0, n, step):
-        diff = points[start:start + step, None, :] - centroids[None, :, :]
-        diff **= 2
-        labels[start:start + step] = np.argmin(diff.sum(axis=2), axis=1)
-    return labels
+def _nearest_exact(points: np.ndarray, centroids: np.ndarray,
+                   candidates: np.ndarray) -> np.ndarray:
+    """Each point's argmin over its explicit sum((x - c)^2) distances to
+    the centroids marked in its row of the boolean (n, k) ``candidates``,
+    which must hold all its explicit minimizers; ties -> lowest index."""
+    dist = np.full(candidates.shape, np.inf)
+    row, col = np.nonzero(candidates)
+    # two (pairs, dim) copies per chunk
+    step = max(1, _CHUNK_ELEMENTS // (2 * points.shape[1]))
+    for start in range(0, len(row), step):
+        r, c = row[start:start + step], col[start:start + step]
+        dist[r, c] = _squared_distances(points[r], centroids[c])
+    return np.argmin(dist, axis=1)
 
 
 class _Nearest:
@@ -184,7 +189,12 @@ class _Nearest:
             # "not greater" also catches nan runner-ups and bounds
             ambiguous = np.flatnonzero(~(d2.min(axis=1) > reach))
             if ambiguous.size:
-                lab[ambiguous] = _nearest_exact(block[ambiguous], centroids)
+                # the centroids the bound cannot rule out: the product's own
+                # pick and every value within reach
+                near = ~(d2[ambiguous] > reach[ambiguous, None])
+                near[np.arange(ambiguous.size), lab[ambiguous]] = True
+                lab[ambiguous] = _nearest_exact(block[ambiguous], centroids,
+                                                near)
             labels[start:start + m] = lab
             best[start:start + m] = ((block - centroids[lab]) ** 2).sum(axis=1)
         return labels, best

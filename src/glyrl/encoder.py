@@ -1,10 +1,12 @@
 """One-hidden-layer sparse autoencoder over normalized patient states.
 
-The encoder maps a unit-interval feature vector to a low-dimensional latent
-vector (sigmoid activations on both layers).  Training minimizes mean squared
-reconstruction error plus a KL-divergence penalty that pushes the batch-mean
-activation of every latent unit toward a small sparsity target.  Everything
-runs in numpy with an exact analytic gradient; there is no autodiff.
+The encoder maps each row of a matrix of unit-interval features to a
+low-dimensional latent row (sigmoid activations on both layers).  Training
+minimizes mean squared reconstruction error plus a KL-divergence penalty
+that pushes the batch-mean activation of every latent unit toward a small
+sparsity target.  Everything runs in numpy with an exact analytic gradient;
+there is no autodiff.  One layer kernel, _layer_into, computes every layer:
+both layers of a minibatch step and of the epoch loss, and encode's one.
 
 Training runs in one preallocated workspace: the four parameter arrays and
 their gradient are views of two flat vectors, minibatch steps and optimizer
@@ -91,16 +93,6 @@ def _sigmoid_block(z: np.ndarray, den: np.ndarray) -> None:
     z /= den
 
 
-def _sigmoid(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Overwrite z with its logistic sigmoid, len(tmp) rows at a time, by
-    _sigmoid_block; tmp is float scratch with z's row width."""
-    step = len(tmp)
-    for start in range(0, len(z), step):
-        zb = z[start:start + step]
-        _sigmoid_block(zb, tmp[:len(zb)])
-    return z
-
-
 def init_params(input_dim: int, latent_dim: int,
                 rng: Optional[np.random.Generator] = None) -> EncoderParams:
     """Glorot-uniform weights, zero biases."""
@@ -114,44 +106,41 @@ def init_params(input_dim: int, latent_dim: int,
     return EncoderParams(W_enc, np.zeros(latent_dim), W_dec, np.zeros(input_dim))
 
 
-def _as_batch(x, input_dim: int):
-    """Coerce x to a (B, input_dim) float array; remember if it was a vector."""
+def _as_batch(x, input_dim: int) -> np.ndarray:
+    """x as a (rows, input_dim) float matrix."""
     arr = np.asarray(x, dtype=float)
-    was_vector = arr.ndim == 1
-    if was_vector:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != input_dim:
-        raise ValueError("expected vectors of length %d, got shape %r"
-                         % (input_dim, np.asarray(x).shape))
-    return arr, was_vector
+        raise ValueError("expected a matrix of %d columns, got shape %r"
+                         % (input_dim, arr.shape))
+    return arr
 
 
-def _layer(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sigmoid(X @ W.T + b) in a fresh array."""
-    Z = X @ W.T
-    Z += b
-    return _sigmoid(Z, np.empty((max(1, min(BLOCK_ROWS, len(Z))), Z.shape[1])))
+def _layer_into(X: np.ndarray, W: np.ndarray, b: np.ndarray,
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sigmoid(X @ W.T + b): the one layer kernel of training, the
+    epoch loss and encode.
 
-
-def forward(x, params: EncoderParams):
-    """Run the autoencoder; returns (latent, reconstruction).
-
-    Accepts a single vector or a (batch, input_dim) matrix and returns
-    outputs of matching rank.
+    The product is one matmul over every row of X.  tmp is float scratch
+    with out's row width: with as many rows as out the sigmoid is one
+    _sigmoid_block call, otherwise it runs len(tmp) rows at a time.
     """
-    X, was_vector = _as_batch(x, params.input_dim)
-    H = _layer(X, params.W_enc, params.b_enc)
-    X_hat = _layer(H, params.W_dec, params.b_dec)
-    if was_vector:
-        return H[0], X_hat[0]
-    return H, X_hat
+    np.matmul(X, W.T, out=out)
+    out += b
+    if len(tmp) == len(out):
+        _sigmoid_block(out, tmp)
+    else:
+        for start in range(0, len(out), len(tmp)):
+            block = out[start:start + len(tmp)]
+            _sigmoid_block(block, tmp[:len(block)])
+    return out
 
 
-def encode(x, params: EncoderParams) -> np.ndarray:
-    """Latent representation only: forward's first output, decoder skipped."""
-    X, was_vector = _as_batch(x, params.input_dim)
-    H = _layer(X, params.W_enc, params.b_enc)
-    return H[0] if was_vector else H
+def encode(X, params: EncoderParams) -> np.ndarray:
+    """The latent rows of the rows of matrix X: the encoder layer alone."""
+    X = _as_batch(X, params.input_dim)
+    rows, lat = len(X), params.latent_dim
+    return _layer_into(X, params.W_enc, params.b_enc, np.empty((rows, lat)),
+                       np.empty((min(BLOCK_ROWS, rows), lat)))
 
 
 def kl_bernoulli(target: float, mean_activations: np.ndarray) -> np.ndarray:
@@ -207,14 +196,10 @@ class _Workspace:
         bits (a one-row block runs as a matrix-vector product).
         """
         p = self.params
-        H, X_hat = self.all_hidden, self.all_out
-        # H = sigmoid(X @ W_enc.T + b_enc); X_hat = sigmoid(H @ W_dec.T + b_dec)
-        np.matmul(X, p.W_enc.T, out=H)
-        H += p.b_enc
-        _sigmoid(H, self.hidden_tmp[:self.block])
-        np.matmul(H, p.W_dec.T, out=X_hat)
-        X_hat += p.b_dec
-        _sigmoid(X_hat, self.out_tmp[:self.block])
+        H = _layer_into(X, p.W_enc, p.b_enc, self.all_hidden,
+                        self.hidden_tmp[:self.block])
+        X_hat = _layer_into(H, p.W_dec, p.b_dec, self.all_out,
+                            self.out_tmp[:self.block])
         # mean(sum((X - X_hat) ** 2, axis=1))
         np.subtract(X, X_hat, out=X_hat)
         np.square(X_hat, out=X_hat)
@@ -227,20 +212,17 @@ class _Workspace:
         self.grad (seen through self.grads).
 
         A minibatch fits the scratch, so every intermediate is written in
-        place.  np.add.reduce is the reduction that np.sum runs and np.mean divides by the row
-        count.  The products stay matmul: np.dot multiplies a 1x1 by 1x1
-        product where matmul adds it to +0.0, which keeps a -0.0.
+        place.  np.add.reduce is the reduction that np.sum runs, and
+        np.mean divides it by the row count.  The products stay matmul:
+        np.dot multiplies a 1x1 by 1x1 product where matmul adds it to
+        +0.0, which keeps a -0.0.
         """
         m = len(X)
         p, g = self.params, self.grads
         H, dH = self.hidden[:m], self.hidden_tmp[:m]
         X_hat, D = self.out[:m], self.out_tmp[:m]
-        np.matmul(X, p.W_enc.T, out=H)
-        H += p.b_enc
-        _sigmoid_block(H, dH)
-        np.matmul(H, p.W_dec.T, out=X_hat)
-        X_hat += p.b_dec
-        _sigmoid_block(X_hat, D)
+        _layer_into(X, p.W_enc, p.b_enc, H, dH)
+        _layer_into(H, p.W_dec, p.b_dec, X_hat, D)
 
         # Reconstruction path: D = (2/m) * (X_hat - X) * X_hat * (1 - X_hat).
         np.subtract(X_hat, X, out=D)
@@ -286,7 +268,7 @@ def sparse_loss(batch, params: EncoderParams, config: EncoderConfig) -> float:
     """Mean squared reconstruction error plus ``config.beta`` times the KL
     divergence of each unit's batch-mean activation from
     ``config.sparsity_target``."""
-    X, _ = _as_batch(batch, params.input_dim)
+    X = _as_batch(batch, params.input_dim)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     return _Workspace(params, config, 0, len(X)).loss(X)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glyrl import cluster, synthgen
+from glyrl import cluster, pipeline, synthgen
+from glyrl.config import PipelineConfig
 from glyrl.cluster import (
     CLUSTER_FORMAT,
     CLUSTER_FORMAT_VERSION,
@@ -58,11 +59,18 @@ def load_clusters(text):
     return model
 
 
-def reference_nearest(points, centroids):
-    """Broadcast (n, k, dim) kernel: the exact oracle for labels and best."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)  # ties -> lowest
-    return labels, d2[np.arange(len(points)), labels]
+def reference_nearest(points, centroids, rows=256):
+    """Broadcast (rows, k, dim) kernel, ``rows`` points at a time: the exact
+    oracle for labels and best."""
+    labels = np.empty(len(points), dtype=np.int64)
+    best = np.empty(len(points))
+    for start in range(0, len(points), rows):
+        d2 = ((points[start:start + rows, None, :] - centroids[None, :, :])
+              ** 2).sum(axis=2)
+        labels[start:start + rows] = np.argmin(d2, axis=1)  # ties -> lowest
+        best[start:start + rows] = d2[np.arange(len(d2)),
+                                      labels[start:start + rows]]
+    return labels, best
 
 
 def reference_seed(points, k, rng):
@@ -358,7 +366,7 @@ def test_nearest_labels_independent_of_block_size(monkeypatch, rows):
         # rows=None asks for one block of every row, which the row cap
         # splits when there are more rows than it
         monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", k * (rows or n))
-        monkeypatch.setattr(cluster, "_CHUNK_ELEMENTS", 1)  # one-row rechecks
+        monkeypatch.setattr(cluster, "_CHUNK_ELEMENTS", 1)  # one-pair rechecks
         if rows is None and n > cluster._BLOCK_ROWS:
             assert_capped_blocks(points, k)
         labels, best = nearest(points, centroids)
@@ -379,9 +387,9 @@ def test_nearest_exact_where_the_folded_product_is_wrong(monkeypatch, dim):
     rechecked = []
     exact = cluster._nearest_exact
 
-    def recorded(rows, c):
+    def recorded(rows, c, candidates):
         rechecked.extend(map(tuple, rows.tolist()))
-        return exact(rows, c)
+        return exact(rows, c, candidates)
 
     monkeypatch.setattr(cluster, "_nearest_exact", recorded)
     labels, best = search(centroids)
@@ -397,6 +405,73 @@ def test_nearest_exact_where_the_folded_product_is_wrong(monkeypatch, dim):
         + np.sqrt((centroids ** 2).sum(axis=1).max())) ** 2
     assert np.all((0 <= margin) & (margin <= bound)) and margin.max() > 0
     assert set(map(tuple, points[wrong].tolist())) <= set(rechecked)
+
+
+def recorded_fit(monkeypatch, points, k):
+    """Fit 5 Lloyd rounds at seed 3; return every search's (centroids,
+    labels, best) and every explicit recheck's (rows, distances computed)."""
+    searches, rechecks = [], []
+    search, exact = cluster._Nearest.__call__, cluster._nearest_exact
+
+    def recorded_search(self, centroids):
+        labels, best = search(self, centroids)
+        searches.append((centroids.copy(), labels, best))
+        return labels, best
+
+    def recorded_exact(rows, centroids, candidates):
+        rechecks.append((len(rows), int(candidates.sum())))
+        return exact(rows, centroids, candidates)
+
+    monkeypatch.setattr(cluster._Nearest, "__call__", recorded_search)
+    monkeypatch.setattr(cluster, "_nearest_exact", recorded_exact)
+    kmeans_fit(points, k, seed=3, max_iters=5, tol=0.0)
+    return searches, rechecks
+
+
+def assert_exact_and_narrow(searches, rechecks, points, k):
+    assert len(searches) == 5
+    for centroids, labels, best in searches:
+        ref_labels, ref_best = reference_nearest(points, centroids)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(bits(best), bits(ref_best))
+    # each rechecked row computes its distances to its candidates only,
+    # where a recheck against every centroid would compute rows * k
+    rows = sum(r for r, _ in rechecks)
+    computed = sum(c for _, c in rechecks)
+    assert rows > 0 and 2 * computed < rows * k
+
+
+def rounded_ladder_hours(tmp_path, patients):
+    """Training states of a seed-3 horizon-72 ladder cohort, as the
+    pipeline's ingest writes them, rounded to one decimal."""
+    csv_text, _ = synthgen.generate(
+        synthgen.ladder_config(patients, seed=3, horizon_hours=72))
+    (tmp_path / "cohort.csv").write_text(csv_text)
+    pipeline.stage_ingest(PipelineConfig(), str(tmp_path / "cohort.csv"),
+                          str(tmp_path))
+    rows = np.load(tmp_path / pipeline.HOURS_FILE)
+    return np.round(rows["state"][rows["split"] == 0], 1)
+
+
+def test_recheck_on_rounded_ladder_hours(monkeypatch, tmp_path):
+    # the paper-scale workload's states at a tenth of its patients: k = 500
+    # centroids on about a hundred distinct rows, so seeding and reseeding
+    # leave equal centroids, every point nearest to them is an exact tie,
+    # and lattice points tie with other centroids too
+    points = rounded_ladder_hours(tmp_path, 600)
+    assert len(np.unique(points, axis=0)) < 500 < len(points)
+    assert_exact_and_narrow(*recorded_fit(monkeypatch, points, 500), points,
+                            500)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_recheck_when_k_exceeds_the_distinct_rows(monkeypatch, dim):
+    rng = np.random.default_rng(70 + dim)
+    distinct = rng.integers(0, 4, size=(30, dim)) / 10.0  # lattice ties
+    points = distinct[rng.integers(30, size=600)]
+    k = 50
+    assert len(np.unique(points, axis=0)) < k
+    assert_exact_and_narrow(*recorded_fit(monkeypatch, points, k), points, k)
 
 
 @pytest.mark.parametrize("k", [5, 500])

@@ -6,6 +6,8 @@ must name the standard library, numpy, yaml or glyrl itself, and
 Each kind of outside input has one reader: only ``config.py`` imports yaml
 and only ``cohort.py`` imports csv.  The stages sit on top of the library:
 only the entry points, ``cli.py`` and ``__init__.py``, import ``pipeline``.
+Every module-level function and class is named somewhere in the package or
+the demos: code that only tests call belongs in the tests.
 """
 
 import ast
@@ -88,3 +90,39 @@ def test_pyproject_declares_only_numpy_and_pyyaml():
     names = {dep.split(">")[0].split("=")[0].split("<")[0].strip()
              for dep in declared}
     assert names == {"numpy", "PyYAML"}
+
+
+def parsed(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+# Used without being named: pipeline._run_stage looks up each stage_*
+# function by string, and load_ground_truth is the reader of the file that
+# ``glyrl synth --truth-out`` writes.
+EXEMPT = {"synthgen.load_ground_truth"}
+
+
+def test_every_module_level_function_and_class_is_named():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    assert sources and demos
+    named = set()
+    for path in sources + demos:
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+    unnamed = []
+    for path in sources:
+        module = os.path.basename(path)[:-3]
+        for node in parsed(path).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in named
+                    and not node.name.startswith("stage_")
+                    and "%s.%s" % (module, node.name) not in EXEMPT):
+                unnamed.append("%s.%s" % (module, node.name))
+    assert unnamed == []

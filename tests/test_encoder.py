@@ -1,4 +1,5 @@
-"""Sparse autoencoder: forward pass, loss, analytic gradient, training."""
+"""Sparse autoencoder: the layer kernel, encode, loss, analytic gradient,
+training."""
 
 import dataclasses
 
@@ -11,7 +12,6 @@ from glyrl.encoder import (
     ACTIVATION_FLOOR,
     EncoderParams,
     encode,
-    forward,
     init_params,
     kl_bernoulli,
     load_encoder,
@@ -47,60 +47,49 @@ def zero_params(input_dim, latent_dim):
     )
 
 
-def test_forward_zero_params_gives_half_everywhere():
+def test_encode_zero_params_gives_half_everywhere():
     params = zero_params(6, 3)
-    h, x_hat = forward(np.linspace(0.0, 1.0, 6), params)
-    assert np.array_equal(h, np.full(3, 0.5))
-    assert np.array_equal(x_hat, np.full(6, 0.5))
+    H = encode(np.linspace(0.0, 1.0, 12).reshape(2, 6), params)
+    assert np.array_equal(H, np.full((2, 3), 0.5))
 
 
-def test_forward_large_diagonal_tracks_input_direction():
-    # Near-identity wiring with saturating weights: reconstruction should be
-    # monotone in the input (large input -> large output).
+def test_encode_large_diagonal_tracks_input_direction():
+    # Near-identity wiring with saturating weights: the latent units should
+    # be monotone in the input (large input -> large activation).
     d = 4
     params = EncoderParams(
-        40.0 * np.eye(d) - 20.0 * np.ones((d, d)) * 0,
+        40.0 * np.eye(d),
         -20.0 * np.ones(d),
         40.0 * np.eye(d),
         -20.0 * np.ones(d),
     )
-    lo = forward(np.full(d, 0.1), params)[1]
-    hi = forward(np.full(d, 0.9), params)[1]
+    lo, hi = encode(np.array([np.full(d, 0.1), np.full(d, 0.9)]), params)
     assert np.all(hi > lo)
 
 
-def test_forward_deterministic():
+def test_encode_deterministic():
     rng = np.random.default_rng(7)
     params = init_params(5, 3, rng)
-    x = rng.uniform(size=5)
-    h1, r1 = forward(x, params)
-    h2, r2 = forward(x, params)
-    assert np.array_equal(h1, h2) and np.array_equal(r1, r2)
+    X = rng.uniform(size=(4, 5))
+    assert np.array_equal(encode(X, params), encode(X, params))
 
 
-def test_forward_batch_matches_per_row():
+def test_encode_batch_matches_per_row():
     rng = np.random.default_rng(3)
     params = init_params(4, 2, rng)
     X = rng.uniform(size=(6, 4))
-    H, R = forward(X, params)
+    H = encode(X, params)
     for i in range(6):
-        h, r = forward(X[i], params)
-        assert np.allclose(H[i], h, rtol=0, atol=1e-15)
-        assert np.allclose(R[i], r, rtol=0, atol=1e-15)
+        assert np.allclose(H[i], encode(X[i:i + 1], params)[0], rtol=0,
+                           atol=1e-15)
 
 
-def test_forward_rejects_wrong_length():
+def test_encode_rejects_wrong_width_and_vectors():
     params = zero_params(5, 2)
-    with pytest.raises(ValueError):
-        forward(np.zeros(4), params)
-
-
-def test_encode_is_forward_first_output():
-    rng = np.random.default_rng(11)
-    params = init_params(7, 32, rng)
-    x = rng.uniform(size=7)
-    assert np.array_equal(encode(x, params), forward(x, params)[0])
-    assert encode(x, params).shape == (32,)
+    with pytest.raises(ValueError, match="matrix of 5 columns"):
+        encode(np.zeros((3, 4)), params)
+    with pytest.raises(ValueError, match="matrix of 5 columns"):
+        encode(np.zeros(5), params)
 
 
 def test_kl_at_target_is_exactly_zero():
@@ -130,7 +119,7 @@ def test_sparse_loss_beta_zero_is_reconstruction_only():
     params = init_params(5, 3, rng)
     X = rng.uniform(size=(8, 5))
     loss = sparse_loss(X, params, EncoderConfig(sparsity_target=0.05, beta=0.0))
-    _, X_hat = forward(X, params)
+    _, X_hat = reference_forward(X, params)
     recon = np.mean(np.sum((X - X_hat) ** 2, axis=1))
     assert loss == pytest.approx(recon, rel=0, abs=1e-15)
 
@@ -285,8 +274,8 @@ def test_training_large_beta_pulls_activations_to_target():
                          batch_size=16, learning_rate=0.02)
     free = train(X, dataclasses.replace(base, beta=0.0), seed=4)
     pinned = train(X, dataclasses.replace(base, beta=100.0), seed=4)
-    mean_free = forward(X, free)[0].mean()
-    mean_pinned = forward(X, pinned)[0].mean()
+    mean_free = encode(X, free).mean()
+    mean_pinned = encode(X, pinned).mean()
     assert abs(mean_pinned - target) < abs(mean_free - target)
 
 
@@ -337,7 +326,7 @@ def test_load_rejects_foreign_and_corrupt_files():
 
 # --- the per-operation oracle ------------------------------------------------
 #
-# The textbook form of the forward pass, loss, gradient, optimizer and
+# The textbook form of the two layers, loss, gradient, optimizer and
 # training loop, one fresh array per operation.  The workspace in
 # glyrl.encoder must reproduce it bit for bit.
 
@@ -493,6 +482,12 @@ ORACLE_CASES = {
     "one_input_one_unit": (saturating_dataset()[:12, :1],
                            EncoderConfig(latent_dim=1, epochs=3, batch_size=1),
                            4, None),
+    # the benchmark's shape over two full BLOCK_ROWS blocks and one more
+    # row: the loss's sigmoid crosses real block edges
+    "real_blocks": (rank_one_dataset(n=2 * encoder.BLOCK_ROWS + 1, dim=15,
+                                     seed=11),
+                    EncoderConfig(latent_dim=32, epochs=1, batch_size=32),
+                    5, None),
 }
 
 
@@ -564,17 +559,18 @@ def test_one_by_one_gradient_keeps_the_reference_zero_signs():
     assert_same_params(loss_gradient(X[:1], params, config), want)
 
 
-def test_forward_and_encode_are_bitwise_the_reference(monkeypatch):
-    monkeypatch.setattr(encoder, "BLOCK_ROWS", 4)
+@pytest.mark.parametrize("block", [4, None])
+def test_encode_is_bitwise_the_reference(monkeypatch, block):
     rng = np.random.default_rng(5)
+    if block is None:
+        # two full BLOCK_ROWS blocks and one more row
+        X = rng.uniform(-1.0, 1.0, size=(2 * encoder.BLOCK_ROWS + 1, 7))
+    else:
+        monkeypatch.setattr(encoder, "BLOCK_ROWS", block)
+        X = rng.uniform(-1.0, 1.0, size=(23, 7))
     params = init_params(7, 9, rng)
     params.W_enc *= 40.0  # reach both tails of the sigmoid
-    X = rng.uniform(-1.0, 1.0, size=(23, 7))
-    H_want, X_hat_want = reference_forward(X, params)
-    H, X_hat = forward(X, params)
-    assert bits(H) == bits(H_want) and bits(X_hat) == bits(X_hat_want)
-    assert bits(encode(X, params)) == bits(H_want)
-    assert bits(encode(X[3], params)) == bits(reference_forward(X[3:4], params)[0])
+    assert bits(encode(X, params)) == bits(reference_forward(X, params)[0])
 
 
 def test_sigmoid_edges_are_bitwise_the_sign_split_form():
@@ -586,11 +582,15 @@ def test_sigmoid_edges_are_bitwise_the_sign_split_form():
     z = np.concatenate([edges, np.random.default_rng(3).normal(0, 20, 40)])
     z = z.reshape(-1, 4)
     want = reference_sigmoid(z)
-    for rows in (1, 5, len(z)):
-        got = encoder._sigmoid(z.copy(), np.empty((rows, 4)))
-        assert bits(got) == bits(want), rows
-    # the minibatch step calls the block kernel directly
     got = z.copy()
     encoder._sigmoid_block(got, np.empty_like(z))
     assert bits(got) == bits(want)
     assert np.signbit(want[5, 0]) != np.signbit(want[5, 1])  # NaN signs kept
+    # the layer kernel, whole and in row blocks: a one-input layer of
+    # weight 1 and bias -0.0 passes each z on (up to a zero's sign)
+    X, W, b = z.reshape(-1, 1), np.ones((1, 1)), np.array([-0.0])
+    want = reference_sigmoid(X @ W.T + b)
+    for rows in (1, 5, len(X)):
+        got = encoder._layer_into(X, W, b, np.empty_like(X),
+                                  np.empty((rows, 1)))
+        assert bits(got) == bits(want), rows

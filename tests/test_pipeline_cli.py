@@ -19,6 +19,7 @@ import shutil
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cohort_oracle
 from conftest import cohort_row, make_csv
@@ -934,19 +935,24 @@ READER_PAIRS = [(rel, command) for rel, commands in READERS.items()
                 for command in commands]
 
 
-def refuses_damage(workspace, golden, caplog, capsys, rel, command, damage):
+def refuses_damage(workspace, golden, caplog, capsys, rel, command, damage,
+                   at=None):
     """Damage a copy of one recorded artifact (its checksum left as
-    recorded), run a stage that reads it, and return the log."""
+    recorded), run a stage that reads it, and return the log.  A flip
+    changes the byte at offset ``at`` and a truncation cuts the file to
+    ``at`` bytes, by default half its length."""
     art = workspace["root"] / ("%s_%s_%s"
                                % (damage, command, rel.replace("/", "_")))
+    shutil.rmtree(art, ignore_errors=True)
     shutil.copytree(golden["art"], art)
+    caplog.clear()
     path = art / rel
     data = path.read_bytes()
-    mid = len(data) // 2
+    at = len(data) // 2 if at is None else at
     if damage == "flipped":
-        path.write_bytes(data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1:])
+        path.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
     elif damage == "truncated":
-        path.write_bytes(data[:mid])
+        path.write_bytes(data[:at])
     else:
         path.unlink()
     rc, _ = run_cli([command, "--config", workspace["config"],
@@ -971,6 +977,19 @@ def test_every_recorded_artifact_refuses_truncation_and_deletion(
     log = refuses_damage(workspace, golden, caplog, capsys, rel, command,
                          damage)
     assert (TAMPERED if damage == "truncated" else "No such file") in log
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flipped_byte_or_cut_length_is_refused(workspace, golden, caplog,
+                                                   capsys, data):
+    rel, command = data.draw(st.sampled_from(READER_PAIRS))
+    damage = data.draw(st.sampled_from(["flipped", "truncated"]))
+    size = os.path.getsize(os.path.join(golden["art"], rel))
+    at = data.draw(st.integers(0, size - 1), label="offset or cut length")
+    assert TAMPERED in refuses_damage(workspace, golden, caplog, capsys, rel,
+                                      command, damage, at)
 
 
 @pytest.mark.parametrize("command", ["cluster", "solve", "evaluate"])
