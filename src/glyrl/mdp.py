@@ -11,6 +11,9 @@ Transition probabilities are empirical frequencies.  Actions observed fewer
 than min_count times at a state are dropped from the available set; a state
 left with no available action gets a flagged self-loop fallback so policies
 stay well-defined everywhere.
+
+A model is checked, and builds the pair table the solver reads, once: when
+it is made, whether counted, read back or exact (``synthgen.true_mdp``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,7 +163,11 @@ def build_trajectories(patient_ids, bounds, states, glucose, survived,
 
 @dataclass
 class MDPModel:
-    """Sparse empirical MDP over k cluster states plus the two terminals."""
+    """Sparse empirical MDP over k cluster states plus the two terminals.
+
+    The pair table holds the rows with p > 0 of every available pair, pair
+    by pair in (s, a) order and in model order within a pair; each fallback
+    state gets a flagged self-loop with zero reward."""
 
     k: int
     gamma: float
@@ -174,6 +181,32 @@ class MDPModel:
     available: np.ndarray  # (k, n_actions) bool
     action_counts: np.ndarray  # (k, n_actions) raw totals
     fallback_states: frozenset
+    pair_reward: np.ndarray = field(init=False)  # expected immediate reward
+    t_target: np.ndarray = field(init=False)  # targets, flattened per pair
+    t_prob: np.ndarray = field(init=False)
+    pair_ptr: np.ndarray = field(init=False)  # each pair's first target row
+    pair_index: np.ndarray = field(init=False)  # (k, n_actions): row or -1
+
+    def __post_init__(self):
+        self.validate()
+        k, n_actions = self.k, self.n_actions
+        kept = (self.trans_p > 0.0) & self.available[self.trans_s, self.trans_a]
+        loops = np.array(sorted(self.fallback_states), dtype=np.int64)
+        pair = np.concatenate((self.trans_s[kept] * n_actions + self.trans_a[kept],
+                               loops * n_actions + FALLBACK_ACTION))
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        self.t_target = np.concatenate((self.trans_sp[kept], loops))[order]
+        self.t_prob = np.concatenate((self.trans_p[kept],
+                                      np.ones(len(loops))))[order]
+        self.pair_ptr = np.flatnonzero(np.diff(pair, prepend=-1))
+        pair_index = np.full(k * n_actions, -1, dtype=np.int64)
+        pair_index[pair[self.pair_ptr]] = np.arange(len(self.pair_ptr))
+        self.pair_index = pair_index.reshape(k, n_actions)
+        reward = np.zeros(self.n_states)
+        reward[k:] = TERMINAL_REWARD, -TERMINAL_REWARD  # into SURVIVE, DEATH
+        self.pair_reward = np.add.reduceat(self.t_prob * reward[self.t_target],
+                                           self.pair_ptr)
 
     @property
     def n_states(self) -> int:
@@ -183,11 +216,18 @@ class MDPModel:
     def n_actions(self) -> int:
         return self.action_space.n_actions
 
+    def expected_next(self, v: np.ndarray) -> np.ndarray:
+        """Sum_s' P(s,a,s') v(s') for every pair, in one reduceat pass."""
+        return np.add.reduceat(self.t_prob * v[self.t_target], self.pair_ptr)
+
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        if isinstance(self.gamma, bool) or \
+                not isinstance(self.gamma, (int, float)) or \
+                not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be a number in [0, 1), got %r"
+                             % (self.gamma,))
         if np.any(self.trans_s >= self.k) or np.any(self.trans_s < 0):
             raise ValueError("transition source outside cluster states")
         if np.any(self.trans_sp >= self.n_states) or np.any(self.trans_sp < 0):
@@ -248,11 +288,9 @@ def _model_from_counts(key: np.ndarray, trans_count: np.ndarray, k: int,
         log.info("%d state(s) had no action meeting min_count=%d, "
                  "given self-loop fallback", fallback.size, min_count)
 
-    model = MDPModel(k, gamma, min_count, action_space, trans_s, trans_a,
-                     trans_sp, trans_count, trans_p, available, action_counts,
-                     frozenset(fallback.tolist()))
-    model.validate()
-    return model
+    return MDPModel(k, gamma, min_count, action_space, trans_s, trans_a,
+                    trans_sp, trans_count, trans_p, available, action_counts,
+                    frozenset(fallback.tolist()))
 
 
 def extract_real_policy(mdp: MDPModel) -> np.ndarray:
@@ -365,7 +403,6 @@ def read_trajectories(text: str) -> Trajectories:
 def save_mdp(mdp: MDPModel) -> str:
     """The model as text: a JSON header line, then one `s,a,s',count,p` row
     per counted triplet."""
-    mdp.validate()
     header = {
         "format": MDP_FORMAT,
         "version": MDP_FORMAT_VERSION,
@@ -388,7 +425,7 @@ def load_mdp(text: str) -> MDPModel:
         text, MDP_FORMAT, MDP_COLUMNS, (int, int, int, int, float),
         MDP_FORMAT_VERSION)
     k = int(header["k"])
-    gamma = float(header["gamma"])
+    gamma = header["gamma"]  # as written; the model refuses a non-number
     min_count = int(header["min_count"])
     action_space = ActionSpace(tuple(header["bin_edges"]))
     declared = int(header["n_rows"])
@@ -409,6 +446,6 @@ def load_mdp(text: str) -> MDPModel:
         raise ValueError("duplicate triplet rows")
     model = _model_from_counts(key[order], c[order], k, min_count, gamma,
                                action_space)
-    if np.any(np.abs(stored_p[order] - model.trans_p) > 1e-12):
+    if not np.all(np.abs(stored_p[order] - model.trans_p) <= 1e-12):  # NaN too
         raise ValueError("stored probabilities disagree with counts")
     return model

@@ -52,7 +52,6 @@ from .mdp import (
     write_trajectories,
 )
 from .solver import (
-    _compile,
     policy_evaluation,
     policy_iteration,
     read_solution,
@@ -387,6 +386,12 @@ def stage_cluster(config: PipelineConfig, art_dir: str,
     if config.representation == "sparse_ae":
         params = files.read("train-encoder", ENCODER_FILE, "encoder model",
                             lambda data: load_encoder(data.decode()))
+        if params.input_dim != points_train.shape[1]:
+            raise ArtifactError(
+                "%s takes %d state features but %s has %d; rerun "
+                "train-encoder" % (files.path(ENCODER_FILE), params.input_dim,
+                                   files.path(HOURS_FILE),
+                                   points_train.shape[1]))
         points_train = encode(points_train, params)
         if len(points_test):
             points_test = encode(points_test, params)
@@ -457,8 +462,7 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str,
         raise DataError("no usable training trajectories")
     model = estimate_mdp(trajs["train"], k, min_count=config.mdp.min_count,
                          gamma=config.mdp.gamma, action_space=space)
-    files.write(MDP_FILE, save_mdp(model),
-                decoded=dataclasses.replace(model, gamma=float(model.gamma)))
+    files.write(MDP_FILE, save_mdp(model), decoded=model)
     for split in ("train", "test"):
         files.write(TRAJECTORY_FILE % split, write_trajectories(trajs[split]),
                     decoded=_as_read(trajs[split]))
@@ -472,10 +476,9 @@ def stage_solve(config: PipelineConfig, art_dir: str,
     model = files.read("build-mdp", MDP_FILE, "MDP",
                        lambda data: load_mdp(data.decode()))
     epsilon = config.solver.epsilon
-    compiled = _compile(model)  # one pair table for both solves
-    optimal = policy_iteration(compiled, epsilon=epsilon)
+    optimal = policy_iteration(model, epsilon=epsilon)
     pi_real = extract_real_policy(model)
-    v_real = policy_evaluation(compiled, pi_real, epsilon=epsilon)
+    v_real = policy_evaluation(model, pi_real, epsilon=epsilon)
     # V over the k non-terminal states, the ones each file lists
     files.write(SOLUTION_FILE % "optimal",
                 write_solution("optimal", optimal.policy, optimal.V,

@@ -2,9 +2,10 @@
 
 Iterative policy evaluation (synchronous Jacobi sweeps from v_0 = 0),
 improvement as an argmax over the available actions with ties to the lowest
-index, and full policy iteration.  The sparse transition structure is
-compiled once into flat arrays so each sweep is a handful of vectorized
-operations; results are bit-deterministic.
+index, and full policy iteration.  The solver reads nothing of the model
+but the flat pair table each MDPModel builds once, when it is made, so
+each sweep is a handful of vectorized operations; results are
+bit-deterministic.
 
 Rewards sit on transitions into the terminal states, so every value is
 bounded by TERMINAL_REWARD (100) in magnitude and evaluation contracts at
@@ -14,13 +15,12 @@ rate gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .mdp import (FALLBACK_ACTION, TERMINAL_REWARD, MDPModel, read_table,
-                  write_table)
+from .mdp import MDPModel, read_table, write_table
 
 DEFAULT_EPSILON = 1e-4
 MAX_EVAL_SWEEPS = 1_000_000
@@ -40,69 +40,15 @@ class PolicySolution:
     improvements: int
 
 
-@dataclass
-class _Compiled:
-    """Flat view of the MDP: one row per available (state, action) pair."""
-
-    k: int
-    n_states: int
-    gamma: float
-    pair_reward: np.ndarray  # expected immediate reward of the pair
-    t_target: np.ndarray  # transition targets, flattened per pair
-    t_prob: np.ndarray
-    pair_ptr: np.ndarray  # start offset of each pair's transitions
-    pair_index: np.ndarray  # (k, n_actions) -> pair row or -1
-
-    def expected_next(self, v: np.ndarray) -> np.ndarray:
-        """Sum_s' P(s,a,s') v(s') for every pair, in one reduceat pass."""
-        return np.add.reduceat(self.t_prob * v[self.t_target], self.pair_ptr)
-
-
-def _compile(mdp: MDPModel) -> _Compiled:
-    """The rows with p > 0 of every available pair, pair by pair in (s, a)
-    order and in model order within a pair; each fallback state gets a
-    flagged self-loop with zero reward."""
-    k, n_actions = mdp.k, mdp.n_actions
-    kept = (mdp.trans_p > 0.0) & mdp.available[mdp.trans_s, mdp.trans_a]
-    loops = np.array(sorted(mdp.fallback_states), dtype=np.int64)
-    pair = np.concatenate((mdp.trans_s[kept] * n_actions + mdp.trans_a[kept],
-                           loops * n_actions + FALLBACK_ACTION))
-    order = np.argsort(pair, kind="stable")
-    pair = pair[order]
-    target = np.concatenate((mdp.trans_sp[kept], loops))[order]
-    prob = np.concatenate((mdp.trans_p[kept], np.ones(len(loops))))[order]
-    ptr = np.flatnonzero(np.diff(pair, prepend=-1))
-    pair_index = np.full(k * n_actions, -1, dtype=np.int64)
-    pair_index[pair[ptr]] = np.arange(len(ptr))
-    reward = np.zeros(mdp.n_states)
-    reward[k:] = TERMINAL_REWARD, -TERMINAL_REWARD  # into SURVIVE, DEATH
-    return _Compiled(
-        k=k,
-        n_states=mdp.n_states,
-        gamma=mdp.gamma,
-        pair_reward=np.add.reduceat(prob * reward[target], ptr),
-        t_target=target,
-        t_prob=prob,
-        pair_ptr=ptr,
-        pair_index=pair_index.reshape(k, n_actions),
-    )
-
-
-def _pairs(mdp) -> _Compiled:
-    """The pair table of an MDPModel, or ``mdp`` itself if it is one, so a
-    caller that solves one model twice compiles it once."""
-    return mdp if isinstance(mdp, _Compiled) else _compile(mdp)
-
-
-def _policy_rows(compiled: _Compiled, policy) -> np.ndarray:
+def _policy_rows(mdp: MDPModel, policy) -> np.ndarray:
     """The pair row of each state's action under ``policy``."""
     pol = np.asarray(policy, dtype=np.int64)
-    k, n_actions = compiled.pair_index.shape
+    k, n_actions = mdp.pair_index.shape
     if pol.shape != (k,):
         raise ValueError("policy must assign one action to each of %d states" % k)
     if np.any(pol < 0) or np.any(pol >= n_actions):
         raise ValueError("policy contains an action outside the action space")
-    rows = compiled.pair_index[np.arange(k), pol]
+    rows = mdp.pair_index[np.arange(k), pol]
     if np.any(rows < 0):
         bad = int(np.flatnonzero(rows < 0)[0])
         raise ValueError("policy picks unavailable action %d at state %d"
@@ -110,16 +56,16 @@ def _policy_rows(compiled: _Compiled, policy) -> np.ndarray:
     return rows
 
 
-def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
+def _evaluate(mdp: MDPModel, rows: np.ndarray, epsilon: float,
               v0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, int]:
-    v = np.zeros(compiled.n_states) if v0 is None else v0.copy()
+    v = np.zeros(mdp.n_states) if v0 is None else v0.copy()
     sweeps = 0
     while True:
-        q = compiled.pair_reward + compiled.gamma * compiled.expected_next(v)
-        v_new = np.zeros(compiled.n_states)
-        v_new[:compiled.k] = q[rows]
+        q = mdp.pair_reward + mdp.gamma * mdp.expected_next(v)
+        v_new = np.zeros(mdp.n_states)
+        v_new[:mdp.k] = q[rows]
         sweeps += 1
-        delta = float(np.max(np.abs(v_new - v))) if compiled.n_states else 0.0
+        delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta < epsilon:
             return v, sweeps
@@ -128,47 +74,40 @@ def _evaluate(compiled: _Compiled, rows: np.ndarray, epsilon: float,
                 "policy evaluation still moving %r after %d sweeps" % (delta, sweeps))
 
 
-def policy_evaluation(mdp: Union[MDPModel, _Compiled], policy,
+def policy_evaluation(mdp: MDPModel, policy,
                       epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Iterate the Bellman expectation update until the sup-norm step < epsilon.
-
-    ``mdp`` is the model or its ``_compile``d pair table."""
+    """Iterate the Bellman expectation update until the sup-norm step < epsilon."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    compiled = _pairs(mdp)
-    v, _ = _evaluate(compiled, _policy_rows(compiled, policy), epsilon)
+    v, _ = _evaluate(mdp, _policy_rows(mdp, policy), epsilon)
     return v
 
 
-def _q_table(compiled: _Compiled, v: np.ndarray) -> np.ndarray:
+def _q_table(mdp: MDPModel, v: np.ndarray) -> np.ndarray:
     """Q(s,a) = R_s^a + gamma * sum_s' P(s,a,s') V(s') on available pairs,
     NaN elsewhere."""
-    q_pairs = compiled.pair_reward + compiled.gamma * compiled.expected_next(v)
-    return np.where(compiled.pair_index >= 0, q_pairs[compiled.pair_index],
-                    np.nan)
+    q_pairs = mdp.pair_reward + mdp.gamma * mdp.expected_next(v)
+    return np.where(mdp.pair_index >= 0, q_pairs[mdp.pair_index], np.nan)
 
 
-def policy_iteration(mdp: Union[MDPModel, _Compiled],
+def policy_iteration(mdp: MDPModel,
                      epsilon: float = DEFAULT_EPSILON) -> PolicySolution:
     """Alternate full evaluation and improvement until the policy is stable.
 
-    ``mdp`` is the model or its ``_compile``d pair table.  Starts from the
-    lowest-index available action in each state.  Evaluation warm-starts
-    from the previous value function (same fixed point, fewer sweeps);
-    improvement takes the argmax of Q over the available actions, ties to
-    the lowest index.
+    Starts from the lowest-index available action in each state.
+    Evaluation warm-starts from the previous value function (same fixed
+    point, fewer sweeps); improvement takes the argmax of Q over the
+    available actions, ties to the lowest index.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    compiled = _pairs(mdp)
-    policy = np.argmax(compiled.pair_index >= 0, axis=1)
+    policy = np.argmax(mdp.pair_index >= 0, axis=1)
     v = None
     total_sweeps = 0
     for round_no in range(1, MAX_IMPROVEMENTS + 1):
-        v, sweeps = _evaluate(compiled, _policy_rows(compiled, policy),
-                              epsilon, v0=v)
+        v, sweeps = _evaluate(mdp, _policy_rows(mdp, policy), epsilon, v0=v)
         total_sweeps += sweeps
-        Q = _q_table(compiled, v)
+        Q = _q_table(mdp, v)
         improved = np.nanargmax(Q, axis=1)  # Q is NaN where no pair exists
         if np.array_equal(improved, policy):
             return PolicySolution(policy=policy, V=v, Q=Q,

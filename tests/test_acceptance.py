@@ -46,7 +46,6 @@ from glyrl.mdp import (
     read_trajectories,
 )
 from glyrl.solver import (
-    _compile,
     policy_evaluation,
     policy_iteration,
     read_solution,
@@ -343,9 +342,8 @@ def test_criterion_07_estimated_mdp_integrity():
 
     # the solver's reward of each pair is the dense oracle's T @ r
     _, R = dense_model(mdp)
-    compiled = _compile(mdp)
     s, a = np.nonzero(mdp.available)
-    assert np.allclose(compiled.pair_reward[compiled.pair_index[s, a]],
+    assert np.allclose(mdp.pair_reward[mdp.pair_index[s, a]],
                        R[s, a], rtol=0.0, atol=1e-9)
     assert np.all(np.abs(R) <= 100.0) and R.min() < 0.0 < R.max()
     assert np.all(mdp.trans_s < k)  # terminals are absorbing

@@ -6,6 +6,7 @@ must name the standard library, numpy, yaml or glyrl itself, and
 Each kind of outside input has one reader: only ``config.py`` imports yaml
 and only ``cohort.py`` imports csv.  The stages sit on top of the library:
 only the entry points, ``cli.py`` and ``__init__.py``, import ``pipeline``.
+No module imports another module's private (underscored) name.
 Every module-level function and class is named somewhere in the package or
 the demos: code that only tests call belongs in the tests.
 """
@@ -81,6 +82,18 @@ def test_only_the_entry_points_import_pipeline():
     importers = {os.path.basename(path) for path in sources
                  if "pipeline" in set(glyrl_modules(path))}
     assert importers == {"cli.py", "__init__.py"}
+
+
+def test_no_module_imports_a_private_name():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    private = ["%s:%d imports %s" % (os.path.basename(path), node.lineno,
+                                     alias.name)
+               for path in sources
+               for node in ast.walk(parsed(path))
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or node.module.split(".")[0] == "glyrl")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_pyproject_declares_only_numpy_and_pyyaml():

@@ -2,6 +2,7 @@
 text table codec."""
 
 import csv
+import dataclasses
 import io
 from unittest import mock
 
@@ -25,7 +26,6 @@ from glyrl.mdp import (
     save_mdp,
     write_trajectories,
 )
-from glyrl.solver import _compile
 
 SPACE = ActionSpace()
 
@@ -193,7 +193,7 @@ def test_estimate_single_observation():
     assert len(idx) == 1
     assert mdp.trans_sp[idx[0]] == 1
     assert mdp.trans_p[idx[0]] == 1.0
-    assert _compile(mdp).pair_reward.tolist() == [100.0]  # into SURVIVE
+    assert mdp.pair_reward.tolist() == [100.0]  # into SURVIVE
 
 
 def test_estimate_even_split_probabilities():
@@ -273,6 +273,40 @@ def test_validate_rejects_actions_outside_the_action_space():
     mdp.trans_a[0] = SPACE.n_actions
     with pytest.raises(ValueError, match="action"):
         mdp.validate()
+
+
+def made_like(mdp, **changes):
+    """A new model from the constructor arguments of ``mdp``, with
+    ``changes``."""
+    args = {f.name: getattr(mdp, f.name)
+            for f in dataclasses.fields(mdp) if f.init}
+    args.update(changes)
+    return MDPModel(**args)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("trans_sp", 3, "target outside state space"),  # k + 2 for k = 1
+    ("trans_sp", -1, "target outside state space"),
+    ("trans_s", 1, "source outside cluster states"),
+    ("trans_a", 11, "action outside action space"),
+])
+def test_a_triplet_outside_the_model_is_refused_when_it_is_made(
+        field, value, message):
+    with pytest.raises(ValueError, match=message):
+        made_like(single_step_mdp(), **{field: np.array([value])})
+
+
+@pytest.mark.parametrize("gamma", [1.0, -0.5, float("nan"), "0.9", None,
+                                   True, [0.9]])
+def test_gamma_that_is_not_a_number_in_the_unit_interval_is_refused(gamma):
+    with pytest.raises(ValueError, match=r"gamma must be a number in \[0, 1\)"):
+        made_like(single_step_mdp(), gamma=gamma)
+
+
+def test_an_int_gamma_reads_back_as_written():
+    mdp = made_like(single_step_mdp(), gamma=0)
+    back = load_mdp(save_mdp(mdp))
+    assert type(back.gamma) is int and back.gamma == 0
 
 
 def test_estimate_count_conservation_min_count_one():
@@ -460,6 +494,11 @@ def test_mdp_load_rejects_corruption():
     truncated = lines[0] + "\n" + lines[1] + "\n"
     with pytest.raises(ValueError, match="declares 1 rows but has 0"):
         load_mdp(truncated)
+
+    # NaN compares false both ways, so it must fail a test it has to pass
+    nan_p = "\n".join(lines).replace(",1.0", ",nan") + "\n"
+    with pytest.raises(ValueError, match="disagree with counts"):
+        load_mdp(nan_p)
 
 
 # ids as the codec can carry them: no comma or line feed, and no NUL, which

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cohort_oracle
 from conftest import cohort_row, make_csv
-from glyrl import cli, cohort, mdp, pipeline, solver, synthgen
+from glyrl import cli, cohort, mdp, pipeline, synthgen
 from glyrl.cohort import hours_dtype, parse_cohort
 from glyrl.config import PipelineConfig, load_config
 from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
@@ -413,24 +413,39 @@ def test_evaluate_rewrites_a_damaged_curve_it_does_not_read(
     assert tree_hashes(str(art)) == tree_hashes(golden["art"])
 
 
-def test_solve_compiles_the_mdp_once(workspace, golden, tmp_path,
-                                     monkeypatch):
-    # policy iteration and the logged policy's evaluation share one pair
-    # table, and the solution files keep their bytes
-    art = tmp_path / "art"
-    shutil.copytree(golden["art"], art)
-    compiled = []
-    real = solver._compile
+def count_models_made(monkeypatch):
+    """The list every MDPModel made from now on is appended to."""
+    made = []
+    post_init = mdp.MDPModel.__post_init__
 
     def counted(model):
-        compiled.append(model)
-        return real(model)
+        made.append(model)
+        post_init(model)
 
-    monkeypatch.setattr(solver, "_compile", counted)
-    monkeypatch.setattr(pipeline, "_compile", counted)
+    monkeypatch.setattr(mdp.MDPModel, "__post_init__", counted)
+    return made
+
+
+def test_a_run_makes_the_mdp_once(workspace, golden, tmp_path, monkeypatch):
+    # build-mdp makes the model and hands it to solve, which solves it
+    # twice on the pair table it was made with
+    made = count_models_made(monkeypatch)
+    art = tmp_path / "art"
+    assert run_cli(["run", "--config", workspace["config"],
+                    "--input", workspace["cohort"], "--out", str(art)])[0] == 0
+    assert len(made) == 1
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
+def test_solve_makes_the_mdp_once(workspace, golden, tmp_path, monkeypatch):
+    # a standalone solve makes the model once, in load_mdp, and the
+    # solution files keep their bytes
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    made = count_models_made(monkeypatch)
     assert run_cli(["solve", "--config", workspace["config"],
                     "--out", str(art)])[0] == 0
-    assert len(compiled) == 1
+    assert len(made) == 1
     assert tree_hashes(str(art)) == tree_hashes(golden["art"])
 
 
@@ -889,6 +904,10 @@ TAMPERED = "does not match the SHA-256"
      "NoneType"),
     ("solve", "mdp/mdp.txt", edit_header(k=float("inf")), "mdp.txt",
      "cannot convert float infinity to integer"),
+    ("solve", "mdp/mdp.txt", nan_value, "mdp/mdp.txt",
+     "stored probabilities disagree with counts"),
+    ("solve", "mdp/mdp.txt", edit_header(gamma="0.9"), "mdp/mdp.txt",
+     "gamma must be a number in [0, 1), got '0.9'"),
     ("evaluate", "mdp/trajectories_train.csv", step_skipped,
      "trajectories_train.csv", "non-contiguous steps"),
     ("evaluate", "solution/real.csv", edit_header(k=None), "real.csv",
@@ -904,7 +923,8 @@ TAMPERED = "does not match the SHA-256"
 ], ids=["test_state_99", "optimal_cut_to_k4", "train_state_99",
         "swapped_labels", "optimal_value_nan", "train_emptied",
         "real_k_not_a_number", "mdp_version_2", "mdp_columns_renamed",
-        "mdp_n_states_null", "mdp_k_infinite", "train_step_skipped",
+        "mdp_n_states_null", "mdp_k_infinite", "mdp_p_nan", "mdp_gamma_text",
+        "train_step_skipped",
         "real_k_null", "real_header_too_deep", "tampered_real_value",
         "tampered_assignment"] + [
             os.path.basename(rel).split(".")[0] + "_cut_mid_line"
@@ -1458,6 +1478,30 @@ def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
     assert "encoder.model" in caplog.text
     if damage in ("tampered", "flipped", "truncated"):
         assert TAMPERED in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_encoder_of_another_state_width_exits_2_and_names_it(
+        workspace, sparse_golden, tmp_path, caplog, capsys):
+    # a sparse_ae run on the 4-covariate cohort, then ingest of the same
+    # cohort without its last covariate into the same directory: the
+    # recorded encoder.model still takes the old state width
+    art = tmp_path / "art"
+    shutil.copytree(sparse_golden, art)
+    narrow = tmp_path / "three_covariates.csv"
+    with open(workspace["cohort"]) as fh:
+        narrow.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                  for line in fh))
+    config = tmp_path / "config.yaml"
+    config.write_text(SPARSE_CONFIG_YAML
+                      + "covariates: [heart_rate, mean_bp, lactate]\n")
+    common = ["--config", str(config), "--out", str(art)]
+    assert run_cli(["ingest", "--input", str(narrow)] + common)[0] == 0
+    caplog.clear()
+    rc, _ = run_cli(["cluster"] + common)
+    assert rc == cli.DATA_EXIT
+    assert "%s takes 15 state features but %s has 14; rerun train-encoder" \
+        % (art / "encoder.model", art / "hours.npy") in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 

@@ -14,7 +14,6 @@ import trajectory_oracle as oracle
 from glyrl import synthgen
 from glyrl.mdp import FALLBACK_ACTION, ActionSpace, estimate_mdp
 from glyrl.solver import (
-    _compile,
     _q_table,
     policy_evaluation,
     policy_iteration,
@@ -43,7 +42,7 @@ def q_from_v(mdp, V):
     v = np.asarray(V, dtype=float)
     if v.shape != (mdp.n_states,):
         raise ValueError("V must cover all %d states" % mdp.n_states)
-    return _q_table(_compile(mdp), v)
+    return _q_table(mdp, v)
 
 
 def mdp_from_steps(steps_by_patient, k, min_count=1, gamma=0.9, action_space=None):
@@ -241,8 +240,9 @@ def test_optimal_dominates_every_fixed_policy():
 
 
 def reference_compile(mdp):
-    """The pair-by-pair loop over a dict of per-pair rows that _compile
-    replaced: (pair_reward, t_target, t_prob, pair_ptr, pair_index)."""
+    """The pair-by-pair loop over a dict of per-pair rows that the model's
+    vectorized pair table replaced: (pair_reward, t_target, t_prob,
+    pair_ptr, pair_index)."""
     by_pair = {}
     for s, a, sp, p in zip(mdp.trans_s, mdp.trans_a, mdp.trans_sp, mdp.trans_p):
         if p > 0.0:
@@ -269,27 +269,10 @@ def test_compiled_form_matches_the_per_pair_loop_bitwise():
     models = [random_mdp(rng, max_states=30, max_actions=11) for _ in range(40)]
     models.append(synthgen.true_mdp(synthgen.ladder_config(20, seed=1)))
     for mdp in models:
-        compiled = _compile(mdp)
-        got = (compiled.pair_reward, compiled.t_target, compiled.t_prob,
-               compiled.pair_ptr, compiled.pair_index)
+        got = (mdp.pair_reward, mdp.t_target, mdp.t_prob, mdp.pair_ptr,
+               mdp.pair_index)
         for a, b in zip(got, reference_compile(mdp)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_solves_on_a_compiled_table_match_solves_on_the_model():
-    # stage_solve compiles once and hands both solves the pair table
-    rng = np.random.default_rng(78)
-    for _ in range(10):
-        mdp = random_mdp(rng, max_states=30, max_actions=11)
-        compiled = _compile(mdp)
-        ours, theirs = policy_iteration(compiled), policy_iteration(mdp)
-        for field in ("policy", "V", "Q"):
-            assert getattr(ours, field).tobytes() == \
-                getattr(theirs, field).tobytes()
-        assert (ours.eval_sweeps, ours.improvements) == \
-            (theirs.eval_sweeps, theirs.improvements)
-        assert policy_evaluation(compiled, ours.policy).tobytes() == \
-            policy_evaluation(mdp, ours.policy).tobytes()
 
 
 def test_policy_iteration_rejects_bad_epsilon():

@@ -12,7 +12,8 @@ import synthgen_oracle
 from glyrl import cohort, pipeline
 from glyrl.cluster import assign_many, kmeans_fit
 from glyrl.errors import ArtifactError
-from glyrl.mdp import ActionSpace, DEFAULT_BIN_EDGES, discretize_glucose
+from glyrl.mdp import (ActionSpace, DEFAULT_BIN_EDGES, MDPModel,
+                       discretize_glucose)
 from glyrl.solver import policy_iteration
 from glyrl.synthgen import (
     GeneratorConfig,
@@ -178,6 +179,25 @@ def test_true_mdp_rows_are_proper_distributions():
         for a in range(11):
             sel = (mdp.trans_s == z) & (mdp.trans_a == a)
             assert np.isclose(mdp.trans_p[sel].sum(), 1.0)
+
+
+@pytest.mark.parametrize("seed,n_latent_states,horizon_hours",
+                         [(3, 5, 16), (7, 5, 16), (3, 5, 72), (1, 9, 16)])
+def test_true_mdp_of_a_ladder_config_is_checked_when_made(
+        monkeypatch, seed, n_latent_states, horizon_hours):
+    checked = []
+    validate = MDPModel.validate
+
+    def counted(model):
+        checked.append(model)
+        validate(model)
+
+    monkeypatch.setattr(MDPModel, "validate", counted)
+    mdp = true_mdp(ladder_config(100, seed=seed,
+                                 n_latent_states=n_latent_states,
+                                 horizon_hours=horizon_hours))
+    assert checked == [mdp]
+    assert np.all(mdp.pair_index >= 0)  # every pair of the exact MDP
 
 
 def test_dominant_action_wins_every_state():
