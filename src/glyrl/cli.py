@@ -106,11 +106,11 @@ def _run_command(args) -> int:
         csv_text, truth = synthgen.generate(config)
         path = args.out
         try:
-            pipeline._write(path, csv_text)
+            pipeline.write_file(path, csv_text)
             log.info("wrote %d-patient cohort to %s", config.n_patients, path)
             if args.truth_out:
                 path = args.truth_out
-                pipeline._write(path, synthgen.ground_truth_doc(truth))
+                pipeline.write_file(path, synthgen.ground_truth_doc(truth))
                 log.info("wrote ground truth to %s", path)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (path, exc))
@@ -121,7 +121,7 @@ def _run_command(args) -> int:
         result = pipeline.run_pipeline(cfg, args.input, args.out)
     else:
         inputs = (args.input,) if "input" in args else ()
-        result = pipeline._run_stage(args.command, cfg, *inputs, args.out)
+        result = pipeline.run_stage(args.command, cfg, *inputs, args.out)
     if result is not None:  # the report, from run and evaluate
         json.dump(result, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")

@@ -374,6 +374,15 @@ def read_table(text: str, fmt: str, columns: str, kinds: Sequence[type],
     return header, [np.concatenate(col) for col in zip(*blocks)]
 
 
+def header_int(header: dict, key: str) -> int:
+    """``header[key]``, which must be an integer: int() would truncate a
+    float and take a bool or a numeric string."""
+    value = header[key]
+    if type(value) is not int:
+        raise ValueError("header %s is %r, not an integer" % (key, value))
+    return value
+
+
 def write_trajectories(trajectories: Trajectories) -> str:
     """One `patient_id,step_index,state,action,next_state` row per step."""
     t = trajectories
@@ -424,14 +433,20 @@ def load_mdp(text: str) -> MDPModel:
     header, (s, a, sp, c, stored_p) = read_table(
         text, MDP_FORMAT, MDP_COLUMNS, (int, int, int, int, float),
         MDP_FORMAT_VERSION)
-    k = int(header["k"])
+    k = header_int(header, "k")
     gamma = header["gamma"]  # as written; the model refuses a non-number
-    min_count = int(header["min_count"])
-    action_space = ActionSpace(tuple(header["bin_edges"]))
-    declared = int(header["n_rows"])
+    min_count = header_int(header, "min_count")
+    edges = header["bin_edges"]
+    # float() would take a bool or a numeric string for an edge
+    if type(edges) is not list or \
+            any(type(e) not in (int, float) for e in edges):
+        raise ValueError("header bin_edges is %r, not a list of numbers"
+                         % (edges,))
+    action_space = ActionSpace(tuple(edges))
+    declared = header_int(header, "n_rows")
     if declared != len(c):
         raise ValueError("declares %d rows but has %d" % (declared, len(c)))
-    if int(header["n_states"]) != k + 2:
+    if header_int(header, "n_states") != k + 2:
         raise ValueError("inconsistent n_states")
     if not len(c):
         raise ValueError("no transitions")

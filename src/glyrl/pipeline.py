@@ -1,12 +1,15 @@
 """Stage orchestration: cohort CSV in, calibrated policy report out.
 
-Each stage is a function over an artifacts directory: it reads the files
-earlier stages wrote and writes its own, so the CLI subcommands and
-run_pipeline are the same code path.  Within one run_pipeline call a stage
-also hands the value of a file it wrote to the one later stage that reads
-it, which then skips reading the file back.  Every byte written is a pure
-function of (config, master seed, input CSV); reruns must reproduce
-artifacts exactly, which the manifest's checksums make checkable.
+Each stage is a function over one stage's view of an artifacts directory:
+it reads the files earlier stages wrote and writes its own.  run_stage is
+the one way to run a stage, for the CLI subcommands and run_pipeline alike:
+it opens that view, runs the stage on it and, once the stage returns,
+records what it wrote in the manifest, dropping the entries of the stages
+after it.  Within one run_pipeline call a stage also hands the value of a
+file it wrote to the one later stage that reads it, which then skips
+reading the file back.  Every byte written is a pure function of (config,
+master seed, input CSV); reruns must reproduce artifacts exactly, which the
+manifest's checksums make checkable.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def derive_seed(master: int, stream: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _write(path: str, content) -> str:
+def write_file(path: str, content) -> str:
     """Write ``content`` to ``path`` through a temporary file, creating its
     directory, and return the SHA-256 of the bytes written: text as UTF-8,
     a dict as sorted JSON, an array without objects as np.save writes it.
@@ -166,7 +169,7 @@ class _StageFiles:
     def _put(self, rel: str, content) -> str:
         path = self.path(rel)
         try:
-            return _write(path, content)
+            return write_file(path, content)
         except OSError as exc:
             raise ConfigError("cannot write %s: %s" % (path, exc))
 
@@ -207,16 +210,17 @@ class _StageFiles:
                 RecursionError, EOFError) as exc:
             raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
 
-    def record(self, config: PipelineConfig, **extra) -> None:
-        """Write the manifest with this stage's entry: what it wrote.  An
-        entry of a stage that no longer exists is dropped, so no file is
-        listed twice or with the hash of bytes since rewritten."""
-        self.manifest.update(config_digest=config.digest(), seed=config.seed,
-                             **extra)
+    def record(self, config: PipelineConfig) -> None:
+        """Write the manifest with this stage's entry: what it wrote.  The
+        entries of later stages, made from what this one rewrote, and of a
+        stage that no longer exists are dropped."""
+        self.manifest.update(config_digest=config.digest(), seed=config.seed)
         stages = self.manifest["stages"]
         stages[self.stage] = self.written
-        self.manifest["stages"] = {name: stages[name] for name, _, _ in STAGES
-                                   if name in stages}
+        names = [name for name, _, _ in STAGES]
+        self.manifest["stages"] = {
+            name: stages[name]
+            for name in names[:names.index(self.stage) + 1] if name in stages}
         self._put(MANIFEST_FILE, self.manifest)
 
 
@@ -299,14 +303,20 @@ def _load_hours(config: PipelineConfig,
     return rows, int(np.count_nonzero(rows["split"] == 0))
 
 
+def _check_k(config: PipelineConfig, train_hours: int) -> None:
+    """k-means needs a training hour per cluster."""
+    if config.clustering.k > train_hours:
+        raise ConfigError("clustering.k is %d, but the cohort has only %d "
+                          "training hours" % (config.clustering.k, train_hours))
+
+
 # --- stages -------------------------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str,
-                 handoff: Optional[dict] = None) -> None:
+def stage_ingest(config: PipelineConfig, input_csv: str,
+                 files: _StageFiles) -> None:
     """Parse, filter, impute, split, fit normalization (train only), and
     write the model-ready hours every later stage reads."""
-    files = _StageFiles(art_dir, "ingest", handoff)
     parsed = _read_cohort_file(input_csv, config.covariates)
     kept, exclusions = filter_cohort(parsed, config.preprocessing)
     n_parsed = len(parsed.ids)
@@ -322,11 +332,7 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str,
         config.split.test_fraction, derive_seed(config.seed, "split"))
     train, test = imputed.take(train_at), imputed.take(test_at)
     del imputed
-    # k-means needs a training hour per cluster; refuse before writing
-    train_hours = len(train.values)
-    if config.clustering.k > train_hours:
-        raise ConfigError("clustering.k is %d, but the cohort has only %d "
-                          "training hours" % (config.clustering.k, train_hours))
+    _check_k(config, len(train.values))  # before anything is written
 
     spec = fit_normalization(train)
     files.write("norm_spec.json", _norm_spec_doc(spec))
@@ -342,19 +348,15 @@ def stage_ingest(config: PipelineConfig, input_csv: str, art_dir: str,
         "train_patients": len(train.ids),
         "test_patients": len(test.ids),
     })
-    files.record(config)
     log.info("ingest: %d parsed, %d train / %d test",
              n_parsed, len(train.ids), len(test.ids))
 
 
-def stage_train_encoder(config: PipelineConfig, art_dir: str,
-                        handoff: Optional[dict] = None) -> None:
+def stage_train_encoder(config: PipelineConfig, files: _StageFiles) -> None:
     """Fit the sparse autoencoder on training-hour state vectors."""
-    files = _StageFiles(art_dir, "train-encoder", handoff)
     if config.representation != "sparse_ae":
         log.info("representation %r needs no encoder, skipping",
                  config.representation)
-        files.record(config)
         return
     rows, n_train = _load_hours(config, files)
     dataset = np.ascontiguousarray(rows["state"][:n_train])
@@ -368,14 +370,12 @@ def stage_train_encoder(config: PipelineConfig, art_dir: str,
                 decoded=EncoderParams(*(
                     np.ascontiguousarray(w, dtype=float) for w in
                     (params.W_enc, params.b_enc, params.W_dec, params.b_dec))))
-    files.record(config)
 
 
-def stage_cluster(config: PipelineConfig, art_dir: str,
-                  handoff: Optional[dict] = None) -> None:
+def stage_cluster(config: PipelineConfig, files: _StageFiles) -> None:
     """Fit k-means on training hours; assign every hour of both splits."""
-    files = _StageFiles(art_dir, "cluster", handoff)
     rows, n_train = _load_hours(config, files)
+    _check_k(config, n_train)
     # contiguous copies: on a strided view of the table numpy would skip BLAS,
     # which changes the bits of every matrix product
     points_train = np.ascontiguousarray(rows["state"][:n_train])
@@ -407,7 +407,7 @@ def stage_cluster(config: PipelineConfig, art_dir: str,
     files.write("assignments.csv", write_table(
         ASSIGNMENT_COLUMNS, "%s,%d,%d\n", (ids, hours, labels)),
         decoded=labels)
-    files.record(config, representation=config.representation)
+    files.manifest["representation"] = config.representation
 
 
 def _aligned_labels(files: _StageFiles, rows: np.ndarray, k: int) -> np.ndarray:
@@ -442,10 +442,8 @@ def _as_read(trajs: Trajectories) -> Trajectories:
         trajs, patient_ids=trajs.patient_ids.astype("<U%d" % width))
 
 
-def stage_build_mdp(config: PipelineConfig, art_dir: str,
-                    handoff: Optional[dict] = None) -> None:
+def stage_build_mdp(config: PipelineConfig, files: _StageFiles) -> None:
     """Turn assigned hours into trajectories and count the training MDP."""
-    files = _StageFiles(art_dir, "build-mdp", handoff)
     rows, n_train = _load_hours(config, files)
     k = config.clustering.k
     labels = _aligned_labels(files, rows, k)
@@ -466,13 +464,10 @@ def stage_build_mdp(config: PipelineConfig, art_dir: str,
     for split in ("train", "test"):
         files.write(TRAJECTORY_FILE % split, write_trajectories(trajs[split]),
                     decoded=_as_read(trajs[split]))
-    files.record(config)
 
 
-def stage_solve(config: PipelineConfig, art_dir: str,
-                handoff: Optional[dict] = None) -> None:
+def stage_solve(config: PipelineConfig, files: _StageFiles) -> None:
     """Policy-iterate the optimal policy; evaluate the behavioral one."""
-    files = _StageFiles(art_dir, "solve", handoff)
     model = files.read("build-mdp", MDP_FILE, "MDP",
                        lambda data: load_mdp(data.decode()))
     epsilon = config.solver.epsilon
@@ -489,7 +484,6 @@ def stage_solve(config: PipelineConfig, art_dir: str,
                                improvements=0),
                 decoded=v_real[:model.k])
     files.write(SOLUTION_FILE % "q_optimal", write_q_table(optimal))
-    files.record(config)
 
 
 def _read_values(files: _StageFiles, label: str) -> np.ndarray:
@@ -520,12 +514,10 @@ def _read_trajectories(files: _StageFiles, split: str,
                       parse)
 
 
-def stage_evaluate(config: PipelineConfig, art_dir: str,
-                   handoff: Optional[dict] = None) -> dict:
+def stage_evaluate(config: PipelineConfig, files: _StageFiles) -> dict:
     """Fit the mortality-versus-return curve on the training split, score
     both policies' solved values on the test split through it, and anchor
     the logged policy's estimate against training data."""
-    files = _StageFiles(art_dir, "evaluate", handoff)
     v_real = _read_values(files, "real")
     v_opt = _read_values(files, "optimal")
     k = len(v_real)
@@ -554,20 +546,27 @@ def stage_evaluate(config: PipelineConfig, art_dir: str,
     doc = calib.evaluate(v_real, v_opt, curve, trajs_train, trajs_test,
                          representation, config.digest(), config.seed)
     files.write("report.json", doc)
-    files.record(config)
     return doc
 
 
-def _run_stage(name: str, *args, **kwargs):
-    """Run stage ``name``.  The stage function is looked up when called, so
-    a replaced module attribute (a test double, a tracing wrapper) runs."""
+def run_stage(name: str, config: PipelineConfig, *paths: str,
+              handoff: Optional[dict] = None):
+    """Run stage ``name`` on its inputs, then the artifacts directory, in
+    ``paths``, and record it in the manifest if it returns.  The stage
+    function is looked up when called, so a replaced module attribute (a
+    test double, a tracing wrapper) runs."""
+    *inputs, art_dir = paths
     try:
-        return globals()["stage_" + name.replace("-", "_")](*args, **kwargs)
+        files = _StageFiles(art_dir, name, handoff)
+        result = globals()["stage_" + name.replace("-", "_")](
+            config, *inputs, files)
+        files.record(config)
     except GlyrlError as exc:
         # name the stage, but keep the class and its fields (a
         # TrainingDivergedError's epoch, a ParseError's line_number)
         exc.args = ("stage %r: %s" % (name, exc),)
         raise
+    return result
 
 
 def run_pipeline(config: PipelineConfig, input_csv: str, art_dir: str) -> dict:
@@ -577,5 +576,5 @@ def run_pipeline(config: PipelineConfig, input_csv: str, art_dir: str) -> dict:
     handoff = {}
     for name, _, reads_cohort in STAGES:
         inputs = (input_csv,) if reads_cohort else ()
-        report = _run_stage(name, config, *inputs, art_dir, handoff=handoff)
+        report = run_stage(name, config, *inputs, art_dir, handoff=handoff)
     return report

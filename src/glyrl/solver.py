@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .mdp import MDPModel, read_table, write_table
+from .mdp import MDPModel, header_int, read_table, write_table
 
 DEFAULT_EPSILON = 1e-4
 MAX_EVAL_SWEEPS = 1_000_000
@@ -144,7 +144,9 @@ def read_solution(text: str) -> Tuple[np.ndarray, np.ndarray, str]:
     header, (states, actions, values) = read_table(
         text, SOLUTION_FORMAT, SOLUTION_COLUMNS, (int, int, float),
         SOLUTION_FORMAT_VERSION)
-    if not np.array_equal(states, np.arange(int(header["k"]))):
+    # the rows' count first: arange of a large k would be allocated whole
+    if header_int(header, "k") != len(states) or \
+            np.any(states != np.arange(len(states))):
         raise ValueError("rows are not the contiguous states")
     return actions, values, str(header["label"])
 

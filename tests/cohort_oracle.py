@@ -558,16 +558,16 @@ def ingest(config, input_csv: str, art_dir: str) -> None:
     train, test = split_patients(imputed, config.split.test_fraction,
                                  pipeline.derive_seed(config.seed, "split"))
     spec = fit_normalization(train, config.covariates)
-    pipeline._write(os.path.join(art_dir, "norm_spec.json"),
+    pipeline.write_file(os.path.join(art_dir, "norm_spec.json"),
                     pipeline._norm_spec_doc(spec))
-    pipeline._write(os.path.join(art_dir, "hours.npy"),
+    pipeline.write_file(os.path.join(art_dir, "hours.npy"),
                     hours_table((train, test), spec))
     lines = ["patient_id,hour_index\n"]
     for series in test:
         for hour in series.hours:
             lines.append("%s,%d\n" % (series.patient_id, hour.hour_index))
-    pipeline._write(os.path.join(art_dir, "test.csv"), "".join(lines))
-    pipeline._write(os.path.join(art_dir, "exclusions.json"), {
+    pipeline.write_file(os.path.join(art_dir, "test.csv"), "".join(lines))
+    pipeline.write_file(os.path.join(art_dir, "exclusions.json"), {
         "parsed_patients": n_parsed,
         "filtered": {k: int(v) for k, v in sorted(exclusions.items())},
         "imputation_dropped": sorted([pid, reason] for pid, reason in dropped),

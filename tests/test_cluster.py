@@ -447,8 +447,8 @@ def rounded_ladder_hours(tmp_path, patients):
     csv_text, _ = synthgen.generate(
         synthgen.ladder_config(patients, seed=3, horizon_hours=72))
     (tmp_path / "cohort.csv").write_text(csv_text)
-    pipeline.stage_ingest(PipelineConfig(), str(tmp_path / "cohort.csv"),
-                          str(tmp_path))
+    pipeline.run_stage("ingest", PipelineConfig(), str(tmp_path / "cohort.csv"),
+                       str(tmp_path))
     rows = np.load(tmp_path / pipeline.HOURS_FILE)
     return np.round(rows["state"][rows["split"] == 0], 1)
 

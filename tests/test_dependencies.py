@@ -6,7 +6,7 @@ must name the standard library, numpy, yaml or glyrl itself, and
 Each kind of outside input has one reader: only ``config.py`` imports yaml
 and only ``cohort.py`` imports csv.  The stages sit on top of the library:
 only the entry points, ``cli.py`` and ``__init__.py``, import ``pipeline``.
-No module imports another module's private (underscored) name.
+No module imports or reads another module's private (underscored) name.
 Every module-level function and class is named somewhere in the package or
 the demos: code that only tests call belongs in the tests.
 """
@@ -84,15 +84,40 @@ def test_only_the_entry_points_import_pipeline():
     assert importers == {"cli.py", "__init__.py"}
 
 
+def module_names(tree):
+    """The names ``tree`` binds to modules of the package: ``from . import
+    pipeline`` binds ``pipeline``, and ``import glyrl.mdp as m`` binds
+    ``m``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level and not node.module) or node.module == "glyrl"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname for alias in node.names
+                         if alias.name.startswith("glyrl.") and alias.asname)
+    return names
+
+
 def test_no_module_imports_a_private_name():
     sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
-    private = ["%s:%d imports %s" % (os.path.basename(path), node.lineno,
-                                     alias.name)
-               for path in sources
-               for node in ast.walk(parsed(path))
-               if isinstance(node, ast.ImportFrom) and (
-                   node.level or node.module.split(".")[0] == "glyrl")
-               for alias in node.names if alias.name.startswith("_")]
+    private = []
+    for path in sources:
+        tree = parsed(path)
+        modules = module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "glyrl"):
+                private += ["%s:%d imports %s" % (os.path.basename(path),
+                                                  node.lineno, alias.name)
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules and node.attr.startswith("_"):
+                private.append("%s:%d reads %s.%s" % (
+                    os.path.basename(path), node.lineno, node.value.id,
+                    node.attr))
     assert private == []
 
 
@@ -110,7 +135,7 @@ def parsed(path):
         return ast.parse(fh.read(), filename=path)
 
 
-# Used without being named: pipeline._run_stage looks up each stage_*
+# Used without being named: pipeline.run_stage looks up each stage_*
 # function by string, and load_ground_truth is the reader of the file that
 # ``glyrl synth --truth-out`` writes.
 EXEMPT = {"synthgen.load_ground_truth"}

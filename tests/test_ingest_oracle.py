@@ -182,6 +182,14 @@ def _ingest(module, fn, config, csv_path, art_dir):
     return out
 
 
+def _stage_ingest(config, csv_path, art_dir):
+    """``pipeline.stage_ingest`` on its own view of ``art_dir``: run_stage
+    would name the stage in errors, which ``cohort_oracle.ingest`` does
+    not."""
+    pipeline.stage_ingest(config, csv_path,
+                          pipeline._StageFiles(art_dir, "ingest"))
+
+
 @settings(max_examples=100)
 @given(rows=cohorts(),
        max_missing=st.sampled_from([0.1, 0.5, 1.0, 1.0]),
@@ -201,14 +209,14 @@ def test_ingest_bytes_equal_the_object_reference(rows, max_missing,
         expected = _ingest(cohort_oracle, cohort_oracle.ingest, config, path,
                            os.path.join(root, "oracle"))
         with mock.patch.object(cohort, "CHUNK_ROWS", chunk):
-            got = _ingest(pipeline, pipeline.stage_ingest, config, path,
+            got = _ingest(pipeline, _stage_ingest, config, path,
                           os.path.join(root, "columns"))
         assert got == expected
         # the same rows in another order give the same bytes
         shuffle.shuffle(rows)
         with open(path, "w") as fh:
             fh.write("\n".join([HEADER] + rows) + "\n")
-        assert _ingest(pipeline, pipeline.stage_ingest, config, path,
+        assert _ingest(pipeline, _stage_ingest, config, path,
                        os.path.join(root, "shuffled")) == expected
     finally:
         shutil.rmtree(root)

@@ -4,6 +4,8 @@ text table codec."""
 import csv
 import dataclasses
 import io
+import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -499,6 +501,24 @@ def test_mdp_load_rejects_corruption():
     nan_p = "\n".join(lines).replace(",1.0", ",nan") + "\n"
     with pytest.raises(ValueError, match="disagree with counts"):
         load_mdp(nan_p)
+
+    # a header value int() or float() would coerce to the one written
+    header = json.loads(lines[0])
+    edges = header["bin_edges"]
+    for key, value, message in [
+            ("k", 1.0, "header k is 1.0, not an integer"),
+            ("k", True, "header k is True, not an integer"),
+            ("n_states", 3.0, "header n_states is 3.0, not an integer"),
+            ("n_rows", 1.0, "header n_rows is 1.0, not an integer"),
+            ("min_count", 1.5, "header min_count is 1.5, not an integer"),
+            ("min_count", "1", "header min_count is '1', not an integer"),
+            ("bin_edges", [True] + edges[1:], "header bin_edges is [True, "),
+            ("bin_edges", [str(edges[0])] + edges[1:],
+             "header bin_edges is ['%r', " % edges[0])]:
+        text = "\n".join([json.dumps(dict(header, **{key: value}))]
+                         + lines[1:]) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_mdp(text)
 
 
 # ids as the codec can carry them: no comma or line feed, and no NUL, which

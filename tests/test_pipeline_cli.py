@@ -26,7 +26,8 @@ from conftest import cohort_row, make_csv
 from glyrl import cli, cohort, mdp, pipeline, synthgen
 from glyrl.cohort import hours_dtype, parse_cohort
 from glyrl.config import PipelineConfig, load_config
-from glyrl.errors import ConvergenceError, ParseError, TrainingDivergedError
+from glyrl.errors import (ConvergenceError, DataError, ParseError,
+                          TrainingDivergedError)
 from glyrl.solver import read_solution
 
 N_PATIENTS = 200
@@ -377,6 +378,68 @@ def test_manifest_drops_the_entry_of_a_stage_that_no_longer_exists(
     assert sorted(listed) == sorted(on_disk.items())
 
 
+def test_rerunning_a_stage_drops_the_entries_of_later_stages(
+        workspace, golden, tmp_path, caplog, capsys):
+    # cluster rewrites the states build-mdp counted, so the MDP, solutions
+    # and report of the old states are no longer trusted, whatever config
+    # the later stages are given
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    config = tmp_path / "k7.yaml"
+    config.write_text("seed: 3\nclustering:\n  k: 7\n")
+    common = ["--config", str(config), "--out", str(art)]
+    assert run_cli(["cluster"] + common)[0] == 0
+    stages = json.loads((art / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"ingest", "train-encoder", "cluster"}
+    for command, writer, rel in [("solve", "build-mdp", "mdp/mdp.txt"),
+                                 ("evaluate", "solve", "solution/real.csv")]:
+        caplog.clear()
+        rc, _ = run_cli([command] + common)
+        assert rc == cli.DATA_EXIT
+        assert "stage %r: the manifest records no %s checksum for %s; " \
+            "rerun %s" % (command, writer, art / rel, writer) in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert json.loads((art / "manifest.json").read_text())["stages"] == stages
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in pipeline.STAGES])
+def test_a_stage_that_raises_leaves_the_manifest_as_it_was(
+        workspace, golden, tmp_path, monkeypatch, caplog, name):
+    # what a stage writes before it fails is never recorded
+    def fail(config, *args):
+        args[-1].write("partial.txt", "written before the failure\n")
+        raise DataError("failed after writing")
+
+    monkeypatch.setattr(pipeline, "stage_" + name.replace("-", "_"), fail)
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    written = (art / "manifest.json").read_bytes()
+    inputs = ["--input", workspace["cohort"]] if READS_COHORT[name] else []
+    rc, _ = run_cli([name, "--config", workspace["config"], *inputs,
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "stage %r: failed after writing" % name in caplog.text
+    assert (art / "partial.txt").exists()
+    assert (art / "manifest.json").read_bytes() == written
+
+
+def test_run_writes_the_manifest_once_per_stage(workspace, golden, tmp_path,
+                                                monkeypatch):
+    written = []
+    write_file = pipeline.write_file
+
+    def counted(path, content):
+        written.append(os.path.basename(path))
+        return write_file(path, content)
+
+    monkeypatch.setattr(pipeline, "write_file", counted)
+    art = tmp_path / "art"
+    assert run_cli(["run", "--config", workspace["config"],
+                    "--input", workspace["cohort"], "--out", str(art)])[0] == 0
+    assert written.count(pipeline.MANIFEST_FILE) == len(pipeline.STAGES)
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
 def test_evaluate_turns_an_older_manifest_into_the_current_one(
         workspace, golden, tmp_path):
     # with the config unchanged, dropping the stale calibrate entry and
@@ -439,14 +502,20 @@ def test_a_run_makes_the_mdp_once(workspace, golden, tmp_path, monkeypatch):
 
 def test_solve_makes_the_mdp_once(workspace, golden, tmp_path, monkeypatch):
     # a standalone solve makes the model once, in load_mdp, and the
-    # solution files keep their bytes
+    # solution files keep their bytes; evaluate must run again
     art = tmp_path / "art"
     shutil.copytree(golden["art"], art)
     made = count_models_made(monkeypatch)
     assert run_cli(["solve", "--config", workspace["config"],
                     "--out", str(art)])[0] == 0
     assert len(made) == 1
-    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+    hashes, golden_hashes = tree_hashes(str(art)), tree_hashes(golden["art"])
+    assert {rel: sha for rel, sha in hashes.items()
+            if rel.startswith("solution")} == \
+        {rel: sha for rel, sha in golden_hashes.items()
+         if rel.startswith("solution")}
+    stages = json.loads((art / "manifest.json").read_text())["stages"]
+    assert set(stages) == {name for name, _, _ in pipeline.STAGES[:-1]}
 
 
 def test_calibration_error_names_evaluate_and_exits_2(workspace, golden,
@@ -614,7 +683,7 @@ def test_write_returns_the_sha256_of_exactly_the_bytes_written(tmp_path,
     else:
         expected = content.encode("utf-8")
     path = tmp_path / "new" / "artifact"
-    digest = pipeline._write(str(path), content)
+    digest = pipeline.write_file(str(path), content)
     assert path.read_bytes() == expected
     assert digest == hashlib.sha256(expected).hexdigest()
     assert os.listdir(tmp_path / "new") == ["artifact"]
@@ -735,6 +804,23 @@ def test_k_above_the_training_hours_exits_1_before_ingest_writes(
     bad.write_text("seed: 3\nclustering:\n  k: %d\n" % train_hours)
     assert run_cli(["ingest", "--config", str(bad),
                     "--input", workspace["cohort"], "--out", str(out)])[0] == 0
+
+
+def test_cluster_with_k_above_the_training_hours_exits_1_naming_the_key(
+        workspace, golden, tmp_path, caplog, capsys):
+    # ingest ran with k = 5; a standalone cluster gets the same check
+    train_hours = int(np.count_nonzero(np.load(
+        os.path.join(golden["art"], "hours.npy"))["split"] == 0))
+    art = tmp_path / "art"
+    shutil.copytree(golden["art"], art)
+    bad = tmp_path / "big_k.yaml"
+    bad.write_text("seed: 3\nclustering:\n  k: 100000\n")
+    rc, _ = run_cli(["cluster", "--config", str(bad), "--out", str(art)])
+    assert rc == cli.USAGE_EXIT
+    assert "stage 'cluster': clustering.k is 100000, but the cohort has only " \
+        "%d training hours" % train_hours in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert tree_hashes(str(art)) == tree_hashes(golden["art"])
 
 
 def test_missing_cohort_file_exits_2(workspace):
@@ -895,15 +981,17 @@ TAMPERED = "does not match the SHA-256"
     ("evaluate", "mdp/trajectories_train.csv", header_only,
      "trajectories_train.csv", "lists no trajectories"),
     ("evaluate", "solution/real.csv", edit_header(k="five"), "real.csv",
-     "invalid literal for int()"),
+     "header k is 'five', not an integer"),
     ("solve", "mdp/mdp.txt", edit_header(version=2), "mdp.txt",
      "unsupported glyrl-mdp version 2"),
     ("solve", "mdp/mdp.txt", mdp_columns_renamed, "mdp.txt",
      "column header is not 's,a,s_next,count,p'"),
     ("solve", "mdp/mdp.txt", edit_header(n_states=None), "mdp.txt",
-     "NoneType"),
+     "header n_states is None, not an integer"),
     ("solve", "mdp/mdp.txt", edit_header(k=float("inf")), "mdp.txt",
-     "cannot convert float infinity to integer"),
+     "header k is inf, not an integer"),
+    ("solve", "mdp/mdp.txt", edit_header(min_count=5.5), "mdp.txt",
+     "header min_count is 5.5, not an integer"),
     ("solve", "mdp/mdp.txt", nan_value, "mdp/mdp.txt",
      "stored probabilities disagree with counts"),
     ("solve", "mdp/mdp.txt", edit_header(gamma="0.9"), "mdp/mdp.txt",
@@ -911,7 +999,9 @@ TAMPERED = "does not match the SHA-256"
     ("evaluate", "mdp/trajectories_train.csv", step_skipped,
      "trajectories_train.csv", "non-contiguous steps"),
     ("evaluate", "solution/real.csv", edit_header(k=None), "real.csv",
-     "NoneType"),
+     "header k is None, not an integer"),
+    ("evaluate", "solution/real.csv", edit_header(k=5.0), "real.csv",
+     "header k is 5.0, not an integer"),
     ("evaluate", "solution/real.csv", nested_too_deep, "real.csv",
      "maximum recursion depth exceeded"),
     ("evaluate", "solution/real.csv", value_raised_by_5, "real.csv", TAMPERED),
@@ -923,9 +1013,9 @@ TAMPERED = "does not match the SHA-256"
 ], ids=["test_state_99", "optimal_cut_to_k4", "train_state_99",
         "swapped_labels", "optimal_value_nan", "train_emptied",
         "real_k_not_a_number", "mdp_version_2", "mdp_columns_renamed",
-        "mdp_n_states_null", "mdp_k_infinite", "mdp_p_nan", "mdp_gamma_text",
-        "train_step_skipped",
-        "real_k_null", "real_header_too_deep", "tampered_real_value",
+        "mdp_n_states_null", "mdp_k_infinite", "mdp_min_count_fractional",
+        "mdp_p_nan", "mdp_gamma_text", "train_step_skipped",
+        "real_k_null", "real_k_float", "real_header_too_deep", "tampered_real_value",
         "tampered_assignment"] + [
             os.path.basename(rel).split(".")[0] + "_cut_mid_line"
             for rel in TABLE_FIELDS])
@@ -1194,7 +1284,7 @@ def test_single_patient_cohort_runs_with_an_empty_test_split(tmp_path):
 
 
 def test_numerical_failure_exits_3(workspace, golden, monkeypatch):
-    def explode(config, art_dir):
+    def explode(config, files):
         raise ConvergenceError("policy evaluation exceeded iteration cap")
 
     monkeypatch.setattr(pipeline, "stage_solve", explode)
@@ -1484,8 +1574,8 @@ def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
 def test_encoder_of_another_state_width_exits_2_and_names_it(
         workspace, sparse_golden, tmp_path, caplog, capsys):
     # a sparse_ae run on the 4-covariate cohort, then ingest of the same
-    # cohort without its last covariate into the same directory: the
-    # recorded encoder.model still takes the old state width
+    # cohort without its last covariate into the same directory: ingest
+    # drops train-encoder's entry, so the old encoder.model is not trusted
     art = tmp_path / "art"
     shutil.copytree(sparse_golden, art)
     narrow = tmp_path / "three_covariates.csv"
@@ -1500,6 +1590,19 @@ def test_encoder_of_another_state_width_exits_2_and_names_it(
     caplog.clear()
     rc, _ = run_cli(["cluster"] + common)
     assert rc == cli.DATA_EXIT
+    assert "stage 'cluster': the manifest records no train-encoder checksum " \
+        "for %s; rerun train-encoder" % (art / "encoder.model") in caplog.text
+
+    # with the old entry recorded again, cluster gets past the checksum to
+    # the model's input width, which still is the old state width
+    with open(os.path.join(sparse_golden, "manifest.json")) as fh:
+        old = json.load(fh)["stages"]["train-encoder"]
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["stages"]["train-encoder"] = old
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    caplog.clear()
+    rc, _ = run_cli(["cluster"] + common)
+    assert rc == cli.DATA_EXIT
     assert "%s takes 15 state features but %s has 14; rerun train-encoder" \
         % (art / "encoder.model", art / "hours.npy") in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
@@ -1511,7 +1614,7 @@ def test_evaluate_reports_manifest_representation_on_mismatch(
     shutil.copytree(golden["art"], relabeled)
     config = load_config(workspace["config"])
     config.representation = "sparse_ae"
-    report = pipeline.stage_evaluate(config, str(relabeled))
+    report = pipeline.run_stage("evaluate", config, str(relabeled))
     assert report["representation"] == "raw"
     assert "representation" in caplog.text.lower()
 

@@ -306,7 +306,7 @@ def test_first_transition_distribution_converges_to_tensor():
 def test_ground_truth_round_trip(tmp_path):
     _, truth = generate(ladder_config(30, seed=6))
     path = str(tmp_path / "truth.json")
-    pipeline._write(path, ground_truth_doc(truth))
+    pipeline.write_file(path, ground_truth_doc(truth))
     loaded = load_ground_truth(path)
     assert loaded.n_latent_states == truth.n_latent_states
     assert loaded.gamma == truth.gamma
@@ -332,7 +332,7 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
         with pytest.raises(ArtifactError, match="not a ground-truth file"):
             load_ground_truth(path)
     _, truth = generate(ladder_config(5))
-    pipeline._write(path, ground_truth_doc(truth))
+    pipeline.write_file(path, ground_truth_doc(truth))
     doc = json.load(open(path))
     doc["version"] = 99
     json.dump(doc, open(path, "w"))
