@@ -88,10 +88,19 @@ CLUSTER_FORMAT_VERSION = 1
 # A reach that overflows is inf and keeps the point; a gap that overflows
 # exceeds any finite reach, as its true value does.
 #
+# Equal centroids.  The search runs over the lowest-index copy of each
+# distinct centroid only: the folded product reads +inf for every other
+# copy, so none is picked, none is within reach, and a point nearest to a
+# group of copies is not rechecked for their tie.  Equal centroids give
+# equal explicit distances and ties go to the lowest index, so the labels
+# and distances are still those of the search over all k.  (A reach that
+# is not finite keeps the copies as candidates, which is only slower.)
+#
 # Row blocks hold about _BLOCK_ELEMENTS float64 distances and at most
 # _BLOCK_ROWS rows, so the search's scratch does not grow with the number of
 # points; the explicit recheck squares the differences of its (point,
-# centroid) pairs in place, in chunks of about _CHUNK_ELEMENTS.
+# centroid) pairs in place, in chunks of about _CHUNK_ELEMENTS.  Seeding
+# computes its distances _BLOCK_ROWS rows at a time, in one reused block.
 _BLOCK_ELEMENTS = 1 << 20
 _BLOCK_ROWS = 4096
 _CHUNK_ELEMENTS = 1 << 20
@@ -174,7 +183,10 @@ class _Nearest:
         c_sq = (centroids ** 2).sum(axis=1)
         c_norm = np.sqrt(c_sq.max())
         np.multiply(centroids.T, -2.0, out=folded[:dim])  # exact: a power of two
-        folded[dim] = c_sq
+        folded[dim] = np.inf
+        # the first occurrence, so the lowest index, of each distinct centroid
+        first = np.unique(centroids, axis=0, return_index=True)[1]
+        folded[dim, first] = c_sq[first]
         step = len(self.rows)
         for start in range(0, n, step):
             block = points[start:start + step]
@@ -208,6 +220,23 @@ def _squared_distances(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1)
 
 
+def _distances_to(points: np.ndarray, c: np.ndarray, block: np.ndarray,
+                  at: Optional[np.ndarray] = None) -> np.ndarray:
+    """_squared_distances of every point, or of the points indexed by
+    ``at``, to c, copying len(block) rows at a time into the scratch
+    ``block``."""
+    d2 = np.empty(len(points) if at is None else len(at))
+    for start in range(0, len(d2), len(block)):
+        part = slice(start, start + len(block))
+        rows = block[:len(d2[part])]
+        if at is None:
+            np.copyto(rows, points[part])
+        else:  # "clip" changes no index and gathers without a temporary
+            np.take(points, at[part], axis=0, out=rows, mode="clip")
+        d2[part] = _squared_distances(rows, c)
+    return d2
+
+
 def _choice(weights: np.ndarray, total: float, rng: np.random.Generator,
             p: np.ndarray, cdf: np.ndarray) -> int:
     """rng.choice(len(weights), p=weights / total): Generator.choice's own
@@ -228,7 +257,8 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
     n, dim = points.shape
     seeds = np.empty((k, dim))
     seeds[0] = points[rng.integers(n)]
-    d2 = ((points - seeds[0]) ** 2).sum(axis=1)
+    block = np.empty((min(n, _BLOCK_ROWS), dim))
+    d2 = _distances_to(points, seeds[0], block)
     # each point's d2 only decreases from here, so every later total is finite
     if not np.isfinite(d2.sum()):
         raise ValueError("squared distances between the points overflow "
@@ -249,7 +279,7 @@ def _seed_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator):
         gap = ((seeds[:j] - seeds[j]) ** 2).sum(axis=1)
         # "not greater" keeps every point the bound cannot rule out
         near = np.flatnonzero(~(gap[owner] > reach))
-        dist = _squared_distances(points[near], seeds[j])
+        dist = _distances_to(points, seeds[j], block, near)
         closer = dist < d2[near]  # ties stay with the lower index
         moved = near[closer]
         d2[moved] = dist[closer]

@@ -13,10 +13,13 @@ their gradient are views of two flat vectors, minibatch steps and optimizer
 updates write in place, and each epoch's loss computes the hidden layer once.
 A minibatch step writes every intermediate into preallocated scratch, and
 its row sums and batch means are the reductions that np.sum and np.mean
-run.  Memory is bounded: beyond the two layer outputs of a loss pass,
-elementwise scratch spans at most BLOCK_ROWS rows.  The weights and loss
-history are bitwise those of the plain per-operation form, which the tests
-keep as their oracle.
+run.  Its scalar operands are 0-d arrays made once, which numpy takes
+without converting a Python float on every call.  Memory is bounded: beyond
+the two layer outputs of a loss pass, elementwise scratch spans at most
+BLOCK_ROWS rows, and each epoch's shuffled rows are gathered a chunk of
+whole minibatches at a time, about BLOCK_ROWS rows, into one reusable
+buffer.  The weights and loss history are bitwise those of the plain
+per-operation form, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ from .errors import TrainingDivergedError
 # Batch-mean activations are clamped to this range before the KL logs so the
 # penalty stays finite even when a unit saturates.
 ACTIVATION_FLOOR = 1e-6
+
+
+def _constant(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc takes it without
+    converting a Python float on every call."""
+    array = np.array(value)
+    array.flags.writeable = False
+    return array
+
+
+# The scalar operands of the elementwise passes.
+_ZERO, _ONE = _constant(0.0), _constant(1.0)
+_FLOOR, _CEILING = _constant(ACTIVATION_FLOOR), _constant(1.0 - ACTIVATION_FLOOR)
 
 ENCODER_FORMAT = "glyrl-encoder"
 ENCODER_FORMAT_VERSION = 1
@@ -70,7 +86,8 @@ class EncoderParams:
 
 # Rows per block of the elementwise passes over a whole dataset: the
 # sigmoid's scratch, and so the memory a loss pass or an encode adds beyond
-# the layer outputs themselves.
+# the layer outputs themselves.  Training gathers its shuffled minibatches
+# in chunks of about as many rows.
 BLOCK_ROWS = 4096
 
 
@@ -87,8 +104,8 @@ def _sigmoid_block(z: np.ndarray, den: np.ndarray) -> None:
     np.negative(z, out=den)
     np.minimum(z, den, out=den)
     np.exp(den, out=den)
-    den += 1.0
-    np.minimum(z, 0.0, out=z)
+    den += _ONE
+    np.minimum(z, _ZERO, out=z)
     np.exp(z, out=z)
     z /= den
 
@@ -166,13 +183,17 @@ class _Workspace:
     the loss over ``n_rows`` rows write into.
 
     Every operation keeps the order of the textbook expressions it replaces
-    (noted beside each block), so the results are bitwise theirs.
+    (noted beside each block), so the results are bitwise theirs.  The
+    scalars that depend on a batch's row count m are made once per m.
     """
 
     def __init__(self, params: EncoderParams, config: EncoderConfig,
                  batch_rows: int, n_rows: int):
         lat, inp = params.latent_dim, params.input_dim
         self.target, self.beta = config.sparsity_target, config.beta
+        self.neg_target = np.array(-self.target)
+        self.one_minus_target = np.array(1.0 - self.target)
+        self.per_rows = {}  # m: (2/m, m, beta/m)
         self.flat = np.concatenate([params.W_enc.ravel(), params.b_enc,
                                     params.W_dec.ravel(), params.b_dec])
         self.grad = np.empty_like(self.flat)
@@ -219,6 +240,11 @@ class _Workspace:
         """
         m = len(X)
         p, g = self.params, self.grads
+        scalars = self.per_rows.get(m)
+        if scalars is None:
+            scalars = self.per_rows[m] = (np.array(2.0 / m), np.array(float(m)),
+                                          np.array(self.beta / m))
+        two_over_m, m_float, beta_over_m = scalars
         H, dH = self.hidden[:m], self.hidden_tmp[:m]
         X_hat, D = self.out[:m], self.out_tmp[:m]
         _layer_into(X, p.W_enc, p.b_enc, H, dH)
@@ -226,9 +252,9 @@ class _Workspace:
 
         # Reconstruction path: D = (2/m) * (X_hat - X) * X_hat * (1 - X_hat).
         np.subtract(X_hat, X, out=D)
-        D *= 2.0 / m
+        D *= two_over_m
         D *= X_hat
-        np.subtract(1.0, X_hat, out=X_hat)
+        np.subtract(_ONE, X_hat, out=X_hat)
         D *= X_hat
         np.matmul(D.T, H, out=g.W_dec)
         np.add.reduce(D, axis=0, out=g.b_dec)
@@ -241,24 +267,24 @@ class _Workspace:
         rho, d_kl = self.rho, self.d_kl
         unclamped, below_ceiling = self.unclamped, self.below_ceiling
         np.add.reduce(H, axis=0, out=rho)
-        rho /= m
-        np.greater(rho, ACTIVATION_FLOOR, out=unclamped)
-        np.less(rho, 1.0 - ACTIVATION_FLOOR, out=below_ceiling)
+        rho /= m_float
+        np.greater(rho, _FLOOR, out=unclamped)
+        np.less(rho, _CEILING, out=below_ceiling)
         unclamped &= below_ceiling
-        np.maximum(rho, ACTIVATION_FLOOR, out=rho)
-        np.minimum(rho, 1.0 - ACTIVATION_FLOOR, out=rho)
+        np.maximum(rho, _FLOOR, out=rho)
+        np.minimum(rho, _CEILING, out=rho)
         # dH += (beta/m) * ((-target/rho + (1-target)/(1-rho)) * unclamped)
-        np.divide(-self.target, rho, out=d_kl)
-        np.subtract(1.0, rho, out=rho)
-        np.divide(1.0 - self.target, rho, out=rho)
+        np.divide(self.neg_target, rho, out=d_kl)
+        np.subtract(_ONE, rho, out=rho)
+        np.divide(self.one_minus_target, rho, out=rho)
         d_kl += rho
         d_kl *= unclamped
-        d_kl *= self.beta / m
+        d_kl *= beta_over_m
         dH += d_kl
 
         # Encoder path: dH * H * (1 - H).
         dH *= H
-        np.subtract(1.0, H, out=H)
+        np.subtract(_ONE, H, out=H)
         dH *= H
         np.matmul(dH.T, X, out=g.W_enc)
         np.add.reduce(dH, axis=0, out=g.b_enc)
@@ -277,13 +303,16 @@ def sparse_loss(batch, params: EncoderParams, config: EncoderConfig) -> float:
 class _Adam:
     """Adam on one flat vector, in place, in the operation order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    flat -= lr*m_hat / (sqrt(v_hat) + eps)."""
+    flat -= lr*m_hat / (sqrt(v_hat) + eps).  The scalar operands are 0-d
+    arrays; the two bias corrections are written into theirs each step."""
 
     def __init__(self, lr: float, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1, self.beta2 = beta1, beta2
+        self.b1, self.b2 = np.array(beta1), np.array(beta2)
+        self.one_minus_b1 = np.array(1.0 - beta1)
+        self.one_minus_b2 = np.array(1.0 - beta2)
+        self.lr, self.eps = np.array(lr), np.array(eps)
+        self.correction1, self.correction2 = np.array(1.0), np.array(1.0)
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -293,16 +322,18 @@ class _Adam:
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         tmp, den = self.tmp, self.den
         self.t += 1
-        self.m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        self.correction1[()] = 1.0 - self.beta1 ** self.t
+        self.correction2[()] = 1.0 - self.beta2 ** self.t
+        self.m *= self.b1
+        np.multiply(grad, self.one_minus_b1, out=tmp)
         self.m += tmp
-        self.v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        self.v *= self.b2
+        np.multiply(grad, self.one_minus_b2, out=tmp)
         tmp *= grad
         self.v += tmp
-        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=tmp)
+        np.divide(self.m, self.correction1, out=tmp)
         tmp *= self.lr
-        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=den)
+        np.divide(self.v, self.correction2, out=den)
         np.sqrt(den, out=den)
         den += self.eps
         tmp /= den
@@ -336,13 +367,21 @@ def train(dataset, config: EncoderConfig, seed: int) -> EncoderParams:
     best_loss = initial
     best = ws.flat.copy()
 
-    shuffled = np.empty((n, input_dim))
+    # each epoch's permutation is gathered a chunk of whole batches at a
+    # time, so every batch is a contiguous slice of one reusable buffer
+    batch = config.batch_size
+    chunk = np.empty((min(max(1, BLOCK_ROWS // batch) * batch, n), input_dim))
     for epoch in range(1, config.epochs + 1):
-        # one gather per epoch; every batch is then a contiguous slice
-        np.take(X, rng.permutation(n), axis=0, out=shuffled)
-        for start in range(0, n, config.batch_size):
-            ws.gradient(shuffled[start:start + config.batch_size])
-            optimizer.step(ws.flat, ws.grad)
+        order = rng.permutation(n)
+        for at in range(0, n, len(chunk)):
+            part = order[at:at + len(chunk)]
+            # a permutation is in range, so "clip" changes no index; the
+            # default mode would gather into a temporary and copy that
+            rows = np.take(X, part, axis=0, out=chunk[:len(part)],
+                           mode="clip")
+            for start in range(0, len(rows), batch):
+                ws.gradient(rows[start:start + batch])
+                optimizer.step(ws.flat, ws.grad)
         epoch_loss = ws.loss(X)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, config.learning_rate)

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 from typing import Optional, Sequence, Tuple
 
@@ -290,11 +291,28 @@ def _hours_problem(rows: np.ndarray, n_features: int) -> Optional[str]:
     return None
 
 
+def _parse_npy(data: bytes) -> np.ndarray:
+    """np.load of the bytes of a .npy file whose header's shape and type
+    account for exactly the bytes after it, checked before anything is
+    allocated: np.load allocates the shape the header declares, and it
+    ignores bytes beyond it."""
+    fh = io.BytesIO(data)
+    version = np.lib.format.read_magic(fh)
+    read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) \
+        else np.lib.format.read_array_header_2_0
+    shape, _, dtype = read_header(fh)
+    expected, found = math.prod(shape) * dtype.itemsize, len(data) - fh.tell()
+    if found != expected:
+        raise ValueError("its header declares shape %r of %s, %d bytes, but "
+                         "%d bytes follow it" % (shape, dtype, expected, found))
+    fh.seek(0)
+    return np.load(fh, allow_pickle=False)
+
+
 def _load_hours(config: PipelineConfig,
                 files: _StageFiles) -> Tuple[np.ndarray, int]:
     """hours.npy and its number of (leading) training rows."""
-    rows = files.read("ingest", HOURS_FILE, "model-ready hours",
-                      lambda data: np.load(io.BytesIO(data), allow_pickle=False))
+    rows = files.read("ingest", HOURS_FILE, "model-ready hours", _parse_npy)
     # checked once the file's bytes are freed
     problem = _hours_problem(rows, len(state_feature_names(config.covariates)))
     if problem is not None:
@@ -399,6 +417,7 @@ def stage_cluster(config: PipelineConfig, files: _StageFiles) -> None:
                        seed=derive_seed(config.seed, "kmeans"),
                        max_iters=config.clustering.max_iters,
                        tol=config.clustering.tol)
+    del points_train  # the fit's labels are all the stage needs of them
     files.write("clusters.model", save_clusters(model))
 
     labels = model.labels

@@ -407,6 +407,38 @@ def test_nearest_exact_where_the_folded_product_is_wrong(monkeypatch, dim):
     assert set(map(tuple, points[wrong].tolist())) <= set(rechecked)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 15])
+def test_equal_centroids_are_searched_once(monkeypatch, dim):
+    # each of 12 distinct centroids at least twice, in shuffled order,
+    # one copy with a -0.0 where the others hold +0.0: every point's
+    # nearest centroids are an exact tie among copies, settled by the
+    # lowest index without the explicit recheck
+    rng = np.random.default_rng(90 + dim)
+    points = rng.normal(size=(3000, dim))
+    distinct = rng.normal(size=(12, dim))
+    distinct[0, 0] = 0.0
+    pick = rng.permutation(np.concatenate(
+        [np.arange(12), np.arange(12), rng.integers(12, size=36)]))
+    centroids = distinct[pick]
+    centroids[np.flatnonzero(pick == 0)[-1], 0] = -0.0
+    want = cluster._nearest_exact(points, centroids,
+                                  np.ones((len(points), len(centroids)), bool))
+    want_best = ((points - centroids[want]) ** 2).sum(axis=1)
+    pairs = []
+    exact = cluster._nearest_exact
+
+    def recorded(rows, c, candidates):
+        pairs.append(int(candidates.sum()))
+        return exact(rows, c, candidates)
+
+    monkeypatch.setattr(cluster, "_nearest_exact", recorded)
+    labels, best = nearest(points, centroids)
+    assert np.array_equal(labels, want)
+    assert np.array_equal(bits(best), bits(want_best))
+    assert np.all(np.bincount(pick) >= 2)  # a search over all k rechecks all
+    assert sum(pairs) == 0
+
+
 def recorded_fit(monkeypatch, points, k):
     """Fit 5 Lloyd rounds at seed 3; return every search's (centroids,
     labels, best) and every explicit recheck's (rows, distances computed)."""
@@ -474,17 +506,19 @@ def test_recheck_when_k_exceeds_the_distinct_rows(monkeypatch, dim):
     assert_exact_and_narrow(*recorded_fit(monkeypatch, points, k), points, k)
 
 
-@pytest.mark.parametrize("k", [5, 500])
-def test_fit_scratch_is_one_block_plus_vectors(k):
-    """The memory a fit allocates, traced: the search's block scratch, one
-    (n, dim) temporary and about a dozen (n,) vectors, whatever k.  A
-    distance block per call, or an (n, dim) scatter index in the update,
-    goes over."""
-    n, dim = 20000, 15
+@pytest.mark.parametrize("k,dim", [(5, 15), (500, 15), (5, 32), (500, 32)],
+                         ids=["5", "500", "5-dim32", "500-dim32"])
+def test_fit_scratch_is_one_block_plus_vectors(k, dim):
+    """The memory a fit allocates, traced: the search's block scratch, the
+    two (rows, dim) temporaries of a block's explicit distances, the
+    boolean (n, dim) finiteness mask and about a dozen (n,) vectors,
+    whatever k.  A distance block per call, an (n, dim) scatter index in
+    the update, or an (n, dim) float temporary in seeding goes over."""
+    n = 20000
     points = np.random.default_rng(8).normal(size=(n, dim))
     rows = min(cluster._BLOCK_ELEMENTS // k, cluster._BLOCK_ROWS)
     block = rows * (k + dim + 2) + (dim + 1) * k
-    allowed = 8 * (block + n * dim + 12 * n)
+    allowed = 8 * (block + 2 * rows * dim + 12 * n) + n * dim
     tracemalloc.start()
     try:
         kmeans_fit(points, k, seed=3, max_iters=3, tol=0.0)

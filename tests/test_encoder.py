@@ -2,6 +2,7 @@
 training."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,6 +483,17 @@ ORACLE_CASES = {
     "one_input_one_unit": (saturating_dataset()[:12, :1],
                            EncoderConfig(latent_dim=1, epochs=3, batch_size=1),
                            4, None),
+    # BLOCK_ROWS 7 gathers each epoch in chunks of 6, 5 and 8 rows: whole
+    # batches, the last chunk and its last batch ragged
+    "gather_chunks_batch_3": (rank_one_dataset(n=41, dim=5, seed=12),
+                              EncoderConfig(latent_dim=4, epochs=3,
+                                            batch_size=3), 6, 7),
+    "gather_chunks_batch_5": (rank_one_dataset(n=43, dim=5, seed=12),
+                              EncoderConfig(latent_dim=4, epochs=3,
+                                            batch_size=5), 6, 7),
+    "gather_chunks_batch_8": (rank_one_dataset(n=45, dim=5, seed=12),
+                              EncoderConfig(latent_dim=4, epochs=3,
+                                            batch_size=8), 6, 7),
     # the benchmark's shape over two full BLOCK_ROWS blocks and one more
     # row: the loss's sigmoid crosses real block edges
     "real_blocks": (rank_one_dataset(n=2 * encoder.BLOCK_ROWS + 1, dim=15,
@@ -501,6 +513,38 @@ def test_train_is_bitwise_the_per_operation_reference(monkeypatch, case):
     assert_same_params(got, want)
     assert bits(got.loss_history) == bits(want.loss_history)
     assert len(got.loss_history) == config.epochs + 1
+
+
+def test_gather_chunk_cases_end_ragged():
+    for case, chunk in (("gather_chunks_batch_3", 6),
+                        ("gather_chunks_batch_5", 5),
+                        ("gather_chunks_batch_8", 8)):
+        X, config, _, block = ORACLE_CASES[case]
+        assert max(1, block // config.batch_size) * config.batch_size == chunk
+        assert len(X) % chunk % config.batch_size != 0, case
+        assert len(X) > chunk
+
+
+def test_train_scratch_is_the_loss_layers_plus_blocks_and_vectors():
+    """The memory training allocates, traced: the two layer outputs of the
+    loss pass, its BLOCK_ROWS-row scratch, one gather chunk of whole
+    minibatches, a few (n,) vectors and the parameter-sized vectors.  An
+    epoch-sized copy of the shuffled rows goes over."""
+    n, inputs, latent = 20000, 15, 32
+    X = np.random.default_rng(8).uniform(size=(n, inputs))
+    config = EncoderConfig(latent_dim=latent, epochs=2, batch_size=32)
+    chunk = max(1, encoder.BLOCK_ROWS // 32) * 32
+    size = 2 * latent * inputs + latent + inputs
+    allowed = 8 * (n * (latent + inputs)
+                   + 2 * encoder.BLOCK_ROWS * (latent + inputs)
+                   + chunk * inputs + 6 * n + 16 * size)
+    tracemalloc.start()
+    try:
+        train(X, config, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= allowed
 
 
 def test_clamp_case_really_binds():

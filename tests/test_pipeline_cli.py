@@ -1199,6 +1199,31 @@ def test_inconsistent_hours_exit_2_even_when_the_checksum_matches(
     assert "hours.npy" in caplog.text
 
 
+@pytest.mark.parametrize("declared", ["ten_trillion_rows", "three_rows_short"])
+def test_hours_header_misstating_its_rows_exits_2_and_names_it(
+        workspace, golden, caplog, capsys, declared):
+    # the data bytes kept and the checksum re-recorded: np.load would
+    # allocate ten trillion rows, or leave the last three rows unread
+    art, path = copy_with_hours(workspace, golden, "hours_header_" + declared)
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        (rows,), _, dtype = np.lib.format.read_array_header_1_0(fh)
+        data = fh.read()
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "shape": (10 ** 13 if declared == "ten_trillion_rows" else rows - 3,),
+        "fortran_order": False,
+        "descr": np.lib.format.dtype_to_descr(dtype)})
+    path.write_bytes(header.getvalue() + data)
+    rerecord(art, "hours.npy")
+    rc, _ = run_cli(["cluster", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "malformed model-ready hours %s: its header declares" % path \
+        in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage,message", [
     ("dropped_row", "rows but hours.npy has"),
     ("swapped_hours", "line 4 does not line up with hours.npy"),
