@@ -26,18 +26,10 @@ DATA_EXIT = 2
 NUMERICAL_EXIT = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract reserves 2 for data
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        raise SystemExit(USAGE_EXIT)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="glyrl",
-                     description="Offline RL pipeline for glycemic-target "
-                                 "policies from logged ICU trajectories.")
+    parser = argparse.ArgumentParser(
+        prog="glyrl", description="Offline RL pipeline for glycemic-target "
+                                  "policies from logged ICU trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, needs_input=False):
@@ -135,7 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse --help exits 0; usage problems must exit 1
+        # argparse exits 0 after --help and 2, the data code, on a usage error
         return 0 if exc.code == 0 else USAGE_EXIT
     try:
         return _run_command(args)

@@ -17,7 +17,7 @@ Lloyd's first round takes its assignment from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -109,21 +109,21 @@ _CHUNK_ELEMENTS = 1 << 20
 @dataclass
 class ClusterModel:
     centroids: np.ndarray  # (k, dim)
-    k: int
-    dim: int
-    inertia: float
     seed: int
-    inertia_history: List[float] = field(default_factory=list)
+    inertia_history: List[float]  # after every assignment
     labels: Optional[np.ndarray] = None  # final assignment of the fit points
 
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.centroids.shape != (self.k, self.dim):
-            raise ValueError("centroids shaped %r, expected %r"
-                             % (self.centroids.shape, (self.k, self.dim)))
-        if not np.all(np.isfinite(self.centroids)):
-            raise ValueError("centroids contain non-finite values")
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    @property
+    def dim(self) -> int:
+        return self.centroids.shape[1]
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
 
 
 def _check_points(points) -> np.ndarray:
@@ -339,12 +339,8 @@ def kmeans_fit(points, k: int, seed: int = 0,
         if movement < tol:
             break
 
-    inertia = float(d2.sum())
-    history.append(inertia)
-    model = ClusterModel(centroids, k, dim, inertia, seed,
-                         inertia_history=history, labels=labels)
-    model.validate()
-    return model
+    history.append(float(d2.sum()))
+    return ClusterModel(centroids, seed, history, labels)
 
 
 def assign_many(points, model: ClusterModel) -> np.ndarray:
@@ -352,13 +348,12 @@ def assign_many(points, model: ClusterModel) -> np.ndarray:
     if pts.shape[1] != model.dim:
         raise ValueError("expected vectors of length %d, got %d"
                          % (model.dim, pts.shape[1]))
-    labels, _ = _Nearest(pts, len(model.centroids))(model.centroids)
+    labels, _ = _Nearest(pts, model.k)(model.centroids)
     return labels
 
 
 def save_clusters(model: ClusterModel) -> str:
     """The model as JSON text."""
-    model.validate()
     doc = {
         "format": CLUSTER_FORMAT,
         "version": CLUSTER_FORMAT_VERSION,

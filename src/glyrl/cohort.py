@@ -507,18 +507,18 @@ def state_feature_names(covariates: Sequence[str]) -> tuple[str, ...]:
     return STATIC_FEATURES + tuple(covariates)
 
 
-def _raw_state_matrix(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
-    """One state vector per row, before scaling; enum fields become their
-    index in the codebook (unseen values map just past it and clamp later)."""
-    if len(spec.feature_names) != len(STATIC_FEATURES) + len(cohort.covariates):
-        raise ValueError("covariate schema does not match the cohort")
+def _raw_state_matrix(cohort: Cohort, gender_codes: Sequence[str],
+                      icu_unit_codes: Sequence[str]) -> np.ndarray:
+    """One state vector per row, before scaling; gender and icu_unit become
+    their index in ``gender_codes`` and ``icu_unit_codes`` (unseen values
+    map just past the codebook and clamp later)."""
     if np.isnan(cohort.values).any():
         raise ValueError("missing covariates, impute before normalizing")
     p = cohort.patients
     statics = np.empty((len(cohort.ids), len(STATIC_FEATURES)))
     for j, name in enumerate(STATIC_FEATURES):
         if name in ("gender", "icu_unit"):
-            codebook = spec.gender_codes if name == "gender" else spec.icu_unit_codes
+            codebook = gender_codes if name == "gender" else icu_unit_codes
             index = {value: float(i) for i, value in enumerate(codebook)}
             statics[:, j] = [index.get(v, float(len(codebook)))
                              for v in p[name].tolist()]
@@ -526,7 +526,8 @@ def _raw_state_matrix(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
             statics[:, j] = classify_diabetes(p)
         else:
             statics[:, j] = p[name]
-    raw = np.empty((len(cohort.values), len(spec.feature_names)))
+    raw = np.empty((len(cohort.values),
+                    len(STATIC_FEATURES) + len(cohort.covariates)))
     raw[:, :len(STATIC_FEATURES)] = np.repeat(statics, cohort.lengths, axis=0)
     raw[:, len(STATIC_FEATURES):] = cohort.values
     return raw
@@ -537,16 +538,12 @@ def fit_normalization(training: Cohort) -> NormalizationSpec:
     only), reduced over the rows in cohort order."""
     if not len(training.ids):
         raise ValueError("cannot fit normalization on an empty training split")
-    spec = NormalizationSpec(
-        feature_names=state_feature_names(training.covariates),
-        mins=np.zeros(0),
-        maxs=np.zeros(0),
-        gender_codes=tuple(sorted(set(training.patients["gender"].tolist()))),
-        icu_unit_codes=tuple(sorted(set(training.patients["icu_unit"].tolist()))),
-    )
-    raw = _raw_state_matrix(training, spec)
-    return NormalizationSpec(spec.feature_names, raw.min(axis=0), raw.max(axis=0),
-                             spec.gender_codes, spec.icu_unit_codes)
+    gender_codes = tuple(sorted(set(training.patients["gender"].tolist())))
+    icu_unit_codes = tuple(sorted(set(training.patients["icu_unit"].tolist())))
+    raw = _raw_state_matrix(training, gender_codes, icu_unit_codes)
+    return NormalizationSpec(state_feature_names(training.covariates),
+                             raw.min(axis=0), raw.max(axis=0), gender_codes,
+                             icu_unit_codes)
 
 
 def apply_normalization(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
@@ -555,7 +552,9 @@ def apply_normalization(cohort: Cohort, spec: NormalizationSpec) -> np.ndarray:
     Features that were constant on the training split map to 0; values
     outside the training range clamp to the unit interval.
     """
-    raw = _raw_state_matrix(cohort, spec)
+    if len(spec.feature_names) != len(STATIC_FEATURES) + len(cohort.covariates):
+        raise ValueError("covariate schema does not match the cohort")
+    raw = _raw_state_matrix(cohort, spec.gender_codes, spec.icu_unit_codes)
     span = spec.maxs - spec.mins
     scaled = np.zeros_like(raw)
     nonconst = span > 0

@@ -32,6 +32,7 @@ import numpy as np
 
 from .config import EncoderConfig
 from .errors import TrainingDivergedError
+from .mdp import check_header, header_int
 
 # Batch-mean activations are clamped to this range before the KL logs so the
 # penalty stays finite even when a unit saturates.
@@ -111,10 +112,8 @@ def _sigmoid_block(z: np.ndarray, den: np.ndarray) -> None:
 
 
 def init_params(input_dim: int, latent_dim: int,
-                rng: Optional[np.random.Generator] = None) -> EncoderParams:
+                rng: np.random.Generator) -> EncoderParams:
     """Glorot-uniform weights, zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if input_dim <= 0 or latent_dim <= 0:
         raise ValueError("dimensions must be positive")
     lim_enc = np.sqrt(6.0 / (input_dim + latent_dim))
@@ -416,10 +415,7 @@ def save_encoder(params: EncoderParams,
 def load_encoder(text: str) -> EncoderParams:
     """The params of ``save_encoder``'s text."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != ENCODER_FORMAT:
-        raise ValueError("not an encoder model file")
-    if doc.get("version") != ENCODER_FORMAT_VERSION:
-        raise ValueError("unsupported encoder model version %r" % (doc.get("version"),))
+    check_header(doc, ENCODER_FORMAT, ENCODER_FORMAT_VERSION)
     params = EncoderParams(
         np.array(doc["W_enc"], dtype=float),
         np.array(doc["b_enc"], dtype=float),
@@ -427,6 +423,7 @@ def load_encoder(text: str) -> EncoderParams:
         np.array(doc["b_dec"], dtype=float),
     )
     params.validate()
-    if (params.input_dim, params.latent_dim) != (doc["input_dim"], doc["latent_dim"]):
+    if (params.input_dim, params.latent_dim) != (header_int(doc, "input_dim"),
+                                                 header_int(doc, "latent_dim")):
         raise ValueError("declared dims do not match stored arrays")
     return params

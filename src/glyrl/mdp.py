@@ -343,11 +343,7 @@ def read_table(text: str, fmt: str, columns: str, kinds: Sequence[type],
             header = json.loads(text[:at])
         except ValueError:
             pass
-        if not isinstance(header, dict) or header.get("format") != fmt:
-            raise ValueError("not a %s file" % fmt)
-        if header.get("version") != version:
-            raise ValueError("unsupported %s version %r"
-                             % (fmt, header.get("version")))
+        check_header(header, fmt, version)
     end = text.find("\n", at) + 1 or len(text)
     if text[at:end].rstrip("\n") != columns:
         raise ValueError("not a %s file" % fmt if header is None
@@ -372,6 +368,17 @@ def read_table(text: str, fmt: str, columns: str, kinds: Sequence[type],
                        for j, kind in enumerate(kinds)])
         at, line = end + 1, line + len(lines)
     return header, [np.concatenate(col) for col in zip(*blocks)]
+
+
+def check_header(doc, fmt: str, version: int) -> None:
+    """Raise a ValueError unless ``doc`` is a mapping whose ``format`` is
+    ``fmt`` and whose ``version`` is the integer ``version``: a bool or a
+    float may equal it but is not it."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError("not a %s file" % fmt)
+    found = doc.get("version")
+    if type(found) is not int or found != version:
+        raise ValueError("unsupported %s version %r" % (fmt, found))
 
 
 def header_int(header: dict, key: str) -> int:

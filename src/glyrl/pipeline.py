@@ -46,6 +46,7 @@ from .mdp import (
     ActionSpace,
     Trajectories,
     build_trajectories,
+    check_header,
     estimate_mdp,
     extract_real_policy,
     load_mdp,
@@ -138,14 +139,12 @@ def _manifest_read(art_dir: str) -> dict:
         raise ConfigError("cannot write %s: %s" % (path, exc))
     except (OSError, ValueError, RecursionError) as exc:
         raise ArtifactError("cannot read manifest %s: %s" % (path, exc))
-    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT or \
-            not isinstance(doc.get("stages"), dict):
-        raise ArtifactError("%s is not a pipeline manifest" % path)
-    # a bool or a float may equal the version but is not one
-    if type(doc.get("version")) is not int or \
-            doc["version"] != MANIFEST_FORMAT_VERSION:
-        raise ArtifactError("%s has manifest version %r, not %d" % (
-            path, doc.get("version"), MANIFEST_FORMAT_VERSION))
+    try:
+        check_header(doc, MANIFEST_FORMAT, MANIFEST_FORMAT_VERSION)
+    except ValueError as exc:
+        raise ArtifactError("manifest %s: %s" % (path, exc))
+    if not isinstance(doc.get("stages"), dict):
+        raise ArtifactError("manifest %s: stages is not a mapping" % path)
     return doc
 
 
@@ -297,10 +296,8 @@ def _parse_npy(data: bytes) -> np.ndarray:
     allocated: np.load allocates the shape the header declares, and it
     ignores bytes beyond it."""
     fh = io.BytesIO(data)
-    version = np.lib.format.read_magic(fh)
-    read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) \
-        else np.lib.format.read_array_header_2_0
-    shape, _, dtype = read_header(fh)
+    np.lib.format.read_magic(fh)
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
     expected, found = math.prod(shape) * dtype.itemsize, len(data) - fh.tell()
     if found != expected:
         raise ValueError("its header declares shape %r of %s, %d bytes, but "
@@ -521,12 +518,20 @@ def _read_values(files: _StageFiles, label: str) -> np.ndarray:
 
 def _read_trajectories(files: _StageFiles, split: str,
                        k: int) -> Trajectories:
-    """mdp/trajectories_<split>.csv, every step inside the k-state MDP."""
+    """mdp/trajectories_<split>.csv, every step inside the k-state MDP and
+    every patient ending in SURVIVE or DEATH."""
     def parse(data: bytes) -> Trajectories:
         trajs = read_trajectories(data.decode())
         if split == "train" and not trajs:
             raise ValueError("lists no trajectories")
         trajs.check(k)
+        last = np.zeros(len(trajs.state), dtype=bool)
+        last[trajs.bounds[1:] - 1] = True
+        off = np.flatnonzero((trajs.next_state >= k) != last)
+        if off.size:
+            raise ValueError("line %d steps to state %d; a patient's last step, "
+                             "and only it, enters SURVIVE (%d) or DEATH (%d)"
+                             % (off[0] + 2, trajs.next_state[off[0]], k, k + 1))
         return trajs
 
     return files.read("build-mdp", TRAJECTORY_FILE % split, "trajectory file",

@@ -52,7 +52,8 @@ import numpy as np
 
 from .cohort import FIXED_COLUMNS
 from .errors import ArtifactError
-from .mdp import ActionSpace, DEFAULT_BIN_EDGES, MDPModel
+from .mdp import (ActionSpace, DEFAULT_BIN_EDGES, MDPModel, check_header,
+                  header_int)
 from .solver import PolicySolution, policy_iteration
 
 GROUND_TRUTH_FORMAT = "glyrl-ground-truth"
@@ -439,20 +440,16 @@ def load_ground_truth(path: str) -> GroundTruth:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError("cannot read ground truth %s: %s" % (path, exc))
-    if not isinstance(doc, dict) or doc.get("format") != GROUND_TRUTH_FORMAT:
-        raise ArtifactError("%s is not a ground-truth file" % path)
-    if doc.get("version") != GROUND_TRUTH_FORMAT_VERSION:
-        raise ArtifactError("unsupported ground-truth version %r"
-                            % (doc.get("version"),))
     try:
+        check_header(doc, GROUND_TRUTH_FORMAT, GROUND_TRUTH_FORMAT_VERSION)
         return GroundTruth(
-            n_latent_states=int(doc["n_latent_states"]),
+            n_latent_states=header_int(doc, "n_latent_states"),
             gamma=float(doc["gamma"]),
             pi_star=np.array(doc["pi_star"], dtype=np.int64),
             v_star=np.array(doc["v_star"], dtype=float),
             latent_states={str(k): [int(z) for z in v]
                            for k, v in doc["latent_states"].items()},
-            seed=int(doc["seed"]),
+            seed=header_int(doc, "seed"),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ArtifactError("malformed ground-truth file %s: %s" % (path, exc))

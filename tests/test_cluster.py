@@ -53,10 +53,14 @@ def load_clusters(text):
     if doc.get("version") != CLUSTER_FORMAT_VERSION:
         raise ValueError("unsupported cluster model version %r"
                          % (doc.get("version"),))
-    model = ClusterModel(np.array(doc["centroids"], dtype=float), int(doc["k"]),
-                         int(doc["dim"]), float(doc["inertia"]), int(doc["seed"]))
-    model.validate()
-    return model
+    centroids = np.array(doc["centroids"], dtype=float)
+    shape = (int(doc["k"]), int(doc["dim"]))
+    if shape[0] < 1 or centroids.shape != shape:
+        raise ValueError("centroids shaped %r, expected %r"
+                         % (centroids.shape, shape))
+    if not np.all(np.isfinite(centroids)):
+        raise ValueError("centroids contain non-finite values")
+    return ClusterModel(centroids, int(doc["seed"]), [float(doc["inertia"])])
 
 
 def reference_nearest(points, centroids, rows=256):
@@ -191,7 +195,8 @@ def test_different_seeds_can_differ_but_stay_valid():
     pts = rng.uniform(size=(30, 2))
     for seed in range(4):
         model = kmeans_fit(pts, k=4, seed=seed)
-        model.validate()
+        assert model.centroids.shape == (4, 2) == (model.k, model.dim)
+        assert np.all(np.isfinite(model.centroids))
         assert model.labels.min() >= 0 and model.labels.max() < 4
 
 
@@ -227,13 +232,13 @@ def test_assign_centroid_to_itself():
 
 def test_assign_tie_breaks_to_lowest_index():
     centroids = np.array([[10.0], [20.0], [1.0], [30.0], [40.0], [3.0]])
-    model = ClusterModel(centroids, 6, 1, 0.0, 0)
+    model = ClusterModel(centroids, 0, [0.0])
     # 2.0 is exactly 1 away from centroids 2 and 5
     assert assign_many(np.array([[2.0]]), model).tolist() == [2]
 
 
 def test_assign_hand_checked_distance():
-    model = ClusterModel(np.array([[0.5], [10.5]]), 2, 1, 0.0, 0)
+    model = ClusterModel(np.array([[0.5], [10.5]]), 0, [0.0])
     # 3.0 is 2.5 from 0.5 and 7.5 from 10.5
     assert assign_many(np.array([[3.0], [6.0], [5.5]]), model).tolist() == [0, 1, 0]
     labels, best = nearest(np.array([[3.0]]), model.centroids)
@@ -241,7 +246,7 @@ def test_assign_hand_checked_distance():
 
 
 def test_assign_rejects_wrong_dim():
-    model = ClusterModel(np.zeros((2, 3)), 2, 3, 0.0, 0)
+    model = ClusterModel(np.zeros((2, 3)), 0, [0.0])
     with pytest.raises(ValueError):
         assign_many(np.zeros(3), model)
     with pytest.raises(ValueError):
@@ -262,6 +267,10 @@ def test_fit_rejects_bad_inputs():
         kmeans_fit(np.array([[0.0], [np.nan]]), k=1, seed=0)
     with pytest.raises(ValueError):
         kmeans_fit(np.zeros((0, 2)), k=1, seed=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kmeans_fit(np.zeros((2, 2)), k=0, seed=0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        kmeans_fit(np.zeros((2, 2)), k=1, seed=0, max_iters=-1)
 
 
 def test_duplicate_points_fit_cleanly():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -364,6 +365,13 @@ def test_normalization_requires_imputed_series():
     spec = cohort.fit_normalization(_series_with_column([50.0, 150.0]))
     with pytest.raises(ValueError, match="impute"):
         cohort.apply_normalization(_series_with_column([None, 1.0]), spec)
+
+
+def test_normalization_refuses_a_spec_of_other_covariates():
+    spec = cohort.fit_normalization(_series_with_column([50.0, 150.0]))
+    other = dataclasses.replace(spec, feature_names=spec.feature_names[:-1])
+    with pytest.raises(ValueError, match="covariate schema does not match"):
+        cohort.apply_normalization(_series_with_column([100.0, 100.0]), other)
 
 
 # --- split ---------------------------------------------------------------------

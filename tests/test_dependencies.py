@@ -7,6 +7,8 @@ Each kind of outside input has one reader: only ``config.py`` imports yaml
 and only ``cohort.py`` imports csv.  The stages sit on top of the library:
 only the entry points, ``cli.py`` and ``__init__.py``, import ``pipeline``.
 No module imports or reads another module's private (underscored) name.
+Only ``mdp.py``, whose ``check_header`` states the artifact-header rule,
+reads a ``"format"`` or ``"version"`` key.
 Every module-level function and class is named somewhere in the package or
 the demos: code that only tests call belongs in the tests.
 """
@@ -119,6 +121,30 @@ def test_no_module_imports_a_private_name():
                     os.path.basename(path), node.lineno, node.value.id,
                     node.attr))
     assert private == []
+
+
+HEADER_KEYS = {"format", "version"}
+
+
+def test_only_mdp_reads_the_header_keys():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    reads = []
+    for path in sources:
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, ast.Load):
+                key = node.slice
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "get" and node.args:
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and key.value in HEADER_KEYS:
+                reads.append("%s:%d reads %r" % (os.path.basename(path),
+                                                  node.lineno, key.value))
+    assert [read for read in reads if not read.startswith("mdp.py:")] == []
+    assert reads  # the checker still sees mdp's own reads
 
 
 def test_pyproject_declares_only_numpy_and_pyyaml():

@@ -2,6 +2,7 @@
 training."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -317,12 +318,22 @@ def test_save_load_round_trip_bit_identical():
 
 
 def test_load_rejects_foreign_and_corrupt_files():
-    with pytest.raises(ValueError, match="not an encoder model file"):
+    with pytest.raises(ValueError, match="not a glyrl-encoder file"):
         load_encoder('{"format": "something-else", "version": 1}\n')
     with pytest.raises(ValueError):
         load_encoder("{not json")
     with pytest.raises(KeyError):
         load_encoder('{"format": "glyrl-encoder", "version": 1, "input_dim": 2}\n')
+
+
+def test_load_takes_header_counts_only_as_integers():
+    doc = json.loads(save_encoder(init_params(15, 4, np.random.default_rng(3))))
+    for key, value in [("input_dim", 15.0), ("latent_dim", True)]:
+        with pytest.raises(ValueError,
+                           match="header %s is %r, not an integer" % (key, value)):
+            load_encoder(json.dumps(dict(doc, **{key: value})))
+    with pytest.raises(ValueError, match="declared dims do not match"):
+        load_encoder(json.dumps(dict(doc, input_dim=14)))
 
 
 # --- the per-operation oracle ------------------------------------------------

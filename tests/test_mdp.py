@@ -520,6 +520,19 @@ def test_mdp_load_rejects_corruption():
         with pytest.raises(ValueError, match=re.escape(message)):
             load_mdp(text)
 
+    # rows the counts cannot come from; the single row is 0,3,1,1,1.0
+    for rows, fields, message in [
+            (lines[2:], {"n_states": 4}, "inconsistent n_states"),
+            ([], {"n_rows": 0}, "no transitions"),
+            (["0,3,1,0,1.0"], {}, "non-positive count"),
+            (["0,3,3,1,1.0"], {}, "triplet indices out of range"),
+            (["0,11,1,1,1.0"], {}, "triplet indices out of range"),
+            (lines[2:] * 2, {"n_rows": 2}, "duplicate triplet rows")]:
+        text = "\n".join([json.dumps(dict(header, **fields)), lines[1]]
+                         + rows) + "\n"
+        with pytest.raises(ValueError, match="^%s$" % message):
+            load_mdp(text)
+
 
 # ids as the codec can carry them: no comma or line feed, and no NUL, which
 # numpy strings drop at the end

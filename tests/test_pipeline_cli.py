@@ -7,6 +7,7 @@ exit codes, and a pinned report so silent behavior drift shows up as a diff.
 
 import collections
 import contextlib
+import csv
 import dataclasses
 import fnmatch
 import hashlib
@@ -934,6 +935,29 @@ def header_only(lines):
     return lines[:1]
 
 
+def death_step_dropped(lines):
+    """The last step of the first patient who dies after more than one step
+    deleted: that patient now ends without entering DEATH (6, k being 5)."""
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    at = next(i for i, row in enumerate(rows)
+              if i and row[4] == "6" and row[1] != "0")
+    return lines[:at] + lines[at + 1:]
+
+
+def early_terminal(lines):
+    """The first step that is not its patient's last made to enter SURVIVE
+    (5, k being 5)."""
+    rows = [line.rstrip("\n").split(",") for line in lines]
+    at = next(i for i in range(1, len(rows) - 1)
+              if rows[i][0] == rows[i + 1][0])
+    lines[at] = ",".join(rows[at][:4] + ["5"]) + "\n"
+    return lines
+
+
+# the trajectory files' end rule, for k = 5
+END_RULE = "a patient's last step, and only it, enters SURVIVE (5) or DEATH (6)"
+
+
 def cut_mid_line(lines):
     """The last line cut at its first comma."""
     lines[-1] = lines[-1].split(",", 1)[0]
@@ -1006,6 +1030,10 @@ TAMPERED = "does not match the SHA-256"
      "maximum recursion depth exceeded"),
     ("evaluate", "solution/real.csv", value_raised_by_5, "real.csv", TAMPERED),
     ("build-mdp", "assignments.csv", state_moved, "assignments.csv", TAMPERED),
+    ("evaluate", "mdp/trajectories_test.csv", death_step_dropped,
+     "trajectories_test.csv", END_RULE),
+    ("evaluate", "mdp/trajectories_train.csv", early_terminal,
+     "trajectories_train.csv", END_RULE),
 ] + [
     (READERS[rel][0], rel, cut_mid_line, os.path.basename(rel),
      "has 1 fields, expected %d" % fields)
@@ -1016,7 +1044,8 @@ TAMPERED = "does not match the SHA-256"
         "mdp_n_states_null", "mdp_k_infinite", "mdp_min_count_fractional",
         "mdp_p_nan", "mdp_gamma_text", "train_step_skipped",
         "real_k_null", "real_k_float", "real_header_too_deep", "tampered_real_value",
-        "tampered_assignment"] + [
+        "tampered_assignment", "test_death_step_dropped",
+        "train_early_terminal"] + [
             os.path.basename(rel).split(".")[0] + "_cut_mid_line"
             for rel in TABLE_FIELDS])
 def test_bad_late_artifacts_exit_2_and_name_them(
@@ -1039,6 +1068,117 @@ def test_bad_late_artifacts_exit_2_and_name_them(
     assert named in caplog.text
     assert message in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"],
+                         ids=["true", "float", "string"])
+@pytest.mark.parametrize("command,rel,fmt", [
+    ("solve", "mdp/mdp.txt", "glyrl-mdp"),
+    ("evaluate", "solution/optimal.csv", "glyrl-solution"),
+    ("evaluate", "solution/real.csv", "glyrl-solution"),
+    ("cluster", "encoder.model", "glyrl-encoder"),
+], ids=["mdp", "optimal", "real", "encoder"])
+def test_header_version_other_than_the_integer_1_exits_2_and_names_it(
+        workspace, golden, sparse_golden, caplog, capsys, request, command,
+        rel, fmt, version):
+    art = workspace["root"] / ("header_version_" + request.node.callspec.id)
+    if rel == "encoder.model":
+        shutil.copytree(sparse_golden, art)
+        config = str(workspace["root"] / "sparse_run.yaml")
+        doc = json.loads((art / rel).read_text())
+        doc["version"] = version
+        (art / rel).write_text(json.dumps(doc))
+    else:
+        shutil.copytree(golden["art"], art)
+        config = workspace["config"]
+        edit_lines(art / rel, edit_header(version=version))
+    rerecord(art, rel)
+    rc, _ = run_cli([command, "--config", config, "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "%s: unsupported %s version %r" % (art / rel, fmt, version) \
+        in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda manifest: [], "not a glyrl-manifest file"),
+    (lambda manifest: dict(manifest, stages=[]), "stages is not a mapping"),
+], ids=["list", "stages_list"])
+def test_manifest_that_is_not_one_exits_2_and_names_it(
+        workspace, golden, caplog, capsys, request, edit, message):
+    art = workspace["root"] / ("not_manifest_" + request.node.callspec.id)
+    shutil.copytree(golden["art"], art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    (art / "manifest.json").write_text(json.dumps(edit(manifest)))
+    written = (art / "manifest.json").read_bytes()
+    rc, _ = run_cli(["evaluate", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "manifest %s: %s" % (art / "manifest.json", message) in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert (art / "manifest.json").read_bytes() == written
+
+
+def test_empty_test_split_is_scored_on_the_training_split(
+        workspace, golden, caplog):
+    art = workspace["root"] / "empty_test_split"
+    shutil.copytree(golden["art"], art)
+    edit_lines(art / "mdp" / "trajectories_test.csv", header_only)
+    rerecord(art, "mdp/trajectories_test.csv")
+    rc, stdout = run_cli(["evaluate", "--config", workspace["config"],
+                          "--out", str(art)])
+    assert rc == 0
+    assert "empty test split, scoring on the training split" in caplog.text
+    report = json.loads(stdout)
+    anchor = report["train_anchor"]
+    assert report["cohort_mortality"] == anchor["empirical_mortality"]
+    assert report["real"]["estimated_mortality"] == \
+        anchor["estimated_mortality_real"]
+    assert report["cohort_mortality"] != golden["report"]["cohort_mortality"]
+
+
+def test_cohort_without_glucose_readings_exits_2_in_build_mdp(
+        workspace, tmp_path, caplog):
+    with open(workspace["cohort"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index("glucose_mgdl")
+    for row in rows[1:]:
+        row[at] = ""
+    cohort = tmp_path / "no_glucose.csv"
+    with open(cohort, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc, _ = run_cli(["run", "--config", workspace["config"], "--input",
+                     str(cohort), "--out", str(tmp_path / "art")])
+    assert rc == cli.DATA_EXIT
+    assert "stage 'build-mdp': no usable training trajectories" in caplog.text
+    assert not (tmp_path / "art" / "mdp").exists()
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"preprocessing": {"min_age": -1}}, "preprocessing.min_age"),
+    ({"preprocessing": {"min_sofa": -1}}, "preprocessing.min_sofa"),
+    ({"preprocessing": {"max_missing_fraction": 1.5}},
+     "preprocessing.max_missing_fraction"),
+    ({"clustering": {"k": 0}}, "clustering.k"),
+    ({"clustering": {"tol": -1e-6}}, "clustering.tol"),
+    ({"clustering": {"max_iters": -1}}, "clustering.max_iters"),
+    ({"mdp": {"min_count": 0}}, "mdp.min_count"),
+    ({"solver": {"epsilon": 0.0}}, "solver.epsilon"),
+    ({"calibration": {"n_bins": 1}}, "calibration.n_bins"),
+    ({"calibration": {"min_bin_support": 0}}, "calibration.min_bin_support"),
+    ({"covariates": []}, "covariates"),
+    ({"mdp": {"bin_edges": 100.0}}, "mdp.bin_edges"),
+    ({"clustering": 5}, "'clustering'"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_config_value_out_of_range_exits_1_and_names_it(
+        workspace, tmp_path, caplog, doc, key):
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    rc, _ = run_cli(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "art")])
+    assert rc == cli.USAGE_EXIT
+    assert key in caplog.text
+    assert not (tmp_path / "art").exists()
 
 
 READER_PAIRS = [(rel, command) for rel, commands in READERS.items()
@@ -1129,8 +1269,8 @@ def test_manifest_of_another_version_exits_2_and_names_it(
     rc, _ = run_cli(["evaluate", "--config", workspace["config"],
                      "--out", str(art)])
     assert rc == cli.DATA_EXIT
-    assert "%s has manifest version %r, not 1" % (art / "manifest.json",
-                                                   version) in caplog.text
+    assert "manifest %s: unsupported glyrl-manifest version %r" % (
+        art / "manifest.json", version) in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
     assert (art / "manifest.json").read_bytes() == written
 
@@ -1221,6 +1361,21 @@ def test_hours_header_misstating_its_rows_exits_2_and_names_it(
     assert rc == cli.DATA_EXIT
     assert "malformed model-ready hours %s: its header declares" % path \
         in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def test_hours_in_npy_format_2_exits_2_and_names_it(workspace, golden, caplog,
+                                                  capsys):
+    # ingest writes format 1.0 only, and only 1.0 is read back
+    art, path = copy_with_hours(workspace, golden, "hours_npy_2_0")
+    rows = np.load(str(path), allow_pickle=False)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, rows, version=(2, 0), allow_pickle=False)
+    rerecord(art, "hours.npy")
+    rc, _ = run_cli(["cluster", "--config", workspace["config"],
+                     "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "malformed model-ready hours %s: " % path in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import trajectory_oracle as oracle
-from glyrl import synthgen
+from glyrl import solver, synthgen
+from glyrl.errors import ConvergenceError
 from glyrl.mdp import FALLBACK_ACTION, ActionSpace, estimate_mdp
 from glyrl.solver import (
     _q_table,
@@ -204,6 +205,21 @@ def test_policy_iteration_picks_survival_action():
     sol = policy_iteration(mdp, epsilon=1e-9)
     assert sol.policy[0] == 2
     assert sol.V[0] == pytest.approx(100.0, abs=1e-9)
+
+
+def test_solver_caps_raise_convergence_error(monkeypatch):
+    # the lowest-index action (2) leads to DEATH, action 6 to SURVIVE: one
+    # evaluation takes more than one sweep, and the first improvement
+    # changes the policy
+    mdp = mdp_from_steps([[(0, 2, 2)], [(0, 6, 1)]], k=1)
+    assert policy_iteration(mdp).policy.tolist() == [6]
+    monkeypatch.setattr(solver, "MAX_EVAL_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 sweeps"):
+        policy_evaluation(mdp, [2])
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "MAX_IMPROVEMENTS", 1)
+    with pytest.raises(ConvergenceError, match="within 1 improvements"):
+        policy_iteration(mdp)
 
 
 def test_policy_iteration_matches_value_iteration_oracle():

@@ -329,8 +329,9 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
     for root in ([], "glyrl-ground-truth", None):
         with open(path, "w") as fh:
             json.dump(root, fh)
-        with pytest.raises(ArtifactError, match="not a ground-truth file"):
+        with pytest.raises(ArtifactError) as err:
             load_ground_truth(path)
+        assert "%s: not a glyrl-ground-truth file" % path in str(err.value)
     _, truth = generate(ladder_config(5))
     pipeline.write_file(path, ground_truth_doc(truth))
     doc = json.load(open(path))
@@ -338,6 +339,17 @@ def test_ground_truth_rejects_foreign_and_corrupt_files(tmp_path):
     json.dump(doc, open(path, "w"))
     with pytest.raises(ArtifactError):
         load_ground_truth(path)
+    # a value that equals an integer, or that int() would take, is not one
+    for key, value, message in [
+            ("version", True, "unsupported glyrl-ground-truth version True"),
+            ("version", 1.0, "unsupported glyrl-ground-truth version 1.0"),
+            ("seed", "3", "header seed is '3', not an integer"),
+            ("n_latent_states", 5.0,
+             "header n_latent_states is 5.0, not an integer")]:
+        json.dump(dict(doc, **{"version": 1, key: value}), open(path, "w"))
+        with pytest.raises(ArtifactError) as err:
+            load_ground_truth(path)
+        assert "%s: %s" % (path, message) in str(err.value)
     doc["version"] = 1
     doc["latent_states"] = [[0, 1]]
     json.dump(doc, open(path, "w"))
