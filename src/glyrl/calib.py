@@ -33,16 +33,6 @@ class CalibrationCurve:
     mortality: np.ndarray
     support: np.ndarray
 
-    def validate(self) -> None:
-        if len(self.bin_centers) < 2:
-            raise ValueError("curve needs at least two bins")
-        if np.any(np.diff(self.bin_centers) <= 0):
-            raise ValueError("bin centers must be strictly increasing")
-        if np.any(self.mortality < 0) or np.any(self.mortality > 1):
-            raise ValueError("mortality rates must lie in [0, 1]")
-        if np.any(np.diff(self.mortality) > 1e-12):
-            raise ValueError("mortality must be non-increasing in return")
-
 
 def collect_samples(V_real, trajectories: Trajectories):
     """Per-visit (return, died) pairs; died is the whole patient's outcome."""
@@ -86,8 +76,6 @@ def fit_curve(V_real, trajectories: Trajectories,
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    if min_bin_support < 1:
-        raise ValueError("min_bin_support must be at least 1")
     returns, died = collect_samples(V_real, trajectories)
     if len(returns) == 0:
         raise CalibrationError("no state visits to calibrate on")
@@ -137,9 +125,7 @@ def fit_curve(V_real, trajectories: Trajectories,
     centers = np.array([b[1] / b[0] for b in bins])
     raw = np.array([b[2] / b[0] for b in bins])
     mortality = _pav_non_increasing(raw, support.astype(float))
-    curve = CalibrationCurve(centers, np.clip(mortality, 0.0, 1.0), support)
-    curve.validate()
-    return curve
+    return CalibrationCurve(centers, np.clip(mortality, 0.0, 1.0), support)
 
 
 def estimate_mortality(curve: CalibrationCurve, expected_return):

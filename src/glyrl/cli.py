@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import pipeline, synthgen
 from .config import PipelineConfig, checked_keys, config_from_dict, read_yaml
-from .errors import ConfigError, DataError, GlyrlError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 log = logging.getLogger("glyrl")
 
@@ -87,9 +87,11 @@ def _synth_config(args) -> synthgen.GeneratorConfig:
     if patients < 1:
         raise ConfigError("patients is %d; it must be positive" % patients)
     try:
-        return synthgen.ladder_config(patients, **knobs)
+        config = synthgen.ladder_config(patients, **knobs)
+        config.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad synth parameters: %s" % exc)
+    return config
 
 
 def _run_command(args) -> int:
@@ -140,12 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericalError as exc:
         log.error("%s", exc)
         return NUMERICAL_EXIT
-    except ValueError as exc:
-        log.error("%s", exc)
-        return USAGE_EXIT
-    except GlyrlError as exc:
-        log.error("%s", exc)
-        return DATA_EXIT
 
 
 if __name__ == "__main__":

@@ -536,8 +536,6 @@ def _raw_state_matrix(cohort: Cohort, gender_codes: Sequence[str],
 def fit_normalization(training: Cohort) -> NormalizationSpec:
     """Compute per-feature (min, max) over all training hours (train split
     only), reduced over the rows in cohort order."""
-    if not len(training.ids):
-        raise ValueError("cannot fit normalization on an empty training split")
     gender_codes = tuple(sorted(set(training.patients["gender"].tolist())))
     icu_unit_codes = tuple(sorted(set(training.patients["icu_unit"].tolist())))
     raw = _raw_state_matrix(training, gender_codes, icu_unit_codes)
@@ -622,10 +620,6 @@ def split_patients(
             i = int(np.argmax(remainders))
             counts[i] += 1
             remainders[i] = -1.0
-        while sum(counts) > n_test_total:
-            i = int(np.argmin(remainders))
-            counts[i] -= 1
-            remainders[i] = 2.0
     test = np.zeros(len(ids), dtype=bool)
     for group, n_test in zip(groups, counts):
         test[group[rng.permutation(len(group))[:n_test]]] = True

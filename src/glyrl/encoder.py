@@ -114,8 +114,6 @@ def _sigmoid_block(z: np.ndarray, den: np.ndarray) -> None:
 def init_params(input_dim: int, latent_dim: int,
                 rng: np.random.Generator) -> EncoderParams:
     """Glorot-uniform weights, zero biases."""
-    if input_dim <= 0 or latent_dim <= 0:
-        raise ValueError("dimensions must be positive")
     lim_enc = np.sqrt(6.0 / (input_dim + latent_dim))
     W_enc = rng.uniform(-lim_enc, lim_enc, size=(latent_dim, input_dim))
     W_dec = rng.uniform(-lim_enc, lim_enc, size=(input_dim, latent_dim))

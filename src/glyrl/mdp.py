@@ -221,8 +221,6 @@ class MDPModel:
         return np.add.reduceat(self.t_prob * v[self.t_target], self.pair_ptr)
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if isinstance(self.gamma, bool) or \
                 not isinstance(self.gamma, (int, float)) or \
                 not 0.0 <= self.gamma < 1.0:

@@ -14,6 +14,7 @@ manifest's checksums make checkable.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -112,11 +113,17 @@ def write_file(path: str, content) -> str:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     sha256 = hashlib.sha256()
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        for part in parts:
-            sha256.update(part)
-            fh.write(part)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                sha256.update(part)
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no partial file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return sha256.hexdigest()
 
 

@@ -43,11 +43,9 @@ class PolicySolution:
 def _policy_rows(mdp: MDPModel, policy) -> np.ndarray:
     """The pair row of each state's action under ``policy``."""
     pol = np.asarray(policy, dtype=np.int64)
-    k, n_actions = mdp.pair_index.shape
+    k = mdp.k
     if pol.shape != (k,):
         raise ValueError("policy must assign one action to each of %d states" % k)
-    if np.any(pol < 0) or np.any(pol >= n_actions):
-        raise ValueError("policy contains an action outside the action space")
     rows = mdp.pair_index[np.arange(k), pol]
     if np.any(rows < 0):
         bad = int(np.flatnonzero(rows < 0)[0])

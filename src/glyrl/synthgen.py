@@ -92,10 +92,6 @@ class GeneratorConfig:
 
     def validate(self) -> None:
         L, A = self.n_latent_states, self.n_actions
-        if self.n_patients < 1:
-            raise ValueError("n_patients must be positive")
-        if L < 2:
-            raise ValueError("need at least two latent states")
         if self.horizon_hours < 2:
             raise ValueError("horizon_hours must be at least 2")
         if self.seed < 0:
@@ -109,19 +105,10 @@ class GeneratorConfig:
         if self.transition.shape != (L, A, L):
             raise ValueError("transition tensor shaped %r, expected %r"
                              % (self.transition.shape, (L, A, L)))
-        if np.any(self.transition < 0) or \
-                np.max(np.abs(self.transition.sum(axis=2) - 1.0)) > 1e-9:
-            raise ValueError("transition tensor rows must be stochastic")
         for name, hz in (("death_hazard", self.death_hazard),
                          ("discharge_hazard", self.discharge_hazard)):
             if hz.shape != (L,) or np.any(hz < 0) or np.any(hz > 1):
                 raise ValueError("%s must be %d values in [0, 1]" % (name, L))
-        if self.emission_means.shape != (L, self.n_covariates):
-            raise ValueError("emission means shaped %r, expected %r"
-                             % (self.emission_means.shape, (L, self.n_covariates)))
-        if self.emission_scales.shape != (self.n_covariates,) or \
-                np.any(self.emission_scales <= 0):
-            raise ValueError("emission noise scales must be positive")
         if self.behavioral_policy.shape != (L, A) or \
                 np.any(self.behavioral_policy < 0) or \
                 np.max(np.abs(self.behavioral_policy.sum(axis=1) - 1.0)) > 1e-9:
@@ -132,8 +119,6 @@ class GeneratorConfig:
             raise ValueError("initial distribution must be stochastic")
         if not 0.0 <= self.missing_prob < 1.0:
             raise ValueError("missing_prob must lie in [0, 1)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
         ActionSpace(self.bin_edges)  # validates the edges themselves
 
 
@@ -336,8 +321,6 @@ def ladder_config(n_patients: int, seed: int = 0,
     """
     if n_latent_states < 2:
         raise ValueError("n_latent_states must be at least 2")
-    if not noise_scale > 0:
-        raise ValueError("noise_scale must be positive")
     L = n_latent_states
     A = len(DEFAULT_BIN_EDGES) + 1
 
@@ -402,6 +385,11 @@ def ladder_config(n_patients: int, seed: int = 0,
     base = np.array([70.0, 95.0, 1.0, 0.8])
     means = base[None, :] + np.arange(L)[:, None] * steps[None, :]
     scales = noise_scale * np.abs(steps)
+    # false for NaN, and for a noise_scale so small that a scale underflows
+    if not np.all(scales > 0):
+        raise ValueError("noise_scale is %r; it must be positive, and large "
+                         "enough that no covariate's noise scale rounds to 0"
+                         % noise_scale)
 
     return GeneratorConfig(
         n_patients=n_patients,

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from glyrl import cohort
 from glyrl.errors import ImputationError, IntegrityError, ParseError
@@ -432,6 +433,27 @@ def test_split_partition_is_exact():
     ids, survived = _split_cohort(23)
     train, test = cohort.split_patients(ids, survived, 0.3, seed=9)
     assert sorted(ids[np.concatenate([train, test])].tolist()) == sorted(ids.tolist())
+
+
+@given(survived=st.lists(st.booleans(), min_size=1, max_size=80),
+       test_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(survived=[True, False], test_fraction=5e-324, seed=0)
+@example(survived=[True, False, False], test_fraction=0.9999999999999999,
+         seed=0)
+@example(survived=[False] * 7 + [True] * 6, test_fraction=0.5, seed=1)
+def test_split_takes_the_rounded_quota_and_leaves_training_patients(
+        survived, test_fraction, seed):
+    # the per-outcome floors never exceed the quota, so the allocation only
+    # ever adds test patients; at least one patient stays in training
+    n = len(survived)
+    ids = np.array(["p%02d" % i for i in range(n)])
+    train, test = cohort.split_patients(ids, np.array(survived), test_fraction,
+                                        seed)
+    assert sorted(train.tolist() + test.tolist()) == list(range(n))
+    assert len(train) >= 1
+    if n >= 2:
+        assert len(test) == min(max(round(n * test_fraction), 1), n - 1)
 
 
 def test_split_ignores_input_order():

@@ -11,6 +11,10 @@ Only ``mdp.py``, whose ``check_header`` states the artifact-header rule,
 reads a ``"format"`` or ``"version"`` key.
 Every module-level function and class is named somewhere in the package or
 the demos: code that only tests call belongs in the tests.
+Every error the package raises has its exit code: each ``GlyrlError``
+subclass derives from ``ConfigError``, ``DataError`` or ``NumericalError``,
+the classes ``cli.main`` catches, and no module raises a bare
+``GlyrlError``.
 """
 
 import ast
@@ -19,6 +23,8 @@ import os
 import sys
 
 import pytest
+
+from glyrl import errors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWED = {"numpy", "yaml", "glyrl"}
@@ -190,3 +196,30 @@ def test_every_module_level_function_and_class_is_named():
                     and "%s.%s" % (module, node.name) not in EXEMPT):
                 unnamed.append("%s.%s" % (module, node.name))
     assert unnamed == []
+
+
+def test_every_error_has_an_exit_code():
+    coded = (errors.ConfigError, errors.DataError, errors.NumericalError)
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type)
+               and issubclass(value, errors.GlyrlError)]
+    assert set(coded) < set(classes)
+    assert [cls.__name__ for cls in classes
+            if cls is not errors.GlyrlError and not issubclass(cls, coded)] \
+        == []
+
+
+def raised_name(node):
+    """The name a ``raise`` statement raises: ``X`` in ``raise X``,
+    ``raise X(...)`` and ``raise errors.X(...)``; None for a re-raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) or getattr(exc, "attr", None)
+
+
+def test_no_module_raises_a_bare_glyrl_error():
+    sources = sorted(glob.glob(os.path.join(ROOT, "src", "glyrl", "*.py")))
+    raised = [(os.path.basename(path), node.lineno, raised_name(node))
+              for path in sources for node in ast.walk(parsed(path))
+              if isinstance(node, ast.Raise)]
+    assert [r for r in raised if r[2] == "GlyrlError"] == []
+    assert any(name == "DataError" for _, _, name in raised)  # it sees raises

@@ -908,6 +908,12 @@ def cut_to_four_states(lines):
     return edit_header(k=4)(lines)[:-1]
 
 
+def gamma_dropped(lines):
+    header = json.loads(lines[0])
+    del header["gamma"]
+    return [json.dumps(header, sort_keys=True) + "\n"] + lines[1:]
+
+
 def nan_value(lines):
     lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
     return lines
@@ -1034,6 +1040,8 @@ TAMPERED = "does not match the SHA-256"
      "trajectories_test.csv", END_RULE),
     ("evaluate", "mdp/trajectories_train.csv", early_terminal,
      "trajectories_train.csv", END_RULE),
+    ("solve", "mdp/mdp.txt", gamma_dropped, "mdp/mdp.txt",
+     "no 'gamma' field"),
 ] + [
     (READERS[rel][0], rel, cut_mid_line, os.path.basename(rel),
      "has 1 fields, expected %d" % fields)
@@ -1045,7 +1053,7 @@ TAMPERED = "does not match the SHA-256"
         "mdp_p_nan", "mdp_gamma_text", "train_step_skipped",
         "real_k_null", "real_k_float", "real_header_too_deep", "tampered_real_value",
         "tampered_assignment", "test_death_step_dropped",
-        "train_early_terminal"] + [
+        "train_early_terminal", "mdp_gamma_missing"] + [
             os.path.basename(rel).split(".")[0] + "_cut_mid_line"
             for rel in TABLE_FIELDS])
 def test_bad_late_artifacts_exit_2_and_name_them(
@@ -1319,12 +1327,15 @@ def tamper_hours(rows, how):
         rows = np.concatenate([rows[rows["split"] == 1], rows[rows["split"] == 0]])
     elif how == "plain_matrix":
         rows = np.ascontiguousarray(rows["state"])
+    elif how == "no_rows":
+        rows = rows[:0]
     return rows
 
 
 @pytest.mark.parametrize("how", ["state_above_one", "state_nan",
                                  "glucose_negative", "hour_gap",
-                                 "test_rows_first", "plain_matrix"])
+                                 "test_rows_first", "plain_matrix",
+                                 "no_rows"])
 def test_inconsistent_hours_exit_2_even_when_the_checksum_matches(
         workspace, golden, caplog, how):
     art, path = copy_with_hours(workspace, golden, "hours_tampered_" + how)
@@ -1719,8 +1730,27 @@ def sparse_art(workspace, golden):
     return {"art": art, "config": str(config)}
 
 
+def malform_encoder(doc, how):
+    if how == "nan_weight":
+        doc["W_enc"][0][0] = float("nan")  # Python's JSON reader takes NaN
+    elif how == "W_dec_misshapen":
+        doc["W_dec"].pop()
+    else:
+        doc["b_enc"].pop()
+
+
+# an encoder.model that parses, its checksum re-recorded: what the cluster
+# stage says about it
+MALFORMED_ENCODERS = {
+    "nan_weight": "encoder parameters contain non-finite values",
+    "W_dec_misshapen": "decoder weights shaped (14, 4), expected (15, 4)",
+    "b_enc_misshapen": "bias shapes inconsistent with weight matrices",
+}
+
+
 @pytest.mark.parametrize("damage", ["tampered", "flipped", "truncated",
-                                    "missing", "unrecorded"])
+                                    "missing", "unrecorded",
+                                    *MALFORMED_ENCODERS])
 def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
                                               capsys, damage):
     art = workspace["root"] / ("encoder_" + damage)
@@ -1738,6 +1768,11 @@ def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
         model.write_bytes(data[:mid])
     elif damage == "missing":
         model.unlink()
+    elif damage in MALFORMED_ENCODERS:
+        doc = json.loads(data)
+        malform_encoder(doc, damage)
+        model.write_text(json.dumps(doc))
+        rerecord(art, "encoder.model")
     else:
         manifest = json.loads((art / "manifest.json").read_text())
         del manifest["stages"]["train-encoder"]["encoder.model"]
@@ -1748,6 +1783,9 @@ def test_damaged_encoder_exits_2_and_names_it(workspace, sparse_art, caplog,
     assert "encoder.model" in caplog.text
     if damage in ("tampered", "flipped", "truncated"):
         assert TAMPERED in caplog.text
+    if damage in MALFORMED_ENCODERS:
+        assert "malformed encoder model %s: %s" % (
+            model, MALFORMED_ENCODERS[damage]) in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
@@ -1829,6 +1867,27 @@ def test_synth_truth_out_creates_its_directory_or_exits_1(
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "synth"])
+def test_write_onto_a_directory_exits_1_and_leaves_no_tmp(
+        workspace, golden, tmp_path, caplog, capsys, command):
+    # the temporary file is written, then cannot be renamed onto the path
+    if command == "solve":
+        art = tmp_path / "art"
+        shutil.copytree(golden["art"], art)
+        blocked = art / "solution" / "optimal.csv"
+        blocked.unlink()
+        argv = ["solve", "--config", workspace["config"], "--out", str(art)]
+    else:
+        blocked = tmp_path / "cohort.csv"
+        argv = ["synth", "--patients", "5", "--out", str(blocked)]
+    blocked.mkdir()
+    rc, _ = run_cli(argv)
+    assert rc == cli.USAGE_EXIT
+    assert "cannot write %s" % blocked in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+    assert not os.path.exists(str(blocked) + ".tmp")
+
+
 def test_synth_is_deterministic(workspace):
     a = workspace["root"] / "synth_a.csv"
     b = workspace["root"] / "synth_b.csv"
@@ -1880,6 +1939,8 @@ BAD_SYNTH_CONFIGS = [
     ("horizon_hours", "patients: 5\nhorizon_hours: 1"),
     ("noise_scale", "patients: 5\nnoise_scale: 0"),
     ("missing_prob", "patients: 5\nmissing_prob: 1"),
+    # 0.25 * 1.0e-323 underflows to a zero noise scale
+    ("noise_scale", "patients: 5\nnoise_scale: 1.0e-323"),
 ]
 
 
