@@ -50,7 +50,9 @@ class EncoderConfig:
     sparsity_target: float = 0.05
     beta: float = 3.0
     epochs: int = 50
-    batch_size: int = 32
+    # chosen by true mortality on seeded synthetic cohorts (README,
+    # Representations), not by training loss
+    batch_size: int = 128
     learning_rate: float = 0.05
 
     def validate(self) -> None:

@@ -486,7 +486,7 @@ ORACLE_CASES = {
     "clamp_binds": (saturating_dataset(),
                     EncoderConfig(latent_dim=6, epochs=4, batch_size=10),
                     12, None),
-    # the benchmark's shape: the default latent size and batch, 15 inputs
+    # the default latent size, 15 inputs and 32-row batches
     "default_shape": (rank_one_dataset(n=100, dim=15, seed=10),
                       EncoderConfig(latent_dim=32, epochs=2, batch_size=32),
                       3, None),
@@ -511,6 +511,11 @@ ORACLE_CASES = {
                                      seed=11),
                     EncoderConfig(latent_dim=32, epochs=1, batch_size=32),
                     5, None),
+    # the default 128-row batch over more than one BLOCK_ROWS gather chunk,
+    # ending on a 40-row batch as the benchmark's 31,528 training rows do
+    "default_batch_crosses_a_chunk": (
+        rank_one_dataset(n=encoder.BLOCK_ROWS + 168, dim=15, seed=14),
+        EncoderConfig(latent_dim=32, epochs=2, batch_size=128), 6, None),
 }
 
 

@@ -182,7 +182,7 @@ GOLDEN_SHA256 = {
     'mdp/trajectories_test.csv': 'a8b445af1d329cb0a6f1c37e0f17a82529c42452b3bff45e892f58b69707560f',
     'mdp/trajectories_train.csv': 'cffc712c66a425bfa59e57dff7cb8c946515e681176b3afdf88bfef668f62889',
     'norm_spec.json': 'e61a615ab19c6ba26f764a0270c180cd00e78a7e5f0b4c098cf82e25a15518a6',
-    'report.json': '82f10355e11eaa2ea94ef0a99aadb2403bc8109ad224b4b4d9efca33d0af5c54',
+    'report.json': 'e949c88313f59bc41457b0aafa455c7c0da7d482ab1080f0c4cd3400b9f752ea',
     'solution/optimal.csv': 'ffd73de75dac81d0ba41943a5cc408ae84973d71d8a240bda430bce1b6693c4c',
     'solution/q_optimal.csv': '4fb91b42a052899998ff19cb4a72d90b45d4ceeea9e05d92012c80531f49903a',
     'solution/real.csv': '52d81cd6b6320bf1fb4b1df3298611299df8cb7ed22e9b03d53f0c231dd0ccb7',
@@ -1488,16 +1488,16 @@ def test_numerical_failure_exits_3(workspace, golden, monkeypatch):
 # run of the golden cohort: encoder.model and every file downstream of it.
 SPARSE_GOLDEN_SHA256 = {
     'assignments.csv': '078209cda66533d51063e1e516debd4d8bd3e7e200f52380d9f4cffcdb078937',
-    'clusters.model': 'beaa9f720ae319347868d64fbe37de7069875d8d46a7a6fcfc55844db461128b',
+    'clusters.model': '9de5e643422b914289d09ae385f0c31f816e05b6d6cb188d785b67acf6ad21f4',
     'curve.csv': '8391266824b9971e93d7c02ffcc0f0c56ed4be3d6d71190b5e51f152ce4e4eed',
-    'encoder.model': '09fe06f39b81e9c81888b8e3d1a33d7dcdfb044058ce90683141e0d9801f456a',
+    'encoder.model': '867809bb15e3343841a6ccef71c398b71021d14cebaf356b227a2362815ff860',
     'exclusions.json': 'c3a25e0ddae3ff79ca46deb62cdad85c66de21e2def765220da2176df3008e30',
     'hours.npy': '9810269242af19eed6264f2d1176598c126a7a6e999df3afce3eefc0cdb383e5',
     'mdp/mdp.txt': 'cc359042a1d4cca0e54597cfc1f8f1c815dbc46d569bf39a245302ba4cc589d1',
     'mdp/trajectories_test.csv': 'd6caeb04ef80674ea5e1790636faca767fcc35293347aa1156cbbda0c56dcc18',
     'mdp/trajectories_train.csv': 'f4c39bf6342d88418f1e74362ff88c3a7b37588f4f5e6356bf757cf5ecabb8c7',
     'norm_spec.json': 'e61a615ab19c6ba26f764a0270c180cd00e78a7e5f0b4c098cf82e25a15518a6',
-    'report.json': '859d555b7c46ffee3c4bce5d134c8a46b49eefcb59e218fe667f7bc60e49fa83',
+    'report.json': 'ad2446a286394bd8acaf64c1b840f27b38c91879098bd8c2a154e86745afedf2',
     'solution/optimal.csv': '70cb6598acc4769914fc617db4ee0ae9f0e713feca4eb0b50bb431716412c931',
     'solution/q_optimal.csv': 'd028b47d2eac3ebc4e94c310031c10bd67492ee232a664bdd88a3ef1a1a4bc54',
     'solution/real.csv': '49b748c520b6d6740a8129dff6719c1bf0afabf8eb34dbec8d2ca6a15416a367',
