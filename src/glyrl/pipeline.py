@@ -1,15 +1,15 @@
 """Stage orchestration: cohort CSV in, calibrated policy report out.
 
 Each stage is a function over one stage's view of an artifacts directory:
-it reads the files earlier stages wrote and writes its own.  run_stage is
-the one way to run a stage, for the CLI subcommands and run_pipeline alike:
-it opens that view, runs the stage on it and, once the stage returns,
-records what it wrote in the manifest, dropping the entries of the stages
-after it.  Within one run_pipeline call a stage also hands the value of a
-file it wrote to the one later stage that reads it, which then skips
-reading the file back.  Every byte written is a pure function of (config,
-master seed, input CSV); reruns must reproduce artifacts exactly, which the
-manifest's checksums make checkable.
+it reads the files earlier stages wrote and writes its own.  One runner
+runs the stages of an invocation, one stage for a CLI subcommand and all
+of them for run_pipeline: it reads the manifest once, before the first
+stage, records each stage's entry in that copy when the stage returns, and
+writes the manifest once, after the last stage that returned.  Within one
+invocation a stage also hands the value of a file it wrote to the one later
+stage that reads it, which then skips reading the file back.  Every byte
+written is a pure function of (config, master seed, input CSV); reruns must
+reproduce artifacts exactly, which the manifest's checksums make checkable.
 """
 
 from __future__ import annotations
@@ -155,35 +155,40 @@ def _manifest_read(art_dir: str) -> dict:
     return doc
 
 
+def _put(path: str, content) -> str:
+    """write_file, with a failure to write as the ConfigError naming
+    ``path``."""
+    try:
+        return write_file(path, content)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
+
+
 class _StageFiles:
-    """One stage's view of the artifacts directory: the manifest, read once
-    when the stage starts; checked reads of what earlier stages wrote; and
-    the SHA-256 of each file the stage writes, taken as it is written.
+    """One stage's view of the artifacts directory: the invocation's
+    manifest, as the stages before this one recorded it; checked reads of
+    what earlier stages wrote; and the SHA-256 of each file the stage
+    writes, taken as it is written.
 
-    ``handoff``, shared by the stages of one run, maps a file a stage wrote
-    to (its SHA-256, its value as the reader's ``parse`` would return it)."""
+    ``handoff``, shared by the stages of one invocation, maps a file a stage
+    wrote to (its SHA-256, its value as the reader's ``parse`` would return
+    it)."""
 
-    def __init__(self, art_dir: str, stage: str,
-                 handoff: Optional[dict] = None):
+    def __init__(self, art_dir: str, stage: str, manifest: dict,
+                 handoff: dict):
         self.dir, self.stage = art_dir, stage
-        self.manifest = _manifest_read(art_dir)
+        # a copy: what the stage sets in it counts only once it returns
+        self.manifest = dict(manifest)
         self.written = {}
-        self.handoff = {} if handoff is None else handoff
+        self.handoff = handoff
 
     def path(self, rel: str) -> str:
         return os.path.join(self.dir, rel)
 
-    def _put(self, rel: str, content) -> str:
-        path = self.path(rel)
-        try:
-            return write_file(path, content)
-        except OSError as exc:
-            raise ConfigError("cannot write %s: %s" % (path, exc))
-
     def write(self, rel: str, content, decoded=None) -> None:
         """Write ``rel``; a ``decoded`` value goes to its reader in this
-        run."""
-        self.written[rel] = self._put(rel, content)
+        invocation."""
+        self.written[rel] = _put(self.path(rel), content)
         if decoded is not None:
             self.handoff[rel] = (self.written[rel], decoded)
 
@@ -217,18 +222,17 @@ class _StageFiles:
                 RecursionError, EOFError) as exc:
             raise ArtifactError("malformed %s %s: %s" % (what, path, exc))
 
-    def record(self, config: PipelineConfig) -> None:
-        """Write the manifest with this stage's entry: what it wrote.  The
-        entries of later stages, made from what this one rewrote, and of a
-        stage that no longer exists are dropped."""
-        self.manifest.update(config_digest=config.digest(), seed=config.seed)
-        stages = self.manifest["stages"]
-        stages[self.stage] = self.written
+    def record(self, config: PipelineConfig) -> dict:
+        """The manifest with this stage's entry: what it wrote.  The entries
+        of later stages, made from what this one rewrote, and of a stage
+        that no longer exists are dropped."""
+        stages = {**self.manifest["stages"], self.stage: self.written}
         names = [name for name, _, _ in STAGES]
-        self.manifest["stages"] = {
-            name: stages[name]
-            for name in names[:names.index(self.stage) + 1] if name in stages}
-        self._put(MANIFEST_FILE, self.manifest)
+        return dict(self.manifest, config_digest=config.digest(),
+                    seed=config.seed, stages={
+                        name: stages[name]
+                        for name in names[:names.index(self.stage) + 1]
+                        if name in stages})
 
 
 # --- normalization spec serialization ----------------------------------------
@@ -580,18 +584,40 @@ def stage_evaluate(config: PipelineConfig, files: _StageFiles) -> dict:
     return doc
 
 
-def run_stage(name: str, config: PipelineConfig, *paths: str,
-              handoff: Optional[dict] = None):
-    """Run stage ``name`` on its inputs, then the artifacts directory, in
-    ``paths``, and record it in the manifest if it returns.  The stage
-    function is looked up when called, so a replaced module attribute (a
-    test double, a tracing wrapper) runs."""
-    *inputs, art_dir = paths
+def _run(config: PipelineConfig, names: Sequence[str], art_dir: str,
+         input_csv: Optional[str] = None):
+    """Run the stages ``names`` in order over ``art_dir`` and return what
+    the last one returns.  The manifest is read once, before the first
+    stage, and written once: after the last stage returns or, if a stage
+    raises, with the entries of the stages that returned.  Each rename onto
+    an existing file waits for the disk on some filesystems (ext4 flushes
+    the data written before it), so one write per invocation keeps a run
+    from waiting at every stage.  A stage function is looked up when
+    called, so a replaced module attribute (a test double, a tracing
+    wrapper) runs."""
+    config.validate()
+    reads_cohort = {name: reads for name, _, reads in STAGES}
+    handoff, recorded, name = {}, None, names[0]
     try:
-        files = _StageFiles(art_dir, name, handoff)
-        result = globals()["stage_" + name.replace("-", "_")](
-            config, *inputs, files)
-        files.record(config)
+        manifest = _manifest_read(art_dir)
+        path = os.path.join(art_dir, MANIFEST_FILE)
+        try:
+            for name in names:
+                files = _StageFiles(art_dir, name, manifest, handoff)
+                inputs = (input_csv,) if reads_cohort[name] else ()
+                result = globals()["stage_" + name.replace("-", "_")](
+                    config, *inputs, files)
+                recorded = manifest = files.record(config)
+        except BaseException:
+            if recorded is not None:
+                # the stage's own error propagates, whether or not this
+                # write succeeds
+                try:
+                    _put(path, recorded)
+                except ConfigError as exc:
+                    log.error("%s", exc)
+            raise
+        _put(path, manifest)
     except GlyrlError as exc:
         # name the stage, but keep the class and its fields (a
         # TrainingDivergedError's epoch, a ParseError's line_number)
@@ -600,12 +626,14 @@ def run_stage(name: str, config: PipelineConfig, *paths: str,
     return result
 
 
+def run_stage(name: str, config: PipelineConfig, *paths: str):
+    """Run stage ``name`` on its inputs, then the artifacts directory, in
+    ``paths``, and record it in the manifest if it returns."""
+    *inputs, art_dir = paths
+    return _run(config, [name], art_dir, *inputs)
+
+
 def run_pipeline(config: PipelineConfig, input_csv: str, art_dir: str) -> dict:
     """Chain every stage over one artifacts directory, each handing the
     files it writes to their reader; returns the report."""
-    config.validate()
-    handoff = {}
-    for name, _, reads_cohort in STAGES:
-        inputs = (input_csv,) if reads_cohort else ()
-        report = run_stage(name, config, *inputs, art_dir, handoff=handoff)
-    return report
+    return _run(config, [name for name, _, _ in STAGES], art_dir, input_csv)

@@ -167,7 +167,7 @@ def parsed(path):
         return ast.parse(fh.read(), filename=path)
 
 
-# Used without being named: pipeline.run_stage looks up each stage_*
+# Used without being named: pipeline._run looks up each stage_*
 # function by string, and load_ground_truth is the reader of the file that
 # ``glyrl synth --truth-out`` writes.
 EXEMPT = {"synthgen.load_ground_truth"}

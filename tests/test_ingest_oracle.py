@@ -186,8 +186,8 @@ def _stage_ingest(config, csv_path, art_dir):
     """``pipeline.stage_ingest`` on its own view of ``art_dir``: run_stage
     would name the stage in errors, which ``cohort_oracle.ingest`` does
     not."""
-    pipeline.stage_ingest(config, csv_path,
-                          pipeline._StageFiles(art_dir, "ingest"))
+    pipeline.stage_ingest(config, csv_path, pipeline._StageFiles(
+        art_dir, "ingest", pipeline._manifest_read(art_dir), {}))
 
 
 @settings(max_examples=100)

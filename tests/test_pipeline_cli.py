@@ -403,15 +403,18 @@ def test_rerunning_a_stage_drops_the_entries_of_later_stages(
     assert json.loads((art / "manifest.json").read_text())["stages"] == stages
 
 
+def fail_after_writing(config, *args):
+    """A stage that writes a file and then fails."""
+    args[-1].write("partial.txt", "written before the failure\n")
+    raise DataError("failed after writing")
+
+
 @pytest.mark.parametrize("name", [name for name, _, _ in pipeline.STAGES])
 def test_a_stage_that_raises_leaves_the_manifest_as_it_was(
         workspace, golden, tmp_path, monkeypatch, caplog, name):
     # what a stage writes before it fails is never recorded
-    def fail(config, *args):
-        args[-1].write("partial.txt", "written before the failure\n")
-        raise DataError("failed after writing")
-
-    monkeypatch.setattr(pipeline, "stage_" + name.replace("-", "_"), fail)
+    monkeypatch.setattr(pipeline, "stage_" + name.replace("-", "_"),
+                        fail_after_writing)
     art = tmp_path / "art"
     shutil.copytree(golden["art"], art)
     written = (art / "manifest.json").read_bytes()
@@ -424,8 +427,8 @@ def test_a_stage_that_raises_leaves_the_manifest_as_it_was(
     assert (art / "manifest.json").read_bytes() == written
 
 
-def test_run_writes_the_manifest_once_per_stage(workspace, golden, tmp_path,
-                                                monkeypatch):
+def test_run_writes_the_manifest_once_per_run(workspace, golden, tmp_path,
+                                              monkeypatch):
     written = []
     write_file = pipeline.write_file
 
@@ -437,8 +440,87 @@ def test_run_writes_the_manifest_once_per_stage(workspace, golden, tmp_path,
     art = tmp_path / "art"
     assert run_cli(["run", "--config", workspace["config"],
                     "--input", workspace["cohort"], "--out", str(art)])[0] == 0
-    assert written.count(pipeline.MANIFEST_FILE) == len(pipeline.STAGES)
+    assert written.count(pipeline.MANIFEST_FILE) == 1
     assert tree_hashes(str(art)) == tree_hashes(golden["art"])
+
+
+@pytest.mark.parametrize("earlier_run", [False, True],
+                         ids=["fresh", "over_a_run"])
+@pytest.mark.parametrize("name", [name for name, _, _ in pipeline.STAGES])
+def test_a_run_that_fails_leaves_the_manifest_of_the_stages_before(
+        workspace, golden, tmp_path, monkeypatch, caplog, name, earlier_run):
+    # the run leaves the manifest that the stages before the failing one
+    # leave when each runs as a subcommand: after a failure in ingest, the
+    # earlier run's manifest, or none in a fresh directory
+    names = [name for name, _, _ in pipeline.STAGES]
+    art, staged = tmp_path / "art", tmp_path / "staged"
+    if earlier_run:
+        shutil.copytree(golden["art"], art)
+        shutil.copytree(golden["art"], staged)
+    for earlier in names[:names.index(name)]:
+        inputs = ["--input", workspace["cohort"]] if READS_COHORT[earlier] \
+            else []
+        assert run_cli([earlier, "--config", workspace["config"], *inputs,
+                        "--out", str(staged)])[0] == 0
+    monkeypatch.setattr(pipeline, "stage_" + name.replace("-", "_"),
+                        fail_after_writing)
+    rc, _ = run_cli(["run", "--config", workspace["config"],
+                     "--input", workspace["cohort"], "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "stage %r: failed after writing" % name in caplog.text
+    assert (art / "partial.txt").exists()
+    left = [(root / "manifest.json").read_bytes()
+            if (root / "manifest.json").exists() else None
+            for root in (art, staged)]
+    assert left[0] == left[1]
+    assert (left[0] is None) == (name == "ingest" and not earlier_run)
+
+
+def test_a_failed_manifest_write_leaves_the_stage_error_to_propagate(
+        workspace, tmp_path, monkeypatch, caplog):
+    write_file = pipeline.write_file
+
+    def no_manifest(path, content):
+        if os.path.basename(path) == pipeline.MANIFEST_FILE:
+            raise OSError("disk full")
+        return write_file(path, content)
+
+    monkeypatch.setattr(pipeline, "write_file", no_manifest)
+    monkeypatch.setattr(pipeline, "stage_evaluate", fail_after_writing)
+    art = tmp_path / "art"
+    rc, _ = run_cli(["run", "--config", workspace["config"],
+                     "--input", workspace["cohort"], "--out", str(art)])
+    assert rc == cli.DATA_EXIT
+    assert "stage 'evaluate': failed after writing" in caplog.text
+    assert "cannot write %s: disk full" % (art / "manifest.json") \
+        in caplog.text
+    assert not (art / "manifest.json").exists()
+
+
+def test_a_run_renames_onto_no_existing_file_and_reruns_to_the_same_tree(
+        workspace, golden, tmp_path, monkeypatch):
+    # on ext4 a rename onto an existing file waits for the data written
+    # before it to reach the disk: a run into a fresh directory makes none
+    art = tmp_path / "art"
+    renames = []
+    replace = os.replace
+
+    def recorded(src, dst, *args, **kwargs):
+        renames.append((os.path.relpath(dst, art), os.path.exists(dst)))
+        return replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    argv = ["run", "--config", workspace["config"],
+            "--input", workspace["cohort"], "--out", str(art)]
+    assert run_cli(argv)[0] == 0
+    first = tree_hashes(str(art))
+    assert first == tree_hashes(golden["art"])
+    # each file is renamed into place once, onto nothing
+    assert sorted(renames) == sorted((rel, False) for rel in first)
+    renames.clear()
+    assert run_cli(argv)[0] == 0
+    assert tree_hashes(str(art)) == first
+    assert sorted(renames) == sorted((rel, True) for rel in first)
 
 
 def test_evaluate_turns_an_older_manifest_into_the_current_one(
@@ -546,10 +628,11 @@ def test_calibration_error_names_evaluate_and_exits_2(workspace, golden,
     assert tree_hashes(str(staged)) == tree_hashes(golden["art"])
 
 
-def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
+def test_a_run_reads_the_manifest_once_and_no_file_it_wrote(
         workspace, monkeypatch, tmp_path):
     # a run reads back only hours.npy: every other file a later stage needs
-    # is handed over decoded
+    # is handed over decoded, and every stage checks against the manifest
+    # the run read when it started
     art = tmp_path / "art"
     manifest_reads, reads = [], collections.Counter()
     manifest_read = pipeline._manifest_read
@@ -570,9 +653,9 @@ def test_each_stage_reads_the_manifest_once_and_no_file_it_wrote(
     rc, _ = run_cli(["run", "--config", workspace["config"],
                      "--input", workspace["cohort"], "--out", str(art)])
     assert rc == 0
-    assert len(manifest_reads) == len(pipeline.STAGES) == 6
-    # ingest finds no manifest yet
-    assert reads == {"manifest.json": 5, "hours.npy": len(READERS["hours.npy"])}
+    assert len(manifest_reads) == 1
+    # the run finds no manifest yet
+    assert reads == {"hours.npy": len(READERS["hours.npy"])}
 
 
 def assert_same_value(got, expected, where):
